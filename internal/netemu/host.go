@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"routeflow/internal/clock"
@@ -55,6 +56,12 @@ type Host struct {
 	pingSeq  uint16
 	ipID     uint16
 	closed   bool
+
+	// rxDiscards counts frames addressed to this host that it dropped
+	// because a layer failed to decode or a checksum did not hold. Switches
+	// classify on headers only, so this is where corruption in flight
+	// surfaces.
+	rxDiscards atomic.Uint64
 }
 
 // NewHost attaches a host stack to ep. The endpoint's receiver is taken over
@@ -98,6 +105,11 @@ func (h *Host) Addr() netip.Addr { return h.addr.Addr() }
 
 // MAC returns the host's hardware address.
 func (h *Host) MAC() pkt.MAC { return h.mac }
+
+// RxDiscards returns how many frames addressed to this host it has dropped
+// for a failed decode or checksum at any layer (Ethernet, ARP, IPv4, UDP,
+// ICMP). The host is the only verifier of L4 checksums on the path.
+func (h *Host) RxDiscards() uint64 { return h.rxDiscards.Load() }
 
 // Close detaches the host; subsequent sends fail.
 func (h *Host) Close() {
@@ -147,7 +159,7 @@ func (h *Host) Resolve(ip netip.Addr) (pkt.MAC, error) {
 	h.mu.Unlock()
 
 	for attempt := 0; attempt < h.arpRetries; attempt++ {
-		h.sendARPRequest(ip)
+		h.sendARP(pkt.BroadcastMAC, pkt.NewARPRequest(h.mac, h.addr.Addr(), ip))
 		select {
 		case mac := <-ch:
 			return mac, nil
@@ -172,11 +184,36 @@ func (h *Host) Resolve(ip netip.Addr) (pkt.MAC, error) {
 	return pkt.MAC{}, fmt.Errorf("%w: %v", ErrARPTimeout, ip)
 }
 
-func (h *Host) sendARPRequest(ip netip.Addr) {
-	req := pkt.NewARPRequest(h.mac, h.addr.Addr(), ip)
-	f := &pkt.Frame{Dst: pkt.BroadcastMAC, Src: h.mac, Type: pkt.EtherTypeARP,
-		Payload: req.Marshal()}
-	h.ep.Send(f.Marshal())
+// sendARP transmits one ARP packet to dst.
+func (h *Host) sendARP(dst pkt.MAC, a *pkt.ARP) {
+	f := pkt.Frame{Dst: dst, Src: h.mac, Type: pkt.EtherTypeARP}
+	h.ep.Send(a.AppendTo(f.AppendHeader(make([]byte, 0, pkt.EthernetHeaderLen+pkt.ARPLen))))
+}
+
+// ipv4Frame starts a frame to mac in one of the endpoint's transmit buffers:
+// the Ethernet header and the header of ip, which will carry payloadLen
+// bytes. The caller appends those and enqueues the buffer, so every layer is
+// written once, into the buffer the cable delivers. It returns nil when the
+// endpoint refuses the frame (link down, loss).
+func (h *Host) ipv4Frame(mac pkt.MAC, ip *pkt.IPv4, payloadLen int) *frameBuf {
+	if !h.ep.admit(pkt.EthernetHeaderLen + pkt.IPv4HeaderLen + payloadLen) {
+		return nil
+	}
+	f := pkt.Frame{Dst: mac, Src: h.mac, Type: pkt.EtherTypeIPv4}
+	fb := framePool.Get().(*frameBuf)
+	fb.b = ip.AppendHeader(f.AppendHeader(fb.b[:0]), payloadLen)
+	return fb
+}
+
+// sendICMP transmits one ICMP message to dst via the next hop mac.
+func (h *Host) sendICMP(mac pkt.MAC, dst netip.Addr, m *pkt.ICMP) bool {
+	ip := pkt.IPv4{TTL: 64, Proto: pkt.ProtoICMP, Src: h.addr.Addr(), Dst: dst}
+	fb := h.ipv4Frame(mac, &ip, pkt.ICMPHeaderLen+len(m.Payload))
+	if fb == nil {
+		return false
+	}
+	fb.b = m.AppendTo(fb.b)
+	return h.ep.enqueue(fb)
 }
 
 // SendUDP sends one datagram to dst:dstPort from srcPort, resolving the next
@@ -190,15 +227,17 @@ func (h *Host) SendUDP(dst netip.Addr, srcPort, dstPort uint16, payload []byte) 
 	if err != nil {
 		return err
 	}
-	u := &pkt.UDP{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
 	h.mu.Lock()
 	h.ipID++
 	id := h.ipID
 	h.mu.Unlock()
-	ip := &pkt.IPv4{ID: id, TTL: 64, Proto: pkt.ProtoUDP,
-		Src: h.addr.Addr(), Dst: dst, Payload: u.Marshal(h.addr.Addr(), dst)}
-	f := &pkt.Frame{Dst: mac, Src: h.mac, Type: pkt.EtherTypeIPv4, Payload: ip.Marshal()}
-	if !h.ep.Send(f.Marshal()) {
+	ip := pkt.IPv4{ID: id, TTL: 64, Proto: pkt.ProtoUDP, Src: h.addr.Addr(), Dst: dst}
+	u := pkt.UDP{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
+	fb := h.ipv4Frame(mac, &ip, pkt.UDPHeaderLen+len(payload))
+	if fb != nil {
+		fb.b = u.AppendTo(fb.b, ip.Src, ip.Dst)
+	}
+	if fb == nil || !h.ep.enqueue(fb) {
 		return fmt.Errorf("netemu: host %s: frame dropped at NIC", h.name)
 	}
 	return nil
@@ -230,11 +269,8 @@ func (h *Host) Ping(dst netip.Addr, timeout time.Duration) (time.Duration, error
 	}()
 
 	start := h.clk.Now()
-	echo := &pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: id, Seq: seq, Payload: []byte("routeflow-ping")}
-	ip := &pkt.IPv4{TTL: 64, Proto: pkt.ProtoICMP, Src: h.addr.Addr(), Dst: dst,
-		Payload: echo.Marshal()}
-	f := &pkt.Frame{Dst: mac, Src: h.mac, Type: pkt.EtherTypeIPv4, Payload: ip.Marshal()}
-	if !h.ep.Send(f.Marshal()) {
+	echo := pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: id, Seq: seq, Payload: []byte("routeflow-ping")}
+	if !h.sendICMP(mac, dst, &echo) {
 		return 0, fmt.Errorf("netemu: host %s: ping frame dropped at NIC", h.name)
 	}
 	select {
@@ -245,9 +281,12 @@ func (h *Host) Ping(dst netip.Addr, timeout time.Duration) (time.Duration, error
 	}
 }
 
+// receive decodes every layer into stack values; nothing it hands on
+// outlives the call, which is the UDPHandler contract.
 func (h *Host) receive(frame []byte) {
-	f, err := pkt.DecodeFrame(frame)
-	if err != nil {
+	var f pkt.Frame
+	if err := pkt.DecodeFrameInto(&f, frame); err != nil {
+		h.rxDiscards.Add(1)
 		return
 	}
 	if f.Dst != h.mac && !f.Dst.IsBroadcast() && !f.Dst.IsMulticast() {
@@ -255,15 +294,16 @@ func (h *Host) receive(frame []byte) {
 	}
 	switch f.Type {
 	case pkt.EtherTypeARP:
-		h.handleARP(f)
+		h.handleARP(&f)
 	case pkt.EtherTypeIPv4:
-		h.handleIPv4(f)
+		h.handleIPv4(&f)
 	}
 }
 
 func (h *Host) handleARP(f *pkt.Frame) {
-	a, err := pkt.DecodeARP(f.Payload)
-	if err != nil {
+	var a pkt.ARP
+	if err := pkt.DecodeARPInto(&a, f.Payload); err != nil {
+		h.rxDiscards.Add(1)
 		return
 	}
 	// Learn the sender either way.
@@ -279,22 +319,24 @@ func (h *Host) handleARP(f *pkt.Frame) {
 		}
 	}
 	if a.Op == pkt.ARPRequest && a.TargetIP == h.addr.Addr() {
-		rep := a.Reply(h.mac, h.addr.Addr())
-		out := &pkt.Frame{Dst: a.SenderHW, Src: h.mac, Type: pkt.EtherTypeARP,
-			Payload: rep.Marshal()}
-		h.ep.Send(out.Marshal())
+		h.sendARP(a.SenderHW, a.Reply(h.mac, h.addr.Addr()))
 	}
 }
 
 func (h *Host) handleIPv4(f *pkt.Frame) {
-	ip, err := pkt.DecodeIPv4(f.Payload)
-	if err != nil || ip.Dst != h.addr.Addr() {
+	var ip pkt.IPv4
+	if err := pkt.DecodeIPv4Into(&ip, f.Payload); err != nil {
+		h.rxDiscards.Add(1)
 		return
+	}
+	if ip.Dst != h.addr.Addr() {
+		return // not for us
 	}
 	switch ip.Proto {
 	case pkt.ProtoUDP:
-		u, err := pkt.DecodeUDP(ip.Payload, ip.Src, ip.Dst)
-		if err != nil {
+		var u pkt.UDP
+		if err := pkt.DecodeUDPInto(&u, ip.Payload, ip.Src, ip.Dst); err != nil {
+			h.rxDiscards.Add(1)
 			return
 		}
 		h.mu.Lock()
@@ -304,18 +346,14 @@ func (h *Host) handleIPv4(f *pkt.Frame) {
 			fn(ip.Src, u.SrcPort, u.Payload)
 		}
 	case pkt.ProtoICMP:
-		m, err := pkt.DecodeICMP(ip.Payload)
-		if err != nil {
+		var m pkt.ICMP
+		if err := pkt.DecodeICMPInto(&m, ip.Payload); err != nil {
+			h.rxDiscards.Add(1)
 			return
 		}
 		switch m.Type {
 		case pkt.ICMPEchoRequest:
-			rep := m.EchoReply()
-			out := &pkt.IPv4{TTL: 64, Proto: pkt.ProtoICMP,
-				Src: h.addr.Addr(), Dst: ip.Src, Payload: rep.Marshal()}
-			fr := &pkt.Frame{Dst: f.Src, Src: h.mac, Type: pkt.EtherTypeIPv4,
-				Payload: out.Marshal()}
-			h.ep.Send(fr.Marshal())
+			h.sendICMP(f.Src, ip.Src, m.EchoReply())
 		case pkt.ICMPEchoReply:
 			key := uint32(m.ID)<<16 | uint32(m.Seq)
 			h.mu.Lock()

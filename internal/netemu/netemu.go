@@ -258,35 +258,51 @@ func (e *Endpoint) lossDrop() bool {
 // inbox). The frame is copied into a pooled buffer, so callers may reuse
 // (or have been mutating) their slice.
 func (e *Endpoint) Send(frame []byte) bool {
-	if !e.link.up.Load() {
-		e.drops.Add(1)
-		e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: len(frame), Dropped: true})
-		return false
-	}
-	if e.loss > 0 && e.lossDrop() {
-		e.drops.Add(1)
-		e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: len(frame), Dropped: true})
+	if !e.admit(len(frame)) {
 		return false
 	}
 	fb := framePool.Get().(*frameBuf)
 	fb.b = append(fb.b[:0], frame...)
+	return e.enqueue(fb)
+}
+
+// admit makes the decisions of a send that need no buffer yet, for a frame
+// of n bytes: link state, then the loss draw. A refusal is counted and
+// traced. Host builds its frames straight into a pooled buffer between
+// admit and enqueue, which saves it the copy Send makes.
+func (e *Endpoint) admit(n int) bool {
+	if !e.link.up.Load() || (e.loss > 0 && e.lossDrop()) {
+		e.dropped(n)
+		return false
+	}
+	return true
+}
+
+// enqueue stamps fb's delivery deadline and hands it to the peer's inbox,
+// which then owns it; a full inbox drops the frame and recycles fb.
+func (e *Endpoint) enqueue(fb *frameBuf) bool {
 	if e.latency > 0 {
 		fb.due = e.net.clk.Now().Add(e.latency)
 	} else {
 		fb.due = time.Time{}
 	}
+	n := len(fb.b)
 	select {
 	case e.peer.inbox <- fb:
 		e.txPackets.Add(1)
-		e.txBytes.Add(uint64(len(frame)))
-		e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: len(frame)})
+		e.txBytes.Add(uint64(n))
+		e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: n})
 		return true
 	default:
 		framePool.Put(fb)
-		e.drops.Add(1)
-		e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: len(frame), Dropped: true})
+		e.dropped(n)
 		return false
 	}
+}
+
+func (e *Endpoint) dropped(n int) {
+	e.drops.Add(1)
+	e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: n, Dropped: true})
 }
 
 // SendBatch transmits a burst of frames toward the peer in one call,

@@ -2,6 +2,7 @@ package netemu
 
 import (
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,5 +325,87 @@ func TestARPConcurrentResolvers(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestHostDatapathAllocBudget: a full-size datagram crosses SendUDP, the
+// cable and the receiving host's stack up to the bound handler without one
+// allocation — the frame is built in the pooled buffer the cable delivers,
+// and every layer decodes into stack values. AllocsPerRun counts mallocs of
+// the whole process, so the delivery goroutine's receive path is included.
+func TestHostDatapathAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	h1, h2 := buildHostPair(t)
+	var got atomic.Uint64
+	h2.BindUDP(7001, func(netip.Addr, uint16, []byte) { got.Add(1) })
+	payload := make([]byte, 1472)
+	sendOne := func() {
+		want := got.Load() + 1
+		if err := h1.SendUDP(h2.Addr(), 20001, 7001, payload); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(2 * time.Second); got.Load() < want; {
+			if time.Now().After(deadline) {
+				t.Fatal("datagram not delivered")
+			}
+			runtime.Gosched()
+		}
+	}
+	sendOne() // ARP, pool warm-up
+	if n := testing.AllocsPerRun(500, sendOne); n != 0 {
+		t.Fatalf("SendUDP → cable → receive = %.2f allocs per 1472 B datagram, budget 0", n)
+	}
+}
+
+// TestHostCountsDiscards: every frame addressed to the host that it drops
+// for a failed decode or checksum shows in RxDiscards; frames for someone
+// else and datagrams to an unbound port do not.
+func TestHostCountsDiscards(t *testing.T) {
+	h1, h2 := buildHostPair(t)
+	delivered := make(chan string, 8)
+	h2.BindUDP(7001, func(_ netip.Addr, _ uint16, p []byte) { delivered <- string(p) })
+	raw := h1.ep // frames are put on the cable behind h1's back
+	build := func(dstMAC pkt.MAC, dstIP netip.Addr, port uint16, payload string) []byte {
+		u := &pkt.UDP{SrcPort: 1, DstPort: port, Payload: []byte(payload)}
+		ip := &pkt.IPv4{TTL: 64, Proto: pkt.ProtoUDP, Src: h1.Addr(), Dst: dstIP, Payload: u.Marshal(h1.Addr(), dstIP)}
+		return (&pkt.Frame{Dst: dstMAC, Src: h1.MAC(), Type: pkt.EtherTypeIPv4, Payload: ip.Marshal()}).Marshal()
+	}
+	flip := func(b []byte, at int) []byte { b[at] ^= 0x40; return b }
+	last := func(b []byte) int { return len(b) - 1 }
+	good := build(h2.MAC(), h2.Addr(), 7001, "intact")
+	udpBit := build(h2.MAC(), h2.Addr(), 7001, "payload bit")
+	icmp := (&pkt.ICMP{Type: pkt.ICMPEchoRequest, ID: 1, Seq: 1, Payload: []byte("ping")}).Marshal()
+	icmpIP := &pkt.IPv4{TTL: 64, Proto: pkt.ProtoICMP, Src: h1.Addr(), Dst: h2.Addr(), Payload: flip(icmp, last(icmp))}
+	discarded := [][]byte{
+		flip(udpBit, last(udpBit)), // UDP checksum
+		flip(build(h2.MAC(), h2.Addr(), 7001, "ttl bit"), pkt.EthernetHeaderLen+8),                               // IPv4 header checksum
+		(&pkt.Frame{Dst: h2.MAC(), Src: h1.MAC(), Type: pkt.EtherTypeIPv4, Payload: icmpIP.Marshal()}).Marshal(), // ICMP checksum
+		(&pkt.Frame{Dst: pkt.BroadcastMAC, Src: h1.MAC(), Type: pkt.EtherTypeARP, Payload: make([]byte, 10)}).Marshal(),
+		good[:10], // runt: no Ethernet header
+	}
+	otherMAC := build(pkt.LocalMAC(0xCC), h2.Addr(), 7001, "other mac")
+	ignored := [][]byte{
+		flip(otherMAC, last(otherMAC)),
+		build(h2.MAC(), netip.MustParseAddr("10.0.0.77"), 7001, "other ip"),
+		build(h2.MAC(), h2.Addr(), 7002, "unbound port"),
+	}
+	for _, f := range append(discarded, ignored...) {
+		if !raw.Send(f) {
+			t.Fatal("cable refused a frame")
+		}
+	}
+	raw.Send(good) // in order behind the others: once it arrives they have all been handled
+	select {
+	case p := <-delivered:
+		if p != "intact" {
+			t.Fatalf("handler got %q: a discarded datagram was delivered", p)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("intact datagram not delivered")
+	}
+	if got, want := h2.RxDiscards(), uint64(len(discarded)); got != want {
+		t.Fatalf("RxDiscards = %d, want %d", got, want)
 	}
 }

@@ -1,0 +1,5 @@
+//go:build race
+
+package netemu
+
+const raceEnabled = true

@@ -634,3 +634,80 @@ func TestRebootWipesDataplaneState(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 }
+
+// TestCorruptPayloadForwardedThenDroppedAtHost: host → switch → host with a
+// datagram whose payload lost one bit in flight. The switch classifies on
+// headers only, so its UDP-port rule still matches and forwards the frame;
+// the receiving host is the one L4 verifier on the path, so the datagram
+// never reaches the bound handler and shows in the host's discard counter.
+func TestCorruptPayloadForwardedThenDroppedAtHost(t *testing.T) {
+	h := newHarness(t, nil)
+	mkHost := func(name, addr string, ep *netemu.Endpoint) *netemu.Host {
+		host, err := netemu.NewHost(netemu.HostConfig{Name: name, Addr: netip.MustParsePrefix(addr)}, ep, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return host
+	}
+	src, dst := mkHost("h1", "10.0.0.1/24", h.h1), mkHost("h2", "10.0.0.2/24", h.h2)
+	delivered := make(chan string, 4)
+	dst.BindUDP(7001, func(_ netip.Addr, _ uint16, p []byte) { delivered <- string(p) })
+
+	rule := func(m openflow.Match, out uint16) *openflow.FlowMod {
+		return &openflow.FlowMod{Match: m, Command: openflow.FlowModAdd, Priority: 100,
+			BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+			Actions: []openflow.Action{&openflow.ActionOutput{Port: out}}}
+	}
+	udp7001 := openflow.MatchAll()
+	udp7001.Wildcards &^= openflow.WildcardDlType | openflow.WildcardNwProto | openflow.WildcardTpDst
+	udp7001.DlType, udp7001.NwProto, udp7001.TpDst = uint16(pkt.EtherTypeIPv4), uint8(pkt.ProtoUDP), 7001
+	h.send(rule(udp7001, 2))
+	for in, out := range map[uint16]uint16{1: 2, 2: 1} { // ARP both ways
+		arp := openflow.MatchAll()
+		arp.Wildcards &^= openflow.WildcardDlType | openflow.WildcardInPort
+		arp.DlType, arp.InPort = uint16(pkt.EtherTypeARP), in
+		h.send(rule(arp, out))
+	}
+	h.send(&openflow.BarrierRequest{})
+	h.expect(openflow.TypeBarrierReply)
+
+	dstMAC, err := src.Resolve(dst.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := udpFrame(src.MAC(), dstMAC, "10.0.0.1", "10.0.0.2", 20001, 7001, "one bit of this payload flips")
+	corrupt[len(corrupt)-3] ^= 0x10
+	if !h.h1.Send(corrupt) {
+		t.Fatal("cable refused the frame")
+	}
+	// An intact datagram follows on the same path: when it arrives, the
+	// corrupt one ahead of it has been through the switch and the host.
+	if err := src.SendUDP(dst.Addr(), 20001, 7001, []byte("intact")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case p := <-delivered:
+		if p != "intact" {
+			t.Fatalf("handler got %q: the corrupt datagram was delivered", p)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("intact datagram not delivered")
+	}
+	if got := dst.RxDiscards(); got != 1 {
+		t.Fatalf("host RxDiscards = %d, want 1", got)
+	}
+	var matched uint64
+	for _, fi := range h.sw.FlowTable() {
+		if fi.Match == udp7001 {
+			matched = fi.Packets
+		}
+	}
+	if matched != 2 {
+		t.Fatalf("UDP-port rule matched %d packets, want 2: the switch did not forward the corrupt frame by its ports", matched)
+	}
+	select {
+	case p := <-delivered:
+		t.Fatalf("extra delivery %q", p)
+	default:
+	}
+}

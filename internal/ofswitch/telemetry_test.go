@@ -188,6 +188,12 @@ func TestTelemetryEpochChangeRebaselines(t *testing.T) {
 // telemetry monitoring the traffic and 10k+ distinct active microflows
 // churning the cache, steady-state forwarding still does not allocate.
 func TestSwitchTelemetryForwardAllocBudget10k(t *testing.T) {
+	if raceEnabled {
+		// sync.Pool drops a quarter of its Puts under the race detector, so
+		// the frame pool allocates ~0.5/op there and the verdict hangs on how
+		// full the peer inbox happens to be when AllocsPerRun starts.
+		t.Skip("alloc budget not meaningful under -race")
+	}
 	sw := benchSwitch(t, 2, 16)
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(1)})
 

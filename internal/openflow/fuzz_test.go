@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"routeflow/internal/pkt"
@@ -82,6 +83,40 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if !bytes.Equal(Marshal(m2), wire) {
 			t.Fatalf("canonical form is not stable:\n first %x\nsecond %x", wire, Marshal(m2))
+		}
+	})
+}
+
+// FuzzExtractKey throws arbitrary bytes at the dataplane classifier, the
+// parser every frame on every switch port goes through. The invariants:
+// ExtractKey never panics, never writes to the frame, and is a function of
+// the bytes alone (a second call on a copy gives the same key and verdict).
+func FuzzExtractKey(f *testing.F) {
+	// Seed corpus: the frame shapes the pkt tests build — UDP, ICMP echo,
+	// OSPF, ARP, LLDP-typed, tagged and untagged — whole, and cut inside
+	// each header.
+	for _, kt := range keyTestFrames(rand.New(rand.NewSource(17)), 20) {
+		f.Add(kt.frame)
+		for _, cut := range []int{13, 17, 30, kt.headersEnd - 1} {
+			if cut < len(kt.frame) {
+				f.Add(kt.frame[:cut])
+			}
+		}
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := append([]byte(nil), data...)
+		k1, err1 := ExtractKey(5, data)
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("ExtractKey wrote to the frame:\n before %x\n after  %x", orig, data)
+		}
+		k2, err2 := ExtractKey(5, orig)
+		if k1 != k2 || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("two calls on equal bytes disagree: %v (%v) vs %v (%v)\nframe %x", &k1, err1, &k2, err2, orig)
+		}
+		if err1 == nil && k1.Wildcards != 0 {
+			t.Fatalf("key is not exact: %v", &k1)
 		}
 	})
 }

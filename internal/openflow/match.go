@@ -184,8 +184,17 @@ func (m *Match) Covers(k *Match) bool {
 
 // ExtractKey classifies an Ethernet frame received on inPort into an exact
 // match key, following OpenFlow 1.0 header-parsing rules (fields beyond the
-// parsed protocol stay zero). It runs on the dataplane's per-packet path and
-// does not allocate.
+// parsed protocol stay zero). It runs on the dataplane's per-packet path,
+// does not allocate, and reads headers only: its cost and its result do not
+// depend on any byte after the L4 header. The 20-byte IPv4 header checksum
+// is verified (a packet that fails it keeps its L2 fields only); UDP and
+// ICMP checksums are not — the receiving host is their only verifier, so a
+// datagram corrupted in flight is forwarded like a switch would and dropped,
+// and counted, at the host (netemu.Host.RxDiscards).
+//
+// tp_src/tp_dst stay zero on an otherwise valid IPv4 packet in exactly two
+// cases: the L4 header is truncated (fewer than 8 bytes of IP payload), or
+// the UDP length field is below 8 or runs past the IP payload.
 func ExtractKey(inPort uint16, frame []byte) (Match, error) {
 	var k Match
 	k.InPort = inPort
@@ -212,15 +221,10 @@ func ExtractKey(inPort uint16, frame []byte) (Match, error) {
 		k.NwDst = ip.Dst.As4()
 		switch ip.Proto {
 		case pkt.ProtoUDP:
-			var u pkt.UDP
-			if err := pkt.DecodeUDPInto(&u, ip.Payload, ip.Src, ip.Dst); err == nil {
-				k.TpSrc, k.TpDst = u.SrcPort, u.DstPort
-			}
+			k.TpSrc, k.TpDst, _ = pkt.UDPPorts(ip.Payload)
 		case pkt.ProtoICMP:
-			var m pkt.ICMP
-			if err := pkt.DecodeICMPInto(&m, ip.Payload); err == nil {
-				k.TpSrc, k.TpDst = uint16(m.Type), uint16(m.Code)
-			}
+			typ, code, _ := pkt.ICMPTypeCode(ip.Payload)
+			k.TpSrc, k.TpDst = uint16(typ), uint16(code)
 		}
 	case pkt.EtherTypeARP:
 		var a pkt.ARP

@@ -19,22 +19,25 @@ type ARP struct {
 	SenderIP, TargetIP netip.Addr
 }
 
-const arpLen = 28
+// ARPLen is the length of an IPv4-over-Ethernet ARP packet.
+const ARPLen = 28
+
+// AppendTo appends the 28-byte ARP packet to b. It is the packet's only
+// encoder; Marshal is AppendTo into a fresh buffer.
+func (a *ARP) AppendTo(b []byte) []byte {
+	sip, tip := mustAddr4(a.SenderIP), mustAddr4(a.TargetIP)
+	b = binary.BigEndian.AppendUint16(b, 1)                     // HTYPE ethernet
+	b = binary.BigEndian.AppendUint16(b, uint16(EtherTypeIPv4)) // PTYPE
+	b = append(b, 6, 4)                                         // HLEN, PLEN
+	b = binary.BigEndian.AppendUint16(b, a.Op)
+	b = append(b, a.SenderHW[:]...)
+	b = append(b, sip[:]...)
+	b = append(b, a.TargetHW[:]...)
+	return append(b, tip[:]...)
+}
 
 // Marshal serializes the ARP packet.
-func (a *ARP) Marshal() []byte {
-	b := make([]byte, arpLen)
-	binary.BigEndian.PutUint16(b[0:], 1)                     // HTYPE ethernet
-	binary.BigEndian.PutUint16(b[2:], uint16(EtherTypeIPv4)) // PTYPE
-	b[4], b[5] = 6, 4                                        // HLEN, PLEN
-	binary.BigEndian.PutUint16(b[6:], a.Op)                  //
-	copy(b[8:14], a.SenderHW[:])                             //
-	sip, tip := mustAddr4(a.SenderIP), mustAddr4(a.TargetIP) //
-	copy(b[14:18], sip[:])                                   //
-	copy(b[18:24], a.TargetHW[:])                            //
-	copy(b[24:28], tip[:])                                   //
-	return b
-}
+func (a *ARP) Marshal() []byte { return a.AppendTo(make([]byte, 0, ARPLen)) }
 
 // DecodeARP parses an IPv4-over-Ethernet ARP packet.
 func DecodeARP(b []byte) (*ARP, error) {
@@ -48,8 +51,8 @@ func DecodeARP(b []byte) (*ARP, error) {
 // DecodeARPInto is DecodeARP decoding into a caller-provided packet; with a
 // stack-allocated ARP it does not allocate.
 func DecodeARPInto(a *ARP, b []byte) error {
-	if len(b) < arpLen {
-		return fmt.Errorf("%w: arp needs %d bytes, have %d", ErrTruncated, arpLen, len(b))
+	if len(b) < ARPLen {
+		return fmt.Errorf("%w: arp needs %d bytes, have %d", ErrTruncated, ARPLen, len(b))
 	}
 	if ht := binary.BigEndian.Uint16(b[0:]); ht != 1 {
 		return fmt.Errorf("pkt: unsupported ARP hardware type %d", ht)

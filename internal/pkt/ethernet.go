@@ -95,24 +95,32 @@ type Frame struct {
 	Payload  []byte
 }
 
+// headerLen is the encoded header size: 14 bytes, 18 with an 802.1Q tag.
+func (f *Frame) headerLen() int {
+	if f.VLANID != 0 {
+		return EthernetHeaderLen + 4
+	}
+	return EthernetHeaderLen
+}
+
+// AppendHeader appends the Ethernet header (with its 802.1Q tag, if any) to
+// b; f.Payload is not consulted. It is the frame's only encoder: callers
+// that build a frame in one buffer append the inner layers after it, and
+// Marshal is AppendHeader plus the payload.
+func (f *Frame) AppendHeader(b []byte) []byte {
+	b = append(b, f.Dst[:]...)
+	b = append(b, f.Src[:]...)
+	if f.VLANID != 0 {
+		b = binary.BigEndian.AppendUint16(b, uint16(EtherTypeVLAN))
+		b = binary.BigEndian.AppendUint16(b, f.VLANID&0x0fff)
+	}
+	return binary.BigEndian.AppendUint16(b, uint16(f.Type))
+}
+
 // Marshal serializes the frame (no FCS, like a kernel-space frame).
 func (f *Frame) Marshal() []byte {
-	n := EthernetHeaderLen + len(f.Payload)
-	if f.VLANID != 0 {
-		n += 4
-	}
-	b := make([]byte, n)
-	copy(b[0:6], f.Dst[:])
-	copy(b[6:12], f.Src[:])
-	off := 12
-	if f.VLANID != 0 {
-		binary.BigEndian.PutUint16(b[off:], uint16(EtherTypeVLAN))
-		binary.BigEndian.PutUint16(b[off+2:], f.VLANID&0x0fff)
-		off += 4
-	}
-	binary.BigEndian.PutUint16(b[off:], uint16(f.Type))
-	copy(b[off+2:], f.Payload)
-	return b
+	b := make([]byte, 0, f.headerLen()+len(f.Payload))
+	return append(f.AppendHeader(b), f.Payload...)
 }
 
 // ErrTruncated is returned when a buffer is too short for the layer being

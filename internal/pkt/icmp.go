@@ -21,17 +21,25 @@ type ICMP struct {
 	Payload    []byte
 }
 
-const icmpHeaderLen = 8
+// ICMPHeaderLen is the fixed ICMP header length.
+const ICMPHeaderLen = 8
+
+// AppendTo appends the message to b and checksums it where it lies. It is
+// the message's only encoder; Marshal is AppendTo into a fresh buffer.
+func (m *ICMP) AppendTo(b []byte) []byte {
+	n := len(b)
+	b = append(b, m.Type, m.Code, 0, 0) // checksum zero while summing
+	b = binary.BigEndian.AppendUint16(b, m.ID)
+	b = binary.BigEndian.AppendUint16(b, m.Seq)
+	b = append(b, m.Payload...)
+	d := b[n:]
+	binary.BigEndian.PutUint16(d[2:], Checksum(d))
+	return b
+}
 
 // Marshal serializes the message with its checksum.
 func (m *ICMP) Marshal() []byte {
-	b := make([]byte, icmpHeaderLen+len(m.Payload))
-	b[0], b[1] = m.Type, m.Code
-	binary.BigEndian.PutUint16(b[4:], m.ID)
-	binary.BigEndian.PutUint16(b[6:], m.Seq)
-	copy(b[icmpHeaderLen:], m.Payload)
-	binary.BigEndian.PutUint16(b[2:], Checksum(b))
-	return b
+	return m.AppendTo(make([]byte, 0, ICMPHeaderLen+len(m.Payload)))
 }
 
 // DecodeICMP parses and checksum-verifies an ICMPv4 message.
@@ -46,7 +54,7 @@ func DecodeICMP(b []byte) (*ICMP, error) {
 // DecodeICMPInto is DecodeICMP decoding into a caller-provided message; with
 // a stack-allocated ICMP it does not allocate. m.Payload aliases b.
 func DecodeICMPInto(m *ICMP, b []byte) error {
-	if len(b) < icmpHeaderLen {
+	if len(b) < ICMPHeaderLen {
 		return fmt.Errorf("%w: icmp header", ErrTruncated)
 	}
 	if Checksum(b) != 0 {
@@ -55,8 +63,18 @@ func DecodeICMPInto(m *ICMP, b []byte) error {
 	m.Type, m.Code = b[0], b[1]
 	m.ID = binary.BigEndian.Uint16(b[4:])
 	m.Seq = binary.BigEndian.Uint16(b[6:])
-	m.Payload = b[icmpHeaderLen:]
+	m.Payload = b[ICMPHeaderLen:]
 	return nil
+}
+
+// ICMPTypeCode reads the type and code from the header of the message in b
+// without reading its payload; like UDPPorts it checks only that the header
+// is whole and leaves the checksum to the receiving host.
+func ICMPTypeCode(b []byte) (typ, code uint8, ok bool) {
+	if len(b) < ICMPHeaderLen {
+		return 0, 0, false
+	}
+	return b[0], b[1], true
 }
 
 // EchoReply builds the reply to an echo request, mirroring ID, Seq and

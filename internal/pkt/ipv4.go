@@ -48,37 +48,33 @@ type IPv4 struct {
 	Payload  []byte
 }
 
-// Checksum computes the RFC 1071 internet checksum of b.
-func Checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
+// AppendHeader appends the 20-byte header of a packet carrying payloadLen
+// payload bytes, with total length and header checksum filled in; p.Payload
+// is not consulted. It is the packet's only encoder: callers that build a
+// frame in one buffer append the transport layer after it, and Marshal is
+// AppendHeader plus the payload.
+func (p *IPv4) AppendHeader(b []byte, payloadLen int) []byte {
+	n := len(b)
+	b = append(b, make([]byte, IPv4HeaderLen)...)
+	h := b[n:]
+	h[0] = 0x45 // version 4, IHL 5
+	h[1] = p.TOS
+	binary.BigEndian.PutUint16(h[2:], uint16(IPv4HeaderLen+payloadLen))
+	binary.BigEndian.PutUint16(h[4:], p.ID)
+	binary.BigEndian.PutUint16(h[6:], uint16(p.Flags)<<13|p.FragOff&0x1fff)
+	h[8] = p.TTL
+	h[9] = uint8(p.Proto)
+	src, dst := mustAddr4(p.Src), mustAddr4(p.Dst)
+	copy(h[12:16], src[:])
+	copy(h[16:20], dst[:])
+	binary.BigEndian.PutUint16(h[10:], Checksum(h))
+	return b
 }
 
 // Marshal serializes the packet, computing total length and header checksum.
 func (p *IPv4) Marshal() []byte {
-	b := make([]byte, IPv4HeaderLen+len(p.Payload))
-	b[0] = 0x45 // version 4, IHL 5
-	b[1] = p.TOS
-	binary.BigEndian.PutUint16(b[2:], uint16(len(b)))
-	binary.BigEndian.PutUint16(b[4:], p.ID)
-	binary.BigEndian.PutUint16(b[6:], uint16(p.Flags)<<13|p.FragOff&0x1fff)
-	b[8] = p.TTL
-	b[9] = uint8(p.Proto)
-	src, dst := mustAddr4(p.Src), mustAddr4(p.Dst)
-	copy(b[12:16], src[:])
-	copy(b[16:20], dst[:])
-	binary.BigEndian.PutUint16(b[10:], Checksum(b[:IPv4HeaderLen]))
-	copy(b[IPv4HeaderLen:], p.Payload)
-	return b
+	b := make([]byte, 0, IPv4HeaderLen+len(p.Payload))
+	return append(p.AppendHeader(b, len(p.Payload)), p.Payload...)
 }
 
 // DecodeIPv4 parses an IPv4 packet and verifies the header checksum. Options
@@ -144,23 +140,4 @@ func DecrementTTL(b []byte) bool {
 	sum = (sum & 0xffff) + (sum >> 16)
 	binary.BigEndian.PutUint16(b[10:12], ^uint16(sum))
 	return true
-}
-
-// pseudoHeaderSum computes the one's-complement sum of the IPv4 pseudo
-// header used by UDP checksums.
-func pseudoHeaderSum(src, dst netip.Addr, proto IPProto, length int) uint32 {
-	s, d := mustAddr4(src), mustAddr4(dst)
-	var sum uint32
-	sum += uint32(binary.BigEndian.Uint16(s[0:2])) + uint32(binary.BigEndian.Uint16(s[2:4]))
-	sum += uint32(binary.BigEndian.Uint16(d[0:2])) + uint32(binary.BigEndian.Uint16(d[2:4]))
-	sum += uint32(proto)
-	sum += uint32(length)
-	return sum
-}
-
-func finishChecksum(sum uint32) uint16 {
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
 }

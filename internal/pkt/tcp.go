@@ -44,14 +44,7 @@ func (t *TCP) Marshal(src, dst netip.Addr) []byte {
 	b[13] = t.Flags
 	binary.BigEndian.PutUint16(b[14:], t.Window)
 	copy(b[TCPHeaderLen:], t.Payload)
-	sum := pseudoHeaderSum(src, dst, ProtoTCP, len(b))
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	binary.BigEndian.PutUint16(b[16:], finishChecksum(sum))
+	binary.BigEndian.PutUint16(b[16:], checksum(b, pseudoHeaderSum(src, dst, ProtoTCP, len(b))))
 	return b
 }
 
@@ -75,17 +68,8 @@ func DecodeTCPInto(t *TCP, b []byte, src, dst netip.Addr) error {
 	if off < TCPHeaderLen || off > len(b) {
 		return fmt.Errorf("%w: tcp data offset %d of %d", ErrTruncated, off, len(b))
 	}
-	if src.Is4() && dst.Is4() {
-		sum := pseudoHeaderSum(src, dst, ProtoTCP, len(b))
-		for i := 0; i+1 < len(b); i += 2 {
-			sum += uint32(binary.BigEndian.Uint16(b[i:]))
-		}
-		if len(b)%2 == 1 {
-			sum += uint32(b[len(b)-1]) << 8
-		}
-		if got := finishChecksum(sum); got != 0 {
-			return fmt.Errorf("pkt: tcp checksum mismatch")
-		}
+	if src.Is4() && dst.Is4() && checksum(b, pseudoHeaderSum(src, dst, ProtoTCP, len(b))) != 0 {
+		return fmt.Errorf("pkt: tcp checksum mismatch")
 	}
 	t.SrcPort = binary.BigEndian.Uint16(b[0:])
 	t.DstPort = binary.BigEndian.Uint16(b[2:])
