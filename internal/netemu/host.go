@@ -213,7 +213,7 @@ func (h *Host) sendICMP(mac pkt.MAC, dst netip.Addr, m *pkt.ICMP) bool {
 		return false
 	}
 	fb.b = m.AppendTo(fb.b)
-	return h.ep.enqueue(fb)
+	return h.ep.enqueueOne(fb)
 }
 
 // SendUDP sends one datagram to dst:dstPort from srcPort, resolving the next
@@ -237,7 +237,7 @@ func (h *Host) SendUDP(dst netip.Addr, srcPort, dstPort uint16, payload []byte) 
 	if fb != nil {
 		fb.b = u.AppendTo(fb.b, ip.Src, ip.Dst)
 	}
-	if fb == nil || !h.ep.enqueue(fb) {
+	if fb == nil || !h.ep.enqueueOne(fb) {
 		return fmt.Errorf("netemu: host %s: frame dropped at NIC", h.name)
 	}
 	return nil

@@ -8,10 +8,12 @@
 // Delivery model: each endpoint has a bounded inbox drained by one goroutine,
 // so receivers run concurrently with senders and frames on one cable arrive
 // in order. A full inbox drops frames (like a real NIC ring), which keeps the
-// system deadlock-free by construction. The drain is vectored: the delivery
-// goroutine pulls whatever has accumulated (up to MaxBurst) and hands the
-// whole burst to a batch receiver in one callback, so receiver-side lock,
-// pool and trace overhead is paid per burst instead of per frame.
+// system deadlock-free by construction. The burst is the unit of
+// synchronisation on both sides of the inbox: a send of any size puts its
+// frames into the ring under one lock and wakes the delivery goroutine at
+// most once, and the delivery goroutine takes whatever has accumulated (up
+// to MaxBurst) under one lock and hands the whole burst to a batch receiver
+// in one callback.
 package netemu
 
 import (
@@ -102,9 +104,20 @@ type Endpoint struct {
 	name    string
 	mac     pkt.MAC
 	peer    *Endpoint
-	inbox   chan *frameBuf
 	stop    chan struct{}
 	stopped sync.Once
+
+	// The inbox is a ring of frames in flight toward this endpoint: the
+	// peer's sends push at the tail, deliverLoop pops at the head, each a
+	// whole burst per lock. wake holds one token, put there by the push that
+	// finds the ring empty; deliverLoop waits on it only after a pop that
+	// found nothing, so a push either is seen by the next pop or leaves a
+	// token.
+	inMu   sync.Mutex
+	ring   []*frameBuf
+	head   int // index of the oldest queued frame
+	queued int
+	wake   chan struct{}
 
 	latency time.Duration
 	loss    float64
@@ -148,8 +161,9 @@ func (n *Network) NewCable(opts CableOpts) (*Endpoint, *Endpoint) {
 			net:      n,
 			name:     name,
 			mac:      mac,
-			inbox:    make(chan *frameBuf, depth),
 			stop:     make(chan struct{}),
+			ring:     make([]*frameBuf, depth),
+			wake:     make(chan struct{}, 1),
 			latency:  opts.Latency,
 			loss:     opts.LossRate,
 			lossSeed: splitmix64(uint64(opts.Seed ^ seedSalt)),
@@ -256,14 +270,46 @@ func (e *Endpoint) lossDrop() bool {
 // Send transmits one frame toward the peer. It never blocks; it reports
 // false when the frame was dropped (link down, loss model, or full peer
 // inbox). The frame is copied into a pooled buffer, so callers may reuse
-// (or have been mutating) their slice.
+// (or have been mutating) their slice. Send is SendBatch for a burst of one,
+// without the burst's staging array (which costs a lone frame ~20 ns to
+// clear).
 func (e *Endpoint) Send(frame []byte) bool {
+	fb := e.fill(frame)
+	return fb != nil && e.enqueueOne(fb)
+}
+
+// SendBatch transmits a burst of frames toward the peer in one call: the
+// peer's inbox is locked once and its delivery goroutine woken at most once
+// per MaxBurst frames, and counters and the deadline stamp are paid per
+// burst. Link state and the loss model are consulted per frame, in order, so
+// both behave as under Send. Every frame is copied like Send; the return
+// value is the number of frames accepted (link down accepts none, a full
+// peer inbox or a loss draw drops individual frames).
+func (e *Endpoint) SendBatch(frames [][]byte) int {
+	sent := 0
+	for len(frames) > 0 {
+		var stage [MaxBurst]*frameBuf
+		fbs := stage[:0]
+		n := min(len(frames), MaxBurst)
+		for _, frame := range frames[:n] {
+			if fb := e.fill(frame); fb != nil {
+				fbs = append(fbs, fb)
+			}
+		}
+		sent += e.enqueue(fbs)
+		frames = frames[n:]
+	}
+	return sent
+}
+
+// fill copies an admitted frame into a pooled buffer; nil means refused.
+func (e *Endpoint) fill(frame []byte) *frameBuf {
 	if !e.admit(len(frame)) {
-		return false
+		return nil
 	}
 	fb := framePool.Get().(*frameBuf)
 	fb.b = append(fb.b[:0], frame...)
-	return e.enqueue(fb)
+	return fb
 }
 
 // admit makes the decisions of a send that need no buffer yet, for a frame
@@ -272,134 +318,146 @@ func (e *Endpoint) Send(frame []byte) bool {
 // admit and enqueue, which saves it the copy Send makes.
 func (e *Endpoint) admit(n int) bool {
 	if !e.link.up.Load() || (e.loss > 0 && e.lossDrop()) {
-		e.dropped(n)
+		e.drops.Add(1)
+		e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: n, Dropped: true})
 		return false
 	}
 	return true
 }
 
-// enqueue stamps fb's delivery deadline and hands it to the peer's inbox,
-// which then owns it; a full inbox drops the frame and recycles fb.
-func (e *Endpoint) enqueue(fb *frameBuf) bool {
-	if e.latency > 0 {
-		fb.due = e.net.clk.Now().Add(e.latency)
-	} else {
-		fb.due = time.Time{}
-	}
-	n := len(fb.b)
-	select {
-	case e.peer.inbox <- fb:
-		e.txPackets.Add(1)
-		e.txBytes.Add(uint64(n))
-		e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: n})
-		return true
-	default:
-		framePool.Put(fb)
-		e.dropped(n)
-		return false
-	}
-}
-
-func (e *Endpoint) dropped(n int) {
-	e.drops.Add(1)
-	e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: n, Dropped: true})
-}
-
-// SendBatch transmits a burst of frames toward the peer in one call,
-// paying the link-state check, counter updates and deadline stamp once per
-// burst instead of once per frame. Loss decisions remain per frame, so the
-// loss model is unchanged. Every frame is copied like Send; the return
-// value is the number of frames accepted (link down accepts none, a full
-// peer inbox or a loss draw drops individual frames).
-func (e *Endpoint) SendBatch(frames [][]byte) int {
-	if len(frames) == 0 {
-		return 0
-	}
-	if !e.link.up.Load() {
-		e.drops.Add(uint64(len(frames)))
-		for _, frame := range frames {
-			e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: len(frame), Dropped: true})
-		}
+// enqueue stamps the delivery deadline on a burst of admitted frames and
+// pushes it into the peer's inbox, which then owns what it accepted; frames
+// a full inbox refused are dropped, counted and recycled. It returns the
+// number accepted.
+func (e *Endpoint) enqueue(fbs []*frameBuf) int {
+	if len(fbs) == 0 {
 		return 0
 	}
 	var due time.Time
 	if e.latency > 0 {
 		due = e.net.clk.Now().Add(e.latency)
 	}
-	sent, dropped := 0, 0
-	var sentBytes uint64
-	for _, frame := range frames {
-		if e.loss > 0 && e.lossDrop() {
-			dropped++
-			e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: len(frame), Dropped: true})
-			continue
-		}
-		fb := framePool.Get().(*frameBuf)
-		fb.b = append(fb.b[:0], frame...)
+	// An accepted buffer may be delivered, recycled and refilled by another
+	// sender before push returns, so everything read from the buffers is read
+	// here, and afterwards only from the ones that came back.
+	var bytes uint64
+	for _, fb := range fbs {
 		fb.due = due
-		select {
-		case e.peer.inbox <- fb:
-			sent++
-			sentBytes += uint64(len(frame))
-			e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: len(frame)})
-		default:
-			framePool.Put(fb)
-			dropped++
-			e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: len(frame), Dropped: true})
+		bytes += uint64(len(fb.b))
+	}
+	tracer, _ := e.net.tracer.Load().(Tracer)
+	var lens []int
+	if tracer != nil {
+		lens = make([]int, len(fbs))
+		for i, fb := range fbs {
+			lens[i] = len(fb.b)
 		}
 	}
-	if sent > 0 {
-		e.txPackets.Add(uint64(sent))
-		e.txBytes.Add(sentBytes)
+	n := e.peer.push(fbs)
+	for _, fb := range fbs[n:] {
+		bytes -= uint64(len(fb.b))
+		framePool.Put(fb)
 	}
-	if dropped > 0 {
-		e.drops.Add(uint64(dropped))
+	if n > 0 {
+		e.txPackets.Add(uint64(n))
+		e.txBytes.Add(bytes)
 	}
-	return sent
+	if n < len(fbs) {
+		e.drops.Add(uint64(len(fbs) - n))
+	}
+	for i, l := range lens {
+		tracer(TraceEvent{From: e.name, To: e.peer.name, Len: l, Dropped: i >= n})
+	}
+	return n
 }
 
-// deliverLoop drains the inbox in bursts: one blocking receive, then
-// whatever else has accumulated (up to MaxBurst), delivered together. On a
-// latency-modelled cable each frame carries its own send-time deadline, so
-// the loop waits only for the head frame's deadline and then delivers every
-// frame already due — a burst of N frames arrives ~Latency after it was
-// sent, not N×Latency later the way a per-frame sleep serialized it.
+// enqueueOne is enqueue for a single frame (Send, and what a Host builds).
+func (e *Endpoint) enqueueOne(fb *frameBuf) bool {
+	one := [1]*frameBuf{fb}
+	return e.enqueue(one[:]) == 1
+}
+
+// push appends fbs to this endpoint's inbox, as many as fit, and returns how
+// many it took (a prefix of fbs). It never blocks on the receiver.
+func (e *Endpoint) push(fbs []*frameBuf) int {
+	e.inMu.Lock()
+	n := min(len(fbs), len(e.ring)-e.queued)
+	wasEmpty := e.queued == 0
+	tail := e.head + e.queued
+	if tail >= len(e.ring) {
+		tail -= len(e.ring)
+	}
+	k := copy(e.ring[tail:], fbs[:n])
+	copy(e.ring, fbs[k:n])
+	e.queued += n
+	e.inMu.Unlock()
+	if wasEmpty && n > 0 {
+		select {
+		case e.wake <- struct{}{}:
+		default: // a token is already waiting
+		}
+	}
+	return n
+}
+
+// pop moves up to MaxBurst frames from the head of the inbox onto burst.
+func (e *Endpoint) pop(burst []*frameBuf) []*frameBuf {
+	e.inMu.Lock()
+	n := min(e.queued, MaxBurst)
+	for i := 0; i < n; i++ {
+		burst = append(burst, e.ring[e.head])
+		e.ring[e.head] = nil
+		if e.head++; e.head == len(e.ring) {
+			e.head = 0
+		}
+	}
+	e.queued -= n
+	e.inMu.Unlock()
+	return burst
+}
+
+// deliverLoop drains the inbox in bursts: whatever has accumulated (up to
+// MaxBurst), delivered together, and a wait on wake only when there was
+// nothing. On a latency-modelled cable each frame carries its own send-time
+// deadline, so the loop waits only for the head frame's deadline and then
+// delivers every frame already due — a burst of N frames arrives ~Latency
+// after it was sent, not N×Latency later the way a per-frame sleep
+// serialized it.
 func (e *Endpoint) deliverLoop() {
 	burst := make([]*frameBuf, 0, MaxBurst)
 	frames := make([][]byte, 0, MaxBurst)
 	for {
 		select {
-		case fb := <-e.inbox:
-			burst = append(burst[:0], fb)
-		drain:
-			for len(burst) < MaxBurst {
-				select {
-				case fb2 := <-e.inbox:
-					burst = append(burst, fb2)
-				default:
-					break drain
-				}
-			}
-			for i := 0; i < len(burst); {
-				n := len(burst) - i
-				if !burst[i].due.IsZero() {
-					if d := burst[i].due.Sub(e.net.clk.Now()); d > 0 {
-						e.net.clk.Sleep(d)
-					}
-					// Deliver the prefix already due; frames sent later keep
-					// their own deadlines and wait their remaining time on
-					// the next pass.
-					now := e.net.clk.Now()
-					n = 1
-					for i+n < len(burst) && !burst[i+n].due.After(now) {
-						n++
-					}
-				}
-				e.deliverFrames(burst[i:i+n], &frames)
-				i += n
-			}
 		case <-e.stop:
 			return
+		default:
+		}
+		burst = e.pop(burst[:0])
+		if len(burst) == 0 {
+			select {
+			case <-e.wake:
+			case <-e.stop:
+				return
+			}
+			continue
+		}
+		for i := 0; i < len(burst); {
+			n := len(burst) - i
+			if !burst[i].due.IsZero() {
+				if d := burst[i].due.Sub(e.net.clk.Now()); d > 0 {
+					e.net.clk.Sleep(d)
+				}
+				// Deliver the prefix already due; frames sent later keep
+				// their own deadlines and wait their remaining time on
+				// the next pass.
+				now := e.net.clk.Now()
+				n = 1
+				for i+n < len(burst) && !burst[i+n].due.After(now) {
+					n++
+				}
+			}
+			e.deliverFrames(burst[i:i+n], &frames)
+			i += n
 		}
 	}
 }

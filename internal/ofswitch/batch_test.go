@@ -14,6 +14,11 @@ import (
 	"routeflow/internal/pkt"
 )
 
+// batchIn hands the switch a burst the way the cable attached to port does.
+func (s *Switch) batchIn(port uint16, frames [][]byte) {
+	s.handleBatch(s.port(port), frames)
+}
+
 // captureSwitch builds a switch whose far-end endpoints record every frame
 // the switch emits, per port, in arrival order.
 type captureSwitch struct {
@@ -31,7 +36,8 @@ func newCaptureSwitch(t *testing.T, ports int) *captureSwitch {
 	for p := 1; p <= ports; p++ {
 		port := uint16(p)
 		a, far := n.NewCable(netemu.CableOpts{
-			NameA: fmt.Sprintf("cap:%d", p), MACA: pkt.LocalMAC(uint64(p))})
+			NameA: fmt.Sprintf("cap:%d", p), MACA: pkt.LocalMAC(uint64(p)),
+			InboxDepth: 4096}) // everything a test emits fits: a drop would read as a mismatch
 		far.SetReceiver(func(frame []byte) {
 			cs.mu.Lock()
 			cs.rx[port] = append(cs.rx[port], append([]byte(nil), frame...))
@@ -99,82 +105,250 @@ func propertyFrame(rng *rand.Rand) (uint16, []byte) {
 	return inPort, frame
 }
 
-// TestBatchPathMatchesSingleFramePath is the equivalence property: over
-// randomized bursts spanning every rewrite shape, flood and punt, the batch
-// dataplane must emit byte-identical frame sequences per egress port to the
-// single-frame dataplane fed the same traffic.
+// injection is one input of an equivalence run: a frame arriving on a port,
+// or (packetOut) one the controller sends through the table with an
+// OFPP_TABLE packet-out.
+type injection struct {
+	port      uint16
+	frame     []byte
+	packetOut bool
+}
+
+// checkBatchMatchesSingle is the equivalence property. It feeds seq to two
+// identical switches — one frame at a time through handleFrame, and chunked
+// into bursts of random length through handleBatch — and requires every
+// egress port to have seen byte-identical frames in the same order, with
+// nothing lost in the cables on the way.
+func checkBatchMatchesSingle(t *testing.T, rng *rand.Rand, ports int, install func(*testing.T, *Switch), seq []injection) (single, batch *captureSwitch) {
+	t.Helper()
+	single = newCaptureSwitch(t, ports)
+	batch = newCaptureSwitch(t, ports)
+	install(t, single.sw)
+	install(t, batch.sw)
+	packetOut := func(sw *Switch, in injection) {
+		sw.handlePacketOut(&openflow.PacketOut{
+			BufferID: openflow.NoBuffer, InPort: in.port,
+			Data:    append([]byte(nil), in.frame...),
+			Actions: []openflow.Action{&openflow.ActionOutput{Port: openflow.PortTable}},
+		})
+	}
+
+	for _, in := range seq {
+		if in.packetOut {
+			packetOut(single.sw, in)
+		} else {
+			single.sw.handleFrame(in.port, append([]byte(nil), in.frame...))
+		}
+	}
+	// Batch path: consecutive same-port frames chunked into bursts of
+	// randomized size (1..MaxBurst).
+	for i := 0; i < len(seq); {
+		if seq[i].packetOut {
+			packetOut(batch.sw, seq[i])
+			i++
+			continue
+		}
+		j := i + 1
+		limit := 1 + rng.Intn(netemu.MaxBurst)
+		for j < len(seq) && !seq[j].packetOut && seq[j].port == seq[i].port && j-i < limit {
+			j++
+		}
+		burst := make([][]byte, 0, j-i)
+		for _, in := range seq[i:j] {
+			burst = append(burst, append([]byte(nil), in.frame...))
+		}
+		batch.sw.batchIn(seq[i].port, burst)
+		for _, f := range burst {
+			clear(f) // the cable recycles its buffers once the callback returns
+		}
+		i = j
+	}
+
+	// Emission is synchronous into the cable inboxes; wait for the
+	// delivery goroutines to drain them.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		a, b := single.total(), batch.total()
+		if a == b {
+			time.Sleep(20 * time.Millisecond)
+			if single.total() == a && batch.total() == a {
+				break
+			}
+			continue
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("capture totals never converged: single=%d batch=%d", a, b)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	single.mu.Lock()
+	batch.mu.Lock()
+	defer single.mu.Unlock()
+	defer batch.mu.Unlock()
+	for p := uint16(1); p <= uint16(ports); p++ {
+		for _, cs := range []*captureSwitch{single, batch} {
+			if st := cs.sw.port(p).ep.Stats(); st.Drops != 0 {
+				t.Fatalf("port %d: cable dropped %d frames, the capture is incomplete", p, st.Drops)
+			}
+		}
+		sf, bf := single.rx[p], batch.rx[p]
+		if len(sf) != len(bf) {
+			t.Fatalf("port %d: single path emitted %d frames, batch path %d", p, len(sf), len(bf))
+		}
+		for i := range sf {
+			if !bytes.Equal(sf[i], bf[i]) {
+				t.Fatalf("port %d frame %d differs:\nsingle: %x\nbatch:  %x", p, i, sf[i], bf[i])
+			}
+		}
+	}
+	return single, batch
+}
+
+// TestBatchPathMatchesSingleFramePath runs the equivalence property over
+// randomized bursts spanning every rewrite shape, flood and punt.
 func TestBatchPathMatchesSingleFramePath(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			single := newCaptureSwitch(t, 4)
-			batch := newCaptureSwitch(t, 4)
-			installPropertyFlows(t, single.sw)
-			installPropertyFlows(t, batch.sw)
-
-			const frames = 400
-			type inj struct {
-				port  uint16
-				frame []byte
-			}
-			seq := make([]inj, frames)
+			seq := make([]injection, 400)
 			for i := range seq {
 				port, f := propertyFrame(rng)
-				seq[i] = inj{port, f}
+				seq[i] = injection{port: port, frame: f}
 			}
+			checkBatchMatchesSingle(t, rng, 4, installPropertyFlows, seq)
+		})
+	}
+}
 
-			// Single-frame path: one handleFrame per frame, in order.
-			for _, in := range seq {
-				single.sw.handleFrame(in.port, append([]byte(nil), in.frame...))
-			}
-			// Batch path: consecutive same-port frames chunked into bursts of
-			// randomized size (1..MaxBurst).
-			for i := 0; i < frames; {
-				j := i + 1
-				limit := 1 + rng.Intn(netemu.MaxBurst)
-				for j < frames && seq[j].port == seq[i].port && j-i < limit {
-					j++
-				}
-				burst := make([][]byte, 0, j-i)
-				for _, in := range seq[i:j] {
-					burst = append(burst, append([]byte(nil), in.frame...))
-				}
-				batch.sw.handleBatch(seq[i].port, burst)
-				i = j
-			}
+// Addresses of the egress flows below.
+var (
+	egressDlDst  = pkt.LocalMAC(0xD1) // what every test frame is addressed to
+	egressViaMAC = pkt.LocalMAC(0xE1) // dl_dst after the flow that outputs to OFPP_TABLE
+	egressViaSrc = pkt.LocalMAC(0xE2) // dl_src after the flow the re-injected frame matches
+)
 
-			// Emission is synchronous into the cable inboxes; wait for the
-			// delivery goroutines to drain them.
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				a, b := single.total(), batch.total()
-				if a == b {
-					time.Sleep(20 * time.Millisecond)
-					if single.total() == a && batch.total() == a {
-						break
+// installEgressFlows gives an 8-port switch flows whose outputs stress the
+// per-port staging of a burst: one plain flow per port (a burst reaches more
+// egress ports than the staging holds), two ECMP groups, a flood, a flow
+// that outputs twice to one port (a stage fills mid-burst), a flow that
+// outputs, then re-injects the rewritten frame through the table to a second
+// flow that rewrites it again, and a flow to a port nothing is attached to.
+func installEgressFlows(t *testing.T, sw *Switch) {
+	t.Helper()
+	add := func(m openflow.Match, dst string, prio uint16, actions ...openflow.Action) {
+		m.Wildcards &^= openflow.WildcardDlType
+		m.DlType = uint16(pkt.EtherTypeIPv4)
+		m.SetNwDstPrefix(netip.MustParsePrefix(dst))
+		e := tableEntry(m, prio, 0)
+		e.actions = actions
+		if err := sw.table.add(e, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := func(p uint16) openflow.Action { return &openflow.ActionOutput{Port: p} }
+	for p := uint16(2); p <= 8; p++ {
+		add(openflow.MatchAll(), fmt.Sprintf("20.%d.0.0/16", p), 100, out(p))
+	}
+	var wide, narrow openflow.ActionMultipath
+	for p := uint16(5); p <= 8; p++ {
+		wide.Buckets = append(wide.Buckets, openflow.MultipathBucket{
+			DlSrc: pkt.LocalMAC(0x50 + uint64(p)), DlDst: pkt.LocalMAC(0xD0 + uint64(p)), Port: p})
+	}
+	for p := uint16(2); p <= 3; p++ {
+		narrow.Buckets = append(narrow.Buckets, openflow.MultipathBucket{
+			DlSrc: pkt.LocalMAC(0x60 + uint64(p)), DlDst: pkt.LocalMAC(0xC0 + uint64(p)), Port: p})
+	}
+	add(openflow.MatchAll(), "10.0.0.0/8", 90, &wide)
+	add(openflow.MatchAll(), "11.0.0.0/8", 90, &narrow)
+	add(openflow.MatchAll(), "192.168.0.0/16", 80, out(openflow.PortFlood))
+	add(openflow.MatchAll(), "30.0.0.0/8", 70, out(3), out(3))
+	// The frame leaves on port 6 addressed to egressViaMAC, then goes through
+	// the table again, where it no longer matches this flow (its dl_dst has
+	// changed) but the next one, which rewrites it in place and sends it to
+	// port 6 too.
+	first := openflow.MatchAll()
+	first.Wildcards &^= openflow.WildcardDlDst
+	first.DlDst = egressDlDst
+	add(first, "12.0.0.0/8", 200,
+		&openflow.ActionSetDlDst{Addr: egressViaMAC}, out(6), out(openflow.PortTable))
+	add(openflow.MatchAll(), "12.0.0.0/8", 60,
+		&openflow.ActionSetDlSrc{Addr: egressViaSrc}, out(6))
+	add(openflow.MatchAll(), "40.0.0.0/8", 50, out(99))
+}
+
+// egressFrame draws a frame for installEgressFlows' table on one of 64
+// microflows per destination, so ECMP groups spread and bursts hold short
+// runs.
+func egressFrame(rng *rand.Rand, dst string) []byte {
+	return udpFrame(pkt.LocalMAC(uint64(0xA0+rng.Intn(3))), egressDlDst,
+		"10.250.0.1", dst, uint16(1000+rng.Intn(64)), 5004,
+		fmt.Sprintf("payload-%d", rng.Intn(1<<20)))
+}
+
+// TestBurstEgressMatchesSingleFramePath holds the per-port staging of burst
+// egress to the equivalence property: what each port sends, and in which
+// order, is what the single-frame path sends.
+func TestBurstEgressMatchesSingleFramePath(t *testing.T) {
+	dsts := []string{
+		"20.2.0.1", "20.3.0.1", "20.4.0.1", "20.5.0.1", "20.6.0.1", "20.7.0.1", "20.8.0.1",
+		"10.1.2.3", "10.7.7.7", "11.0.0.1", // ECMP over ports 5-8 and 2-3
+		"192.168.9.1",  // flood
+		"30.0.0.1",     // two outputs to port 3
+		"12.0.0.1",     // output, then OFPP_TABLE
+		"40.0.0.1",     // unattached port
+		"203.0.113.77", // table miss → punt
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			var seq []injection
+			random := func(n int) {
+				for i := 0; i < n; i++ {
+					in := injection{port: 1, frame: egressFrame(rng, dsts[rng.Intn(len(dsts))])}
+					if rng.Intn(16) == 0 {
+						in.port = uint16(2 + rng.Intn(3)) // breaks the burst
 					}
-					continue
+					in.packetOut = rng.Intn(40) == 0
+					seq = append(seq, in)
 				}
-				if time.Now().After(deadline) {
-					t.Fatalf("capture totals never converged: single=%d batch=%d", a, b)
-				}
-				time.Sleep(time.Millisecond)
 			}
+			// run is n frames of one microflow back to back: with n = MaxBurst
+			// a burst can consist of nothing else.
+			run := func(dst string, n int) {
+				f := egressFrame(rng, dst)
+				for i := 0; i < n; i++ {
+					seq = append(seq, injection{port: 1, frame: f})
+				}
+			}
+			random(300)
+			run("20.3.0.1", netemu.MaxBurst) // fills port 3's stage exactly
+			random(20)
+			run("30.0.0.1", netemu.MaxBurst) // fills it twice over
+			random(300)
+			single, batch := checkBatchMatchesSingle(t, rng, 8, installEgressFlows, seq)
 
+			s, b := single.sw.NoPortDrops(), batch.sw.NoPortDrops()
+			if s == 0 || s != b {
+				t.Fatalf("frames to the unattached port: single path counted %d, batch path %d", s, b)
+			}
+			// The OFPP_TABLE flow is the case a late flush would get wrong:
+			// port 6 must see each such frame twice, as rewritten by the first
+			// flow and then as rewritten again by the second.
 			single.mu.Lock()
-			batch.mu.Lock()
 			defer single.mu.Unlock()
-			defer batch.mu.Unlock()
-			for p := uint16(1); p <= 4; p++ {
-				sf, bf := single.rx[p], batch.rx[p]
-				if len(sf) != len(bf) {
-					t.Fatalf("port %d: single path emitted %d frames, batch path %d", p, len(sf), len(bf))
-				}
-				for i := range sf {
-					if !bytes.Equal(sf[i], bf[i]) {
-						t.Fatalf("port %d frame %d differs:\nsingle: %x\nbatch:  %x", p, i, sf[i], bf[i])
+			once, twice := 0, 0
+			for _, f := range single.rx[6] {
+				if bytes.Equal(f[0:6], egressViaMAC[:]) {
+					if bytes.Equal(f[6:12], egressViaSrc[:]) {
+						twice++
+					} else {
+						once++
 					}
 				}
+			}
+			if once == 0 || once != twice {
+				t.Fatalf("port 6 saw %d frames rewritten once and %d rewritten twice", once, twice)
 			}
 		})
 	}
@@ -253,10 +427,10 @@ func TestSwitchBatchAllocBudget(t *testing.T) {
 		burst[i] = benchFrameFor(1, 0)
 	}
 	for i := 0; i < 64; i++ { // warm cache, pool and inbox
-		sw.handleBatch(1, burst)
+		sw.batchIn(1, burst)
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		sw.handleBatch(1, burst)
+		sw.batchIn(1, burst)
 	})
 	if avg > 0 {
 		t.Fatalf("batch forward allocates %.2f allocs/op, budget is 0", avg)

@@ -163,13 +163,13 @@ func BenchmarkSwitchForwardBatch(b *testing.B) {
 				burst[i] = benchFrameFor(1, 0)
 			}
 			for i := 0; i < 64; i++ { // warm cache, pool and inbox
-				sw.handleBatch(1, burst)
+				sw.batchIn(1, burst)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			n := 0
 			for n < b.N {
-				sw.handleBatch(1, burst)
+				sw.batchIn(1, burst)
 				n += len(burst)
 			}
 			b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "pkts/s")
@@ -190,7 +190,7 @@ func BenchmarkSwitchForwardOffload(b *testing.B) {
 			"10.1.0.1", "172.16.0.9", 1000, 5004, "benchpayload-benchpayload")
 	}
 	for i := 0; i < 64; i++ { // warm the pin machine
-		sw.handleBatch(1, burst)
+		sw.batchIn(1, burst)
 	}
 	if st := sw.OffloadStats(); st.PinHits == 0 {
 		b.Fatalf("warmup never hit the pin machine: %+v", st)
@@ -199,7 +199,7 @@ func BenchmarkSwitchForwardOffload(b *testing.B) {
 	b.ResetTimer()
 	n := 0
 	for n < b.N {
-		sw.handleBatch(1, burst)
+		sw.batchIn(1, burst)
 		n += len(burst)
 	}
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "pkts/s")
@@ -209,6 +209,9 @@ func BenchmarkSwitchForwardOffload(b *testing.B) {
 // forwarding path: classify, cached lookup, counter update, in-place
 // rewrite, pooled emit — zero heap allocations per packet.
 func TestSwitchForwardAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budget not meaningful under -race")
+	}
 	sw := benchSwitch(t, 2, 16)
 	frame := benchFrameFor(1, 0)
 	for i := 0; i < 4096; i++ { // warm cache, buffer pool and peer inbox
@@ -227,6 +230,9 @@ func TestSwitchForwardAllocBudget(t *testing.T) {
 // once at cache fill, so the steady-state path must stay allocation-free
 // with ECMP enabled.
 func TestSwitchForwardAllocBudgetECMP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budget not meaningful under -race")
+	}
 	sw := benchSwitch(t, 3, 16)
 	m := openflow.MatchAll()
 	m.Wildcards &^= openflow.WildcardDlType

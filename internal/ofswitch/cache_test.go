@@ -179,8 +179,10 @@ func TestTableMissNotCached(t *testing.T) {
 	if _, ok := tb.lookup(&key, 10, time.Now().UnixNano()); ok {
 		t.Fatal("lookup matched an empty table")
 	}
-	if tb.shardFor(key.InPort).slots[uint32(key.KeyHash())&mfCacheMask].Load() != nil {
-		t.Fatal("miss left a cache line")
+	for way := uint32(0); way < mfWays; way++ {
+		if tb.shardFor(key.InPort).slots[uint32(key.KeyHash())&mfCacheMask^way].Load() != nil {
+			t.Fatal("miss left a cache line")
+		}
 	}
 	if err := tb.add(tableEntry(openflow.MatchAll(), 1, 2), false); err != nil {
 		t.Fatal(err)

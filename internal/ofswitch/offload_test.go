@@ -235,12 +235,12 @@ func TestOffloadConfigAndBatch(t *testing.T) {
 		}
 	}
 	hostA, hostB := pkt.LocalMAC(0xAA), pkt.LocalMAC(0xBB)
-	cs.sw.handleBatch(1, [][]byte{macFrame(hostA, hostB, "learn")})
+	cs.sw.batchIn(1, [][]byte{macFrame(hostA, hostB, "learn")})
 	reply := [][]byte{
 		macFrame(hostB, hostA, "r1"), macFrame(hostB, hostA, "r2"),
 		macFrame(hostB, hostA, "r3"),
 	}
-	cs.sw.handleBatch(2, reply)
+	cs.sw.batchIn(2, reply)
 	got := waitRx(t, cs, 1, 3)
 	if len(got) != 3 {
 		t.Fatalf("got %d frames", len(got))

@@ -70,6 +70,10 @@ type Switch struct {
 
 	ctlDrops uint64 // messages dropped because the outbound queue was full
 
+	// noPortDrops counts frames an output action sent to a port number that
+	// has no port attached.
+	noPortDrops atomic.Uint64
+
 	stopOnce sync.Once
 	stop     chan struct{}
 
@@ -84,6 +88,26 @@ const outQueueDepth = 1024
 type swPort struct {
 	no uint16
 	ep *netemu.Endpoint
+
+	// staged holds what the burst arriving on this port is sending, per
+	// egress port, until handleBatch hands each port's frames to its cable
+	// in one SendBatch. Only the goroutine delivering this port's bursts
+	// touches it. It lives here and not on handleBatch's stack so that a
+	// burst of one frame does not pay for clearing it.
+	staged  [stagedPorts]egressStage
+	nStaged int
+}
+
+// stagedPorts is how many egress ports one burst can have frames staged for
+// at once; a burst that fans out wider flushes and starts over.
+const stagedPorts = 4
+
+// egressStage is the frames of one burst bound for one egress port, in the
+// order the single-frame path would have sent them.
+type egressStage struct {
+	port   uint16
+	n      int
+	frames [netemu.MaxBurst][]byte
 }
 
 type bufferedPacket struct {
@@ -146,8 +170,9 @@ func (s *Switch) AttachPort(portNo uint16, ep *netemu.Endpoint) error {
 	s.ports[portNo] = p
 	// Batch delivery: the cable hands over its whole inbox burst in one
 	// callback, letting the dataplane amortize classification, cache probes
-	// and counter updates over runs of same-flow frames.
-	ep.SetBatchReceiver(func(frames [][]byte) { s.handleBatch(portNo, frames) })
+	// and counter updates over runs of same-flow frames, and cable hand-offs
+	// over each egress port's share of the burst.
+	ep.SetBatchReceiver(func(frames [][]byte) { s.handleBatch(p, frames) })
 	ep.OnLinkState(func(up bool) { s.portStateChanged(p, up) })
 	return nil
 }
@@ -168,6 +193,10 @@ func (s *Switch) FlowTable() []FlowInfo { return s.table.snapshot(s.clk.Now()) }
 
 // NumFlows returns the number of installed flows.
 func (s *Switch) NumFlows() int { return s.table.len() }
+
+// NoPortDrops returns how many frames output actions have sent to port
+// numbers with no port attached; such frames are dropped.
+func (s *Switch) NoPortDrops() uint64 { return s.noPortDrops.Load() }
 
 // Start attaches the controller connection (usually to FlowVisor) and runs
 // the control loop until Stop or connection error. It sends the initial
@@ -636,7 +665,7 @@ func (s *Switch) handleFrame(inPort uint16, frame []byte) {
 	ol := s.offload.Load()
 	if ol != nil && ol.enabled.Load() {
 		if out, ok := ol.steer(s.table, &key, 1); ok {
-			s.emit(out, frame)
+			s.emit(nil, out, frame)
 			return
 		}
 	} else {
@@ -652,15 +681,20 @@ func (s *Switch) handleFrame(inPort uint16, frame []byte) {
 	s.punt(inPort, frame)
 }
 
-// handleBatch is the burst dataplane. Consecutive frames with an identical
-// microflow key form a run; each run costs one offload steer or one cache
-// probe plus one batched counter update, and its rewrite actions are
-// planned once (see planRewrites) instead of re-scanned per frame. Frames
-// and the slice are owned by the cable and valid only for this call; every
-// egress path copies (Send into the pool, punt into the buffer pool).
-func (s *Switch) handleBatch(inPort uint16, frames [][]byte) {
+// handleBatch is the burst dataplane, for one burst arriving on port in.
+// Consecutive frames with an identical microflow key form a run; each run
+// costs one offload steer or one cache probe plus one batched counter
+// update, and its rewrite actions are planned once (see planRewrites)
+// instead of re-scanned per frame. Output frames are staged per egress port
+// and each port's share of the burst goes to its cable in one SendBatch.
+// Frames and the slice are owned by the ingress cable and valid only for
+// this call, and staged frames alias them, so every stage is flushed before
+// handleBatch returns; every egress path copies (SendBatch into the pool,
+// punt into the buffer pool). Bursts of one ingress port must not overlap,
+// which one delivery goroutine per endpoint guarantees.
+func (s *Switch) handleBatch(in *swPort, frames [][]byte) {
 	for len(frames) > netemu.MaxBurst {
-		s.handleBatch(inPort, frames[:netemu.MaxBurst])
+		s.handleBatch(in, frames[:netemu.MaxBurst])
 		frames = frames[netemu.MaxBurst:]
 	}
 	n := len(frames)
@@ -670,7 +704,7 @@ func (s *Switch) handleBatch(inPort uint16, frames [][]byte) {
 	var keys [netemu.MaxBurst]openflow.Match
 	var valid [netemu.MaxBurst]bool
 	for i := 0; i < n; i++ {
-		k, err := openflow.ExtractKey(inPort, frames[i])
+		k, err := openflow.ExtractKey(in.no, frames[i])
 		if err == nil {
 			keys[i], valid[i] = k, true
 		}
@@ -691,18 +725,19 @@ func (s *Switch) handleBatch(inPort uint16, frames [][]byte) {
 			nBytes += uint64(len(frames[j]))
 			j++
 		}
-		s.processRun(inPort, frames[i:j], &keys[i], nBytes, now, ol)
+		s.processRun(in, frames[i:j], &keys[i], nBytes, now, ol)
 		i = j
 	}
+	s.flushStaged(in)
 }
 
 // processRun forwards one same-key run: the classification decision is made
 // once and applied to every frame of the run.
-func (s *Switch) processRun(inPort uint16, run [][]byte, key *openflow.Match, nBytes uint64, now int64, ol *offloadState) {
+func (s *Switch) processRun(in *swPort, run [][]byte, key *openflow.Match, nBytes uint64, now int64, ol *offloadState) {
 	if ol != nil {
 		if out, ok := ol.steer(s.table, key, uint64(len(run))); ok {
 			for _, f := range run {
-				s.emit(out, f)
+				s.emit(in, out, f)
 			}
 			return
 		}
@@ -711,11 +746,14 @@ func (s *Switch) processRun(inPort uint16, run [][]byte, key *openflow.Match, nB
 		if ol != nil {
 			ol.observe(s.table, key, actions)
 		}
-		s.forwardRun(inPort, run, actions)
+		plan := planRewrites(actions)
+		for _, frame := range run {
+			s.output(in, in.no, applyRewritesPlanned(frame, actions, plan), actions)
+		}
 		return
 	}
 	for _, f := range run {
-		s.punt(inPort, f)
+		s.punt(in.no, f)
 	}
 }
 
@@ -772,7 +810,14 @@ func (s *Switch) forward(inPort uint16, frame []byte, actions []openflow.Action)
 			actions = resolveMultipath(actions, &key)
 		}
 	}
-	out := applyRewrites(frame, actions)
+	s.output(nil, inPort, applyRewrites(frame, actions), actions)
+}
+
+// output emits out, a frame that arrived on inPort with its rewrites
+// applied, on every output target of actions. in is the ingress port when a
+// burst is being handled (port outputs are staged on it) and nil on the
+// single-frame path (they are sent at once).
+func (s *Switch) output(in *swPort, inPort uint16, out []byte, actions []openflow.Action) {
 	for _, a := range actions {
 		o, ok := a.(*openflow.ActionOutput)
 		if !ok {
@@ -780,8 +825,9 @@ func (s *Switch) forward(inPort uint16, frame []byte, actions []openflow.Action)
 		}
 		switch o.Port {
 		case openflow.PortInPort:
-			s.emit(inPort, out)
+			s.emit(in, inPort, out)
 		case openflow.PortFlood, openflow.PortAll:
+			s.flushStaged(in) // flood sends at once; keep each port's order
 			s.flood(inPort, out)
 		case openflow.PortController:
 			data := out
@@ -796,62 +842,84 @@ func (s *Switch) forward(inPort uint16, frame []byte, actions []openflow.Action)
 				Data:     append([]byte(nil), data...),
 			})
 		case openflow.PortTable:
-			// Re-inject through the flow table (packet-out only).
+			// Re-inject through the flow table (packet-out only). The
+			// single-frame path sends at once and may rewrite out in place,
+			// which staged copies of this frame alias.
+			s.flushStaged(in)
 			s.handleFrame(inPort, out)
 		case openflow.PortNormal, openflow.PortLocal, openflow.PortNone:
 			// Unsupported targets drop silently.
 		default:
-			s.emit(o.Port, out)
+			s.emit(in, o.Port, out)
 		}
 	}
 }
 
-// forwardRun is forward for a same-key run: the action list is scanned and
-// the rewrite shape planned once, then applied to each frame.
-func (s *Switch) forwardRun(inPort uint16, run [][]byte, actions []openflow.Action) {
-	plan := planRewrites(actions)
-	for _, frame := range run {
-		out := applyRewritesPlanned(frame, actions, plan)
-		for _, a := range actions {
-			o, ok := a.(*openflow.ActionOutput)
-			if !ok {
-				continue
-			}
-			switch o.Port {
-			case openflow.PortInPort:
-				s.emit(inPort, out)
-			case openflow.PortFlood, openflow.PortAll:
-				s.flood(inPort, out)
-			case openflow.PortController:
-				data := out
-				if o.MaxLen > 0 && len(data) > int(o.MaxLen) {
-					data = data[:o.MaxLen]
-				}
-				_ = s.send(&openflow.PacketIn{
-					BufferID: openflow.NoBuffer,
-					TotalLen: uint16(len(out)),
-					InPort:   inPort,
-					Reason:   openflow.PacketInReasonAction,
-					Data:     append([]byte(nil), data...),
-				})
-			case openflow.PortTable:
-				s.handleFrame(inPort, out)
-			case openflow.PortNormal, openflow.PortLocal, openflow.PortNone:
-				// Unsupported targets drop silently.
-			default:
-				s.emit(o.Port, out)
-			}
+// emit sends frame out of port portNo: at once when in is nil, otherwise
+// staged on in until the burst it is handling flushes. A stage that fills
+// is flushed on the spot and keeps its port.
+func (s *Switch) emit(in *swPort, portNo uint16, frame []byte) {
+	if in == nil {
+		if p := s.port(portNo); p != nil {
+			p.ep.Send(frame)
+		} else {
+			s.noPortDrops.Add(1)
 		}
+		return
+	}
+	var st *egressStage
+	for i := range in.staged[:in.nStaged] {
+		if in.staged[i].port == portNo {
+			st = &in.staged[i]
+			break
+		}
+	}
+	if st == nil {
+		if in.nStaged == len(in.staged) {
+			s.flushStaged(in)
+		}
+		st = &in.staged[in.nStaged]
+		st.port = portNo
+		in.nStaged++
+	}
+	st.frames[st.n] = frame
+	if st.n++; st.n == len(st.frames) {
+		s.flushStage(st)
 	}
 }
 
-func (s *Switch) emit(portNo uint16, frame []byte) {
+// flushStaged hands every staged frame of in's burst to its egress cable and
+// leaves the staging empty. A nil in (the single-frame path) has none.
+func (s *Switch) flushStaged(in *swPort) {
+	if in == nil {
+		return
+	}
+	for i := range in.staged[:in.nStaged] {
+		s.flushStage(&in.staged[i])
+	}
+	in.nStaged = 0
+}
+
+// flushStage sends one stage's frames with one port lookup and one
+// SendBatch, and drops its aliases of the ingress cable's buffers.
+func (s *Switch) flushStage(st *egressStage) {
+	if st.n == 0 {
+		return
+	}
+	if p := s.port(st.port); p != nil {
+		p.ep.SendBatch(st.frames[:st.n])
+	} else {
+		s.noPortDrops.Add(uint64(st.n))
+	}
+	clear(st.frames[:st.n])
+	st.n = 0
+}
+
+func (s *Switch) port(portNo uint16) *swPort {
 	s.portMu.RLock()
 	p := s.ports[portNo]
 	s.portMu.RUnlock()
-	if p != nil {
-		p.ep.Send(frame)
-	}
+	return p
 }
 
 func (s *Switch) flood(inPort uint16, frame []byte) {

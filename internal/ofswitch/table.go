@@ -71,8 +71,9 @@ type FlowInfo struct {
 	Age         time.Duration
 }
 
-// Microflow cache geometry: per shard, a fixed, power-of-two direct-mapped
-// array so the fast path is one masked hash and one atomic pointer load.
+// Microflow cache geometry: per shard, a fixed, power-of-two array probed at
+// mfWays adjacent slots, so the fast path is one masked hash and one or two
+// atomic pointer loads from one cache line.
 // The cache is sharded by the delivering port (one shard per core, see
 // newFlowTable) so parallel forwarding on different ports fills and probes
 // disjoint slot arrays instead of bouncing one array's cache lines — and,
@@ -82,6 +83,12 @@ const (
 	mfCacheBits = 10
 	mfCacheSize = 1 << mfCacheBits
 	mfCacheMask = mfCacheSize - 1
+
+	// mfWays is how many slots a key may occupy: its home slot and the
+	// neighbour idx^1, which shares the home slot's cache line. One way
+	// alone made two flows with the same home slot evict each other on every
+	// packet, each refill an allocation (see docs/ARCHITECTURE.md).
+	mfWays = 2
 
 	// mfMaxShards caps the shard count; beyond this the slot arrays stop
 	// paying for themselves in memory per switch.
@@ -107,7 +114,7 @@ type mfEntry struct {
 
 // mfShard is one per-core slice of the microflow cache: its own generation
 // counter (padded onto a private cache line so invalidation and hit checks
-// on different shards never contend) and its own direct-mapped slot array.
+// on different shards never contend) and its own slot array.
 type mfShard struct {
 	gen   atomic.Uint64
 	_     [56]byte
@@ -132,7 +139,7 @@ const counterShards = 8
 // flowTable is a single OpenFlow 1.0 table with a two-tier lookup pipeline.
 //
 // Tier 1 is an exact-match microflow cache (the Open vSwitch idea): a
-// direct-mapped array indexed by a hash of the packet's exact header key,
+// two-way array indexed by a hash of the packet's exact header key,
 // consulted with only atomic loads. A hit yields the pre-resolved action
 // list and bumps per-entry atomic counters — the steady-state forwarding
 // path takes zero locks and is O(1) in the number of installed flows.
@@ -223,15 +230,28 @@ func (t *flowTable) lookupN(key *openflow.Match, n, nBytes uint64, nowNanos int6
 	var slot *atomic.Pointer[mfEntry]
 	if !t.disableCache {
 		shard = t.shardFor(key.InPort)
-		slot = &shard.slots[uint32(key.KeyHash())&mfCacheMask]
-		if ce := slot.Load(); ce != nil && ce.gen == shard.gen.Load() && ce.key == *key {
-			c.matched.Add(n)
-			c.cacheHits.Add(n)
-			ce.flow.hitN(n, nBytes, nowNanos)
-			if ce.mon != nil {
-				ce.mon.add(n, nBytes)
+		gen := shard.gen.Load()
+		idx := uint32(key.KeyHash()) & mfCacheMask
+		for way := uint32(0); way < mfWays; way++ {
+			w := &shard.slots[idx^way]
+			ce := w.Load()
+			if ce != nil && ce.gen == gen && ce.key == *key {
+				c.matched.Add(n)
+				c.cacheHits.Add(n)
+				ce.flow.hitN(n, nBytes, nowNanos)
+				if ce.mon != nil {
+					ce.mon.add(n, nBytes)
+				}
+				return ce.actions, true
 			}
-			return ce.actions, true
+			// Refill the first way holding nothing live, the home slot when
+			// both do.
+			if slot == nil && (ce == nil || ce.gen != gen) {
+				slot = w
+			}
+		}
+		if slot == nil {
+			slot = &shard.slots[idx]
 		}
 	}
 	return t.classify(key, n, nBytes, nowNanos, shard, slot, c)
@@ -334,11 +354,14 @@ func (t *flowTable) cacheHitCount() uint64 {
 // probe uses the same shard the delivering port (key.InPort) would.
 func (t *flowTable) cachedEntry(key *openflow.Match) *mfEntry {
 	shard := t.shardFor(key.InPort)
-	ce := shard.slots[uint32(key.KeyHash())&mfCacheMask].Load()
-	if ce == nil || ce.gen != shard.gen.Load() || ce.key != *key {
-		return nil
+	idx := uint32(key.KeyHash()) & mfCacheMask
+	for way := uint32(0); way < mfWays; way++ {
+		ce := shard.slots[idx^way].Load()
+		if ce != nil && ce.gen == shard.gen.Load() && ce.key == *key {
+			return ce
+		}
 	}
-	return ce
+	return nil
 }
 
 // sameStrict reports ofp "strict" identity: equal match and priority.

@@ -208,11 +208,11 @@ func TestSwitchTelemetryForwardAllocBudget10k(t *testing.T) {
 		burst = append(burst, f)
 		charged++
 		if len(burst) == netemu.MaxBurst {
-			sw.handleBatch(1, burst)
+			sw.batchIn(1, burst)
 			burst = burst[:0]
 		}
 	}
-	sw.handleBatch(1, burst)
+	sw.batchIn(1, burst)
 	if got := sw.MonitorCounters()[0].Packets; got != charged {
 		t.Fatalf("monitor rule counted %d of %d packets", got, charged)
 	}
@@ -243,10 +243,10 @@ func TestSwitchTelemetryBatchAllocBudget(t *testing.T) {
 		burst[i] = benchFrameFor(1, 0)
 	}
 	for i := 0; i < 64; i++ { // warm cache, pool and inbox
-		sw.handleBatch(1, burst)
+		sw.batchIn(1, burst)
 	}
 	if avg := testing.AllocsPerRun(500, func() {
-		sw.handleBatch(1, burst)
+		sw.batchIn(1, burst)
 	}); avg > 0 {
 		t.Fatalf("monitored batch forward allocates %.2f allocs/op, budget is 0", avg)
 	}
