@@ -195,12 +195,12 @@ func (h *Host) sendARP(dst pkt.MAC, a *pkt.ARP) {
 // bytes. The caller appends those and enqueues the buffer, so every layer is
 // written once, into the buffer the cable delivers. It returns nil when the
 // endpoint refuses the frame (link down, loss).
-func (h *Host) ipv4Frame(mac pkt.MAC, ip *pkt.IPv4, payloadLen int) *frameBuf {
+func (h *Host) ipv4Frame(mac pkt.MAC, ip *pkt.IPv4, payloadLen int) *Buffer {
 	if !h.ep.admit(pkt.EthernetHeaderLen + pkt.IPv4HeaderLen + payloadLen) {
 		return nil
 	}
 	f := pkt.Frame{Dst: mac, Src: h.mac, Type: pkt.EtherTypeIPv4}
-	fb := framePool.Get().(*frameBuf)
+	fb := framePool.Get().(*Buffer)
 	fb.b = ip.AppendHeader(f.AppendHeader(fb.b[:0]), payloadLen)
 	return fb
 }

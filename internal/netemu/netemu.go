@@ -12,8 +12,15 @@
 // synchronisation on both sides of the inbox: a send of any size puts its
 // frames into the ring under one lock and wakes the delivery goroutine at
 // most once, and the delivery goroutine takes whatever has accumulated (up
-// to MaxBurst) under one lock and hands the whole burst to a batch receiver
-// in one callback.
+// to MaxBurst) under one lock and hands the whole burst to the receiver in
+// one callback.
+//
+// Buffer ownership: a frame in flight lives in one pooled Buffer, filled once
+// (a Host builds its frame in it, Send copies the caller's bytes into it).
+// The receiver of the burst that carries it may take the buffer (Burst.Take)
+// and send it on as it is (Endpoint.SendBurst), so a frame that crosses
+// several cables is filled by the host that sends it and recycled after the
+// host that receives it, not copied at every crossing.
 package netemu
 
 import (
@@ -83,19 +90,53 @@ type CableOpts struct {
 	InboxDepth   int           // defaults to DefaultInboxDepth
 }
 
-// frameBuf is a pooled in-flight frame copy. Send fills one from the pool,
-// the peer's deliverLoop hands its bytes to the receiver and recycles it —
-// steady-state frame delivery allocates nothing (the emulated analogue of a
-// NIC ring reusing descriptors). due is the frame's delivery deadline on a
-// latency-modelled cable (zero when the cable has no latency): deadlines are
-// stamped at send time, so frames in flight overlap like bits on a real pipe
-// instead of queueing one full latency behind each other.
-type frameBuf struct {
+// Buffer is a pooled in-flight frame. A copying send fills one from the
+// pool, the peer's deliverLoop hands its bytes to the receiver and recycles
+// it unless the receiver took it — steady-state frame delivery allocates
+// nothing (the emulated analogue of a NIC ring reusing descriptors). due is
+// the frame's delivery deadline on a latency-modelled cable (zero when the
+// cable has no latency): deadlines are stamped at every send, so frames in
+// flight overlap like bits on a real pipe instead of queueing one full
+// latency behind each other.
+//
+// Outside this package a Buffer can only be had from Burst.Take, and it has
+// exactly one owner at a time: the cable it is queued in, the delivery
+// goroutine handing it to a receiver, or the receiver that took it.
+type Buffer struct {
 	b   []byte
 	due time.Time
 }
 
-var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+var framePool = sync.Pool{New: func() any { return new(Buffer) }}
+
+// Release returns a taken buffer to the pool unsent. Its frame is dead from
+// here on.
+func (fb *Buffer) Release() { framePool.Put(fb) }
+
+// Burst is one delivery: the frames that had accumulated in the inbox, oldest
+// first, and the buffers behind them.
+type Burst struct {
+	Frames [][]byte
+	// bufs[i] backs Frames[i] until it is taken; a burst built outside this
+	// package has none and Take on it reports nil.
+	bufs []*Buffer
+}
+
+// Take makes the caller the owner of the buffer behind Frames[i]: the cable
+// will not recycle it, and Frames[i] stays valid for as long as the caller
+// holds the buffer. The caller must hand it to SendBurst or Release it before
+// the callback returns. Take reports nil when there is no buffer to take —
+// it was taken already, or the burst did not come off a cable — and then
+// Frames[i] remains the cable's. Only the goroutine running the callback may
+// call it.
+func (b *Burst) Take(i int) *Buffer {
+	if b.bufs == nil {
+		return nil
+	}
+	fb := b.bufs[i]
+	b.bufs[i] = nil
+	return fb
+}
 
 // Endpoint is one side of a cable. Owners attach a receiver; Send transmits
 // toward the peer.
@@ -114,7 +155,7 @@ type Endpoint struct {
 	// found nothing, so a push either is seen by the next pop or leaves a
 	// token.
 	inMu   sync.Mutex
-	ring   []*frameBuf
+	ring   []*Buffer
 	head   int // index of the oldest queued frame
 	queued int
 	wake   chan struct{}
@@ -129,10 +170,9 @@ type Endpoint struct {
 	lossSeed uint64
 	lossSeq  atomic.Uint64
 
-	recvMu    sync.RWMutex
-	recv      func([]byte)
-	recvBatch func([][]byte)
-	onState   func(bool)
+	recvMu  sync.RWMutex
+	recv    func(*Burst)
+	onState func(bool)
 
 	up atomic.Bool // shared link state is the AND of both halves; we keep one flag per cable, see link
 
@@ -162,7 +202,7 @@ func (n *Network) NewCable(opts CableOpts) (*Endpoint, *Endpoint) {
 			name:     name,
 			mac:      mac,
 			stop:     make(chan struct{}),
-			ring:     make([]*frameBuf, depth),
+			ring:     make([]*Buffer, depth),
 			wake:     make(chan struct{}, 1),
 			latency:  opts.Latency,
 			loss:     opts.LossRate,
@@ -195,36 +235,43 @@ func (e *Endpoint) MAC() pkt.MAC { return e.mac }
 // LinkUp reports whether the cable is administratively up.
 func (e *Endpoint) LinkUp() bool { return e.link.up.Load() }
 
-// SetReceiver installs the inbound frame handler (clearing any batch
-// receiver). Frames arriving with no receiver installed are dropped.
+// SetBurstReceiver installs the inbound handler (nil clears it; frames
+// arriving with no receiver installed are dropped and counted). The delivery
+// goroutine drains the inbox in bursts of up to MaxBurst frames and hands each
+// to f in one callback, amortizing receiver-side locking and dispatch per
+// burst instead of per frame.
 //
-// Ownership contract (like a kernel packet ring): the frame slice is valid
-// only for the duration of the callback and may be mutated by it; it is
-// recycled as soon as the callback returns. Receivers that retain the frame
-// past the callback must copy it.
-func (e *Endpoint) SetReceiver(f func(frame []byte)) {
+// Ownership contract (like a kernel packet ring): the burst, its Frames slice
+// and every frame in it are valid only for the duration of the callback,
+// which may mutate each frame in place; all of it is recycled as soon as the
+// callback returns, so a receiver that retains a frame must copy it. The one
+// exception is a frame whose buffer the receiver took with Burst.Take: that
+// frame is the receiver's until it sends the buffer on or releases it, which
+// it must do before the callback returns.
+func (e *Endpoint) SetBurstReceiver(f func(*Burst)) {
 	e.recvMu.Lock()
 	e.recv = f
-	e.recvBatch = nil
 	e.recvMu.Unlock()
 }
 
-// SetBatchReceiver installs a vectored inbound handler (clearing any
-// single-frame receiver): the delivery goroutine drains the inbox in bursts
-// of up to MaxBurst frames and hands each burst to f in one callback,
-// amortizing receiver-side locking and dispatch per burst instead of per
-// frame.
-//
-// Ownership contract, burst form: both the frames slice and every frame in
-// it are valid only for the duration of the callback; each frame may be
-// mutated in place, and all of them (and the slice itself) are recycled as
-// soon as the callback returns. Receivers that retain any frame — or the
-// slice — past the callback must copy it.
+// SetBatchReceiver installs a burst receiver that takes nothing: f sees the
+// frames only, under the same contract.
 func (e *Endpoint) SetBatchReceiver(f func(frames [][]byte)) {
-	e.recvMu.Lock()
-	e.recvBatch = f
-	e.recv = nil
-	e.recvMu.Unlock()
+	e.SetBurstReceiver(func(b *Burst) { f(b.Frames) })
+}
+
+// SetReceiver installs a burst receiver that takes nothing and sees one frame
+// per call (nil clears it).
+func (e *Endpoint) SetReceiver(f func(frame []byte)) {
+	if f == nil {
+		e.SetBurstReceiver(nil)
+		return
+	}
+	e.SetBurstReceiver(func(b *Burst) {
+		for _, frame := range b.Frames {
+			f(frame)
+		}
+	})
 }
 
 // OnLinkState installs a callback fired on SetLinkUp transitions (both
@@ -274,40 +321,65 @@ func (e *Endpoint) lossDrop() bool {
 // without the burst's staging array (which costs a lone frame ~20 ns to
 // clear).
 func (e *Endpoint) Send(frame []byte) bool {
-	fb := e.fill(frame)
+	fb := e.fill(frame, nil)
 	return fb != nil && e.enqueueOne(fb)
 }
 
-// SendBatch transmits a burst of frames toward the peer in one call: the
+// SendBatch is SendBurst with nothing moved: every frame is copied.
+func (e *Endpoint) SendBatch(frames [][]byte) int { return e.SendBurst(frames, nil) }
+
+// SendBurst transmits a burst of frames toward the peer in one call: the
 // peer's inbox is locked once and its delivery goroutine woken at most once
 // per MaxBurst frames, and counters and the deadline stamp are paid per
 // burst. Link state and the loss model are consulted per frame, in order, so
-// both behave as under Send. Every frame is copied like Send; the return
-// value is the number of frames accepted (link down accepts none, a full
-// peer inbox or a loss draw drops individual frames).
-func (e *Endpoint) SendBatch(frames [][]byte) int {
+// both behave as under Send. The return value is the number of frames
+// accepted (link down accepts none, a full peer inbox or a loss draw drops
+// individual frames).
+//
+// bufs is nil or as long as frames. Where bufs[i] is nil, frames[i] is copied
+// like Send. Where it is not, it is the buffer taken from the burst being
+// delivered to the caller, frames[i] is that buffer's frame (patched in place
+// or untouched, not resliced), and the buffer itself is queued: the cable
+// owns it from here on whether it accepts the frame or not, and the caller
+// must not touch frames[i] again.
+func (e *Endpoint) SendBurst(frames [][]byte, bufs []*Buffer) int {
 	sent := 0
 	for len(frames) > 0 {
-		var stage [MaxBurst]*frameBuf
+		var stage [MaxBurst]*Buffer
 		fbs := stage[:0]
 		n := min(len(frames), MaxBurst)
-		for _, frame := range frames[:n] {
-			if fb := e.fill(frame); fb != nil {
+		for i, frame := range frames[:n] {
+			var moved *Buffer
+			if bufs != nil {
+				moved = bufs[i]
+			}
+			if fb := e.fill(frame, moved); fb != nil {
 				fbs = append(fbs, fb)
 			}
 		}
 		sent += e.enqueue(fbs)
 		frames = frames[n:]
+		if bufs != nil {
+			bufs = bufs[n:]
+		}
 	}
 	return sent
 }
 
-// fill copies an admitted frame into a pooled buffer; nil means refused.
-func (e *Endpoint) fill(frame []byte) *frameBuf {
+// fill admits one frame and returns the buffer that will carry it: moved
+// itself when the caller gave one, otherwise a pooled buffer with a copy of
+// frame. nil means refused, and a moved buffer recycled.
+func (e *Endpoint) fill(frame []byte, moved *Buffer) *Buffer {
 	if !e.admit(len(frame)) {
+		if moved != nil {
+			framePool.Put(moved)
+		}
 		return nil
 	}
-	fb := framePool.Get().(*frameBuf)
+	if moved != nil {
+		return moved
+	}
+	fb := framePool.Get().(*Buffer)
 	fb.b = append(fb.b[:0], frame...)
 	return fb
 }
@@ -329,7 +401,7 @@ func (e *Endpoint) admit(n int) bool {
 // pushes it into the peer's inbox, which then owns what it accepted; frames
 // a full inbox refused are dropped, counted and recycled. It returns the
 // number accepted.
-func (e *Endpoint) enqueue(fbs []*frameBuf) int {
+func (e *Endpoint) enqueue(fbs []*Buffer) int {
 	if len(fbs) == 0 {
 		return 0
 	}
@@ -372,14 +444,14 @@ func (e *Endpoint) enqueue(fbs []*frameBuf) int {
 }
 
 // enqueueOne is enqueue for a single frame (Send, and what a Host builds).
-func (e *Endpoint) enqueueOne(fb *frameBuf) bool {
-	one := [1]*frameBuf{fb}
+func (e *Endpoint) enqueueOne(fb *Buffer) bool {
+	one := [1]*Buffer{fb}
 	return e.enqueue(one[:]) == 1
 }
 
 // push appends fbs to this endpoint's inbox, as many as fit, and returns how
 // many it took (a prefix of fbs). It never blocks on the receiver.
-func (e *Endpoint) push(fbs []*frameBuf) int {
+func (e *Endpoint) push(fbs []*Buffer) int {
 	e.inMu.Lock()
 	n := min(len(fbs), len(e.ring)-e.queued)
 	wasEmpty := e.queued == 0
@@ -401,7 +473,7 @@ func (e *Endpoint) push(fbs []*frameBuf) int {
 }
 
 // pop moves up to MaxBurst frames from the head of the inbox onto burst.
-func (e *Endpoint) pop(burst []*frameBuf) []*frameBuf {
+func (e *Endpoint) pop(burst []*Buffer) []*Buffer {
 	e.inMu.Lock()
 	n := min(e.queued, MaxBurst)
 	for i := 0; i < n; i++ {
@@ -424,8 +496,8 @@ func (e *Endpoint) pop(burst []*frameBuf) []*frameBuf {
 // after it was sent, not N×Latency later the way a per-frame sleep
 // serialized it.
 func (e *Endpoint) deliverLoop() {
-	burst := make([]*frameBuf, 0, MaxBurst)
-	frames := make([][]byte, 0, MaxBurst)
+	burst := make([]*Buffer, 0, MaxBurst)
+	out := Burst{Frames: make([][]byte, 0, MaxBurst)}
 	for {
 		select {
 		case <-e.stop:
@@ -456,48 +528,41 @@ func (e *Endpoint) deliverLoop() {
 					n++
 				}
 			}
-			e.deliverFrames(burst[i:i+n], &frames)
+			e.deliverFrames(burst[i:i+n], &out)
 			i += n
 		}
 	}
 }
 
-// deliverFrames hands one due burst to the receiver — a single callback for
-// batch receivers, per-frame calls otherwise — and recycles the buffers.
-func (e *Endpoint) deliverFrames(bufs []*frameBuf, scratch *[][]byte) {
+// deliverFrames hands one due burst to the receiver in a single callback and
+// recycles the buffers the receiver did not take. out is the delivery
+// goroutine's Burst, reused for every callback.
+func (e *Endpoint) deliverFrames(bufs []*Buffer, out *Burst) {
 	e.recvMu.RLock()
-	recvBatch := e.recvBatch
 	recv := e.recv
 	e.recvMu.RUnlock()
-	if (recvBatch == nil && recv == nil) || !e.link.up.Load() {
+	if recv == nil || !e.link.up.Load() {
 		e.drops.Add(uint64(len(bufs)))
 	} else {
 		var bytes uint64
+		fs := out.Frames[:0]
 		for _, fb := range bufs {
 			bytes += uint64(len(fb.b))
+			fs = append(fs, fb.b)
 		}
 		e.rxPackets.Add(uint64(len(bufs)))
 		e.rxBytes.Add(bytes)
-		if recvBatch != nil {
-			fs := (*scratch)[:0]
-			for _, fb := range bufs {
-				fs = append(fs, fb.b)
-			}
-			*scratch = fs
-			recvBatch(fs)
-			// Frames must not outlive the callback: drop the aliases before
-			// the buffers go back to the pool.
-			for i := range fs {
-				fs[i] = nil
-			}
-		} else {
-			for _, fb := range bufs {
-				recv(fb.b)
-			}
-		}
+		out.Frames, out.bufs = fs, bufs
+		recv(out)
+		// Frames must not outlive the callback: drop the aliases before the
+		// buffers go back to the pool. Take left nil where a buffer went.
+		clear(fs)
+		out.bufs = nil
 	}
 	for _, fb := range bufs {
-		framePool.Put(fb)
+		if fb != nil {
+			framePool.Put(fb)
+		}
 	}
 }
 

@@ -33,16 +33,67 @@ func eventually(t *testing.T, cond func() bool, what func() string) {
 	}
 }
 
+// mover is a sender that moves buffers the way a forwarding switch does: what
+// it is given goes down a feeder cable whose receiver takes the buffer of
+// every frame of every burst and sends those on through out.
+type mover struct {
+	t       *testing.T
+	feed    *Endpoint
+	relayed chan [2]int // per relayed burst: its frames, and how many of them out accepted
+}
+
+func newMover(t *testing.T, out *Endpoint) *mover {
+	feed, relay := out.net.NewCable(CableOpts{NameA: "feed", NameB: "relay"})
+	m := &mover{t: t, feed: feed, relayed: make(chan [2]int, 1)}
+	var bufs [MaxBurst]*Buffer
+	relay.SetBurstReceiver(func(b *Burst) {
+		n := len(b.Frames)
+		for i := range b.Frames {
+			if bufs[i] = b.Take(i); bufs[i] == nil || b.Take(i) != nil {
+				t.Errorf("frame %d of a delivered burst: no buffer to take, or one to take twice", i)
+			}
+		}
+		accepted := out.SendBurst(b.Frames, bufs[:n])
+		clear(bufs[:n])
+		m.relayed <- [2]int{n, accepted}
+	})
+	return m
+}
+
+// send moves frames through out, in order, and returns how many out accepted
+// once the last of them has been relayed.
+func (m *mover) send(frames [][]byte) (accepted int) {
+	for len(frames) > 0 {
+		n := min(len(frames), DefaultInboxDepth) // what the feeder holds for sure
+		if got := m.feed.SendBatch(frames[:n]); got != n {
+			m.t.Errorf("feeder cable accepted %d of %d frames", got, n)
+		}
+		frames = frames[n:]
+		for n > 0 {
+			r := <-m.relayed
+			n -= r[0]
+			accepted += r[1]
+		}
+	}
+	return accepted
+}
+
 // ringSenders runs k goroutines that each push frames into a, mixing Send
 // and SendBatch of random sizes (some beyond MaxBurst), until each has
-// offered perSender frames. With credits, sender s takes one from credits[s]
+// offered perSender frames. Odd-numbered senders move their frames into a
+// (see mover) instead of having a copy them, so moved and copied bursts
+// interleave in the ring. With credits, sender s takes one from credits[s]
 // per frame before sending it and the receiver gives one back per frame
 // delivered, so s never has more than cap(credits[s]) frames unaccounted
 // for. It returns how many frames the calls reported as accepted.
-func ringSenders(a *Endpoint, k, perSender int, credits []chan struct{}) (accepted int64) {
+func ringSenders(t *testing.T, a *Endpoint, k, perSender int, credits []chan struct{}) (accepted int64) {
 	var acc atomic.Int64
 	var wg sync.WaitGroup
 	for s := 0; s < k; s++ {
+		sendBatch := a.SendBatch
+		if s%2 == 1 {
+			sendBatch = newMover(t, a).send
+		}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
@@ -62,7 +113,7 @@ func ringSenders(a *Endpoint, k, perSender int, credits []chan struct{}) (accept
 						<-credits[s]
 					}
 				}
-				if n == 1 && rng.Intn(2) == 0 {
+				if n == 1 && s%2 == 0 && rng.Intn(2) == 0 {
 					if a.Send(ringFrame(uint32(s), uint32(seq))) {
 						acc.Add(1)
 					}
@@ -71,7 +122,7 @@ func ringSenders(a *Endpoint, k, perSender int, credits []chan struct{}) (accept
 					for i := range batch {
 						batch[i] = ringFrame(uint32(s), uint32(seq+i))
 					}
-					acc.Add(int64(a.SendBatch(batch)))
+					acc.Add(int64(sendBatch(batch)))
 				}
 				seq += n
 			}
@@ -144,7 +195,7 @@ func TestRingConcurrentSendersModel(t *testing.T) {
 	a, b := n.NewCable(CableOpts{NameA: "a", NameB: "b", InboxDepth: 16})
 	const k, perSender = 4, 3000
 	r := newRingReceiver(t, b, k)
-	accepted := ringSenders(a, k, perSender, nil)
+	accepted := ringSenders(t, a, k, perSender, nil)
 	r.await(accepted)
 	time.Sleep(5 * time.Millisecond) // anything delivered beyond what was accepted would show now
 	st := a.Stats()
@@ -179,7 +230,7 @@ func TestRingDropsOnlyWhenFull(t *testing.T) {
 	}
 	r := newRingReceiver(t, b, k)
 	r.onFrame = func(sender uint32) { credits[sender] <- struct{}{} }
-	accepted := ringSenders(a, k, perSender, credits)
+	accepted := ringSenders(t, a, k, perSender, credits)
 	if st := a.Stats(); accepted != k*perSender || st.Drops != 0 {
 		t.Fatalf("ring never held more than its depth, yet %d of %d accepted and %d dropped", accepted, k*perSender, st.Drops)
 	}
@@ -296,41 +347,55 @@ func TestCloseWithQueuedFrames(t *testing.T) {
 
 // TestLinkCutDiscardsQueuedFrames pins the delivery half of link-down: a
 // frame accepted while the link was up and still in the ring when it is cut
-// is discarded and counted by the receiving endpoint, not delivered.
+// is discarded and counted by the receiving endpoint, not delivered —
+// whether its buffer was filled by this cable or moved into it.
 func TestLinkCutDiscardsQueuedFrames(t *testing.T) {
-	_, a, b := newPair(t)
-	entered, release := make(chan struct{}), make(chan struct{})
-	var calls atomic.Int32
-	b.SetReceiver(func([]byte) {
-		if calls.Add(1) == 1 {
-			close(entered)
-			<-release
-		}
-	})
-	a.Send([]byte{0})
-	<-entered
-	if n := a.SendBatch([][]byte{{1}, {2}, {3}, {4}, {5}}); n != 5 {
-		t.Fatalf("%d of 5 frames accepted on an up link", n)
-	}
-	a.SetLinkUp(false)
-	close(release)
-	eventually(t, func() bool { return b.Stats().Drops == 5 }, func() string {
-		return fmt.Sprintf("receiver counted %d drops, want the 5 queued frames", b.Stats().Drops)
-	})
-	if c := calls.Load(); c != 1 {
-		t.Fatalf("%d frames delivered over a cut link", c-1)
+	for _, moved := range []bool{false, true} {
+		t.Run(fmt.Sprintf("moved=%v", moved), func(t *testing.T) {
+			_, a, b := newPair(t)
+			sendBatch := a.SendBatch
+			if moved {
+				sendBatch = newMover(t, a).send
+			}
+			entered, release := make(chan struct{}), make(chan struct{})
+			var calls atomic.Int32
+			b.SetReceiver(func([]byte) {
+				if calls.Add(1) == 1 {
+					close(entered)
+					<-release
+				}
+			})
+			a.Send([]byte{0})
+			<-entered
+			if n := sendBatch([][]byte{{1}, {2}, {3}, {4}, {5}}); n != 5 {
+				t.Fatalf("%d of 5 frames accepted on an up link", n)
+			}
+			a.SetLinkUp(false)
+			close(release)
+			eventually(t, func() bool { return b.Stats().Drops == 5 }, func() string {
+				return fmt.Sprintf("receiver counted %d drops, want the 5 queued frames", b.Stats().Drops)
+			})
+			if c := calls.Load(); c != 1 {
+				t.Fatalf("%d frames delivered over a cut link", c-1)
+			}
+		})
 	}
 }
 
 // TestLossDrawsFollowSendOrder pins that the loss model cannot tell Send
-// from SendBatch: with one seed, the frames that get through are the same
-// whether they are sent one by one or in bursts of any size.
+// from SendBatch or a moved buffer from a copied one: with one seed, the
+// frames that get through are the same whether they are sent one by one, in
+// bursts of any size, or moved in from another cable.
 func TestLossDrawsFollowSendOrder(t *testing.T) {
 	const frames = 300
-	survivors := func(burstLen func() int) string {
+	survivors := func(burstLen func() int, moved bool) string {
 		n := NewNetwork(clock.System())
 		defer n.Close()
 		a, b := n.NewCable(CableOpts{NameA: "a", NameB: "b", LossRate: 0.3, Seed: 42})
+		sendBatch := a.SendBatch
+		if moved {
+			sendBatch = newMover(t, a).send
+		}
 		var mu sync.Mutex
 		got := make([]byte, frames)
 		for i := range got {
@@ -357,7 +422,7 @@ func TestLossDrawsFollowSendOrder(t *testing.T) {
 			for j := range batch {
 				batch[j] = ringFrame(0, uint32(i+j))
 			}
-			sent += a.SendBatch(batch)
+			sent += sendBatch(batch)
 			i += k
 		}
 		eventually(t, func() bool { return delivered.Load() >= int64(sent) }, func() string {
@@ -368,8 +433,11 @@ func TestLossDrawsFollowSendOrder(t *testing.T) {
 		return string(got)
 	}
 	rng := rand.New(rand.NewSource(5))
-	single := survivors(func() int { return 0 })
-	if burst := survivors(func() int { return rng.Intn(100) }); burst != single {
+	single := survivors(func() int { return 0 }, false)
+	if burst := survivors(func() int { return rng.Intn(100) }, false); burst != single {
 		t.Fatalf("loss pattern depends on how frames are sent:\nSend:      %s\nSendBatch: %s", single, burst)
+	}
+	if moved := survivors(func() int { return 1 + rng.Intn(100) }, true); moved != single {
+		t.Fatalf("loss pattern depends on whose buffer a frame is in:\nSend:  %s\nmoved: %s", single, moved)
 	}
 }

@@ -14,23 +14,27 @@ import (
 	"routeflow/internal/pkt"
 )
 
-// batchIn hands the switch a burst the way the cable attached to port does.
+// batchIn hands the switch a burst that did not come off a cable: there are
+// no buffers behind the frames to take, so every egress copies.
 func (s *Switch) batchIn(port uint16, frames [][]byte) {
-	s.handleBatch(s.port(port), frames)
+	s.handleBatch(s.port(port), &netemu.Burst{Frames: frames})
 }
 
 // captureSwitch builds a switch whose far-end endpoints record every frame
-// the switch emits, per port, in arrival order.
+// the switch emits, per port, in arrival order, and can send bursts into it.
 type captureSwitch struct {
-	sw   *Switch
-	mu   sync.Mutex
-	rx   map[uint16][][]byte
-	seen int
+	sw      *Switch
+	far     map[uint16]*netemu.Endpoint
+	handled chan int // frames of each burst the switch has finished with
+	mu      sync.Mutex
+	rx      map[uint16][][]byte
+	seen    int
 }
 
 func newCaptureSwitch(t *testing.T, ports int) *captureSwitch {
 	t.Helper()
-	cs := &captureSwitch{sw: New(Config{DPID: 0xCA, Name: "cap"}), rx: make(map[uint16][][]byte)}
+	cs := &captureSwitch{sw: New(Config{DPID: 0xCA, Name: "cap"}),
+		far: make(map[uint16]*netemu.Endpoint), handled: make(chan int, 1), rx: make(map[uint16][][]byte)}
 	n := netemu.NewNetwork(nil)
 	t.Cleanup(n.Close)
 	for p := 1; p <= ports; p++ {
@@ -47,8 +51,30 @@ func newCaptureSwitch(t *testing.T, ports int) *captureSwitch {
 		if err := cs.sw.AttachPort(port, a); err != nil {
 			t.Fatal(err)
 		}
+		// What AttachPort installed, plus word to cableIn that the switch is
+		// done with the burst.
+		in := cs.sw.port(port)
+		a.SetBurstReceiver(func(b *netemu.Burst) {
+			n := len(b.Frames)
+			cs.sw.handleBatch(in, b)
+			cs.handled <- n
+		})
+		cs.far[port] = far
 	}
 	return cs
+}
+
+// cableIn sends frames (at most MaxBurst, so that they arrive as one burst)
+// into port over its cable and returns when the switch has handled them: the
+// burst comes with the cable's buffers behind it, which the switch may take.
+func (cs *captureSwitch) cableIn(t *testing.T, port uint16, frames [][]byte) {
+	t.Helper()
+	if n := cs.far[port].SendBatch(frames); n != len(frames) {
+		t.Fatalf("cable into port %d accepted %d of %d frames", port, n, len(frames))
+	}
+	for n := len(frames); n > 0; {
+		n -= <-cs.handled
+	}
 }
 
 func (cs *captureSwitch) total() int {
@@ -116,9 +142,10 @@ type injection struct {
 
 // checkBatchMatchesSingle is the equivalence property. It feeds seq to two
 // identical switches — one frame at a time through handleFrame, and chunked
-// into bursts of random length through handleBatch — and requires every
-// egress port to have seen byte-identical frames in the same order, with
-// nothing lost in the cables on the way.
+// into bursts of random length that reach handleBatch over the ports' cables,
+// so that frames with one port to go to leave in the buffer they came in —
+// and requires every egress port to have seen byte-identical frames in the
+// same order, with nothing lost in the cables on the way.
 func checkBatchMatchesSingle(t *testing.T, rng *rand.Rand, ports int, install func(*testing.T, *Switch), seq []injection) (single, batch *captureSwitch) {
 	t.Helper()
 	single = newCaptureSwitch(t, ports)
@@ -155,12 +182,9 @@ func checkBatchMatchesSingle(t *testing.T, rng *rand.Rand, ports int, install fu
 		}
 		burst := make([][]byte, 0, j-i)
 		for _, in := range seq[i:j] {
-			burst = append(burst, append([]byte(nil), in.frame...))
+			burst = append(burst, in.frame)
 		}
-		batch.sw.batchIn(seq[i].port, burst)
-		for _, f := range burst {
-			clear(f) // the cable recycles its buffers once the callback returns
-		}
+		batch.cableIn(t, seq[i].port, burst)
 		i = j
 	}
 
@@ -188,8 +212,9 @@ func checkBatchMatchesSingle(t *testing.T, rng *rand.Rand, ports int, install fu
 	defer batch.mu.Unlock()
 	for p := uint16(1); p <= uint16(ports); p++ {
 		for _, cs := range []*captureSwitch{single, batch} {
-			if st := cs.sw.port(p).ep.Stats(); st.Drops != 0 {
-				t.Fatalf("port %d: cable dropped %d frames, the capture is incomplete", p, st.Drops)
+			if out, in := cs.sw.port(p).ep.Stats(), cs.far[p].Stats(); out.Drops != 0 || in.Drops != 0 {
+				t.Fatalf("port %d: cable dropped %d frames out of the switch and %d into it, the capture is incomplete",
+					p, out.Drops, in.Drops)
 			}
 		}
 		sf, bf := single.rx[p], batch.rx[p]
@@ -233,7 +258,8 @@ var (
 // egress ports than the staging holds), two ECMP groups, a flood, a flow
 // that outputs twice to one port (a stage fills mid-burst), a flow that
 // outputs, then re-injects the rewritten frame through the table to a second
-// flow that rewrites it again, and a flow to a port nothing is attached to.
+// flow that rewrites it again, a flow to a port nothing is attached to, and
+// two to reserved ports the datapath does not implement.
 func installEgressFlows(t *testing.T, sw *Switch) {
 	t.Helper()
 	add := func(m openflow.Match, dst string, prio uint16, actions ...openflow.Action) {
@@ -275,6 +301,8 @@ func installEgressFlows(t *testing.T, sw *Switch) {
 	add(openflow.MatchAll(), "12.0.0.0/8", 60,
 		&openflow.ActionSetDlSrc{Addr: egressViaSrc}, out(6))
 	add(openflow.MatchAll(), "40.0.0.0/8", 50, out(99))
+	add(openflow.MatchAll(), "50.0.0.0/8", 50, out(openflow.PortNormal))
+	add(openflow.MatchAll(), "51.0.0.0/8", 50, out(4), out(openflow.PortLocal))
 }
 
 // egressFrame draws a frame for installEgressFlows' table on one of 64
@@ -297,6 +325,8 @@ func TestBurstEgressMatchesSingleFramePath(t *testing.T) {
 		"30.0.0.1",     // two outputs to port 3
 		"12.0.0.1",     // output, then OFPP_TABLE
 		"40.0.0.1",     // unattached port
+		"50.0.0.1",     // OFPP_NORMAL: nothing goes out
+		"51.0.0.1",     // port 4, and OFPP_LOCAL
 		"203.0.113.77", // table miss → punt
 	}
 	for _, seed := range []int64{1, 7, 42} {
@@ -306,6 +336,9 @@ func TestBurstEgressMatchesSingleFramePath(t *testing.T) {
 			random := func(n int) {
 				for i := 0; i < n; i++ {
 					in := injection{port: 1, frame: egressFrame(rng, dsts[rng.Intn(len(dsts))])}
+					if rng.Intn(20) == 0 {
+						in.frame = in.frame[:rng.Intn(pkt.EthernetHeaderLen)] // a runt: no key to extract
+					}
 					if rng.Intn(16) == 0 {
 						in.port = uint16(2 + rng.Intn(3)) // breaks the burst
 					}
@@ -328,9 +361,17 @@ func TestBurstEgressMatchesSingleFramePath(t *testing.T) {
 			random(300)
 			single, batch := checkBatchMatchesSingle(t, rng, 8, installEgressFlows, seq)
 
-			s, b := single.sw.NoPortDrops(), batch.sw.NoPortDrops()
-			if s == 0 || s != b {
-				t.Fatalf("frames to the unattached port: single path counted %d, batch path %d", s, b)
+			for _, c := range []struct {
+				what          string
+				single, batch uint64
+			}{
+				{"frames to the unattached port", single.sw.NoPortDrops(), batch.sw.NoPortDrops()},
+				{"runt frames", single.sw.RuntDrops(), batch.sw.RuntDrops()},
+				{"outputs to unimplemented reserved ports", single.sw.UnsupportedOutputDrops(), batch.sw.UnsupportedOutputDrops()},
+			} {
+				if c.single == 0 || c.single != c.batch {
+					t.Fatalf("%s: single path counted %d, batch path %d", c.what, c.single, c.batch)
+				}
 			}
 			// The OFPP_TABLE flow is the case a late flush would get wrong:
 			// port 6 must see each such frame twice, as rewritten by the first

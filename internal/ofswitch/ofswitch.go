@@ -71,8 +71,12 @@ type Switch struct {
 	ctlDrops uint64 // messages dropped because the outbound queue was full
 
 	// noPortDrops counts frames an output action sent to a port number that
-	// has no port attached.
-	noPortDrops atomic.Uint64
+	// has no port attached; runtDrops frames too short to classify;
+	// badOutputDrops outputs to the reserved ports this datapath does not
+	// implement (OFPP_NORMAL, OFPP_LOCAL, OFPP_NONE).
+	noPortDrops    atomic.Uint64
+	runtDrops      atomic.Uint64
+	badOutputDrops atomic.Uint64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -91,7 +95,7 @@ type swPort struct {
 
 	// staged holds what the burst arriving on this port is sending, per
 	// egress port, until handleBatch hands each port's frames to its cable
-	// in one SendBatch. Only the goroutine delivering this port's bursts
+	// in one SendBurst. Only the goroutine delivering this port's bursts
 	// touches it. It lives here and not on handleBatch's stack so that a
 	// burst of one frame does not pay for clearing it.
 	staged  [stagedPorts]egressStage
@@ -103,11 +107,14 @@ type swPort struct {
 const stagedPorts = 4
 
 // egressStage is the frames of one burst bound for one egress port, in the
-// order the single-frame path would have sent them.
+// order the single-frame path would have sent them. bufs[i] is the ingress
+// cable's buffer behind frames[i] when the switch took it to send the frame
+// on without a copy, and nil for a frame the egress cable is to copy.
 type egressStage struct {
 	port   uint16
 	n      int
 	frames [netemu.MaxBurst][]byte
+	bufs   [netemu.MaxBurst]*netemu.Buffer
 }
 
 type bufferedPacket struct {
@@ -172,7 +179,7 @@ func (s *Switch) AttachPort(portNo uint16, ep *netemu.Endpoint) error {
 	// callback, letting the dataplane amortize classification, cache probes
 	// and counter updates over runs of same-flow frames, and cable hand-offs
 	// over each egress port's share of the burst.
-	ep.SetBatchReceiver(func(frames [][]byte) { s.handleBatch(p, frames) })
+	ep.SetBurstReceiver(func(b *netemu.Burst) { s.handleBatch(p, b) })
 	ep.OnLinkState(func(up bool) { s.portStateChanged(p, up) })
 	return nil
 }
@@ -197,6 +204,15 @@ func (s *Switch) NumFlows() int { return s.table.len() }
 // NoPortDrops returns how many frames output actions have sent to port
 // numbers with no port attached; such frames are dropped.
 func (s *Switch) NoPortDrops() uint64 { return s.noPortDrops.Load() }
+
+// RuntDrops returns how many received frames were too short to carry the
+// headers a flow key is built from; such frames are dropped unclassified.
+func (s *Switch) RuntDrops() uint64 { return s.runtDrops.Load() }
+
+// UnsupportedOutputDrops returns how many times an output action named
+// OFPP_NORMAL, OFPP_LOCAL or OFPP_NONE, which this datapath does not
+// implement; each such output emits nothing.
+func (s *Switch) UnsupportedOutputDrops() uint64 { return s.badOutputDrops.Load() }
 
 // Start attaches the controller connection (usually to FlowVisor) and runs
 // the control loop until Stop or connection error. It sends the initial
@@ -660,12 +676,13 @@ func (s *Switch) handleStats(m *openflow.StatsRequest) {
 func (s *Switch) handleFrame(inPort uint16, frame []byte) {
 	key, err := openflow.ExtractKey(inPort, frame)
 	if err != nil {
-		return // unparseable runt frame
+		s.runtDrops.Add(1)
+		return
 	}
 	ol := s.offload.Load()
 	if ol != nil && ol.enabled.Load() {
 		if out, ok := ol.steer(s.table, &key, 1); ok {
-			s.emit(nil, out, frame)
+			s.emit(nil, out, frame, nil)
 			return
 		}
 	} else {
@@ -681,22 +698,23 @@ func (s *Switch) handleFrame(inPort uint16, frame []byte) {
 	s.punt(inPort, frame)
 }
 
-// handleBatch is the burst dataplane, for one burst arriving on port in.
-// Consecutive frames with an identical microflow key form a run; each run
-// costs one offload steer or one cache probe plus one batched counter
-// update, and its rewrite actions are planned once (see planRewrites)
-// instead of re-scanned per frame. Output frames are staged per egress port
-// and each port's share of the burst goes to its cable in one SendBatch.
-// Frames and the slice are owned by the ingress cable and valid only for
-// this call, and staged frames alias them, so every stage is flushed before
-// handleBatch returns; every egress path copies (SendBatch into the pool,
-// punt into the buffer pool). Bursts of one ingress port must not overlap,
-// which one delivery goroutine per endpoint guarantees.
-func (s *Switch) handleBatch(in *swPort, frames [][]byte) {
-	for len(frames) > netemu.MaxBurst {
-		s.handleBatch(in, frames[:netemu.MaxBurst])
-		frames = frames[netemu.MaxBurst:]
-	}
+// handleBatch is the burst dataplane, for one burst (of at most MaxBurst
+// frames) arriving on port in. Consecutive frames with an identical microflow
+// key form a run; each run costs one offload steer or one cache probe plus
+// one batched counter update, and its rewrite actions are planned once (see
+// planRewrites) instead of re-scanned per frame. Output frames are staged per
+// egress port and each port's share of the burst goes to its cable in one
+// SendBurst.
+//
+// The burst is owned by the ingress cable and valid only for this call, and
+// staged frames alias it, so every stage is flushed before handleBatch
+// returns. A frame bound for exactly one port leaves in the buffer it came
+// in (see processRun); every other egress copies (SendBurst into the pool,
+// punt into the buffer pool) and leaves the buffer to the ingress cable.
+// Bursts of one ingress port must not overlap, which one delivery goroutine
+// per endpoint guarantees.
+func (s *Switch) handleBatch(in *swPort, b *netemu.Burst) {
+	frames := b.Frames
 	n := len(frames)
 	if n == 0 {
 		return
@@ -716,7 +734,8 @@ func (s *Switch) handleBatch(in *swPort, frames [][]byte) {
 	now := s.clk.Now().UnixNano()
 	for i := 0; i < n; {
 		if !valid[i] {
-			i++ // unparseable runt frame
+			s.runtDrops.Add(1)
+			i++
 			continue
 		}
 		j := i + 1
@@ -725,36 +744,65 @@ func (s *Switch) handleBatch(in *swPort, frames [][]byte) {
 			nBytes += uint64(len(frames[j]))
 			j++
 		}
-		s.processRun(in, frames[i:j], &keys[i], nBytes, now, ol)
+		s.processRun(in, b, i, j, &keys[i], nBytes, now, ol)
 		i = j
 	}
 	s.flushStaged(in)
 }
 
-// processRun forwards one same-key run: the classification decision is made
-// once and applied to every frame of the run.
-func (s *Switch) processRun(in *swPort, run [][]byte, key *openflow.Match, nBytes uint64, now int64, ol *offloadState) {
+// processRun forwards one same-key run, frames i to j of b: the
+// classification decision is made once and applied to every frame of the run.
+//
+// When the decision is one output to one physical port and the rewrite
+// leaves the frame where it is (none, or MACs patched in place), nobody else
+// will read the frame, so the switch takes its buffer from the ingress cable
+// and stages that: the egress cable queues the buffer itself. A moved frame
+// is the egress cable's from the flush on, and the next hop rewrites it in
+// place; nothing here reads a frame after staging it.
+func (s *Switch) processRun(in *swPort, b *netemu.Burst, i, j int, key *openflow.Match, nBytes uint64, now int64, ol *offloadState) {
+	n := uint64(j - i)
 	if ol != nil {
-		if out, ok := ol.steer(s.table, key, uint64(len(run))); ok {
-			for _, f := range run {
-				s.emit(in, out, f)
+		if out, ok := ol.steer(s.table, key, n); ok {
+			for _, f := range b.Frames[i:j] {
+				s.emit(in, out, f, nil)
 			}
 			return
 		}
 	}
-	if actions, ok := s.table.lookupN(key, uint64(len(run)), nBytes, now); ok {
+	if actions, ok := s.table.lookupN(key, n, nBytes, now); ok {
 		if ol != nil {
 			ol.observe(s.table, key, actions)
 		}
 		plan := planRewrites(actions)
-		for _, frame := range run {
-			s.output(in, in.no, applyRewritesPlanned(frame, actions, plan), actions)
+		port, move := soleOutputPort(actions)
+		move = move && plan != rwFull
+		for k := i; k < j; k++ {
+			out := applyRewritesPlanned(b.Frames[k], actions, plan)
+			if move {
+				s.emit(in, port, out, b.Take(k))
+			} else {
+				s.output(in, in.no, out, actions)
+			}
 		}
 		return
 	}
-	for _, f := range run {
+	for _, f := range b.Frames[i:j] {
 		s.punt(in.no, f)
 	}
+}
+
+// soleOutputPort reports the port of an action list's output when it has
+// exactly one and that one names a physical port.
+func soleOutputPort(actions []openflow.Action) (port uint16, ok bool) {
+	for _, a := range actions {
+		if o, isOut := a.(*openflow.ActionOutput); isOut {
+			if ok || o.Port >= openflow.PortMax {
+				return 0, false
+			}
+			port, ok = o.Port, true
+		}
+	}
+	return port, ok
 }
 
 // punt buffers the frame and sends a packet-in to the controller.
@@ -825,7 +873,7 @@ func (s *Switch) output(in *swPort, inPort uint16, out []byte, actions []openflo
 		}
 		switch o.Port {
 		case openflow.PortInPort:
-			s.emit(in, inPort, out)
+			s.emit(in, inPort, out, nil)
 		case openflow.PortFlood, openflow.PortAll:
 			s.flushStaged(in) // flood sends at once; keep each port's order
 			s.flood(inPort, out)
@@ -848,17 +896,18 @@ func (s *Switch) output(in *swPort, inPort uint16, out []byte, actions []openflo
 			s.flushStaged(in)
 			s.handleFrame(inPort, out)
 		case openflow.PortNormal, openflow.PortLocal, openflow.PortNone:
-			// Unsupported targets drop silently.
+			s.badOutputDrops.Add(1) // not implemented by this datapath
 		default:
-			s.emit(in, o.Port, out)
+			s.emit(in, o.Port, out, nil)
 		}
 	}
 }
 
 // emit sends frame out of port portNo: at once when in is nil, otherwise
 // staged on in until the burst it is handling flushes. A stage that fills
-// is flushed on the spot and keeps its port.
-func (s *Switch) emit(in *swPort, portNo uint16, frame []byte) {
+// is flushed on the spot and keeps its port. buf is the buffer behind frame
+// when the switch took it from the burst (only then is in set), else nil.
+func (s *Switch) emit(in *swPort, portNo uint16, frame []byte, buf *netemu.Buffer) {
 	if in == nil {
 		if p := s.port(portNo); p != nil {
 			p.ep.Send(frame)
@@ -882,7 +931,7 @@ func (s *Switch) emit(in *swPort, portNo uint16, frame []byte) {
 		st.port = portNo
 		in.nStaged++
 	}
-	st.frames[st.n] = frame
+	st.frames[st.n], st.bufs[st.n] = frame, buf
 	if st.n++; st.n == len(st.frames) {
 		s.flushStage(st)
 	}
@@ -900,18 +949,27 @@ func (s *Switch) flushStaged(in *swPort) {
 	in.nStaged = 0
 }
 
-// flushStage sends one stage's frames with one port lookup and one
-// SendBatch, and drops its aliases of the ingress cable's buffers.
+// flushStage sends one stage's frames, moved and copied in staging order,
+// with one port lookup and one SendBurst, and drops its aliases of the
+// ingress cable's buffers. The buffers the switch took end here: queued or
+// recycled by the egress cable, or released when there is no such port.
 func (s *Switch) flushStage(st *egressStage) {
 	if st.n == 0 {
 		return
 	}
+	frames, bufs := st.frames[:st.n], st.bufs[:st.n]
 	if p := s.port(st.port); p != nil {
-		p.ep.SendBatch(st.frames[:st.n])
+		p.ep.SendBurst(frames, bufs)
 	} else {
 		s.noPortDrops.Add(uint64(st.n))
+		for _, fb := range bufs {
+			if fb != nil {
+				fb.Release()
+			}
+		}
 	}
-	clear(st.frames[:st.n])
+	clear(frames)
+	clear(bufs)
 	st.n = 0
 }
 
