@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"routeflow/internal/clock"
 	"routeflow/internal/quagga"
 	"routeflow/internal/topo"
 	"routeflow/internal/vnet"
@@ -713,5 +714,45 @@ func TestMultiASBorderFailureReroutesViaBackupAS(t *testing.T) {
 	}
 	if !sawDown {
 		t.Fatal("border session loss left no damping trace — the penalty died with the deconfigured neighbor")
+	}
+}
+
+// A cold boot converges on events, not hello ticks: with the experiments'
+// RFC timers (hello 10 s, dead 40 s, SPF delay 200 ms — the values of
+// routeflow.DefaultExperimentTimers, which this package cannot import) every
+// one of ten Ring(8) boots is fully converged in under one HelloInterval of
+// protocol time. Before adjacencies formed on InterfaceUp and on the first
+// 1-way hello, a boot took one or two hello intervals on top of the VM boot.
+func TestColdBootConvergesInsideOneHelloInterval(t *testing.T) {
+	const hello = 10 * time.Second
+	for boot := 0; boot < 10; boot++ {
+		d, err := NewDeployment(Options{
+			Topology:  topo.Ring(8),
+			HostNodes: []int{0, 4}, // converged then includes SPF: every VM routes to both gateways
+			// 20×: a boot reads ≈2.3 protocol-s here and ≈2.9 under -race on
+			// two vCPUs (2 s of it the VM boot); the emulation's own wall time
+			// is what a larger factor would inflate into protocol time.
+			Clock:         clock.Scaled(20),
+			BootDelay:     2 * time.Second,
+			ProbeInterval: time.Second,
+			LinkTTL:       3 * time.Second,
+			Timers:        quagga.Timers{Hello: hello, Dead: 40 * time.Second, SPFDelay: 200 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Start(); err != nil {
+			d.Close()
+			t.Fatal(err)
+		}
+		el, err := d.AwaitConverged(hello)
+		d.Close()
+		if err != nil {
+			t.Fatalf("boot %d: %v", boot, err)
+		}
+		t.Logf("boot %d converged after %v of protocol time", boot, el)
+		if el >= hello {
+			t.Fatalf("boot %d converged after %v, want under one HelloInterval (%v)", boot, el, hello)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"routeflow/internal/clock"
@@ -98,6 +99,9 @@ type Instance struct {
 	spfAt  time.Time // zero = no SPF scheduled
 	spfRun uint64    // count of SPF executions
 
+	hellosSent atomic.Uint64 // periodic + triggered
+	rejected   atomic.Uint64 // received packets dropped as malformed or mismatched
+
 	started  bool
 	stopped  bool
 	stopOnce sync.Once
@@ -138,7 +142,10 @@ func New(cfg Config) (*Instance, error) {
 // RouterID returns the configured router ID.
 func (i *Instance) RouterID() netip.Addr { return i.cfg.RouterID }
 
-// AddInterface enables OSPF on a p2p interface. Safe before or after Start.
+// AddInterface enables OSPF on a p2p interface. Safe before or after Start;
+// on a running instance the interface's first hello goes out before
+// AddInterface returns (InterfaceUp is an event, not something the next
+// hello tick discovers).
 func (i *Instance) AddInterface(name string, addrPfx netip.Prefix, cost uint16, send SendFunc) (*Interface, error) {
 	if !addrPfx.Addr().Is4() {
 		return nil, fmt.Errorf("ospf: interface %s address %v is not IPv4", name, addrPfx)
@@ -148,13 +155,32 @@ func (i *Instance) AddInterface(name string, addrPfx netip.Prefix, cost uint16, 
 	}
 	ifc := &Interface{inst: i, name: name, addr: addrPfx, cost: cost, send: send}
 	i.mu.Lock()
-	defer i.mu.Unlock()
 	if _, dup := i.ifaces[name]; dup {
+		i.mu.Unlock()
 		return nil, fmt.Errorf("ospf: interface %s already enabled", name)
 	}
 	i.ifaces[name] = ifc
 	i.originateLocked()
+	i.mu.Unlock()
+	i.helloNow(ifc)
 	return ifc, nil
+}
+
+// helloNow sends ifc's hello on an event instead of the next tick. It is a
+// no-op unless the instance is running, and it is fenced like Start's
+// burst: the Add happens under mu while stopped is still false, so Stop
+// either sees the counter and waits for the send, or wins and nothing is
+// sent. Callers hold neither i.mu nor ifc.mu.
+func (i *Instance) helloNow(ifc *Interface) {
+	i.mu.Lock()
+	if !i.started || i.stopped {
+		i.mu.Unlock()
+		return
+	}
+	i.wg.Add(1)
+	i.mu.Unlock()
+	defer i.wg.Done()
+	ifc.sendHello()
 }
 
 // RemoveInterface disables OSPF on an interface.
@@ -185,8 +211,10 @@ func (i *Instance) Start() {
 	i.wg.Add(2)
 	i.mu.Unlock()
 	go i.timerLoop()
-	// First hello goes out immediately; neighbors answer within their next
-	// hello, which is what makes cold-start convergence tractable.
+	// Interfaces enabled before Start get their first hello now; one enabled
+	// later sends its own from AddInterface. Either way the neighbor answers
+	// a hello that changes its view of us at once (handleHello), so an
+	// adjacency costs a round trip, not hello intervals.
 	i.sendHellos()
 	i.wg.Done()
 }
@@ -232,6 +260,15 @@ func (i *Instance) SPFRuns() uint64 {
 	defer i.mu.Unlock()
 	return i.spfRun
 }
+
+// HellosSent returns how many hellos the instance has handed to its
+// interfaces' send functions, periodic and event-triggered alike.
+func (i *Instance) HellosSent() uint64 { return i.hellosSent.Load() }
+
+// RejectedPackets returns how many received packets were dropped without
+// being acted on: unparseable, failing a checksum, or a hello whose timers
+// disagree with ours (RFC 2328 §10.5). Our own multicast echo is not counted.
+func (i *Instance) RejectedPackets() uint64 { return i.rejected.Load() }
 
 // FullNeighbors counts adjacencies in Full state.
 func (i *Instance) FullNeighbors() int {
@@ -280,8 +317,12 @@ func (i *Instance) timerLoop() {
 // interface. Called by the VM's network stack.
 func (ifc *Interface) Deliver(src netip.Addr, payload []byte) {
 	h, body, err := parsePacket(payload)
-	if err != nil || h.RouterID == u32(ifc.inst.cfg.RouterID) {
-		return // malformed or our own multicast echo
+	if err != nil {
+		ifc.inst.rejected.Add(1)
+		return
+	}
+	if h.RouterID == u32(ifc.inst.cfg.RouterID) {
+		return // our own multicast echo
 	}
 	switch h.Type {
 	case typeHello:
@@ -300,6 +341,7 @@ func (ifc *Interface) Addr() netip.Prefix { return ifc.addr }
 func (ifc *Interface) handleHello(h header, src netip.Addr, body []byte) {
 	hl, err := parseHello(body)
 	if err != nil {
+		ifc.inst.rejected.Add(1)
 		return
 	}
 	// Timer agreement check (RFC 2328 §10.5), on wire values: the packet
@@ -307,6 +349,7 @@ func (ifc *Interface) handleHello(h header, src netip.Addr, body []byte) {
 	// (sub-second test timers encode as the same truncated value).
 	if hl.HelloInterval != uint16(ifc.inst.cfg.HelloInterval/time.Second) ||
 		hl.DeadInterval != uint32(ifc.inst.cfg.DeadInterval/time.Second) {
+		ifc.inst.rejected.Add(1)
 		return
 	}
 	inst := ifc.inst
@@ -321,7 +364,8 @@ func (ifc *Interface) handleHello(h header, src netip.Addr, body []byte) {
 
 	ifc.mu.Lock()
 	nb := ifc.neighbor
-	if nb == nil || nb.routerID != h.RouterID {
+	isNew := nb == nil || nb.routerID != h.RouterID
+	if isNew {
 		nb = &neighbor{routerID: h.RouterID, addr: src, state: NeighborInit}
 		ifc.neighbor = nb
 	}
@@ -339,7 +383,16 @@ func (ifc *Interface) handleHello(h header, src netip.Addr, body []byte) {
 		nb.state = NeighborInit
 	}
 	becameFull := !wasFull && nb.state == NeighborFull
+	enteredInit := !seesMe && (isNew || wasFull)
 	ifc.mu.Unlock()
+
+	if enteredInit {
+		// The neighbor does not know we hear it. Say so now, listing it, so
+		// its becameFull exchange below runs one round trip from here and not
+		// at our next tick. Once per state change: further 1-way hellos find
+		// the neighbor already in Init and are left to the periodic hello.
+		inst.helloNow(ifc)
+	}
 
 	if becameFull {
 		// Adjacency established: re-originate (the p2p link is now
@@ -363,6 +416,7 @@ func (ifc *Interface) handleHello(h header, src netip.Addr, body []byte) {
 func (ifc *Interface) handleLSUpdate(h header, body []byte) {
 	lsas, err := parseLSUpdate(body)
 	if err != nil {
+		ifc.inst.rejected.Add(1)
 		return
 	}
 	inst := ifc.inst
@@ -539,6 +593,7 @@ func (ifc *Interface) sendHello() {
 	}
 	ifc.mu.Unlock()
 	payload := marshalPacket(header{Type: typeHello, RouterID: u32(inst.cfg.RouterID)}, h.marshal())
+	inst.hellosSent.Add(1)
 	ifc.send(netip.MustParseAddr(AllSPFRouters), payload)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"routeflow/internal/clock"
 	"routeflow/internal/rib"
 )
 
@@ -407,19 +408,26 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestMismatchedTimersIgnored(t *testing.T) {
-	r := rib.New()
-	inst, _ := New(fastConfig("10.255.0.9", r))
+	cfg := fastConfig("10.255.0.9", rib.New())
+	cfg.Clock = clock.NewFake() // never advanced: only events send hellos
+	inst, _ := New(cfg)
 	t.Cleanup(inst.Stop)
-	var lastSent atomic.Pointer[[]byte]
 	ifc, _ := inst.AddInterface("eth0", netip.MustParsePrefix("172.16.0.1/30"), 1,
-		func(dst netip.Addr, p []byte) { lastSent.Store(&p) })
+		func(netip.Addr, []byte) {})
+	inst.Start()
 	// A hello advertising RFC-default timers (10s/40s) mismatches our fast
-	// test timers and must be ignored.
+	// test timers and must be ignored: no neighbor, no triggered answer.
 	alien := marshalPacket(header{Type: typeHello, RouterID: 0x09090909},
 		(&hello{NetMask: 0xfffffffc, HelloInterval: 10, DeadInterval: 40}).marshal())
 	ifc.Deliver(netip.MustParseAddr("172.16.0.2"), alien)
 	if len(inst.Neighbors()) != 0 {
 		t.Fatal("mismatched-timer hello created a neighbor")
+	}
+	if got := inst.HellosSent(); got != 1 {
+		t.Fatalf("hellos sent = %d, want only the Start hello", got)
+	}
+	if got := inst.RejectedPackets(); got != 1 {
+		t.Fatalf("rejected packets = %d, want 1", got)
 	}
 }
 

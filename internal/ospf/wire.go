@@ -12,8 +12,11 @@
 // and instead exchange full LSDBs on reaching Full (equivalent outcome on
 // p2p links); a single area (0.0.0.0); Router-LSAs only (sufficient to
 // route every link subnet in a p2p mesh). Timer semantics — HelloInterval,
-// RouterDeadInterval, SPF delay — follow the RFC and dominate convergence
-// time exactly as in the paper's testbed.
+// RouterDeadInterval, SPF delay — follow the RFC: they are the periodic and
+// liveness bounds. Forming an adjacency does not wait for them: an interface
+// coming up sends its hello at once, and a hello that changes a neighbor's
+// state is answered at once, so a link is Full one round trip after both
+// ends are up.
 package ospf
 
 import (

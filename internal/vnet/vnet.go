@@ -193,6 +193,9 @@ func (vm *VM) bootWait() {
 	vm.pendingOps = nil
 	ready := vm.onReady
 	vm.mu.Unlock()
+	// The daemons start over no interfaces; each queued interface sends its
+	// own first hello as it is attached (ospf.AddInterface on a running
+	// instance), so nothing here waits for a hello tick.
 	vm.router.Start()
 	for _, op := range ops {
 		op()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"routeflow/internal/clock"
 	"routeflow/internal/pkt"
 	"routeflow/internal/quagga"
 	"routeflow/internal/rib"
@@ -391,4 +392,65 @@ func TestDestroyedVMIgnoresTraffic(t *testing.T) {
 	// No panic, no effect.
 	vm.Inject(1, []byte{1, 2, 3})
 	vm.Destroy() // idempotent
+}
+
+// An interface configured while the VM boots sends its first OSPF hello when
+// the boot completes — the queued attach is the InterfaceUp event — not one
+// HelloInterval later. RFC timers on a fake clock that stops at the end of
+// the boot, so no hello tick ever fires.
+func TestQueuedInterfaceSendsHelloWhenBootCompletes(t *testing.T) {
+	clk := clock.NewFake()
+	const boot = 2 * time.Second
+	vm, err := New(Config{DPID: 0xB1, Ports: 2, RouterID: netip.MustParseAddr("10.255.0.9"),
+		Clock: clk, BootDelay: boot,
+		Timers: quagga.Timers{Hello: 10 * time.Second, Dead: 40 * time.Second, SPFDelay: 200 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(vm.Destroy)
+	type tx struct {
+		port  uint16
+		frame []byte
+	}
+	var mu sync.Mutex
+	var sent []tx
+	vm.OnTransmit(func(port uint16, frame []byte) {
+		mu.Lock()
+		sent = append(sent, tx{port, frame})
+		mu.Unlock()
+	})
+	ready := make(chan struct{})
+	vm.OnReady(func() { close(ready) })
+	if err := vm.ConfigureInterface(1, netip.MustParsePrefix("172.16.0.1/30"), 10,
+		netip.MustParsePrefix("172.16.0.0/16")); err != nil {
+		t.Fatal(err)
+	}
+	if vm.State() != StateBooting {
+		t.Fatalf("state = %v, want the configuration queued behind the boot", vm.State())
+	}
+	clk.Advance(boot)
+	select {
+	case <-ready: // fires after the queued configuration has been applied
+	case <-time.After(3 * time.Second):
+		t.Fatal("never ready")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	hellos := 0
+	for _, s := range sent {
+		f, err := pkt.DecodeFrame(s.frame)
+		if err != nil || f.Type != pkt.EtherTypeIPv4 {
+			continue
+		}
+		if ip, err := pkt.DecodeIPv4(f.Payload); err == nil && ip.Proto == pkt.ProtoOSPF &&
+			s.port == 1 && ip.Src == netip.MustParseAddr("172.16.0.1") {
+			hellos++
+		}
+	}
+	if hellos != 1 {
+		t.Fatalf("%d OSPF hellos on port 1 by the end of the boot (of %d frames), want 1", hellos, len(sent))
+	}
+	if got := vm.Router().OSPF().HellosSent(); got != 1 {
+		t.Fatalf("ospf counted %d hellos, want 1", got)
+	}
 }
