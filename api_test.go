@@ -1,9 +1,8 @@
 package routeflow
 
-// Tests of the PR 6 public-API redesign: functional options build the same
-// Options the deprecated struct-literal form does, New and the shim both
-// deploy, the Run dispatcher routes every spec variant, and
-// ScenarioExitCode never lets an invariant violation exit 0.
+// Tests of the public API: functional options build the same Options a
+// struct literal does, New deploys, the Run dispatcher routes every spec
+// variant, and ScenarioExitCode never lets an invariant violation exit 0.
 
 import (
 	"bytes"
@@ -71,37 +70,23 @@ func TestFunctionalOptionsMatchStructLiteral(t *testing.T) {
 	}
 }
 
+// TestNewAndDeprecatedShimBothDeploy builds a tiny ring through New and
+// drives it to full configuration. The struct-literal NewDeployment shim it
+// once also exercised is gone; the functional-options leg keeps its name.
 func TestNewAndDeprecatedShimBothDeploy(t *testing.T) {
-	// The same tiny ring through both constructors; each must reach full
-	// configuration. The struct-literal path is the compatibility shim the
-	// redesign promises to keep working.
-	build := map[string]func() (*Deployment, error){
-		"functional-options": func() (*Deployment, error) {
-			return New(Ring(3), WithTimeScale(400), WithHosts(0))
-		},
-		"struct-literal-shim": func() (*Deployment, error) {
-			return NewDeployment(Options{
-				Topology:  Ring(3),
-				Clock:     ScaledClock(400),
-				HostNodes: []int{0},
-			})
-		},
-	}
-	for name, mk := range build {
-		t.Run(name, func(t *testing.T) {
-			d, err := mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := d.AwaitConfigured(10 * time.Minute); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Run("functional-options", func(t *testing.T) {
+		d, err := New(Ring(3), WithTimeScale(400), WithHosts(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.AwaitConfigured(10 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestRunDispatcherFig3(t *testing.T) {

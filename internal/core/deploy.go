@@ -90,12 +90,6 @@ type Options struct {
 	// TelemetrySpan is the rolling-window length of the utilization views
 	// (0 = 5s).
 	TelemetrySpan time.Duration
-	// StatefulOffload enables the switches' XFSM-style local state machines
-	// (MAC learning + microflow pinning): steady traffic is handled inside
-	// the datapath without consulting the flow table, and learned flows are
-	// never punted. Off by default — offloaded packets bypass per-flow
-	// counters, a deliberate hardware-offload-style semantic trade.
-	StatefulOffload bool
 	// TE enables the online traffic-engineering loop: telemetry link
 	// utilization is re-optimized every TEInterval, migrating the largest
 	// movable flows off hot links onto colder equal-cost paths via pinned
@@ -215,10 +209,7 @@ func (d *Deployment) build() error {
 	// Switches.
 	for _, n := range g.Nodes() {
 		dpid := DPIDForNode(n.ID)
-		d.switches[dpid] = ofswitch.New(ofswitch.Config{
-			DPID: dpid, Name: fmt.Sprintf("s%d", n.ID), Clock: d.clk,
-			StatefulOffload: d.opts.StatefulOffload,
-		})
+		d.switches[dpid] = ofswitch.New(ofswitch.Config{DPID: dpid, Name: fmt.Sprintf("s%d", n.ID), Clock: d.clk})
 	}
 	// Inter-switch cables.
 	for i, l := range g.Links() {

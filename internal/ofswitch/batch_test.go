@@ -17,7 +17,7 @@ import (
 // batchIn hands the switch a burst that did not come off a cable: there are
 // no buffers behind the frames to take, so every egress copies.
 func (s *Switch) batchIn(port uint16, frames [][]byte) {
-	s.handleBatch(s.port(port), &netemu.Burst{Frames: frames})
+	s.handleBatch(&s.port(port).stage, port, &netemu.Burst{Frames: frames})
 }
 
 // captureSwitch builds a switch whose far-end endpoints record every frame
@@ -56,7 +56,7 @@ func newCaptureSwitch(t *testing.T, ports int) *captureSwitch {
 		in := cs.sw.port(port)
 		a.SetBurstReceiver(func(b *netemu.Burst) {
 			n := len(b.Frames)
-			cs.sw.handleBatch(in, b)
+			cs.sw.handleBatch(&in.stage, port, b)
 			cs.handled <- n
 		})
 		cs.far[port] = far
@@ -141,11 +141,12 @@ type injection struct {
 }
 
 // checkBatchMatchesSingle is the equivalence property. It feeds seq to two
-// identical switches — one frame at a time through handleFrame, and chunked
-// into bursts of random length that reach handleBatch over the ports' cables,
-// so that frames with one port to go to leave in the buffer they came in —
-// and requires every egress port to have seen byte-identical frames in the
-// same order, with nothing lost in the cables on the way.
+// identical switches — one frame at a time, each a burst of one with no
+// buffer behind it so that every egress copies, and chunked into bursts of
+// random length that reach handleBatch over the ports' cables, so that frames
+// with one port to go to leave in the buffer they came in — and requires
+// every egress port to have seen byte-identical frames in the same order,
+// with nothing lost in the cables on the way.
 func checkBatchMatchesSingle(t *testing.T, rng *rand.Rand, ports int, install func(*testing.T, *Switch), seq []injection) (single, batch *captureSwitch) {
 	t.Helper()
 	single = newCaptureSwitch(t, ports)
@@ -164,11 +165,11 @@ func checkBatchMatchesSingle(t *testing.T, rng *rand.Rand, ports int, install fu
 		if in.packetOut {
 			packetOut(single.sw, in)
 		} else {
-			single.sw.handleFrame(in.port, append([]byte(nil), in.frame...))
+			single.sw.batchIn(in.port, [][]byte{append([]byte(nil), in.frame...)})
 		}
 	}
-	// Batch path: consecutive same-port frames chunked into bursts of
-	// randomized size (1..MaxBurst).
+	// Consecutive same-port frames chunked into bursts of randomized size
+	// (1..MaxBurst).
 	for i := 0; i < len(seq); {
 		if seq[i].packetOut {
 			packetOut(batch.sw, seq[i])
@@ -219,11 +220,11 @@ func checkBatchMatchesSingle(t *testing.T, rng *rand.Rand, ports int, install fu
 		}
 		sf, bf := single.rx[p], batch.rx[p]
 		if len(sf) != len(bf) {
-			t.Fatalf("port %d: single path emitted %d frames, batch path %d", p, len(sf), len(bf))
+			t.Fatalf("port %d: bursts of one emitted %d frames, longer bursts %d", p, len(sf), len(bf))
 		}
 		for i := range sf {
 			if !bytes.Equal(sf[i], bf[i]) {
-				t.Fatalf("port %d frame %d differs:\nsingle: %x\nbatch:  %x", p, i, sf[i], bf[i])
+				t.Fatalf("port %d frame %d differs:\nbursts of one: %x\nlonger bursts: %x", p, i, sf[i], bf[i])
 			}
 		}
 	}
@@ -231,7 +232,8 @@ func checkBatchMatchesSingle(t *testing.T, rng *rand.Rand, ports int, install fu
 }
 
 // TestBatchPathMatchesSingleFramePath runs the equivalence property over
-// randomized bursts spanning every rewrite shape, flood and punt.
+// randomized bursts spanning every rewrite shape, flood and punt: bursts of
+// any length forward as bursts of one do.
 func TestBatchPathMatchesSingleFramePath(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -316,7 +318,7 @@ func egressFrame(rng *rand.Rand, dst string) []byte {
 
 // TestBurstEgressMatchesSingleFramePath holds the per-port staging of burst
 // egress to the equivalence property: what each port sends, and in which
-// order, is what the single-frame path sends.
+// order, is what it sends when every frame is a burst of one.
 func TestBurstEgressMatchesSingleFramePath(t *testing.T) {
 	dsts := []string{
 		"20.2.0.1", "20.3.0.1", "20.4.0.1", "20.5.0.1", "20.6.0.1", "20.7.0.1", "20.8.0.1",
@@ -370,34 +372,38 @@ func TestBurstEgressMatchesSingleFramePath(t *testing.T) {
 				{"outputs to unimplemented reserved ports", single.sw.UnsupportedOutputDrops(), batch.sw.UnsupportedOutputDrops()},
 			} {
 				if c.single == 0 || c.single != c.batch {
-					t.Fatalf("%s: single path counted %d, batch path %d", c.what, c.single, c.batch)
+					t.Fatalf("%s: bursts of one counted %d, longer bursts %d", c.what, c.single, c.batch)
 				}
 			}
-			// The OFPP_TABLE flow is the case a late flush would get wrong:
-			// port 6 must see each such frame twice, as rewritten by the first
-			// flow and then as rewritten again by the second.
-			single.mu.Lock()
-			defer single.mu.Unlock()
-			once, twice := 0, 0
-			for _, f := range single.rx[6] {
-				if bytes.Equal(f[0:6], egressViaMAC[:]) {
-					if bytes.Equal(f[6:12], egressViaSrc[:]) {
-						twice++
-					} else {
-						once++
+			// The OFPP_TABLE flow is the case a late flush would get wrong on
+			// both sides alike: port 6 must see each such frame twice, as
+			// rewritten by the first flow and then as rewritten again by the
+			// second.
+			for _, cs := range []*captureSwitch{single, batch} {
+				once, twice := 0, 0
+				cs.mu.Lock()
+				for _, f := range cs.rx[6] {
+					if bytes.Equal(f[0:6], egressViaMAC[:]) {
+						if bytes.Equal(f[6:12], egressViaSrc[:]) {
+							twice++
+						} else {
+							once++
+						}
 					}
 				}
-			}
-			if once == 0 || once != twice {
-				t.Fatalf("port 6 saw %d frames rewritten once and %d rewritten twice", once, twice)
+				cs.mu.Unlock()
+				if once == 0 || once != twice {
+					t.Fatalf("port 6 saw %d frames rewritten once and %d rewritten twice", once, twice)
+				}
 			}
 		})
 	}
 }
 
 // TestBatchBurstHammer drives all ports of one switch concurrently through
-// real cables with SendBatch while flow-mods churn the table — the -race
-// exercise for the batch dataplane, run detection and shard invalidation.
+// real cables with SendBatch while flow-mods churn the table and packet-outs
+// re-enter it — the -race exercise for the dataplane, run detection, shard
+// invalidation and each goroutine keeping to its own egress staging.
 func TestBatchBurstHammer(t *testing.T) {
 	const ports = 4
 	sw := New(Config{DPID: 0xFF, Name: "hammer"})
@@ -413,7 +419,6 @@ func TestBatchBurstHammer(t *testing.T) {
 		far[p] = b
 	}
 	installPropertyFlows(t, sw)
-	sw.SetStatefulOffload(true)
 
 	var wg sync.WaitGroup
 	for p := 0; p < ports; p++ {
@@ -446,15 +451,25 @@ func TestBatchBurstHammer(t *testing.T) {
 			}
 		}
 	}()
+	wg.Add(1)
+	go func() { // the control loop: packet-outs through the table
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(ports))
+		for i := 0; i < 200; i++ {
+			port, f := propertyFrame(rng)
+			sw.handlePacketOut(&openflow.PacketOut{BufferID: openflow.NoBuffer, InPort: port, Data: f,
+				Actions: []openflow.Action{&openflow.ActionOutput{Port: openflow.PortTable}}})
+		}
+	}()
 	wg.Wait()
 	// Drain: all sent frames must eventually be accounted for (received or
 	// dropped); the hammer's assertion is the race detector.
 	time.Sleep(100 * time.Millisecond)
 }
 
-// TestSwitchBatchAllocBudget extends the 0 allocs/op gate to the batch
-// path: a warm same-flow burst must classify, run-detect, cache-hit,
-// rewrite in place and emit without touching the heap.
+// TestSwitchBatchAllocBudget extends the 0 allocs/op gate to a full burst:
+// a warm same-flow burst must classify, run-detect, cache-hit, rewrite in
+// place and emit without touching the heap.
 func TestSwitchBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		// Race instrumentation defeats the escape analysis that keeps the

@@ -3,7 +3,6 @@ package ofswitch
 import (
 	"fmt"
 	"net/netip"
-	"sync/atomic"
 	"testing"
 
 	"routeflow/internal/netemu"
@@ -64,96 +63,11 @@ func benchFrameFor(port uint16, i int) []byte {
 		uint16(1000+i%64), 5004, "benchpayload-benchpayload")
 }
 
-// BenchmarkSwitchForwardCached measures steady-state single-flow forwarding
-// through the two-tier pipeline: exact-match cache hit, lock-free counters,
-// in-place MAC rewrite, pooled emission. The contract is 0 allocs/op (see
-// TestSwitchForwardAllocBudget) and ns/op far below the tier-2-only path.
-func BenchmarkSwitchForwardCached(b *testing.B) {
-	for _, flows := range []int{1, 128, 256} {
-		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
-			sw := benchSwitch(b, 2, flows)
-			frame := benchFrameFor(1, 0)
-			for i := 0; i < 2048; i++ { // warm cache, pool and inbox
-				sw.handleFrame(1, frame)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sw.handleFrame(1, frame)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
-	}
-}
-
-// BenchmarkSwitchForwardTier2Only is the before picture: the same frames
-// with the microflow cache disabled, so every packet pays the read-locked
-// priority scan. The flows-128 variant is the honest comparison — cache
-// hit cost is O(1) while the classifier is O(flows).
-func BenchmarkSwitchForwardTier2Only(b *testing.B) {
-	for _, flows := range []int{1, 128, 256} {
-		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
-			sw := benchSwitch(b, 2, flows)
-			sw.table.disableCache = true
-			frame := benchFrameFor(1, 0)
-			for i := 0; i < 2048; i++ {
-				sw.handleFrame(1, frame)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sw.handleFrame(1, frame)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
-	}
-}
-
-// BenchmarkSwitchForwardParallel hammers one switch from all ports at once
-// — the §3 demo shape, where every port of a core switch carries a video
-// stream. With per-entry atomic counters the ports scale instead of
-// serializing on the old table mutex; pkts/s is the aggregate rate.
-func BenchmarkSwitchForwardParallel(b *testing.B) {
-	const ports = 8
-	for _, flowsPerPort := range []int{1, 16} {
-		b.Run(fmt.Sprintf("ports=%d,flows=%d", ports, flowsPerPort), func(b *testing.B) {
-			sw := benchSwitch(b, ports, 64)
-			frames := make([][][]byte, ports)
-			for p := 0; p < ports; p++ {
-				frames[p] = make([][]byte, flowsPerPort)
-				for i := 0; i < flowsPerPort; i++ {
-					frames[p][i] = benchFrameFor(uint16(p+1), i)
-					for j := 0; j < 64; j++ {
-						sw.handleFrame(uint16(p+1), frames[p][i])
-					}
-				}
-			}
-			var next atomic.Uint32
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Per-goroutine frame copies: handleFrame rewrites MACs in
-				// place, and with GOMAXPROCS > ports two goroutines share a
-				// port.
-				p := int(next.Add(1)-1) % ports
-				mine := make([][]byte, flowsPerPort)
-				for i := range mine {
-					mine[i] = append([]byte(nil), frames[p][i]...)
-				}
-				i := 0
-				for pb.Next() {
-					sw.handleFrame(uint16(p+1), mine[i%flowsPerPort])
-					i++
-				}
-			})
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
-	}
-}
-
-// BenchmarkSwitchForwardBatch measures the burst dataplane: a MaxBurst-long
-// same-flow burst costs one cache probe, one batched counter update and one
-// rewrite plan, against the per-frame costs of the single path.
+// BenchmarkSwitchForwardBatch measures the dataplane on full bursts: a
+// MaxBurst-long same-flow burst costs one cache probe, one batched counter
+// update and one rewrite plan. The per-frame cost of a hop in a running
+// network, where most bursts are short, is what bench/'s ofswitch.hop_ns_*
+// rigs price.
 func BenchmarkSwitchForwardBatch(b *testing.B) {
 	for _, flows := range []int{1, 128} {
 		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
@@ -177,48 +91,20 @@ func BenchmarkSwitchForwardBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSwitchForwardOffload measures the stateful-offload fast path: a
-// pinned microflow forwards without consulting the flow table or touching
-// its counters.
-func BenchmarkSwitchForwardOffload(b *testing.B) {
-	sw := benchSwitch(b, 2, 64)
-	sw.SetStatefulOffload(true)
-	burst := make([][]byte, netemu.MaxBurst)
-	for i := range burst {
-		// 172.16/12 entries are plain single-output flows → pinnable.
-		burst[i] = udpFrame(pkt.LocalMAC(0xA1), pkt.LocalMAC(0xD1),
-			"10.1.0.1", "172.16.0.9", 1000, 5004, "benchpayload-benchpayload")
-	}
-	for i := 0; i < 64; i++ { // warm the pin machine
-		sw.batchIn(1, burst)
-	}
-	if st := sw.OffloadStats(); st.PinHits == 0 {
-		b.Fatalf("warmup never hit the pin machine: %+v", st)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	n := 0
-	for n < b.N {
-		sw.batchIn(1, burst)
-		n += len(burst)
-	}
-	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "pkts/s")
-}
-
 // TestSwitchForwardAllocBudget is the alloc gate for the steady-state
-// forwarding path: classify, cached lookup, counter update, in-place
-// rewrite, pooled emit — zero heap allocations per packet.
+// forwarding path on a burst of one: classify, cached lookup, counter update,
+// in-place rewrite, pooled emit — zero heap allocations per packet.
 func TestSwitchForwardAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budget not meaningful under -race")
 	}
 	sw := benchSwitch(t, 2, 16)
-	frame := benchFrameFor(1, 0)
+	burst := [][]byte{benchFrameFor(1, 0)}
 	for i := 0; i < 4096; i++ { // warm cache, buffer pool and peer inbox
-		sw.handleFrame(1, frame)
+		sw.batchIn(1, burst)
 	}
 	avg := testing.AllocsPerRun(1000, func() {
-		sw.handleFrame(1, frame)
+		sw.batchIn(1, burst)
 	})
 	if avg > 0 {
 		t.Fatalf("steady-state forward allocates %.2f allocs/op, budget is 0", avg)
@@ -245,12 +131,12 @@ func TestSwitchForwardAllocBudgetECMP(t *testing.T) {
 	if n := sw.table.modify(&m, 1, []openflow.Action{mp}, true); n != 1 {
 		t.Fatalf("modify rewired %d flows, want 1", n)
 	}
-	frame := benchFrameFor(1, 0)
+	burst := [][]byte{benchFrameFor(1, 0)}
 	for i := 0; i < 4096; i++ { // warm cache, buffer pool and peer inbox
-		sw.handleFrame(1, frame)
+		sw.batchIn(1, burst)
 	}
 	avg := testing.AllocsPerRun(1000, func() {
-		sw.handleFrame(1, frame)
+		sw.batchIn(1, burst)
 	})
 	if avg > 0 {
 		t.Fatalf("ECMP steady-state forward allocates %.2f allocs/op, budget is 0", avg)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"routeflow/internal/clock"
+	"routeflow/internal/netemu"
 	"routeflow/internal/openflow"
 	"routeflow/internal/pkt"
 )
@@ -52,7 +53,7 @@ func TestMicroflowCacheHitPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now().UnixNano()
-	a1, ok := tb.lookup(&key, 100, now)
+	a1, ok := tb.lookupN(&key, 1, 100, now)
 	if !ok || outPortOf(t, a1) != 2 {
 		t.Fatalf("first lookup = %v, %v", a1, ok)
 	}
@@ -62,7 +63,7 @@ func TestMicroflowCacheHitPath(t *testing.T) {
 	if tb.cachedEntry(&key) == nil {
 		t.Fatal("lookup did not fill the cache")
 	}
-	a2, ok := tb.lookup(&key, 50, now)
+	a2, ok := tb.lookupN(&key, 1, 50, now)
 	if !ok || outPortOf(t, a2) != 2 {
 		t.Fatalf("second lookup = %v, %v", a2, ok)
 	}
@@ -84,7 +85,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 
 	warm := func(t *testing.T, tb *flowTable, wantPort uint16) {
 		t.Helper()
-		actions, ok := tb.lookup(&key, 10, now)
+		actions, ok := tb.lookupN(&key, 1, 10, now)
 		if !ok || outPortOf(t, actions) != wantPort {
 			t.Fatalf("warm lookup = %v, %v (want port %d)", actions, ok, wantPort)
 		}
@@ -107,7 +108,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 		if tb.cachedEntry(&key) != nil {
 			t.Fatal("add did not invalidate the cache")
 		}
-		actions, ok := tb.lookup(&key, 10, now)
+		actions, ok := tb.lookupN(&key, 1, 10, now)
 		if !ok || outPortOf(t, actions) != 3 {
 			t.Fatalf("post-add lookup = %v, %v", actions, ok)
 		}
@@ -126,7 +127,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 		if tb.cachedEntry(&key) != nil {
 			t.Fatal("modify did not invalidate the cache")
 		}
-		actions, ok := tb.lookup(&key, 10, now)
+		actions, ok := tb.lookupN(&key, 1, 10, now)
 		if !ok || outPortOf(t, actions) != 7 {
 			t.Fatalf("post-modify lookup = %v, %v", actions, ok)
 		}
@@ -145,7 +146,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 		if tb.cachedEntry(&key) != nil {
 			t.Fatal("delete did not invalidate the cache")
 		}
-		if _, ok := tb.lookup(&key, 10, now); ok {
+		if _, ok := tb.lookupN(&key, 1, 10, now); ok {
 			t.Fatal("lookup matched a deleted flow")
 		}
 	})
@@ -164,7 +165,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 		if tb.cachedEntry(&key) != nil {
 			t.Fatal("expire did not invalidate the cache")
 		}
-		if _, ok := tb.lookup(&key, 10, now); ok {
+		if _, ok := tb.lookupN(&key, 1, 10, now); ok {
 			t.Fatal("lookup matched an expired flow")
 		}
 	})
@@ -176,7 +177,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 func TestTableMissNotCached(t *testing.T) {
 	tb := newFlowTable()
 	key := exactKeyFor(t, 1)
-	if _, ok := tb.lookup(&key, 10, time.Now().UnixNano()); ok {
+	if _, ok := tb.lookupN(&key, 1, 10, time.Now().UnixNano()); ok {
 		t.Fatal("lookup matched an empty table")
 	}
 	for way := uint32(0); way < mfWays; way++ {
@@ -187,7 +188,7 @@ func TestTableMissNotCached(t *testing.T) {
 	if err := tb.add(tableEntry(openflow.MatchAll(), 1, 2), false); err != nil {
 		t.Fatal(err)
 	}
-	if actions, ok := tb.lookup(&key, 10, time.Now().UnixNano()); !ok || outPortOf(t, actions) != 2 {
+	if actions, ok := tb.lookupN(&key, 1, 10, time.Now().UnixNano()); !ok || outPortOf(t, actions) != 2 {
 		t.Fatalf("lookup after install = %v, %v", actions, ok)
 	}
 }
@@ -253,14 +254,21 @@ func TestSnapshotActionsAreDeepCopies(t *testing.T) {
 }
 
 // TestDataplaneHammer is the -race stress: every port forwards its own
-// microflow while a mutator storms the table with add/modify/delete and a
-// stats reader snapshots — no locks on the hit path means the race
-// detector is the real reviewer here.
+// microflow in bursts of one, one goroutine per port as the cables deliver,
+// while a mutator storms the table with add/modify/delete and a stats reader
+// snapshots — no locks on the hit path means the race detector is the real
+// reviewer here.
 func TestDataplaneHammer(t *testing.T) {
 	const ports = 4
 	sw := New(Config{DPID: 0x99, Name: "hammer"})
+	n := netemu.NewNetwork(nil)
+	t.Cleanup(n.Close)
 	frames := make([][]byte, ports)
 	for p := 1; p <= ports; p++ {
+		a, _ := n.NewCable(netemu.CableOpts{NameA: fmt.Sprintf("hammer:%d", p), MACA: pkt.LocalMAC(uint64(p))})
+		if err := sw.AttachPort(uint16(p), a); err != nil {
+			t.Fatal(err)
+		}
 		frames[p-1] = udpFrame(pkt.LocalMAC(uint64(p)), pkt.LocalMAC(0xEE),
 			fmt.Sprintf("10.0.%d.1", p), "10.99.0.1", uint16(1000+p), 5004, "hammer")
 	}
@@ -278,8 +286,9 @@ func TestDataplaneHammer(t *testing.T) {
 		workers.Add(1)
 		go func(port int) {
 			defer workers.Done()
+			burst := [][]byte{frames[port-1]}
 			for i := 0; i < 3000; i++ {
-				sw.handleFrame(uint16(port), frames[port-1])
+				sw.batchIn(uint16(port), burst)
 			}
 		}(p)
 	}
@@ -340,7 +349,7 @@ func TestMultipathResolvedAtCacheFill(t *testing.T) {
 
 	key := exactKeyFor(t, 1)
 	want := mp.Bucket(key.KeyHash())
-	a1, ok := tb.lookup(&key, 100, now)
+	a1, ok := tb.lookupN(&key, 1, 100, now)
 	if !ok {
 		t.Fatal("lookup miss")
 	}
@@ -366,7 +375,7 @@ func TestMultipathResolvedAtCacheFill(t *testing.T) {
 	if src == nil || dst == nil || *src != want.DlSrc || *dst != want.DlDst {
 		t.Fatalf("resolved rewrites %v/%v, want %v/%v", src, dst, want.DlSrc, want.DlDst)
 	}
-	a2, ok := tb.lookup(&key, 50, now)
+	a2, ok := tb.lookupN(&key, 1, 50, now)
 	if !ok || tb.cacheHitCount() != 1 {
 		t.Fatalf("second lookup ok=%v cacheHits=%d, want hit", ok, tb.cacheHitCount())
 	}
@@ -384,7 +393,7 @@ func TestMultipathResolvedAtCacheFill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, ok := tb.lookup(&k, 10, now)
+		a, ok := tb.lookupN(&k, 1, 10, now)
 		if !ok {
 			t.Fatal("lookup miss")
 		}

@@ -30,10 +30,6 @@ type Config struct {
 	NumBuffers  int
 	MissSendLen uint16
 	Clock       clock.Clock
-	// StatefulOffload enables the XFSM-style local state machines (see
-	// offload.go) at construction. Off by default; can also be toggled at
-	// runtime with SetStatefulOffload.
-	StatefulOffload bool
 }
 
 // Switch is a software OpenFlow 1.0 datapath.
@@ -51,10 +47,6 @@ type Switch struct {
 	// tel is the telemetry exporter state (telemetry.go).
 	tel telState
 
-	// offload is the stateful offload layer (offload.go); nil until the
-	// first enable so the default pipeline pays one pointer load per burst.
-	offload atomic.Pointer[offloadState]
-
 	portMu sync.RWMutex
 	ports  map[uint16]*swPort
 
@@ -68,7 +60,13 @@ type Switch struct {
 	out     chan openflow.Message
 	running bool
 
-	ctlDrops uint64 // messages dropped because the outbound queue was full
+	// ctlDrops counts control messages dropped because the outbound queue
+	// was full.
+	ctlDrops atomic.Uint64
+
+	// ctlStage is the egress staging of the goroutine that runs
+	// handleControl: packet-outs and buffer releases stage on it.
+	ctlStage staging
 
 	// noPortDrops counts frames an output action sent to a port number that
 	// has no port attached; runtDrops frames too short to classify;
@@ -93,13 +91,19 @@ type swPort struct {
 	no uint16
 	ep *netemu.Endpoint
 
-	// staged holds what the burst arriving on this port is sending, per
-	// egress port, until handleBatch hands each port's frames to its cable
-	// in one SendBurst. Only the goroutine delivering this port's bursts
-	// touches it. It lives here and not on handleBatch's stack so that a
-	// burst of one frame does not pay for clearing it.
-	staged  [stagedPorts]egressStage
-	nStaged int
+	// stage is the egress staging of the goroutine delivering this port's
+	// bursts. It lives here and not on handleBatch's stack so that a burst
+	// of one frame does not pay for clearing it.
+	stage staging
+}
+
+// staging holds what the burst one goroutine is handling sends, per egress
+// port, until handleBatch hands each port's frames to its cable in one
+// SendBurst. Every goroutine that runs the pipeline owns one: a port's
+// delivery goroutine the port's, the control loop the switch's.
+type staging struct {
+	stages [stagedPorts]egressStage
+	n      int
 }
 
 // stagedPorts is how many egress ports one burst can have frames staged for
@@ -107,9 +111,9 @@ type swPort struct {
 const stagedPorts = 4
 
 // egressStage is the frames of one burst bound for one egress port, in the
-// order the single-frame path would have sent them. bufs[i] is the ingress
-// cable's buffer behind frames[i] when the switch took it to send the frame
-// on without a copy, and nil for a frame the egress cable is to copy.
+// order the burst sends them. bufs[i] is the ingress cable's buffer behind
+// frames[i] when the switch took it to send the frame on without a copy, and
+// nil for a frame the egress cable is to copy.
 type egressStage struct {
 	port   uint16
 	n      int
@@ -149,9 +153,6 @@ func New(cfg Config) *Switch {
 		stop:       make(chan struct{}),
 	}
 	s.missSendLen.Store(uint32(cfg.MissSendLen))
-	if cfg.StatefulOffload {
-		s.SetStatefulOffload(true)
-	}
 	return s
 }
 
@@ -179,7 +180,7 @@ func (s *Switch) AttachPort(portNo uint16, ep *netemu.Endpoint) error {
 	// callback, letting the dataplane amortize classification, cache probes
 	// and counter updates over runs of same-flow frames, and cable hand-offs
 	// over each egress port's share of the burst.
-	ep.SetBurstReceiver(func(b *netemu.Burst) { s.handleBatch(p, b) })
+	ep.SetBurstReceiver(func(b *netemu.Burst) { s.handleBatch(&p.stage, p.no, b) })
 	ep.OnLinkState(func(up bool) { s.portStateChanged(p, up) })
 	return nil
 }
@@ -213,6 +214,11 @@ func (s *Switch) RuntDrops() uint64 { return s.runtDrops.Load() }
 // OFPP_NORMAL, OFPP_LOCAL or OFPP_NONE, which this datapath does not
 // implement; each such output emits nothing.
 func (s *Switch) UnsupportedOutputDrops() uint64 { return s.badOutputDrops.Load() }
+
+// ControlQueueDrops returns how many messages to the controller (packet-ins,
+// replies, port-status, exports) were dropped because the outbound queue of
+// the control session was full.
+func (s *Switch) ControlQueueDrops() uint64 { return s.ctlDrops.Load() }
 
 // Start attaches the controller connection (usually to FlowVisor) and runs
 // the control loop until Stop or connection error. It sends the initial
@@ -365,9 +371,6 @@ func (s *Switch) Reboot() {
 	s.tel.rules = nil
 	s.tel.pending = nil
 	s.tel.mu.Unlock()
-	if ol := s.offload.Load(); ol != nil {
-		ol.reset() // learned L2/pin state does not survive a power cycle
-	}
 	s.bufMu.Lock()
 	s.buffers = make(map[uint32]bufferedPacket)
 	s.bufOrder = nil
@@ -401,9 +404,7 @@ func (s *Switch) send(m openflow.Message) error {
 	case out <- m:
 		return nil
 	default:
-		s.bufMu.Lock()
-		s.ctlDrops++
-		s.bufMu.Unlock()
+		s.ctlDrops.Add(1)
 		return errors.New("ofswitch: controller queue full")
 	}
 }
@@ -589,7 +590,7 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 	// Releasing a buffered packet through the new flow.
 	if m.BufferID != openflow.NoBuffer && m.Command == openflow.FlowModAdd {
 		if bp, ok := s.takeBuffer(m.BufferID); ok {
-			s.forward(bp.inPort, bp.frame, m.Actions)
+			s.execute(bp.inPort, bp.frame, m.Actions)
 		}
 	}
 }
@@ -607,7 +608,7 @@ func (s *Switch) handlePacketOut(m *openflow.PacketOut) {
 	if len(frame) == 0 {
 		return
 	}
-	s.forward(m.InPort, frame, m.Actions)
+	s.execute(m.InPort, frame, m.Actions)
 }
 
 func (s *Switch) handleStats(m *openflow.StatsRequest) {
@@ -668,52 +669,22 @@ func (s *Switch) handleStats(m *openflow.StatsRequest) {
 	_ = s.send(rep)
 }
 
-// handleFrame is the single-frame dataplane: classify, steer through the
-// offload machines if enabled, look up, forward or punt. It runs on the
-// delivering port's goroutine (and re-entrantly for OFPP_TABLE packet-outs);
-// ports of one switch forward concurrently, serialized only by a
-// cache-miss's read lock.
-func (s *Switch) handleFrame(inPort uint16, frame []byte) {
-	key, err := openflow.ExtractKey(inPort, frame)
-	if err != nil {
-		s.runtDrops.Add(1)
-		return
-	}
-	ol := s.offload.Load()
-	if ol != nil && ol.enabled.Load() {
-		if out, ok := ol.steer(s.table, &key, 1); ok {
-			s.emit(nil, out, frame, nil)
-			return
-		}
-	} else {
-		ol = nil
-	}
-	if actions, ok := s.table.lookup(&key, len(frame), s.clk.Now().UnixNano()); ok {
-		if ol != nil {
-			ol.observe(s.table, &key, actions)
-		}
-		s.forward(inPort, frame, actions)
-		return
-	}
-	s.punt(inPort, frame)
-}
-
-// handleBatch is the burst dataplane, for one burst (of at most MaxBurst
-// frames) arriving on port in. Consecutive frames with an identical microflow
-// key form a run; each run costs one offload steer or one cache probe plus
-// one batched counter update, and its rewrite actions are planned once (see
-// planRewrites) instead of re-scanned per frame. Output frames are staged per
-// egress port and each port's share of the burst goes to its cable in one
-// SendBurst.
+// handleBatch is the dataplane, for one burst (of at most MaxBurst frames)
+// that arrived on port inPort, staging its egress on st. Consecutive frames
+// with an identical microflow key form a run; each run costs one cache probe
+// plus one batched counter update, and its rewrite actions are planned once
+// (see planRewrites) instead of re-scanned per frame. Output frames are
+// staged per egress port and each port's share of the burst goes to its
+// cable in one SendBurst.
 //
-// The burst is owned by the ingress cable and valid only for this call, and
-// staged frames alias it, so every stage is flushed before handleBatch
+// A cable burst is owned by the ingress cable and valid only for this call,
+// and staged frames alias it, so every stage is flushed before handleBatch
 // returns. A frame bound for exactly one port leaves in the buffer it came
-// in (see processRun); every other egress copies (SendBurst into the pool,
-// punt into the buffer pool) and leaves the buffer to the ingress cable.
-// Bursts of one ingress port must not overlap, which one delivery goroutine
-// per endpoint guarantees.
-func (s *Switch) handleBatch(in *swPort, b *netemu.Burst) {
+// in (see apply); every other egress copies (SendBurst into the pool, punt
+// into the buffer pool) and leaves the buffer to the ingress cable. Calls
+// with one st must not overlap, which one delivery goroutine per endpoint
+// and one control loop per switch guarantee.
+func (s *Switch) handleBatch(st *staging, inPort uint16, b *netemu.Burst) {
 	frames := b.Frames
 	n := len(frames)
 	if n == 0 {
@@ -722,14 +693,10 @@ func (s *Switch) handleBatch(in *swPort, b *netemu.Burst) {
 	var keys [netemu.MaxBurst]openflow.Match
 	var valid [netemu.MaxBurst]bool
 	for i := 0; i < n; i++ {
-		k, err := openflow.ExtractKey(in.no, frames[i])
+		k, err := openflow.ExtractKey(inPort, frames[i])
 		if err == nil {
 			keys[i], valid[i] = k, true
 		}
-	}
-	ol := s.offload.Load()
-	if ol != nil && !ol.enabled.Load() {
-		ol = nil
 	}
 	now := s.clk.Now().UnixNano()
 	for i := 0; i < n; {
@@ -744,50 +711,39 @@ func (s *Switch) handleBatch(in *swPort, b *netemu.Burst) {
 			nBytes += uint64(len(frames[j]))
 			j++
 		}
-		s.processRun(in, b, i, j, &keys[i], nBytes, now, ol)
+		if actions, ok := s.table.lookupN(&keys[i], uint64(j-i), nBytes, now); ok {
+			s.apply(st, inPort, b, i, j, actions)
+		} else {
+			for _, f := range frames[i:j] {
+				s.punt(inPort, f)
+			}
+		}
 		i = j
 	}
-	s.flushStaged(in)
+	s.flushStaged(st)
 }
 
-// processRun forwards one same-key run, frames i to j of b: the
-// classification decision is made once and applied to every frame of the run.
+// apply executes actions on frames i to j of b, which arrived on inPort: the
+// rewrites are planned once and every frame is staged on st for its outputs.
 //
-// When the decision is one output to one physical port and the rewrite
+// When the actions are one output to one physical port and the rewrite
 // leaves the frame where it is (none, or MACs patched in place), nobody else
 // will read the frame, so the switch takes its buffer from the ingress cable
 // and stages that: the egress cable queues the buffer itself. A moved frame
 // is the egress cable's from the flush on, and the next hop rewrites it in
-// place; nothing here reads a frame after staging it.
-func (s *Switch) processRun(in *swPort, b *netemu.Burst, i, j int, key *openflow.Match, nBytes uint64, now int64, ol *offloadState) {
-	n := uint64(j - i)
-	if ol != nil {
-		if out, ok := ol.steer(s.table, key, n); ok {
-			for _, f := range b.Frames[i:j] {
-				s.emit(in, out, f, nil)
-			}
-			return
+// place; nothing here reads a frame after staging it. A burst with no
+// buffers behind it has nothing to take, and every egress copies.
+func (s *Switch) apply(st *staging, inPort uint16, b *netemu.Burst, i, j int, actions []openflow.Action) {
+	plan := planRewrites(actions)
+	port, move := soleOutputPort(actions)
+	move = move && plan != rwFull
+	for k := i; k < j; k++ {
+		out := applyRewrites(b.Frames[k], actions, plan)
+		if move {
+			s.emit(st, port, out, b.Take(k))
+		} else {
+			s.output(st, inPort, out, actions)
 		}
-	}
-	if actions, ok := s.table.lookupN(key, n, nBytes, now); ok {
-		if ol != nil {
-			ol.observe(s.table, key, actions)
-		}
-		plan := planRewrites(actions)
-		port, move := soleOutputPort(actions)
-		move = move && plan != rwFull
-		for k := i; k < j; k++ {
-			out := applyRewritesPlanned(b.Frames[k], actions, plan)
-			if move {
-				s.emit(in, port, out, b.Take(k))
-			} else {
-				s.output(in, in.no, out, actions)
-			}
-		}
-		return
-	}
-	for _, f := range b.Frames[i:j] {
-		s.punt(in.no, f)
 	}
 }
 
@@ -845,11 +801,13 @@ func (s *Switch) takeBuffer(id uint32) (bufferedPacket, bool) {
 	return bp, ok
 }
 
-// forward applies rewrites then emits the frame on every output target. The
-// switch owns frame: rewrite actions may patch it in place (dataplane frames
-// are per-delivery copies owned until handleFrame returns; buffered and
-// packet-out frames are owned by the releasing message).
-func (s *Switch) forward(inPort uint16, frame []byte, actions []openflow.Action) {
+// execute runs a controller-supplied action list on frame, which arrived on
+// inPort: a packet-out, or a buffered packet a flow-mod releases. It is the
+// dataplane's apply step for a burst of one with no buffer behind it, staged
+// on the control loop's staging and flushed before execute returns, so every
+// egress copies and the frame is the caller's again afterwards. Rewrite
+// actions may patch frame in place.
+func (s *Switch) execute(inPort uint16, frame []byte, actions []openflow.Action) {
 	if hasMultipath(actions) {
 		// Packet-outs and buffer releases can carry a multipath action
 		// verbatim from the controller; resolve it against the frame's own
@@ -858,14 +816,13 @@ func (s *Switch) forward(inPort uint16, frame []byte, actions []openflow.Action)
 			actions = resolveMultipath(actions, &key)
 		}
 	}
-	s.output(nil, inPort, applyRewrites(frame, actions), actions)
+	s.apply(&s.ctlStage, inPort, &netemu.Burst{Frames: [][]byte{frame}}, 0, 1, actions)
+	s.flushStaged(&s.ctlStage)
 }
 
-// output emits out, a frame that arrived on inPort with its rewrites
-// applied, on every output target of actions. in is the ingress port when a
-// burst is being handled (port outputs are staged on it) and nil on the
-// single-frame path (they are sent at once).
-func (s *Switch) output(in *swPort, inPort uint16, out []byte, actions []openflow.Action) {
+// output stages out, a frame that arrived on inPort with its rewrites
+// applied, on st for every output target of actions.
+func (s *Switch) output(st *staging, inPort uint16, out []byte, actions []openflow.Action) {
 	for _, a := range actions {
 		o, ok := a.(*openflow.ActionOutput)
 		if !ok {
@@ -873,9 +830,9 @@ func (s *Switch) output(in *swPort, inPort uint16, out []byte, actions []openflo
 		}
 		switch o.Port {
 		case openflow.PortInPort:
-			s.emit(in, inPort, out, nil)
+			s.emit(st, inPort, out, nil)
 		case openflow.PortFlood, openflow.PortAll:
-			s.flushStaged(in) // flood sends at once; keep each port's order
+			s.flushStaged(st) // flood sends at once; keep each port's order
 			s.flood(inPort, out)
 		case openflow.PortController:
 			data := out
@@ -890,63 +847,52 @@ func (s *Switch) output(in *swPort, inPort uint16, out []byte, actions []openflo
 				Data:     append([]byte(nil), data...),
 			})
 		case openflow.PortTable:
-			// Re-inject through the flow table (packet-out only). The
-			// single-frame path sends at once and may rewrite out in place,
-			// which staged copies of this frame alias.
-			s.flushStaged(in)
-			s.handleFrame(inPort, out)
+			// Re-inject through the flow table (packet-out only) as a burst
+			// of one with no buffer. It may rewrite out in place, which
+			// frames already staged on st alias, so those leave first.
+			s.flushStaged(st)
+			s.handleBatch(st, inPort, &netemu.Burst{Frames: [][]byte{out}})
 		case openflow.PortNormal, openflow.PortLocal, openflow.PortNone:
 			s.badOutputDrops.Add(1) // not implemented by this datapath
 		default:
-			s.emit(in, o.Port, out, nil)
+			s.emit(st, o.Port, out, nil)
 		}
 	}
 }
 
-// emit sends frame out of port portNo: at once when in is nil, otherwise
-// staged on in until the burst it is handling flushes. A stage that fills
-// is flushed on the spot and keeps its port. buf is the buffer behind frame
-// when the switch took it from the burst (only then is in set), else nil.
-func (s *Switch) emit(in *swPort, portNo uint16, frame []byte, buf *netemu.Buffer) {
-	if in == nil {
-		if p := s.port(portNo); p != nil {
-			p.ep.Send(frame)
-		} else {
-			s.noPortDrops.Add(1)
-		}
-		return
-	}
-	var st *egressStage
-	for i := range in.staged[:in.nStaged] {
-		if in.staged[i].port == portNo {
-			st = &in.staged[i]
+// emit stages frame on st for port portNo until the burst st belongs to
+// flushes. A stage that fills is flushed on the spot and keeps its port. buf
+// is the buffer behind frame when the switch took it from the burst, else
+// nil.
+func (s *Switch) emit(st *staging, portNo uint16, frame []byte, buf *netemu.Buffer) {
+	var eg *egressStage
+	for i := range st.stages[:st.n] {
+		if st.stages[i].port == portNo {
+			eg = &st.stages[i]
 			break
 		}
 	}
-	if st == nil {
-		if in.nStaged == len(in.staged) {
-			s.flushStaged(in)
+	if eg == nil {
+		if st.n == len(st.stages) {
+			s.flushStaged(st)
 		}
-		st = &in.staged[in.nStaged]
-		st.port = portNo
-		in.nStaged++
+		eg = &st.stages[st.n]
+		eg.port = portNo
+		st.n++
 	}
-	st.frames[st.n], st.bufs[st.n] = frame, buf
-	if st.n++; st.n == len(st.frames) {
-		s.flushStage(st)
+	eg.frames[eg.n], eg.bufs[eg.n] = frame, buf
+	if eg.n++; eg.n == len(eg.frames) {
+		s.flushStage(eg)
 	}
 }
 
-// flushStaged hands every staged frame of in's burst to its egress cable and
-// leaves the staging empty. A nil in (the single-frame path) has none.
-func (s *Switch) flushStaged(in *swPort) {
-	if in == nil {
-		return
+// flushStaged hands every frame staged on st to its egress cable and leaves
+// st empty.
+func (s *Switch) flushStaged(st *staging) {
+	for i := range st.stages[:st.n] {
+		s.flushStage(&st.stages[i])
 	}
-	for i := range in.staged[:in.nStaged] {
-		s.flushStage(&in.staged[i])
-	}
-	in.nStaged = 0
+	st.n = 0
 }
 
 // flushStage sends one stage's frames, moved and copied in staging order,

@@ -37,18 +37,13 @@ func planRewrites(actions []openflow.Action) rewritePlan {
 
 // applyRewrites returns frame with all non-output actions applied: L2
 // address and VLAN rewrites, and L3/L4 rewrites with checksum repair. Output
-// actions are collected separately by the caller. The caller must own frame:
-// the hot path (pure MAC rewrites, which is what every routed hop executes)
-// patches the Ethernet header in place instead of decoding and
-// re-marshalling the whole packet; only VLAN/L3/L4 rewrites take the
-// rebuild path.
-func applyRewrites(frame []byte, actions []openflow.Action) []byte {
-	return applyRewritesPlanned(frame, actions, planRewrites(actions))
-}
-
-// applyRewritesPlanned is applyRewrites with the action scan hoisted out,
-// for callers that apply one action list to a whole run of frames.
-func applyRewritesPlanned(frame []byte, actions []openflow.Action, plan rewritePlan) []byte {
+// actions are collected separately by the caller, and plan is
+// planRewrites(actions), scanned once per run of frames. The caller must own
+// frame: the hot path (pure MAC rewrites, which is what every routed hop
+// executes) patches the Ethernet header in place instead of decoding and
+// re-marshalling the whole packet; only VLAN/L3/L4 rewrites take the rebuild
+// path.
+func applyRewrites(frame []byte, actions []openflow.Action, plan rewritePlan) []byte {
 	if plan == rwNone {
 		return frame
 	}

@@ -42,14 +42,9 @@ type flowEntry struct {
 	seq      uint64 // insertion order tiebreak
 }
 
-// hit records one matched packet. Lock-free: it runs on the dataplane for
-// every forwarded frame, concurrently across all ports of the switch.
-func (e *flowEntry) hit(frameLen int, nowNanos int64) {
-	e.hitN(1, uint64(frameLen), nowNanos)
-}
-
 // hitN records a run of n matched packets totalling nBytes in one set of
-// atomic updates — the batch path charges a whole same-key run at once.
+// atomic updates. Lock-free: it runs on the dataplane for every same-key run,
+// concurrently across all ports of the switch.
 func (e *flowEntry) hitN(n, nBytes uint64, nowNanos int64) {
 	e.packets.Add(n)
 	e.bytes.Add(nBytes)
@@ -211,18 +206,12 @@ func (t *flowTable) invalidateLocked() {
 	}
 }
 
-// lookup resolves key to the action list of the highest-priority covering
-// flow, updating that flow's counters, or reports ok=false for a table miss
-// (the punt path — misses are never cached, so a controller installing a
-// flow takes effect on the next packet). The returned slice must not be
-// mutated. lookup is lookupN for a single frame.
-func (t *flowTable) lookup(key *openflow.Match, frameLen int, nowNanos int64) ([]openflow.Action, bool) {
-	return t.lookupN(key, 1, uint64(frameLen), nowNanos)
-}
-
-// lookupN is lookup for a run of n same-key frames totalling nBytes: one
-// cache probe (or one classifier scan) and one set of counter updates cover
-// the whole run — the batch path's per-unique-key amortization.
+// lookupN resolves key to the action list of the highest-priority covering
+// flow for a run of n same-key frames totalling nBytes, updating that flow's
+// counters, or reports ok=false for a table miss (the punt path — misses are
+// never cached, so a controller installing a flow takes effect on the next
+// packet). One cache probe (or one classifier scan) and one set of counter
+// updates cover the whole run. The returned slice must not be mutated.
 func (t *flowTable) lookupN(key *openflow.Match, n, nBytes uint64, nowNanos int64) ([]openflow.Action, bool) {
 	c := &t.counters[key.InPort&(counterShards-1)]
 	c.lookups.Add(n)
@@ -314,7 +303,7 @@ func hasMultipath(actions []openflow.Action) bool {
 // rewrite+output triple of the bucket selected by the microflow key's hash.
 // Resolution happens once per microflow at cache fill, so the published
 // cache line holds only standard OF 1.0 actions: the zero-alloc hit path
-// and the batch rewrite planner never see a select group, the bucket choice
+// and the rewrite planner never see a select group, the bucket choice
 // is stable per flow (same key, same hash, same bucket — a flow never
 // reorders across equal-cost paths), and distinct microflows spread across
 // the buckets. The key hash differs hop to hop (in-port and rewritten MACs

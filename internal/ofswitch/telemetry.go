@@ -30,11 +30,6 @@ import (
 // deltas are therefore applied at most once, and any loss is repaired by an
 // idempotent absolute, never by re-adding. Session death and epoch change
 // (controller failover) unsync every rule the same way.
-//
-// The stateful-offload steer path (offload.go) bypasses the flow table and
-// with it these counters; monitored traffic on an offloaded microflow is
-// invisible to telemetry. Deployments that want exact telemetry keep
-// offload off — the caveat is documented on SetStatefulOffload.
 
 // DefaultTelemetryInterval is the export cadence before the controller sets
 // one (protocol time).

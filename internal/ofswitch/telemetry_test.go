@@ -25,7 +25,7 @@ func TestTelemetryMonitorCharging(t *testing.T) {
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(7)})
 	frame := benchFrameFor(1, 0)
 	for i := 0; i < 10; i++ {
-		sw.handleFrame(1, frame)
+		sw.batchIn(1, [][]byte{frame})
 	}
 	mc := sw.MonitorCounters()
 	if len(mc) != 1 || mc[0].Rule.ID != 7 {
@@ -39,7 +39,7 @@ func TestTelemetryMonitorCharging(t *testing.T) {
 	other := udpFrame(pkt.LocalMAC(0xA1), pkt.LocalMAC(0xD1),
 		"10.1.0.1", "172.16.3.9", 1000, 5004, "x")
 	for i := 0; i < 5; i++ {
-		sw.handleFrame(1, other)
+		sw.batchIn(1, [][]byte{other})
 	}
 	if got := sw.MonitorCounters()[0].Packets; got != 10 {
 		t.Fatalf("unmonitored traffic charged the rule: %d pkts", got)
@@ -54,7 +54,7 @@ func TestTelemetryCounterCarryAcrossMod(t *testing.T) {
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(7)})
 	frame := benchFrameFor(1, 0)
 	for i := 0; i < 4; i++ {
-		sw.handleFrame(1, frame)
+		sw.batchIn(1, [][]byte{frame})
 	}
 	// Same rule plus a new one: rule 7's count survives.
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(7),
@@ -219,18 +219,18 @@ func TestSwitchTelemetryForwardAllocBudget10k(t *testing.T) {
 
 	// The single-flow steady state on top of that working set: re-warm one
 	// microflow's cache line, then hold the 0 allocs/op budget.
-	frame := benchFrameFor(1, 0)
+	one := [][]byte{benchFrameFor(1, 0)}
 	for i := 0; i < 4096; i++ {
-		sw.handleFrame(1, frame)
+		sw.batchIn(1, one)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		sw.handleFrame(1, frame)
+		sw.batchIn(1, one)
 	}); avg > 0 {
 		t.Fatalf("monitored forward allocates %.2f allocs/op, budget is 0", avg)
 	}
 }
 
-// TestSwitchTelemetryBatchAllocBudget extends the batch-path 0 allocs/op
+// TestSwitchTelemetryBatchAllocBudget extends the full-burst 0 allocs/op
 // gate to monitored traffic.
 func TestSwitchTelemetryBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -251,24 +251,24 @@ func TestSwitchTelemetryBatchAllocBudget(t *testing.T) {
 		t.Fatalf("monitored batch forward allocates %.2f allocs/op, budget is 0", avg)
 	}
 	if got := sw.MonitorCounters()[0].Packets; got == 0 {
-		t.Fatal("monitor rule never charged on the batch path")
+		t.Fatal("monitor rule never charged on a full burst")
 	}
 }
 
-// BenchmarkSwitchForwardTelemetry is BenchmarkSwitchForwardCached with the
-// packet's flow monitored: the delta between them is the telemetry tax on
-// the hot path (two atomic adds on a cache hit).
+// BenchmarkSwitchForwardTelemetry forwards bursts of one frame whose flow is
+// monitored; the telemetry tax on the hot path is two atomic adds on a cache
+// hit.
 func BenchmarkSwitchForwardTelemetry(b *testing.B) {
 	sw := benchSwitch(b, 2, 128)
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(1)})
-	frame := benchFrameFor(1, 0)
+	one := [][]byte{benchFrameFor(1, 0)}
 	for i := 0; i < 2048; i++ {
-		sw.handleFrame(1, frame)
+		sw.batchIn(1, one)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.handleFrame(1, frame)
+		sw.batchIn(1, one)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 }

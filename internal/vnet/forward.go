@@ -25,31 +25,10 @@ func (vm *VM) Inject(port uint16, frame []byte) {
 	if !ok || !up {
 		return
 	}
-	vm.inject(ifc, frame, nil)
+	vm.inject(ifc, frame)
 }
 
-// InjectBatch is Inject for a burst of frames punted from one ingress port.
-// Consecutive transit packets toward the same destination reuse a single
-// RIB lookup and next-hop resolution — the slow path's analogue of the
-// switch dataplane's run detection. The cached decision lives only for the
-// duration of the burst, so a routing change lands at the next burst
-// boundary at the latest. Ownership matches Inject: every frame is owned by
-// the VM permanently once passed in.
-func (vm *VM) InjectBatch(port uint16, frames [][]byte) {
-	vm.mu.Lock()
-	ifc, ok := vm.ifaces[port]
-	up := vm.state == StateUp
-	vm.mu.Unlock()
-	if !ok || !up {
-		return
-	}
-	var dec routeDecision
-	for _, frame := range frames {
-		vm.inject(ifc, frame, &dec)
-	}
-}
-
-func (vm *VM) inject(ifc *vmIface, frame []byte, dec *routeDecision) {
+func (vm *VM) inject(ifc *vmIface, frame []byte) {
 	var f pkt.Frame
 	if err := pkt.DecodeFrameInto(&f, frame); err != nil {
 		return
@@ -58,7 +37,7 @@ func (vm *VM) inject(ifc *vmIface, frame []byte, dec *routeDecision) {
 	case pkt.EtherTypeARP:
 		vm.handleARP(ifc, &f)
 	case pkt.EtherTypeIPv4:
-		vm.handleIPv4(ifc, &f, frame, dec)
+		vm.handleIPv4(ifc, &f, frame)
 	}
 }
 
@@ -106,7 +85,7 @@ func (vm *VM) learnARP(ifc *vmIface, ip netip.Addr, mac pkt.MAC) {
 	}
 }
 
-func (vm *VM) handleIPv4(ifc *vmIface, f *pkt.Frame, frame []byte, dec *routeDecision) {
+func (vm *VM) handleIPv4(ifc *vmIface, f *pkt.Frame, frame []byte) {
 	ip, err := pkt.DecodeIPv4(f.Payload)
 	if err != nil {
 		return
@@ -135,7 +114,7 @@ func (vm *VM) handleIPv4(ifc *vmIface, f *pkt.Frame, frame []byte, dec *routeDec
 	}
 	// Transit: the VM routes it (the punted slow path a Quagga VM's kernel
 	// would take).
-	vm.route(f, ip, frame, dec)
+	vm.route(f, ip, frame)
 }
 
 // deliverTCP terminates a locally addressed TCP segment: port 179 goes to
@@ -178,36 +157,13 @@ func (vm *VM) answerEcho(ifc *vmIface, f *pkt.Frame, ip *pkt.IPv4) {
 	vm.transmit(ifc.port, frame.Marshal())
 }
 
-// routeDecision caches one fully resolved forwarding decision within a
-// burst: destination → (egress port, source and next-hop MACs). Valid only
-// while ok is set and only for the burst it was filled in.
-type routeDecision struct {
-	dst    netip.Addr
-	port   uint16
-	srcMAC pkt.MAC
-	dstMAC pkt.MAC
-	ok     bool
-}
-
 // route performs slow-path IP forwarding using the VM's RIB. The hop is
 // executed in place on frame: TTL decremented with an RFC 1624 incremental
 // checksum update and the Ethernet addresses overwritten, instead of the
-// decode → re-marshal round trip per hop this path used to pay. A non-nil
-// dec caches the resolved decision so later packets of the same burst
-// toward the same destination skip the RIB and ARP work entirely.
-func (vm *VM) route(f *pkt.Frame, ip *pkt.IPv4, frame []byte, dec *routeDecision) {
+// decode → re-marshal round trip per hop this path used to pay.
+func (vm *VM) route(f *pkt.Frame, ip *pkt.IPv4, frame []byte) {
 	if ip.TTL <= 1 {
 		return // expired; a full router would send ICMP time-exceeded
-	}
-	if dec != nil && dec.ok && dec.dst == ip.Dst {
-		// f.Payload aliases frame, so this patches the frame bytes directly.
-		if !pkt.DecrementTTL(f.Payload) {
-			return
-		}
-		copy(frame[6:12], dec.srcMAC[:])
-		copy(frame[0:6], dec.dstMAC[:])
-		vm.transmit(dec.port, frame)
-		return
 	}
 	rt, ok := vm.RIB().Lookup(ip.Dst)
 	if !ok {
@@ -237,9 +193,6 @@ func (vm *VM) route(f *pkt.Frame, ip *pkt.IPv4, frame []byte, dec *routeDecision
 		return
 	}
 	copy(frame[0:6], mac[:])
-	if dec != nil {
-		*dec = routeDecision{dst: ip.Dst, port: egress.port, srcMAC: egress.mac, dstMAC: mac, ok: true}
-	}
 	vm.transmit(egress.port, frame)
 }
 

@@ -38,9 +38,8 @@ type Option func(*Options)
 //	        routeflow.WithHosts(0, 2),
 //	        routeflow.WithReplicas(3))
 //
-// It is the functional-options form of NewDeployment: every Options field
-// has a corresponding With* option, and new knobs (the cluster spec first
-// among them) are added here without widening a struct literal.
+// Every Options field has a corresponding With* option, and new knobs are
+// added as options here without widening a struct literal.
 func New(g *Topology, opts ...Option) (*Deployment, error) {
 	o := Options{Topology: g}
 	for _, opt := range opts {
@@ -118,11 +117,3 @@ func WithReplicas(n int) Option {
 // (VM cloning, config-file writes) inside each replica's apply lock — the
 // serialized cost that sharding the switch population divides.
 func WithRPCApplyDelay(d time.Duration) Option { return func(o *Options) { o.RPCApplyDelay = d } }
-
-// WithStatefulOffload enables each switch's XFSM-style local state machines
-// (MAC learning + microflow pinning): steady traffic forwards inside the
-// datapath without consulting the flow table, and a learned flow is never
-// punted to the controller. Off by default, because offloaded packets
-// bypass per-flow counters — the same visibility trade real hardware
-// offload makes.
-func WithStatefulOffload() Option { return func(o *Options) { o.StatefulOffload = true } }

@@ -74,15 +74,6 @@ type (
 	VideoStats = stream.ClientStats
 )
 
-// NewDeployment assembles a system from an Options struct literal; call
-// Start to run it.
-//
-// Deprecated: use New with functional options (WithTimeScale, WithHosts,
-// WithCluster, …). The struct form keeps compiling and behaving
-// identically — it is the same Options value the options build — but new
-// knobs are only documented on their With* constructors.
-func NewDeployment(opts Options) (*Deployment, error) { return core.NewDeployment(opts) }
-
 // DefaultManualModel returns the paper's 5+2+8 minute per-switch figures.
 func DefaultManualModel() ManualModel { return core.DefaultManualModel() }
 

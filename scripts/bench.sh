@@ -1,18 +1,13 @@
 #!/usr/bin/env sh
 # bench.sh — run the protocol-substrate and dataplane micro benchmarks and
-# emit a JSON perf snapshot (benchmark name -> ns/op, B/op, allocs/op and,
-# for the dataplane benchmarks, pkts/s).
+# emit a JSON snapshot (benchmark name -> ns/op, B/op, allocs/op and, for the
+# dataplane benchmarks, pkts/s) for scripts/benchcheck.go, which gates its
+# allocation budgets and within-snapshot ratios. Speed is measured by bench/
+# (scripts/ab.sh), not here.
 #
 # Usage: scripts/bench.sh [output.json] [benchtime]
 #   output.json  defaults to BENCH.json
 #   benchtime    defaults to 10000x (pass e.g. 1s for a timed run)
-#
-# Besides the ambient-GOMAXPROCS run, BenchmarkSwitchForwardParallel is run
-# pinned at GOMAXPROCS=1 and GOMAXPROCS=4 (keys suffixed "@gomaxprocs=N"):
-# benchcheck gates the 4-vs-1 scaling ratio within this snapshot, which is
-# machine-independent. The snapshot also records the machine's CPU count
-# (the scaling gate only binds on >= 4 cores) and the headline "pps_macro"
-# number — the batch dataplane's single-flow packets-per-second rate.
 #
 # The macro benchmarks (Fig. 3 ring scaling, the pan-European demo) are not
 # run here — they take seconds per iteration; run them directly:
@@ -23,21 +18,9 @@ out="${1:-BENCH.json}"
 benchtime="${2:-10000x}"
 cd "$(dirname "$0")/.."
 
-cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-
 raw="$(go test -run='^$' \
 	-bench='BenchmarkOpenFlow|BenchmarkMatch|BenchmarkRIB|BenchmarkLLDP|BenchmarkSwitchForward|BenchmarkBGP' \
 	-benchmem -benchtime="$benchtime" . ./internal/ofswitch/ ./internal/bgp/)"
-
-# GOMAXPROCS matrix for the parallel forwarding benchmark: the 1-proc and
-# 4-proc legs of the same workload, tagged so they get distinct keys. The
-# tagging awk also strips go test's own -N GOMAXPROCS name suffix.
-for g in 1 4; do
-	raw="$raw
-$(GOMAXPROCS=$g go test -run='^$' -bench='BenchmarkSwitchForwardParallel' \
-		-benchmem -benchtime="$benchtime" ./internal/ofswitch/ |
-		awk -v g="$g" '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); $1 = $1 "@gomaxprocs=" g } { print }')"
-done
 
 # Shard-scaling series (distributed RF-controller, 1/2/4 replicas): a macro
 # benchmark at seconds per iteration, so it runs at a fixed small iteration
@@ -78,16 +61,8 @@ BEGIN { n = 0 }
 END { if (n == 0) exit 1 }
 ' > /tmp/bench_body.$$
 
-# Headline packets-per-second macro number: the batch dataplane, single
-# steady flow — the wire-speed claim in one figure.
-pps="$(printf '%s\n' "$raw" | awk '
-$1 ~ /^BenchmarkSwitchForwardBatch\/flows=1/ {
-	for (i = 2; i <= NF; i++) if ($i == "pkts/s") { print $(i-1); exit }
-}')"
-
 {
-	printf '{\n  "cpus": %s,\n  "pps_macro": %s,\n  "benchmarks": {\n' \
-		"$cpus" "${pps:-null}"
+	printf '{\n  "benchmarks": {\n'
 	cat /tmp/bench_body.$$
 	printf '\n  }\n}\n'
 } > "$out"

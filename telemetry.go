@@ -45,10 +45,7 @@ func MakeLinkKey(a, b int) LinkKey { return telemetry.MakeLinkKey(a, b) }
 // views served by Deployment.TelemetrySnapshot.
 //
 // The export path adds two atomic counter updates to forwarding and
-// allocates nothing per packet. Caveat: packets forwarded by a stateful
-// offload engine (WithStatefulOffload) bypass the monitor counters — the
-// same visibility trade real hardware offload makes — so combining the two
-// undercounts offloaded flows.
+// allocates nothing per packet.
 func WithTelemetry() Option { return func(o *Options) { o.Telemetry = true } }
 
 // WithTelemetryTimers enables telemetry and sets its cadence: interval is
