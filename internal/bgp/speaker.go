@@ -574,18 +574,21 @@ func (s *Speaker) onTick() {
 				s.sendOpen(p)
 				p.state = StateOpenSent
 			}
-		case StateOpenSent, StateOpenConfirm:
+		case StateOpenSent:
 			if now.After(p.holdDeadline) {
 				s.send(p, MarshalNotification(Notification{Code: NotifHoldExpired}))
 				s.sessionDownLocked(p, false)
 			}
-		case StateEstablished:
+		case StateOpenConfirm, StateEstablished:
 			if now.After(p.holdDeadline) {
+				established := p.state == StateEstablished
 				s.send(p, MarshalNotification(Notification{Code: NotifHoldExpired}))
-				s.sessionDownLocked(p, true)
-				need = true
+				s.sessionDownLocked(p, established)
+				need = need || established
 				break
 			}
+			// RFC 4271 §8.2.2: OpenConfirm keeps sending KEEPALIVEs too, so
+			// a peer that lost the handshake's one still gets another.
 			if now.Sub(p.lastKA) >= s.keepaliveInterval() {
 				s.send(p, MarshalKeepalive())
 				p.lastKA = now

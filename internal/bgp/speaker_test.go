@@ -486,3 +486,103 @@ func TestDampingSurvivesNeighborReconfiguration(t *testing.T) {
 		return ok && rt.Source == rib.SourceEBGP
 	})
 }
+
+// wire is a hand-pumped channel between speakers: a send only queues the
+// message, and nothing crosses until the test delivers it, so the test can
+// lose exactly the messages it picks.
+type wire struct {
+	mu  sync.Mutex
+	own map[netip.Addr]*Speaker
+	q   []wireMsg
+}
+
+type wireMsg struct {
+	src, dst netip.Addr
+	payload  []byte
+}
+
+func (w *wire) send(src, dst netip.Addr, payload []byte) {
+	w.mu.Lock()
+	w.q = append(w.q, wireMsg{src, dst, payload})
+	w.mu.Unlock()
+}
+
+// take removes and returns everything sent so far.
+func (w *wire) take() []wireMsg {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	q := w.q
+	w.q = nil
+	return q
+}
+
+func (w *wire) deliver(msgs []wireMsg) {
+	for _, m := range msgs {
+		w.own[m.dst].Deliver(m.src, m.payload)
+	}
+}
+
+// speaker starts a speaker whose one address sits on 172.16.0.0/30, so its
+// peer across the /30 is reachable at once.
+func (w *wire) speaker(t *testing.T, clk clock.Clock, asn uint32, addr string) *Speaker {
+	t.Helper()
+	r := rib.New()
+	if err := r.Add(rib.Route{Prefix: pfx("172.16.0.0/30"), Iface: "eth1",
+		Source: rib.SourceConnected}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{ASN: asn, RouterID: ip(addr), RIB: r, Clock: clk, Send: w.send,
+		HoldTime: tHold, ConnectRetry: tRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.own[ip(addr)] = s
+	t.Cleanup(s.Stop)
+	s.Start()
+	return s
+}
+
+// TestLostHandshakeKeepaliveStillEstablishes: both speakers reach
+// OpenConfirm and the KEEPALIVE each sent to finish the handshake is lost.
+// OpenConfirm sends KEEPALIVEs on the tick as Established does (RFC 4271
+// §8.2.2), so both sessions are Established within one hold time, without a
+// hold expiry and without a second OPEN.
+func TestLostHandshakeKeepaliveStillEstablishes(t *testing.T) {
+	clk := clock.NewFake()
+	w := &wire{own: make(map[netip.Addr]*Speaker)}
+	a := w.speaker(t, clk, 10, "172.16.0.1")
+	b := w.speaker(t, clk, 20, "172.16.0.2")
+	a.AddNeighbor(ip("172.16.0.2"), 20)
+	b.AddNeighbor(ip("172.16.0.1"), 10)
+	both := func(st State) func() bool {
+		return func() bool {
+			sa, _ := a.State(ip("172.16.0.2"))
+			sb, _ := b.State(ip("172.16.0.1"))
+			return sa == st && sb == st
+		}
+	}
+
+	waitFor(t, clk, tStep, both(StateOpenSent))
+	w.deliver(w.take()) // the two OPENs
+	waitFor(t, clk, 0, both(StateOpenConfirm))
+	for _, m := range w.take() {
+		if typ, _, err := ParseMessage(m.payload); err != nil || typ != MsgKeepalive {
+			t.Fatalf("lost message is type %d (%v), want the handshake KEEPALIVE", typ, err)
+		}
+	}
+
+	start := clk.Now()
+	for !both(StateEstablished)() {
+		if clk.Since(start) > tHold {
+			t.Fatalf("not Established %v after the lost KEEPALIVEs", clk.Since(start))
+		}
+		clk.Advance(tStep)
+		for i := 0; i < 20; i++ {
+			time.Sleep(time.Millisecond)
+			w.deliver(w.take())
+		}
+	}
+	if a.Statistics().OpensSent != 1 || b.Statistics().OpensSent != 1 {
+		t.Fatalf("OPENs sent = %d and %d, want one each", a.Statistics().OpensSent, b.Statistics().OpensSent)
+	}
+}

@@ -48,6 +48,9 @@ type Controller struct {
 	switches map[uint64]*SwitchConn
 	stopped  bool
 
+	// sendQueueDrops counts messages TrySend dropped on a full queue.
+	sendQueueDrops atomic.Uint64
+
 	wg sync.WaitGroup
 }
 
@@ -135,6 +138,10 @@ func (c *Controller) Switches() []*SwitchConn {
 	}
 	return out
 }
+
+// SendQueueDrops returns how many messages TrySend dropped because a
+// switch's send queue was full.
+func (c *Controller) SendQueueDrops() uint64 { return c.sendQueueDrops.Load() }
 
 // NumSwitches returns the number of connected switches.
 func (c *Controller) NumSwitches() int {
@@ -265,7 +272,8 @@ func (sc *SwitchConn) Send(m openflow.Message) error {
 var ErrSendQueueFull = errors.New("ctlkit: switch send queue full")
 
 // TrySend enqueues a message without ever blocking: a full queue (stalled
-// switch or proxy) returns ErrSendQueueFull instead of wedging the caller.
+// switch or proxy) returns ErrSendQueueFull instead of wedging the caller,
+// and counts the drop in the controller's SendQueueDrops.
 // Control applications whose state is level-triggered (flow replay on
 // reconnect, periodic probes, routing protocol timers) must use this so a
 // single stuck switch cannot deadlock an apply path.
@@ -279,6 +287,7 @@ func (sc *SwitchConn) TrySend(m openflow.Message) error {
 	case <-sc.closed:
 		return fmt.Errorf("ctlkit: switch %016x disconnected", sc.dpid)
 	default:
+		sc.ctl.sendQueueDrops.Add(1)
 		return fmt.Errorf("%w: %016x", ErrSendQueueFull, sc.dpid)
 	}
 }

@@ -312,16 +312,17 @@ func TestKeepaliveClosesDeadSwitch(t *testing.T) {
 	}
 	// Play just enough of the switch role: hello + features reply, then mute.
 	go func() {
-		_ = openflow.WriteMessage(conn, &openflow.Hello{})
+		_, _ = conn.Write((&openflow.Hello{}).AppendTo(nil))
+		dec := openflow.NewDecoder(conn)
 		for {
-			m, err := openflow.ReadMessage(conn)
+			m, err := dec.Decode()
 			if err != nil {
 				return
 			}
 			if fr, ok := m.(*openflow.FeaturesRequest); ok {
 				rep := &openflow.FeaturesReply{DatapathID: 0x5117}
 				rep.SetXID(fr.XID())
-				_ = openflow.WriteMessage(conn, rep)
+				_, _ = conn.Write(rep.AppendTo(nil))
 			}
 			// Echo requests deliberately ignored.
 		}

@@ -284,8 +284,8 @@ func TestUnreachableSliceAbortsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The proxy should close our connection promptly.
-	if err := openflow.WriteMessage(conn, &openflow.Hello{}); err == nil {
-		if _, err := openflow.ReadMessage(conn); err == nil {
+	if _, err := conn.Write((&openflow.Hello{}).AppendTo(nil)); err == nil {
+		if _, err := openflow.NewDecoder(conn).Decode(); err == nil {
 			t.Fatal("session with unreachable slice stayed open")
 		}
 	}

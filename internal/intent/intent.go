@@ -342,6 +342,9 @@ func (s *Store) complete(w workItem, err error, epoch uint64, now time.Time, bas
 		e.acked = true
 		e.backoff = 0
 		e.next = time.Time{}
+		if w.key.Kind == KindSwitch {
+			s.reapplyOnLocked(w.key.DPID)
+		}
 		return
 	}
 	if e.backoff <= 0 {
@@ -353,6 +356,25 @@ func (s *Store) complete(w workItem, err error, epoch uint64, now time.Time, bas
 		}
 	}
 	e.next = now.Add(e.backoff)
+}
+
+// reapplyOnLocked marks every acknowledged link and host item on dpid for
+// re-sending. An acknowledged switch-up may have created a fresh VM: after
+// the switch's own teardown went out between a Remove and a re-Declare, or
+// on a replica the switch has just moved back to. A fresh VM holds none of
+// the interfaces those items configured; on a VM that does, re-applying them
+// is a no-op.
+func (s *Store) reapplyOnLocked(dpid uint64) {
+	for _, e := range s.entries {
+		if !e.acked {
+			continue
+		}
+		k := e.key
+		if (k.Kind == KindLink && (k.ADPID == dpid || k.BDPID == dpid)) ||
+			(k.Kind == KindHost && k.DPID == dpid) {
+			e.acked = false
+		}
+	}
 }
 
 // observeEpoch folds a server epoch seen outside complete (the idle probe)

@@ -225,6 +225,46 @@ func TestApplyOrderSwitchesBeforeLinksAndHosts(t *testing.T) {
 	}
 }
 
+// TestSwitchUpReappliesItsLinksAndHosts: the link and host items of a switch
+// whose VM was re-created are sent again, although they stayed acknowledged
+// throughout. The VM is re-created by a teardown that went out between a
+// Remove and a re-Declare (a switch session flap), or when a Retain dropped
+// the switch and a re-home declared it again.
+func TestSwitchUpReappliesItsLinksAndHosts(t *testing.T) {
+	clk := clock.NewFake()
+	store := NewStore()
+	snd := newFakeSender()
+	rec := NewReconciler(clk, store, snd, WithResyncProbe(0))
+	rec.Run()
+	defer rec.Stop()
+	gw := netip.MustParsePrefix("10.1.0.1/24")
+	a := netip.MustParsePrefix("172.16.0.1/30")
+	b := netip.MustParsePrefix("172.16.0.2/30")
+	declareSwitch := func(dpid uint64) {
+		store.Declare(SwitchKey(dpid), rpcconf.SwitchUp(dpid, 3), rpcconf.SwitchDown(dpid))
+	}
+	declareSwitch(1)
+	declareSwitch(2)
+	store.Declare(LinkKey(1, 1, 2, 1), rpcconf.LinkUp(1, 1, 2, 1, a, b), rpcconf.LinkDown(1, 1, 2, 1))
+	store.Declare(HostKey(1, 3), rpcconf.HostUp(1, 3, gw), rpcconf.HostDown(1, 3))
+	sent := func(links, hosts int) func() bool {
+		return func() bool {
+			return store.Converged() && snd.sendCount(rpcconf.KindLinkUp) == links &&
+				snd.sendCount(rpcconf.KindHostUp) == hosts
+		}
+	}
+	eventually(t, sent(1, 1), "initial declarations never converged")
+
+	store.Remove(SwitchKey(1))
+	eventually(t, func() bool { return store.Converged() && !snd.has(1) }, "switch 1 never torn down")
+	declareSwitch(1)
+	eventually(t, sent(2, 2), "link and host of the re-created switch 1 not re-sent")
+
+	store.Retain(func(k Key) bool { return k != SwitchKey(2) })
+	declareSwitch(2)
+	eventually(t, sent(3, 2), "link of the re-declared switch 2 not re-sent")
+}
+
 func TestFlapStormConvergesToFinalState(t *testing.T) {
 	clk := clock.NewFake()
 	store := NewStore()

@@ -626,11 +626,12 @@ func (s *Switch) handleStats(m *openflow.StatsRequest) {
 	case openflow.StatsFlow:
 		now := s.clk.Now()
 		req := m.Flow
+		var flows []openflow.FlowStats
 		for _, fi := range s.table.snapshot(now) {
 			if req != nil && !req.Match.Covers(&fi.Match) {
 				continue
 			}
-			rep.Flows = append(rep.Flows, openflow.FlowStats{
+			flows = append(flows, openflow.FlowStats{
 				TableID: 0, Match: fi.Match,
 				DurationSec:  uint32(fi.Age / time.Second),
 				DurationNsec: uint32(fi.Age % time.Second),
@@ -640,6 +641,10 @@ func (s *Switch) handleStats(m *openflow.StatsRequest) {
 				Actions: fi.Actions,
 			})
 		}
+		for _, part := range openflow.FlowStatsReplies(m.XID(), flows) {
+			_ = s.send(part)
+		}
+		return
 	case openflow.StatsTable:
 		lookups, matched, active := s.table.stats()
 		rep.Tables = []openflow.TableStats{{

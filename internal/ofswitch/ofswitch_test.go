@@ -50,8 +50,9 @@ func newHarness(t *testing.T, clk clock.Clock) *harness {
 	h := &harness{t: t, sw: sw, net: n, h1: h1, h2: h2, conn: ctlConn,
 		msgs: make(chan openflow.Message, 256)}
 	go func() {
+		dec := openflow.NewDecoder(ctlConn)
 		for {
-			m, err := openflow.ReadMessage(ctlConn)
+			m, err := dec.Decode()
 			if err != nil {
 				close(h.msgs)
 				return
@@ -69,7 +70,7 @@ func newHarness(t *testing.T, clk clock.Clock) *harness {
 
 func (h *harness) send(m openflow.Message) {
 	h.t.Helper()
-	if err := openflow.WriteMessage(h.conn, m); err != nil {
+	if _, err := h.conn.Write(m.AppendTo(nil)); err != nil {
 		h.t.Fatalf("controller send: %v", err)
 	}
 }
@@ -502,6 +503,59 @@ func TestStatsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFlowStatsSplitAcrossParts: a table too large for one 64 KiB message is
+// answered as a multipart reply, MORE on every part but the last, and the
+// parts together list the whole table once.
+func TestFlowStatsSplitAcrossParts(t *testing.T) {
+	h := newHarness(t, nil)
+	const n = 2000
+	for i := 0; i < n; i++ {
+		m := openflow.MatchAll()
+		m.Wildcards &^= openflow.WildcardDlType
+		m.DlType = 0x0800
+		m.SetNwDstPrefix(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), 32))
+		h.send(&openflow.FlowMod{Match: m, Command: openflow.FlowModAdd, Priority: 132,
+			Cookie: uint64(i), BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+			Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}}})
+	}
+	h.send(&openflow.BarrierRequest{})
+	h.expect(openflow.TypeBarrierReply)
+
+	req := &openflow.StatsRequest{StatsType: openflow.StatsFlow}
+	req.SetXID(77)
+	h.send(req)
+	seen := make(map[uint64]bool, n)
+	parts := 0
+	for {
+		rep := h.expect(openflow.TypeStatsReply).(*openflow.StatsReply)
+		parts++
+		if rep.XID() != 77 {
+			t.Fatalf("part %d has xid %d", parts, rep.XID())
+		}
+		for _, f := range rep.Flows {
+			if seen[f.Cookie] {
+				t.Fatalf("flow %d listed twice", f.Cookie)
+			}
+			seen[f.Cookie] = true
+		}
+		if rep.Flags&openflow.StatsReplyFlagMore == 0 {
+			break
+		}
+	}
+	if parts < 2 {
+		t.Fatalf("%d flows answered in %d part", n, parts)
+	}
+	table := h.sw.FlowTable()
+	if len(table) != n || len(seen) != n {
+		t.Fatalf("table holds %d flows, the parts list %d; want %d", len(table), len(seen), n)
+	}
+	for _, fi := range table {
+		if !seen[fi.Cookie] {
+			t.Fatalf("flow %d missing from the parts", fi.Cookie)
+		}
+	}
+}
+
 func TestPortStatusOnLinkChange(t *testing.T) {
 	h := newHarness(t, nil)
 	h.h1.SetLinkUp(false)
@@ -554,12 +608,13 @@ func TestDoubleStartFails(t *testing.T) {
 	c1, _ := net.Pipe()
 	defer c1.Close()
 	go func() { // drain the hello
-		openflow.ReadMessage(c1) //nolint:errcheck
+		openflow.NewDecoder(c1).Decode() //nolint:errcheck
 	}()
 	swSide, ctl := net.Pipe()
 	go func() {
+		dec := openflow.NewDecoder(ctl)
 		for {
-			if _, err := openflow.ReadMessage(ctl); err != nil {
+			if _, err := dec.Decode(); err != nil {
 				return
 			}
 		}

@@ -225,7 +225,6 @@ func (m *FeaturesReply) appendBody(b []byte) []byte {
 }
 
 func (m *FeaturesReply) decodeBody(r *rbuf) error {
-	m.Ports = m.Ports[:0] // overwrite, not accumulate, when m is reused
 	m.DatapathID = r.u64()
 	m.NBuffers = r.u32()
 	m.NTables = r.u8()

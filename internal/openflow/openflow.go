@@ -14,9 +14,8 @@
 // one framed message from a byte slice, and Decoder wraps an io.Reader with
 // a per-connection scratch buffer so reading a message stream does not
 // allocate a frame buffer per message; decoded messages never alias the
-// input buffer. ReadMessage/WriteMessage remain as one-shot conveniences,
-// and MessageWriter/WriteBatch coalesce many messages into a single
-// underlying write for batched control-channel I/O.
+// input buffer. MessageWriter/WriteBatch coalesce many messages into a
+// single underlying write for batched control-channel I/O.
 //
 // Unknown message types decode to *Raw so a proxy (the FlowVisor substrate)
 // can forward what it does not understand, byte for byte and without
@@ -270,43 +269,14 @@ func Unmarshal(b []byte) (Message, error) {
 		return raw, nil
 	}
 	m.SetXID(xid)
-	if err := decodeBodyInto(m, t, b[HeaderLen:length]); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// UnmarshalInto decodes one complete framed message from b into m, whose
-// concrete type must match the frame's type (a *Raw accepts any type this
-// package does not model). It lets a caller reuse one message struct across
-// decodes; slice fields of m are overwritten, not reused.
-func UnmarshalInto(b []byte, m Message) error {
-	t, length, xid, err := checkHeader(b)
-	if err != nil {
-		return err
-	}
-	if raw, ok := m.(*Raw); ok {
-		raw.T = t
-		raw.Body = append(raw.Body[:0], b[HeaderLen:length]...)
-		raw.SetXID(xid)
-		return nil
-	}
-	if m.MsgType() != t {
-		return fmt.Errorf("%w: frame is %v, target decodes %v", ErrBadMessage, t, m.MsgType())
-	}
-	m.SetXID(xid)
-	return decodeBodyInto(m, t, b[HeaderLen:length])
-}
-
-func decodeBodyInto(m Message, t Type, body []byte) error {
-	r := rbuf{b: body}
+	r := rbuf{b: b[HeaderLen:length]}
 	if err := m.decodeBody(&r); err != nil {
-		return fmt.Errorf("%w: %v body: %v", ErrBadMessage, t, err)
+		return nil, fmt.Errorf("%w: %v body: %v", ErrBadMessage, t, err)
 	}
 	if r.err != nil {
-		return fmt.Errorf("%w: %v body: %v", ErrBadMessage, t, r.err)
+		return nil, fmt.Errorf("%w: %v body: %v", ErrBadMessage, t, r.err)
 	}
-	return nil
+	return m, nil
 }
 
 // Decoder reads a stream of framed messages from an io.Reader, reusing one
@@ -334,16 +304,6 @@ func (d *Decoder) Decode() (Message, error) {
 	return Unmarshal(d.buf[:n])
 }
 
-// DecodeInto reads the next message into m (see UnmarshalInto for the type
-// contract).
-func (d *Decoder) DecodeInto(m Message) error {
-	n, err := d.readFrame()
-	if err != nil {
-		return err
-	}
-	return UnmarshalInto(d.buf[:n], m)
-}
-
 // readFrame reads one complete frame into d.buf and returns its length.
 func (d *Decoder) readFrame() (int, error) {
 	if _, err := io.ReadFull(d.r, d.buf[:HeaderLen]); err != nil {
@@ -365,35 +325,6 @@ func (d *Decoder) readFrame() (int, error) {
 		return 0, fmt.Errorf("openflow: reading body: %w", err)
 	}
 	return length, nil
-}
-
-// ReadMessage reads one framed message from r. It returns io.EOF unwrapped
-// on a clean end of stream before any header byte. Connection loops should
-// prefer a per-connection Decoder, which reuses its frame buffer.
-func ReadMessage(r io.Reader) (Message, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("openflow: reading header: %w", err)
-	}
-	length := int(binary.BigEndian.Uint16(hdr[2:]))
-	if length < HeaderLen {
-		return nil, fmt.Errorf("%w: header length %d", ErrBadMessage, length)
-	}
-	full := make([]byte, length)
-	copy(full, hdr[:])
-	if _, err := io.ReadFull(r, full[HeaderLen:]); err != nil {
-		return nil, fmt.Errorf("openflow: reading body: %w", err)
-	}
-	return Unmarshal(full)
-}
-
-// WriteMessage frames and writes m to w.
-func WriteMessage(w io.Writer, m Message) error {
-	_, err := w.Write(Marshal(m))
-	return err
 }
 
 // Raw is a message of a type this package does not model; Body is the frame

@@ -361,12 +361,11 @@ func TestReadWriteStream(t *testing.T) {
 	}
 	for i, m := range msgs {
 		m.SetXID(uint32(i + 1))
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(m.AppendTo(nil))
 	}
+	dec := NewDecoder(&buf)
 	for i := range msgs {
-		m, err := ReadMessage(&buf)
+		m, err := dec.Decode()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,15 +373,8 @@ func TestReadWriteStream(t *testing.T) {
 			t.Fatalf("message %d xid = %d", i, m.XID())
 		}
 	}
-	if _, err := ReadMessage(&buf); err != io.EOF {
+	if _, err := dec.Decode(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
-	}
-}
-
-func TestReadMessageTruncatedBody(t *testing.T) {
-	b := Marshal(&EchoRequest{Data: []byte("0123456789")})
-	if _, err := ReadMessage(bytes.NewReader(b[:12])); err == nil {
-		t.Fatal("truncated body accepted")
 	}
 }
 

@@ -91,70 +91,6 @@ func TestUnmarshalMalformed(t *testing.T) {
 	}
 }
 
-func TestUnmarshalInto(t *testing.T) {
-	want := &EchoRequest{Data: []byte("probe")}
-	want.SetXID(7)
-	wire := Marshal(want)
-
-	var got EchoRequest
-	if err := UnmarshalInto(wire, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.XID() != 7 || !bytes.Equal(got.Data, []byte("probe")) {
-		t.Fatalf("got %+v", got)
-	}
-
-	// Type mismatch must be rejected.
-	var wrong Hello
-	if err := UnmarshalInto(wire, &wrong); err == nil {
-		t.Fatal("echo frame decoded into Hello")
-	}
-
-	// A *Raw target accepts any type and keeps the body byte for byte.
-	var raw Raw
-	if err := UnmarshalInto(wire, &raw); err != nil {
-		t.Fatal(err)
-	}
-	if raw.MsgType() != TypeEchoRequest || raw.XID() != 7 {
-		t.Fatalf("raw = %+v", raw)
-	}
-	if !bytes.Equal(Marshal(&raw), wire) {
-		t.Fatal("raw re-encode differs")
-	}
-}
-
-// TestUnmarshalIntoOverwritesSlices pins the reuse contract: decoding into a
-// message that already holds slice data overwrites it rather than
-// accumulating across decodes.
-func TestUnmarshalIntoOverwritesSlices(t *testing.T) {
-	var fr FeaturesReply
-	for i := 1; i <= 3; i++ {
-		wire := Marshal(&FeaturesReply{DatapathID: uint64(i),
-			Ports: []PhyPort{{PortNo: uint16(i), Name: "eth"}}})
-		if err := UnmarshalInto(wire, &fr); err != nil {
-			t.Fatal(err)
-		}
-		if len(fr.Ports) != 1 || fr.Ports[0].PortNo != uint16(i) {
-			t.Fatalf("decode %d: ports accumulated: %+v", i, fr.Ports)
-		}
-	}
-
-	var sr StatsReply
-	if err := UnmarshalInto(Marshal(&StatsReply{StatsType: StatsFlow, Flows: []FlowStats{
-		{Match: MatchAll(), Priority: 1}, {Match: MatchAll(), Priority: 2},
-	}}), &sr); err != nil {
-		t.Fatal(err)
-	}
-	if err := UnmarshalInto(Marshal(&StatsReply{StatsType: StatsTable, Tables: []TableStats{
-		{TableID: 0, Name: "classifier"},
-	}}), &sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Flows) != 0 || len(sr.Tables) != 1 {
-		t.Fatalf("variant fields not overwritten: flows=%d tables=%d", len(sr.Flows), len(sr.Tables))
-	}
-}
-
 // TestAppendToMatchesMarshal pins the append-style contract: AppendTo onto a
 // non-empty prefix appends exactly the Marshal bytes.
 func TestAppendToMatchesMarshal(t *testing.T) {
@@ -192,9 +128,7 @@ func TestDecoderStream(t *testing.T) {
 		m := &EchoRequest{Data: bytes.Repeat([]byte{byte(i)}, i*20)}
 		m.SetXID(uint32(i))
 		want = append(want, m)
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(m.AppendTo(nil))
 	}
 	dec := NewDecoder(&buf)
 	for i, w := range want {
@@ -219,9 +153,7 @@ func TestDecoderMessagesDoNotAliasScratch(t *testing.T) {
 	second := &PacketIn{BufferID: 2, InPort: 2, Data: bytes.Repeat([]byte{0xBB}, 100)}
 	for _, m := range []Message{first, second} {
 		m.SetXID(1)
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(m.AppendTo(nil))
 	}
 	dec := NewDecoder(&buf)
 	got1, err := dec.Decode()

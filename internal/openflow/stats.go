@@ -202,6 +202,28 @@ func (m *StatsReply) appendBody(b []byte) []byte {
 	return b
 }
 
+// FlowStatsReplies splits a flow-stats answer into the parts of a multipart
+// reply, each under MaxMessageLen, with StatsReplyFlagMore on every part but
+// the last. A table of a few hundred entries already overflows one message.
+func FlowStatsReplies(xid uint32, flows []FlowStats) []*StatsReply {
+	var parts []*StatsReply
+	var entry []byte
+	start, size := 0, HeaderLen+4
+	for i := range flows {
+		entry = appendFlowStats(entry[:0], &flows[i])
+		if i > start && size+len(entry) > MaxMessageLen {
+			parts = append(parts, &StatsReply{StatsType: StatsFlow, Flags: StatsReplyFlagMore, Flows: flows[start:i]})
+			start, size = i, HeaderLen+4
+		}
+		size += len(entry)
+	}
+	parts = append(parts, &StatsReply{StatsType: StatsFlow, Flows: flows[start:]})
+	for _, p := range parts {
+		p.SetXID(xid)
+	}
+	return parts
+}
+
 func appendFlowStats(b []byte, f *FlowStats) []byte {
 	lenAt := len(b)
 	b = append(b, 0, 0) // length, patched below
@@ -222,13 +244,6 @@ func appendFlowStats(b []byte, f *FlowStats) []byte {
 }
 
 func (m *StatsReply) decodeBody(r *rbuf) error {
-	// Overwrite every variant field when m is reused across decodes; only
-	// the branch matching StatsType repopulates below.
-	m.Desc = nil
-	m.Flows = m.Flows[:0]
-	m.Tables = m.Tables[:0]
-	m.Ports = m.Ports[:0]
-	m.Raw = m.Raw[:0]
 	m.StatsType = r.u16()
 	m.Flags = r.u16()
 	switch m.StatsType {

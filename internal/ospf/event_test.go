@@ -2,6 +2,7 @@ package ospf
 
 import (
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -219,6 +220,45 @@ func TestRestartedNeighborResyncedWithoutTick(t *testing.T) {
 	rt, ok := ribB2.Lookup(netip.MustParseAddr("10.1.0.9"))
 	if !ok || rt.Source != rib.SourceOSPF || rt.NextHop != netip.MustParseAddr("172.16.0.1") {
 		t.Fatalf("restarted neighbor's route to our LAN = %+v, %v", rt, ok)
+	}
+}
+
+// TestOwnStaleLSAAtEqualSequenceIsSuperseded: a router re-created under the
+// same router ID can originate, with other links, at the very sequence
+// number its earlier incarnation's LSA still holds in a neighbor. The
+// neighbor keeps its copy at an equal number, so when a database dump hands
+// that copy back the router must re-originate past it. A copy equal to its
+// own changes nothing.
+func TestOwnStaleLSAAtEqualSequenceIsSuperseded(t *testing.T) {
+	a, _ := rfcRouter(t, "10.255.0.1", clock.NewFake())
+	ifc, err := a.AddInterface("eth0", netip.MustParsePrefix("172.16.0.1/30"), 10,
+		func(netip.Addr, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	me := u32(a.RouterID())
+	own := func() lsa {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return *a.lsdb[me]
+	}
+	dump := func(l lsa) {
+		ifc.Deliver(netip.MustParseAddr("172.16.0.2"),
+			marshalPacket(header{Type: typeLSUpdate, RouterID: 0x0aff0002}, marshalLSUpdate([]*lsa{&l})))
+	}
+
+	cur := own()
+	dump(cur)
+	if got := own(); got.Seq != cur.Seq {
+		t.Fatalf("our own LSA handed back re-originated: seq %#x -> %#x", cur.Seq, got.Seq)
+	}
+	stale := lsa{AdvRouter: me, Seq: cur.Seq, Links: []rlaLink{
+		{ID: 0x0aff0002, Data: u32(netip.MustParseAddr("172.16.0.26")), Type: linkP2P, Metric: 10}}}
+	dump(stale)
+	if got := own(); got.Seq <= cur.Seq || !slices.Equal(got.Links, cur.Links) {
+		t.Fatalf("after a stale copy at our sequence %#x: own LSA seq %#x links %+v, want a later seq with our links %+v",
+			cur.Seq, got.Seq, got.Links, cur.Links)
 	}
 }
 

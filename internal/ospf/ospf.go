@@ -3,6 +3,7 @@ package ospf
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -434,9 +435,13 @@ func (ifc *Interface) handleLSUpdate(h header, body []byte) {
 			continue
 		}
 		if l.AdvRouter == me {
-			// Someone holds an old copy of our LSA; if it is newer than
-			// ours, jump past it and re-originate.
-			if l.Seq >= inst.seq {
+			// Someone holds a copy of our LSA from an earlier incarnation of
+			// this router ID (a VM re-created on another replica). If it is
+			// newer than ours, or as new but with other links, jump past it
+			// and re-originate: at an equal sequence number every other
+			// router keeps the copy it has, however stale (RFC 2328 §13.4).
+			own := inst.lsdb[me]
+			if l.Seq >= inst.seq || (own != nil && l.Seq == own.Seq && !slices.Equal(l.Links, own.Links)) {
 				inst.seq = l.Seq + 1
 				inst.originateLocked()
 			}

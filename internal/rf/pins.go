@@ -6,9 +6,9 @@ package rf
 // and below the host /32 fast path, and forwards along the TE-assigned
 // path hop with the usual MAC rewrite — so a pinned pair follows exactly
 // the path telemetry charges it to, while unpinned traffic keeps riding
-// the ECMP route flows. Pins are desired state: they ride the same
-// non-blocking-send + repair-loop + reconnect-replay discipline as route
-// flows, and die with the switch on Release/teardown.
+// the ECMP route flows. Pins are ordinary desired flows (desired.go): set
+// sends them, sync restores them on reconnect, repair and adoption, and they
+// die with the switch on Release/teardown.
 
 import (
 	"net/netip"
@@ -31,64 +31,29 @@ type PinFlow struct {
 	OutPort      uint16
 }
 
-type pinKey struct{ src, dst netip.Prefix }
+func isPin(k flowKey) bool { return k.priority == PinFlowPriority }
 
 // SetPins replaces the whole pin program (full-replace semantics, like
 // SetTelemetry): pins that disappeared are deleted from their switches, new
 // or changed ones are (re)installed — an add with identical match and
 // priority replaces in place on the switch — and unchanged ones are left
-// alone. Dropped sends mark the switch dirty for repair.
+// alone.
 func (p *Platform) SetPins(pins []PinFlow) {
-	next := make(map[uint64]map[pinKey]PinFlow)
+	next := make(map[uint64][]*openflow.FlowMod)
 	for _, pf := range pins {
-		if next[pf.DPID] == nil {
-			next[pf.DPID] = make(map[pinKey]PinFlow)
-		}
-		next[pf.DPID][pinKey{pf.Src, pf.Dst}] = pf
+		fm := flowTo(pf.Dst, PinFlowPriority, rewriteTo(pf.DlSrc, pf.DlDst, pf.OutPort)...)
+		fm.Match.SetNwSrcPrefix(pf.Src)
+		next[pf.DPID] = append(next[pf.DPID], fm)
 	}
-	type change struct {
-		dpid uint64
-		mods []*openflow.FlowMod
-	}
-	var changes []change
 	p.mu.Lock()
-	dpids := make(map[uint64]bool, len(next)+len(p.pins))
-	for dpid := range next {
-		dpids[dpid] = true
-	}
-	for dpid := range p.pins {
-		dpids[dpid] = true
-	}
-	for dpid := range dpids {
-		old, nw := p.pins[dpid], next[dpid]
-		ch := change{dpid: dpid}
-		for k, pf := range old {
-			if _, keep := nw[k]; !keep {
-				ch.mods = append(ch.mods, pinDelete(pf))
-			}
-		}
-		for k, pf := range nw {
-			if old[k] != pf {
-				ch.mods = append(ch.mods, pinFlowMod(pf))
-			}
-		}
-		if len(ch.mods) > 0 {
-			p.flowGen[dpid]++
-			changes = append(changes, ch)
+	for dpid := range p.sw {
+		if _, ok := next[dpid]; !ok {
+			next[dpid] = nil
 		}
 	}
-	p.pins = next
 	p.mu.Unlock()
-	for _, ch := range changes {
-		sc, ok := p.ctl.Switch(ch.dpid)
-		if !ok {
-			continue // the reconnect replay in onSwitchUp covers it
-		}
-		for _, fm := range ch.mods {
-			if err := sc.TrySend(fm); err != nil {
-				p.markDirty(ch.dpid)
-			}
-		}
+	for dpid, mods := range next {
+		p.set(dpid, edit{drop: isPin, put: mods})
 	}
 }
 
@@ -97,54 +62,27 @@ func (p *Platform) Pins() []PinFlow {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []PinFlow
-	for _, m := range p.pins {
-		for _, pf := range m {
+	for dpid, st := range p.sw {
+		for k, fm := range st.flows {
+			if !isPin(k) {
+				continue
+			}
+			m := &fm.Match
+			pf := PinFlow{DPID: dpid,
+				Src: netip.PrefixFrom(netip.AddrFrom4(m.NwSrc), 32-m.NwSrcIgnoredBits()),
+				Dst: netip.PrefixFrom(netip.AddrFrom4(m.NwDst), 32-m.NwDstIgnoredBits())}
+			for _, a := range fm.Actions {
+				switch a := a.(type) {
+				case *openflow.ActionSetDlSrc:
+					pf.DlSrc = a.Addr
+				case *openflow.ActionSetDlDst:
+					pf.DlDst = a.Addr
+				case *openflow.ActionOutput:
+					pf.OutPort = a.Port
+				}
+			}
 			out = append(out, pf)
 		}
-	}
-	return out
-}
-
-func pinMatch(pf PinFlow) openflow.Match {
-	m := openflow.MatchAll()
-	m.Wildcards &^= openflow.WildcardDlType
-	m.DlType = uint16(pkt.EtherTypeIPv4)
-	m.SetNwSrcPrefix(pf.Src)
-	m.SetNwDstPrefix(pf.Dst)
-	return m
-}
-
-func pinFlowMod(pf PinFlow) *openflow.FlowMod {
-	return &openflow.FlowMod{
-		Match:    pinMatch(pf),
-		Command:  openflow.FlowModAdd,
-		Priority: PinFlowPriority,
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortNone,
-		Actions: []openflow.Action{
-			&openflow.ActionSetDlSrc{Addr: pf.DlSrc},
-			&openflow.ActionSetDlDst{Addr: pf.DlDst},
-			&openflow.ActionOutput{Port: pf.OutPort},
-		},
-	}
-}
-
-func pinDelete(pf PinFlow) *openflow.FlowMod {
-	return &openflow.FlowMod{
-		Match:    pinMatch(pf),
-		Command:  openflow.FlowModDeleteStrict,
-		Priority: PinFlowPriority,
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortNone,
-	}
-}
-
-// pinModsLocked builds the install messages for one switch's pins (resync
-// and reconnect replay). Callers hold mu.
-func (p *Platform) pinModsLocked(dpid uint64) []*openflow.FlowMod {
-	out := make([]*openflow.FlowMod, 0, len(p.pins[dpid]))
-	for _, pf := range p.pins[dpid] {
-		out = append(out, pinFlowMod(pf))
 	}
 	return out
 }

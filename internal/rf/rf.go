@@ -36,9 +36,6 @@ const (
 	DefaultBootDelay = 2 * time.Second // modeled LXC clone + daemon start
 	DefaultLinkCost  = 10
 	hostFlowPriority = 500 // above any prefix flow (100..132 + bits)
-	// flowRepairInterval paces the flow-table resync of switches whose
-	// non-blocking sends dropped messages (protocol time).
-	flowRepairInterval = 500 * time.Millisecond
 )
 
 // Config configures the platform.
@@ -99,27 +96,17 @@ type Platform struct {
 	portAddr map[addrOwner]netip.Prefix
 	// owned is the set of adopted switches (Sharded mode only).
 	owned map[uint64]bool
-	// needsWipe marks freshly adopted switches whose physical flow table may
-	// hold a previous master's entries; the first resync wipes before
-	// replaying.
-	needsWipe map[uint64]bool
-	flows     map[uint64]map[netip.Prefix]*openflow.FlowMod // desired state
-	// pins is the TE path-pin program (pins.go), desired state alongside
-	// flows: per switch, per (src,dst) pair, the pinned hop.
-	pins map[uint64]map[pinKey]PinFlow
-	// dirty marks switches whose flow state may have diverged from desired
-	// (a non-blocking send was dropped); the repair loop resyncs them.
-	dirty map[uint64]bool
-	// flowGen counts desired-flow mutations per switch so a resync can
-	// detect a concurrent install/remove racing its snapshot.
-	flowGen map[uint64]uint64
+	// sw is every switch's desired state (desired.go).
+	sw map[uint64]*switchState
+	// tel is the current monitoring program without rules: a switch state
+	// created later starts with it.
+	tel openflow.TelemetryMod
 
-	// telMu guards the telemetry program and aggregator (see telemetry.go);
-	// it is separate from mu so export handling never contends with the RPC
-	// apply path.
-	telMu   sync.Mutex
-	telProg TelemetryProgram
-	telAgg  *telemetry.Aggregator
+	// telMu guards the telemetry aggregator (see telemetry.go); it is
+	// separate from mu so export handling never contends with the RPC apply
+	// path.
+	telMu  sync.Mutex
+	telAgg *telemetry.Aggregator
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -149,20 +136,12 @@ func New(cfg Config) (*Platform, error) {
 		addrIndex: make(map[netip.Addr]addrOwner),
 		portAddr:  make(map[addrOwner]netip.Prefix),
 		owned:     make(map[uint64]bool),
-		needsWipe: make(map[uint64]bool),
-		flows:     make(map[uint64]map[netip.Prefix]*openflow.FlowMod),
-		pins:      make(map[uint64]map[pinKey]PinFlow),
-		dirty:     make(map[uint64]bool),
-		flowGen:   make(map[uint64]uint64),
+		sw:        make(map[uint64]*switchState),
 		stop:      make(chan struct{}),
 	}
-	p.ctl = ctlkit.New("rf-controller", cfg.Clock, ctlkit.Callbacks{
-		SwitchUp:  p.onSwitchUp,
-		PacketIn:  p.onPacketIn,
-		Telemetry: p.onTelemetry,
-	})
+	p.ctl = ctlkit.New("rf-controller", cfg.Clock, p.Callbacks())
 	p.wg.Add(1)
-	go p.flowRepairLoop()
+	go p.repairLoop()
 	return p, nil
 }
 
@@ -227,57 +206,43 @@ func (p *Platform) ConfigFiles(dpid uint64) (map[string]string, bool) {
 // Owns reports whether this platform masters dpid. A non-sharded platform
 // masters everything.
 func (p *Platform) Owns(dpid uint64) bool {
-	if !p.cfg.Sharded {
-		return true
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.owned[dpid]
+	return p.ownsLocked(dpid)
 }
 
-// Adopt grants this replica mastership of a switch. The switch's first
-// resync wipes the physical flow table before replaying desired state — a
-// previous master may have left entries behind. No-op unless Sharded.
+func (p *Platform) ownsLocked(dpid uint64) bool { return !p.cfg.Sharded || p.owned[dpid] }
+
+// Adopt grants this replica mastership of a switch and syncs it: a previous
+// master may have left entries behind. A switch not connected yet is synced
+// when it connects. No-op unless Sharded.
 func (p *Platform) Adopt(dpid uint64) {
 	if !p.cfg.Sharded {
 		return
 	}
 	p.mu.Lock()
 	p.owned[dpid] = true
-	p.needsWipe[dpid] = true
-	// If the switch's session already landed here (re-adoption after a
-	// brief loss), the repair loop must run the wipe now, not on reconnect.
-	p.dirty[dpid] = true
 	p.mu.Unlock()
+	p.sync(dpid)
 }
 
-// Release revokes mastership: the switch's VM and flow state are torn down
-// locally (no RPC teardown — the new master owns the switch's fate) and any
-// live control session is cut so the switch re-dials, landing on its new
-// master. No-op unless Sharded.
+// Release revokes mastership: the switch's VM and desired state are dropped
+// locally (nothing is sent and no RPC teardown runs — the new master owns the
+// switch's fate) and any live control session is cut so the switch re-dials,
+// landing on its new master. No-op unless Sharded.
 func (p *Platform) Release(dpid uint64) {
 	if !p.cfg.Sharded {
 		return
 	}
 	p.mu.Lock()
 	delete(p.owned, dpid)
-	delete(p.needsWipe, dpid)
 	p.mu.Unlock()
-	p.dropTelemetryRules(dpid)
+	// The new master's program, under its own epoch, supersedes ours.
+	p.set(dpid, edit{tel: &openflow.TelemetryMod{}})
 	p.teardownSwitch(dpid)
 	if sc, ok := p.ctl.Switch(dpid); ok {
 		sc.Close()
 	}
-}
-
-// owns is the handler-side fence.
-func (p *Platform) owns(dpid uint64) bool {
-	if !p.cfg.Sharded {
-		return true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.owned[dpid]
 }
 
 // RPCHandler returns the configuration-message handler for rpcconf.Server —
@@ -310,7 +275,7 @@ func (p *Platform) RPCHandler() rpcconf.Handler {
 }
 
 func (p *Platform) handleSwitchUp(m *rpcconf.Message) error {
-	if !p.owns(m.DPID) {
+	if !p.Owns(m.DPID) {
 		// Mastership fence: a stale reconciler (or one racing a rehome)
 		// must not materialise a VM on the wrong replica. The error makes
 		// the sender retry; the ownership transfer drops the item from the
@@ -362,9 +327,6 @@ func (p *Platform) handleSwitchUp(m *rpcconf.Message) error {
 			}
 		}
 	}
-	if p.flows[dpid] == nil {
-		p.flows[dpid] = make(map[netip.Prefix]*openflow.FlowMod)
-	}
 	p.mu.Unlock()
 	rid := vm.Router().Config().RouterID
 	for _, peer := range ibgpPeers {
@@ -391,16 +353,14 @@ func (p *Platform) routerID(dpid uint64) netip.Addr {
 
 // teardownSwitch removes every trace of a switch from this platform: its VM
 // (destroyed), desired flows, address and endpoint indexes, and its seat in
-// the AS's iBGP mesh. Shared by the RPC switch-down path and Release.
+// the AS's iBGP mesh. Shared by the RPC switch-down path and Release. The
+// monitoring program stays: the telemetry placement decides where it goes.
 func (p *Platform) teardownSwitch(dpid uint64) {
 	p.mu.Lock()
 	vm, ok := p.vms[dpid]
 	asn := p.asns[dpid]
 	delete(p.vms, dpid)
 	delete(p.asns, dpid)
-	delete(p.flows, dpid)
-	delete(p.pins, dpid)
-	p.flowGen[dpid]++
 	for a, o := range p.addrIndex {
 		if o.dpid == dpid {
 			delete(p.addrIndex, a)
@@ -431,6 +391,8 @@ func (p *Platform) teardownSwitch(dpid uint64) {
 			cb(dpid, vnet.StateDestroyed)
 		}
 	}
+	// Dropped after the VM is gone, so no late FIB event re-adds a flow.
+	p.set(dpid, edit{drop: everyFlow})
 }
 
 func (p *Platform) handleLinkUp(m *rpcconf.Message) error {
@@ -442,7 +404,7 @@ func (p *Platform) handleLinkUp(m *rpcconf.Message) error {
 	if err != nil {
 		return fmt.Errorf("rf: link-up bAddr: %w", err)
 	}
-	ownA, ownB := p.owns(m.ADPID), p.owns(m.BDPID)
+	ownA, ownB := p.Owns(m.ADPID), p.Owns(m.BDPID)
 	if !ownA && !ownB {
 		return fmt.Errorf("rf: link-up %016x-%016x: neither endpoint mastered by this replica",
 			m.ADPID, m.BDPID)
@@ -553,7 +515,7 @@ func (p *Platform) handleHostUp(m *rpcconf.Message) error {
 	if err != nil {
 		return fmt.Errorf("rf: host-up gateway: %w", err)
 	}
-	if !p.owns(m.ADPID) {
+	if !p.Owns(m.ADPID) {
 		return fmt.Errorf("rf: host-up %016x: not the master of this switch", m.ADPID)
 	}
 	p.mu.Lock()
@@ -591,151 +553,10 @@ func (p *Platform) handleHostDown(m *rpcconf.Message) error {
 	return nil
 }
 
-// onSwitchUp raises the miss send length so punted frames arrive whole, and
-// replays the desired flow state after (re)connects. Sends are non-blocking
-// (a congested connection must not wedge the controller); anything dropped
-// is repaired by the flow-repair loop.
-func (p *Platform) onSwitchUp(sc *ctlkit.SwitchConn) {
-	// Raise the miss send length before anything else, even on the wipe
-	// path: hellos punt whole at the 128-byte default, but multi-LSA
-	// LSUpdates do not, and a truncated one-shot database dump at boot
-	// wedges OSPF until the next adjacency event.
-	if err := sc.TrySend(&openflow.SetConfig{MissSendLen: 0xffff}); err != nil {
-		p.markDirty(sc.DPID())
-	}
-	p.mu.Lock()
-	wipe := p.needsWipe[sc.DPID()]
-	p.mu.Unlock()
-	if wipe {
-		// Freshly adopted switch: its table may hold the previous master's
-		// flows, so the repair loop must delete-all before replaying. A
-		// plain replay here would leave stale entries live.
-		p.markDirty(sc.DPID())
-		return
-	}
-	p.mu.Lock()
-	pending := make([]*openflow.FlowMod, 0, len(p.flows[sc.DPID()]))
-	for _, fm := range p.flows[sc.DPID()] {
-		cp := *fm
-		pending = append(pending, &cp)
-	}
-	pending = append(pending, p.pinModsLocked(sc.DPID())...)
-	p.mu.Unlock()
-	for _, fm := range pending {
-		fm.SetXID(0)
-		if err := sc.TrySend(fm); err != nil {
-			p.markDirty(sc.DPID())
-		}
-	}
-	// Re-push the monitoring program: a (re)connected switch has no stream
-	// state, and its counters only flow once it holds the current rules.
-	if tm := p.telemetryMod(sc.DPID()); tm != nil {
-		if err := sc.TrySend(tm); err != nil {
-			p.markDirty(sc.DPID())
-		}
-	}
-}
-
-// markDirty schedules a flow-table resync for dpid.
-func (p *Platform) markDirty(dpid uint64) {
-	p.mu.Lock()
-	p.dirty[dpid] = true
-	p.mu.Unlock()
-}
-
-// flowRepairLoop is the level-triggered safety net under the non-blocking
-// switch sends: whenever a FlowMod or SetConfig was dropped on a congested
-// connection, the switch is marked dirty and periodically resynced from
-// desired state (delete-all + full replay) until a resync goes through
-// cleanly. Disconnected switches are skipped — the reconnect replay in
-// onSwitchUp covers them.
-func (p *Platform) flowRepairLoop() {
-	defer p.wg.Done()
-	tick := p.clk.NewTicker(flowRepairInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-tick.C():
-		}
-		p.mu.Lock()
-		dirty := make([]uint64, 0, len(p.dirty))
-		for dpid := range p.dirty {
-			dirty = append(dirty, dpid)
-			delete(p.dirty, dpid)
-		}
-		p.mu.Unlock()
-		for _, dpid := range dirty {
-			if !p.resyncFlows(dpid) {
-				p.markDirty(dpid) // try again next tick
-			}
-		}
-	}
-}
-
-// resyncFlows rewrites one switch's flow table from desired state. It
-// reports false when any send was dropped (the caller re-marks the switch).
-func (p *Platform) resyncFlows(dpid uint64) bool {
-	sc, ok := p.ctl.Switch(dpid)
-	if !ok {
-		// A pending adoption wipe must survive until the switch connects;
-		// an ordinary drop is covered by the reconnect replay.
-		p.mu.Lock()
-		wipe := p.needsWipe[dpid]
-		p.mu.Unlock()
-		return !wipe
-	}
-	if err := sc.TrySend(&openflow.SetConfig{MissSendLen: 0xffff}); err != nil {
-		return false
-	}
-	// Delete everything, then replay desired state: stale entries from
-	// dropped removeFlow deletions (or a previous master) cannot survive a
-	// resync.
-	if err := sc.TrySend(&openflow.FlowMod{
-		Match:    openflow.MatchAll(),
-		Command:  openflow.FlowModDelete,
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortNone,
-	}); err != nil {
-		return false
-	}
-	p.mu.Lock()
-	delete(p.needsWipe, dpid) // the wipe reached the switch
-	gen := p.flowGen[dpid]
-	pending := make([]*openflow.FlowMod, 0, len(p.flows[dpid]))
-	for _, fm := range p.flows[dpid] {
-		cp := *fm
-		pending = append(pending, &cp)
-	}
-	pending = append(pending, p.pinModsLocked(dpid)...)
-	p.mu.Unlock()
-	ok = true
-	for _, fm := range pending {
-		fm.SetXID(0)
-		if err := sc.TrySend(fm); err != nil {
-			ok = false
-		}
-	}
-	// The monitoring program rides the same repair discipline as flows: a
-	// TELEMETRY_MOD dropped anywhere (initial push, reconnect replay) is
-	// re-pushed here until one lands.
-	if tm := p.telemetryMod(dpid); tm != nil {
-		if err := sc.TrySend(tm); err != nil {
-			ok = false
-		}
-	}
-	// A desired-state mutation racing this resync may have interleaved its
-	// own send with our replay (e.g. a withdrawal deleted on the switch,
-	// then resurrected by our stale snapshot). Declare the resync dirty so
-	// the next tick replays from the newer state.
-	p.mu.Lock()
-	if p.flowGen[dpid] != gen {
-		ok = false
-	}
-	p.mu.Unlock()
-	return ok
-}
+// onSwitchUp syncs every switch that (re)connects: whatever its table holds
+// — a previous master's entries, withdrawals that could not reach it while
+// its session was down — desired state replaces it.
+func (p *Platform) onSwitchUp(sc *ctlkit.SwitchConn) { p.sync(sc.DPID()) }
 
 // onPacketIn punts non-LLDP frames into the mirrored VM interface.
 func (p *Platform) onPacketIn(sc *ctlkit.SwitchConn, pi *openflow.PacketIn) {
@@ -772,13 +593,40 @@ func (p *Platform) onFIBEvent(dpid uint64, ev rib.Event) {
 	}
 	switch ev.Type {
 	case rib.RouteAdded, rib.RouteReplaced:
-		fm, ok := p.routeToFlow(dpid, rt, ev.Paths)
-		if !ok {
-			return
+		if fm, ok := p.routeToFlow(dpid, rt, ev.Paths); ok {
+			p.set(dpid, edit{put: []*openflow.FlowMod{fm}})
 		}
-		p.installFlow(dpid, rt.Prefix, fm)
 	case rib.RouteRemoved:
-		p.removeFlow(dpid, rt.Prefix)
+		gone := keyOf(flowTo(rt.Prefix, routePriority(rt.Prefix)))
+		p.set(dpid, edit{drop: func(k flowKey) bool { return k == gone }})
+	}
+}
+
+// routePriority ranks a route flow by prefix length: longest match wins.
+func routePriority(prefix netip.Prefix) uint16 { return uint16(100 + prefix.Bits()) }
+
+// flowTo builds the flow entry that sends IPv4 traffic toward dst.
+func flowTo(dst netip.Prefix, priority uint16, actions ...openflow.Action) *openflow.FlowMod {
+	match := openflow.MatchAll()
+	match.Wildcards &^= openflow.WildcardDlType
+	match.DlType = uint16(pkt.EtherTypeIPv4)
+	match.SetNwDstPrefix(dst)
+	return &openflow.FlowMod{
+		Match:    match,
+		Command:  openflow.FlowModAdd,
+		Priority: priority,
+		BufferID: openflow.NoBuffer,
+		OutPort:  openflow.PortNone,
+		Actions:  actions,
+	}
+}
+
+// rewriteTo is one hop: rewrite both MACs, forward out port.
+func rewriteTo(src, dst pkt.MAC, port uint16) []openflow.Action {
+	return []openflow.Action{
+		&openflow.ActionSetDlSrc{Addr: src},
+		&openflow.ActionSetDlDst{Addr: dst},
+		&openflow.ActionOutput{Port: port},
 	}
 }
 
@@ -813,115 +661,18 @@ func (p *Platform) routeToFlow(dpid uint64, rt rib.Route, paths []rib.Route) (*o
 	if len(buckets) == 0 {
 		return nil, false
 	}
-	match := openflow.MatchAll()
-	match.Wildcards &^= openflow.WildcardDlType
-	match.DlType = uint16(pkt.EtherTypeIPv4)
-	match.SetNwDstPrefix(rt.Prefix)
-	fm := &openflow.FlowMod{
-		Match:    match,
-		Command:  openflow.FlowModAdd,
-		Priority: uint16(100 + rt.Prefix.Bits()),
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortNone,
-	}
+	actions := []openflow.Action{&openflow.ActionMultipath{Buckets: buckets}}
 	if len(buckets) == 1 {
-		fm.Actions = []openflow.Action{
-			&openflow.ActionSetDlSrc{Addr: buckets[0].DlSrc},
-			&openflow.ActionSetDlDst{Addr: buckets[0].DlDst},
-			&openflow.ActionOutput{Port: buckets[0].Port},
-		}
-	} else {
-		fm.Actions = []openflow.Action{&openflow.ActionMultipath{Buckets: buckets}}
+		actions = rewriteTo(buckets[0].DlSrc, buckets[0].DlDst, buckets[0].Port)
 	}
-	return fm, true
-}
-
-func (p *Platform) installFlow(dpid uint64, prefix netip.Prefix, fm *openflow.FlowMod) {
-	p.mu.Lock()
-	if p.flows[dpid] == nil {
-		p.flows[dpid] = make(map[netip.Prefix]*openflow.FlowMod)
-	}
-	p.flows[dpid][prefix] = fm
-	p.flowGen[dpid]++
-	p.mu.Unlock()
-	if sc, ok := p.ctl.Switch(dpid); ok {
-		// TrySend: the RPC apply path and FIB hooks must never block on a
-		// stalled switch; a drop marks the switch for flow repair.
-		cp := *fm
-		if err := sc.TrySend(&cp); err != nil {
-			p.markDirty(dpid)
-		}
-	}
-}
-
-func (p *Platform) removeFlow(dpid uint64, prefix netip.Prefix) {
-	p.mu.Lock()
-	fm := p.flows[dpid][prefix]
-	delete(p.flows[dpid], prefix)
-	p.flowGen[dpid]++
-	p.mu.Unlock()
-	if fm == nil {
-		return
-	}
-	if sc, ok := p.ctl.Switch(dpid); ok {
-		del := &openflow.FlowMod{
-			Match:    fm.Match,
-			Command:  openflow.FlowModDeleteStrict,
-			Priority: fm.Priority,
-			BufferID: openflow.NoBuffer,
-			OutPort:  openflow.PortNone,
-		}
-		if err := sc.TrySend(del); err != nil {
-			p.markDirty(dpid)
-		}
-	}
+	return flowTo(rt.Prefix, routePriority(rt.Prefix), actions...), true
 }
 
 // onHostLearned installs the /32 fast-path flow toward a directly attached
 // host.
 func (p *Platform) onHostLearned(dpid uint64, h vnet.HostLearned) {
-	match := openflow.MatchAll()
-	match.Wildcards &^= openflow.WildcardDlType
-	match.DlType = uint16(pkt.EtherTypeIPv4)
-	prefix := netip.PrefixFrom(h.IP, 32)
-	match.SetNwDstPrefix(prefix)
-	fm := &openflow.FlowMod{
-		Match:    match,
-		Command:  openflow.FlowModAdd,
-		Priority: hostFlowPriority,
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortNone,
-		Actions: []openflow.Action{
-			&openflow.ActionSetDlSrc{Addr: vnet.MAC(dpid, h.Port)},
-			&openflow.ActionSetDlDst{Addr: h.MAC},
-			&openflow.ActionOutput{Port: h.Port},
-		},
-	}
-	p.installFlow(dpid, prefix, fm)
-}
-
-// FlowCount reports the desired flow count for a switch (tests, GUI).
-func (p *Platform) FlowCount(dpid uint64) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.flows[dpid])
-}
-
-// DesiredFlows snapshots the desired flow entries for a switch — the state
-// the platform is driving the physical flow table toward. Invariant checkers
-// diff this against the switch's installed table. Actions are deep-copied so
-// holders may inspect them while FIB events keep mutating the live set.
-func (p *Platform) DesiredFlows(dpid uint64) []*openflow.FlowMod {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*openflow.FlowMod, 0, len(p.flows[dpid])+len(p.pins[dpid]))
-	for _, fm := range p.flows[dpid] {
-		cp := *fm
-		cp.Actions = openflow.CloneActions(fm.Actions)
-		out = append(out, &cp)
-	}
-	out = append(out, p.pinModsLocked(dpid)...)
-	return out
+	fm := flowTo(netip.PrefixFrom(h.IP, 32), hostFlowPriority, rewriteTo(vnet.MAC(dpid, h.Port), h.MAC, h.Port)...)
+	p.set(dpid, edit{put: []*openflow.FlowMod{fm}})
 }
 
 // Callbacks exposes the platform's controller event handlers so a merged

@@ -4,10 +4,10 @@ package rf
 // monitoring program (which switch observes which flows, at what epoch) down
 // to the switches as TELEMETRY_MOD, feeds the switches' TELEMETRY_EXPORT
 // streams into a telemetry.Aggregator, and answers each export with the ack
-// that lets the switch advance its delta baseline. Program pushes ride the
-// same non-blocking-send + repair-loop discipline as flow state: a dropped
-// TELEMETRY_MOD marks the switch dirty and the next resync re-pushes it, so
-// the program is level-triggered end to end.
+// that lets the switch advance its delta baseline. Each switch's share of the
+// program is part of its desired state (desired.go): set pushes a changed
+// TELEMETRY_MOD, and sync re-pushes it on every connect, repair and
+// adoption, so the program is level-triggered end to end.
 
 import (
 	"time"
@@ -33,16 +33,18 @@ type TelemetryProgram struct {
 	Flows []telemetry.Placement
 	// MonitorDPID maps a placement's monitor node to its switch DPID.
 	MonitorDPID func(node int) uint64
-	// Rules holds the compiled match rules per switch DPID. A switch that
-	// had rules in the previous program and none here receives an empty
-	// TELEMETRY_MOD retiring them (full-replace semantics).
+	// Rules holds the compiled match rules per switch DPID. A switch with
+	// none here receives an empty TELEMETRY_MOD, retiring whatever rules it
+	// had (full-replace semantics).
 	Rules map[uint64][]openflow.MonitorRule
 }
 
-// SetTelemetry installs a monitoring program, pushing TELEMETRY_MOD to every
-// affected connected switch. The aggregator survives program changes: flows
-// whose monitor switch is unchanged keep their views and totals, and the
-// epoch advances in place so the re-baselining FULLs charge only gains.
+// SetTelemetry installs a monitoring program: every switch's desired state
+// takes its share of the rules (none, for a switch the program leaves out),
+// and set pushes each TELEMETRY_MOD that changed. The aggregator survives
+// program changes: flows whose monitor switch is unchanged keep their views
+// and totals, and the epoch advances in place so the re-baselining FULLs
+// charge only gains.
 func (p *Platform) SetTelemetry(prog TelemetryProgram) {
 	p.telMu.Lock()
 	if p.telAgg == nil {
@@ -51,53 +53,25 @@ func (p *Platform) SetTelemetry(prog TelemetryProgram) {
 		p.telAgg.SetEpoch(prog.Epoch)
 	}
 	p.telAgg.SetFlows(prog.Flows, prog.MonitorDPID)
-	// Push to the union of old and new rule-bearing switches: one that
-	// dropped out of the program must see the (empty) replacement.
-	dpids := make(map[uint64]bool, len(prog.Rules))
-	for dpid := range prog.Rules {
-		dpids[dpid] = true
-	}
-	for dpid := range p.telProg.Rules {
-		dpids[dpid] = true
-	}
-	p.telProg = prog
-	mods := make(map[uint64]*openflow.TelemetryMod, len(dpids))
-	for dpid := range dpids {
-		mods[dpid] = p.telemetryModLocked(dpid)
-	}
 	p.telMu.Unlock()
-	for dpid, tm := range mods {
-		if tm == nil {
-			continue
-		}
-		sc, ok := p.ctl.Switch(dpid)
-		if !ok {
-			continue // the reconnect replay in onSwitchUp covers it
-		}
-		if err := sc.TrySend(tm); err != nil {
-			p.markDirty(dpid)
+	base := openflow.TelemetryMod{Epoch: prog.Epoch, IntervalMS: uint32(prog.Interval / time.Millisecond)}
+	p.mu.Lock()
+	p.tel = base
+	dpids := make([]uint64, 0, len(p.sw)+len(prog.Rules))
+	for dpid := range p.sw {
+		dpids = append(dpids, dpid)
+	}
+	for dpid := range prog.Rules {
+		if p.sw[dpid] == nil {
+			dpids = append(dpids, dpid)
 		}
 	}
-}
-
-// telemetryModLocked builds the program-push message for one switch, or nil
-// when no program is active. Callers hold telMu.
-func (p *Platform) telemetryModLocked(dpid uint64) *openflow.TelemetryMod {
-	if p.telProg.Epoch == 0 {
-		return nil
+	p.mu.Unlock()
+	for _, dpid := range dpids {
+		tm := base
+		tm.Rules = append([]openflow.MonitorRule(nil), prog.Rules[dpid]...)
+		p.set(dpid, edit{tel: &tm})
 	}
-	return &openflow.TelemetryMod{
-		Epoch:      p.telProg.Epoch,
-		IntervalMS: uint32(p.telProg.Interval / time.Millisecond),
-		Rules:      append([]openflow.MonitorRule(nil), p.telProg.Rules[dpid]...),
-	}
-}
-
-// telemetryMod is telemetryModLocked for callers not holding telMu.
-func (p *Platform) telemetryMod(dpid uint64) *openflow.TelemetryMod {
-	p.telMu.Lock()
-	defer p.telMu.Unlock()
-	return p.telemetryModLocked(dpid)
 }
 
 // onTelemetry consumes one export and answers with the ack that advances the
@@ -126,13 +100,4 @@ func (p *Platform) TelemetrySnapshot() telemetry.Snapshot {
 		return telemetry.Snapshot{}
 	}
 	return agg.Snapshot()
-}
-
-// dropTelemetryRules forgets a released switch's rules so repair-loop
-// resyncs on this (former master) replica stop re-pushing them. The new
-// master's program, under its own epoch, supersedes them on the switch.
-func (p *Platform) dropTelemetryRules(dpid uint64) {
-	p.telMu.Lock()
-	delete(p.telProg.Rules, dpid)
-	p.telMu.Unlock()
 }
