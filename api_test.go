@@ -90,7 +90,7 @@ func TestNewAndDeprecatedShimBothDeploy(t *testing.T) {
 }
 
 func TestRunDispatcherFig3(t *testing.T) {
-	report, err := Run(Fig3Run{Sizes: []int{4}}, RunTimeScale(400))
+	report, err := Run(Fig3Run{Sizes: []int{4}}, WithTimeScale(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +101,24 @@ func TestRunDispatcherFig3(t *testing.T) {
 	report.Print(&buf)
 	if !bytes.Contains(buf.Bytes(), []byte("switches")) {
 		t.Fatalf("print:\n%s", buf.String())
+	}
+}
+
+// TestRunDispatcherDemo runs the §3 demonstration: the stream that starts
+// before the cold network is up reaches its client, timed on the
+// deployment's clock. (At 10× the 28-switch boot also keeps up under -race.)
+func TestRunDispatcherDemo(t *testing.T) {
+	report, err := Run(DemoRun{}, WithTimeScale(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	demo := report.Demo
+	if demo.Switches != 28 || len(demo.Streams) != 1 {
+		t.Fatalf("demo = %+v", demo)
+	}
+	st := demo.Streams[0]
+	if st.VideoStats.Frames == 0 || st.FirstVideo <= 0 || st.FirstVideo > demo.AllVideo {
+		t.Fatalf("stream %+v against all video at %v", st, demo.AllVideo)
 	}
 }
 

@@ -8,7 +8,8 @@
 //	rfbench -experiment multias -replicas 4   # sharded RF-controller
 //
 // Reported durations are protocol time (the -scale factor compresses wall
-// time without changing protocol behaviour).
+// time without changing protocol behaviour). -scale, -replicas and -merged
+// are routeflow.New's options, passed to routeflow.Run with the spec.
 package main
 
 import (
@@ -33,12 +34,12 @@ func main() {
 	client := flag.String("client", "Stockholm", "demo video client city")
 	flag.Parse()
 
-	opts := []routeflow.RunOption{
-		routeflow.RunTimeScale(*scale),
-		routeflow.RunReplicas(*replicas),
+	opts := []routeflow.Option{
+		routeflow.WithTimeScale(*scale),
+		routeflow.WithReplicas(*replicas),
 	}
 	if *merged {
-		opts = append(opts, routeflow.RunMerged())
+		opts = append(opts, routeflow.WithoutFlowVisor())
 	}
 
 	var spec routeflow.RunSpec

@@ -115,14 +115,12 @@ func adhocSpec(kind string, n, h, m, faults, replicas int, seed int64) routeflow
 }
 
 func runOne(spec routeflow.ScenarioSpec) int {
-	res, err := routeflow.RunScenario(spec)
+	report, err := routeflow.Run(routeflow.ScenarioRun{Spec: spec})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rfchaos: %s: %v\n", spec.Name, err)
 	}
-	if res != nil {
-		routeflow.PrintScenario(os.Stdout, res)
-	}
+	report.Print(os.Stdout)
 	// The verdict is the exit status: any failed invariant — including one
 	// caught inside a settle retry — must surface as non-zero.
-	return routeflow.ScenarioExitCode(res, err)
+	return routeflow.ScenarioExitCode(report.Scenario, err)
 }

@@ -2,7 +2,8 @@
 // pan-European topology boots cold, a video clip streams from a server city
 // to a client city, and the GUI shows each switch turning from red to green
 // as the RPC server configures it. Optional -http serves the dashboard to a
-// browser.
+// browser. The run itself is routeflow.Run(DemoRun), the same experiment
+// rfbench -experiment demo reports on.
 //
 //	rfdemo                       # terminal dashboard, 50x compressed time
 //	rfdemo -scale 1              # real protocol time (~the paper's 4 min)
@@ -48,49 +49,25 @@ func main() {
 		fmt.Printf("dashboard: http://%s/\n", *httpAddr)
 	}
 
-	clk := routeflow.ScaledClock(*scale)
-	d, err := routeflow.New(g,
-		routeflow.WithClock(clk),
-		routeflow.WithHosts(srv.ID, cli.ID),
-		routeflow.WithBootDelay(2*time.Second),
-		routeflow.WithTimers(routeflow.DefaultExperimentTimers()),
-		routeflow.WithProbeInterval(time.Second),
-		routeflow.WithReplicas(*replicas),
-		routeflow.WithOnStatus(func(dpid uint64, st routeflow.VMState) { dash.Update(dpid, st) }),
-	)
-	if err != nil {
-		fatalf("deployment: %v", err)
-	}
-	defer d.Close()
-
-	srvHost, _ := d.Host(srv.ID)
-	cliHost, _ := d.Host(cli.ID)
-	vClient, err := routeflow.NewVideoClient(cliHost, 0, clk)
-	if err != nil {
-		fatalf("client: %v", err)
-	}
-	vServer, err := routeflow.NewVideoServer(routeflow.VideoServerConfig{
-		Host: srvHost, Dst: cliHost.Addr(), Clock: clk})
-	if err != nil {
-		fatalf("server: %v", err)
-	}
-
 	fmt.Printf("streaming video %s → %s; starting cold network of %d switches...\n\n",
 		*server, *client, g.NumNodes())
-	vServer.Start()
-	defer vServer.Stop()
-	if err := d.Start(); err != nil {
-		fatalf("start: %v", err)
+	clk := routeflow.ScaledClock(*scale)
+	start := clk.Now()
+	type outcome struct {
+		report *routeflow.RunReport
+		err    error
 	}
+	done := make(chan outcome, 1)
+	go func() {
+		report, err := routeflow.Run(routeflow.DemoRun{Streams: [][2]int{{srv.ID, cli.ID}}},
+			routeflow.WithClock(clk),
+			routeflow.WithReplicas(*replicas),
+			routeflow.WithOnStatus(dash.Update),
+		)
+		done <- outcome{report, err}
+	}()
 
 	// Render the dashboard while the system configures itself.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := vClient.AwaitFirstFrame(time.Hour); err != nil {
-			fmt.Fprintf(os.Stderr, "rfdemo: %v\n", err)
-		}
-	}()
 	ticker := time.NewTicker(250 * time.Millisecond)
 	defer ticker.Stop()
 	for {
@@ -98,20 +75,17 @@ func main() {
 		case <-ticker.C:
 			fmt.Print("\x1b[H\x1b[2J") // clear terminal
 			fmt.Print(dash.RenderANSI())
-			fmt.Printf("\nprotocol time elapsed: %v\n", d.Elapsed().Round(time.Second))
-			st := vClient.Stats()
-			if st.Frames > 0 {
-				fmt.Printf("video: %d frames received\n", st.Frames)
-			} else {
-				fmt.Println("video: waiting for first frame...")
-			}
-		case <-done:
+			fmt.Printf("\nprotocol time elapsed: %v\n", clk.Since(start).Round(time.Second))
+		case out := <-done:
 			fmt.Print("\x1b[H\x1b[2J")
 			fmt.Print(dash.RenderANSI())
+			if out.err != nil {
+				fatalf("%v", out.err)
+			}
+			fmt.Println()
+			out.report.Print(os.Stdout)
 			fmt.Printf("\n*** video reached %s after %v of protocol time (paper: ~4 min) ***\n",
-				*client, d.Elapsed().Round(time.Second))
-			fmt.Printf("manual configuration would have taken %v\n",
-				routeflow.DefaultManualModel().Total(g.NumNodes()))
+				*client, out.report.Demo.Streams[0].FirstVideo.Round(time.Second))
 			return
 		}
 	}

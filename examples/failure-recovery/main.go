@@ -34,12 +34,12 @@ func main() {
 			{Kind: routeflow.FaultLinkUp, Link: 2},
 		},
 	}
-	res, err := routeflow.RunScenario(spec)
+	report, err := routeflow.Run(routeflow.ScenarioRun{Spec: spec})
 	if err != nil {
 		log.Fatal(err)
 	}
-	routeflow.PrintScenario(os.Stdout, res)
-	if code := routeflow.ScenarioExitCode(res, err); code != 0 {
+	report.Print(os.Stdout)
+	if code := routeflow.ScenarioExitCode(report.Scenario, err); code != 0 {
 		os.Exit(code)
 	}
 	fmt.Println("failure, partition and recovery all handled — control plane stayed honest")

@@ -23,7 +23,7 @@ func main() {
 
 	report, err := routeflow.Run(
 		routeflow.DemoRun{Streams: [][2]int{{lisbon.ID, stockholm.ID}}},
-		routeflow.RunTimeScale(100))
+		routeflow.WithTimeScale(100))
 	if err != nil {
 		log.Fatal(err)
 	}

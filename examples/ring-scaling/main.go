@@ -12,7 +12,7 @@ import (
 
 func main() {
 	report, err := routeflow.Run(routeflow.Fig3Run{Sizes: []int{4, 8, 12}},
-		routeflow.RunTimeScale(200))
+		routeflow.WithTimeScale(200))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,67 +5,15 @@ import (
 	"io"
 	"time"
 
-	"routeflow/internal/clock"
-	"routeflow/internal/core"
 	"routeflow/internal/scenario"
 	"routeflow/internal/stream"
 )
 
-// ExperimentConfig sets the common parameters of the paper's experiments.
-// The zero value reproduces the paper's conditions at a 50× time
-// compression: RFC OSPF timers, 1 s LLDP probes, a 2 s modeled VM boot.
-type ExperimentConfig struct {
-	// TimeScale compresses protocol time (reported durations stay in
-	// protocol time). Default 50.
-	TimeScale float64
-	// BootDelay models VM creation. Default 2s.
-	BootDelay time.Duration
-	// Timers for the routing daemons. Default DefaultExperimentTimers.
-	Timers Timers
-	// ProbeInterval for LLDP discovery. Default 1s.
-	ProbeInterval time.Duration
-	// NoFlowVisor runs the merged-controller ablation.
-	NoFlowVisor bool
-	// Cluster sizes the distributed RF-controller replica set (zero = the
-	// paper's single rf-server).
-	Cluster ClusterSpec
-	// RPCApplyDelay models serialized per-switch work in each replica's
-	// RPC apply path — the cost sharding the switch population divides.
-	RPCApplyDelay time.Duration
-}
-
-func (c ExperimentConfig) withDefaults() ExperimentConfig {
-	if c.TimeScale <= 0 {
-		c.TimeScale = 50
-	}
-	if c.BootDelay <= 0 {
-		c.BootDelay = 2 * time.Second
-	}
-	if c.Timers == (Timers{}) {
-		c.Timers = DefaultExperimentTimers()
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = time.Second
-	}
-	return c
-}
-
-// deploy assembles the deployment every experiment entry point shares —
-// the config's knobs (timers, discovery, ablation, cluster) threaded into
-// core.Options once instead of per entry point.
-func (c ExperimentConfig) deploy(g *Topology, hosts []int, clk clock.Clock) (*Deployment, error) {
-	return core.NewDeployment(core.Options{
-		Topology:      g,
-		Clock:         clk,
-		HostNodes:     hosts,
-		BootDelay:     c.BootDelay,
-		Timers:        c.Timers,
-		ProbeInterval: c.ProbeInterval,
-		LinkTTL:       3 * c.ProbeInterval,
-		NoFlowVisor:   c.NoFlowVisor,
-		Cluster:       c.Cluster,
-		RPCApplyDelay: c.RPCApplyDelay,
-	})
+// deploy is how every experiment builds its deployment: New with the
+// caller's options, except that the topology and the host attachments are
+// the experiment's own, so they are applied last.
+func deploy(g *Topology, hosts []int, opts []Option) (*Deployment, error) {
+	return New(g, append(opts[:len(opts):len(opts)], WithHosts(hosts...))...)
 }
 
 // Fig3Row is one point of the paper's Fig. 3: the time to configure
@@ -79,10 +27,9 @@ type Fig3Row struct {
 	Manual     time.Duration
 }
 
-// RunFig3Point measures one ring size.
-func RunFig3Point(n int, cfg ExperimentConfig) (Fig3Row, error) {
-	cfg = cfg.withDefaults()
-	d, err := cfg.deploy(Ring(n), nil, ScaledClock(cfg.TimeScale))
+// runFig3Point measures one ring size.
+func runFig3Point(n int, opts []Option) (Fig3Row, error) {
+	d, err := deploy(Ring(n), nil, opts)
 	if err != nil {
 		return Fig3Row{}, err
 	}
@@ -106,21 +53,7 @@ func RunFig3Point(n int, cfg ExperimentConfig) (Fig3Row, error) {
 	}, nil
 }
 
-// RunFig3 sweeps ring sizes, reproducing the paper's Fig. 3 series.
-func RunFig3(sizes []int, cfg ExperimentConfig) ([]Fig3Row, error) {
-	rows := make([]Fig3Row, 0, len(sizes))
-	for _, n := range sizes {
-		row, err := RunFig3Point(n, cfg)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// PrintFig3 renders rows as the paper's figure data.
-func PrintFig3(w io.Writer, rows []Fig3Row) {
+func printFig3(w io.Writer, rows []Fig3Row) {
 	fmt.Fprintf(w, "%-10s %-16s %-18s %-16s %s\n",
 		"switches", "auto(config)", "auto(converged)", "manual", "speedup")
 	for _, r := range rows {
@@ -145,12 +78,11 @@ type MultiASRow struct {
 	ManualEquiv time.Duration // the administrator model for the same fabric
 }
 
-// RunMultiASPoint measures one AS count: an ASRing(asCount, asSize) deploys
+// runMultiASPoint measures one AS count: an ASRing(asCount, asSize) deploys
 // cold and the row records protocol time to configured and to full
 // inter-domain convergence (every VM holding routes to every reachable host
 // subnet, BGP sessions Established on every border and iBGP mesh).
-func RunMultiASPoint(asCount, asSize int, cfg ExperimentConfig) (MultiASRow, error) {
-	cfg = cfg.withDefaults()
+func runMultiASPoint(asCount, asSize int, opts []Option) (MultiASRow, error) {
 	g := ASRing(asCount, asSize)
 	var hosts []int
 	for i := 0; i < asCount; i++ {
@@ -159,7 +91,7 @@ func RunMultiASPoint(asCount, asSize int, cfg ExperimentConfig) (MultiASRow, err
 		// whenever the AS has three or more switches.
 		hosts = append(hosts, i*asSize+asSize-1)
 	}
-	d, err := cfg.deploy(g, hosts, ScaledClock(cfg.TimeScale))
+	d, err := deploy(g, hosts, opts)
 	if err != nil {
 		return MultiASRow{}, err
 	}
@@ -178,22 +110,7 @@ func RunMultiASPoint(asCount, asSize int, cfg ExperimentConfig) (MultiASRow, err
 	return row, nil
 }
 
-// RunMultiASScaling sweeps AS counts at a fixed per-AS size — convergence
-// time vs. AS count, the inter-domain analogue of the Fig. 3 sweep.
-func RunMultiASScaling(asCounts []int, asSize int, cfg ExperimentConfig) ([]MultiASRow, error) {
-	rows := make([]MultiASRow, 0, len(asCounts))
-	for _, n := range asCounts {
-		row, err := RunMultiASPoint(n, asSize, cfg)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// PrintMultiAS renders the inter-domain scaling series.
-func PrintMultiAS(w io.Writer, rows []MultiASRow) {
+func printMultiAS(w io.Writer, rows []MultiASRow) {
 	fmt.Fprintf(w, "%-6s %-10s %-16s %-18s %-16s %s\n",
 		"ASes", "switches", "auto(config)", "auto(converged)", "manual", "speedup")
 	for _, r := range rows {
@@ -203,50 +120,15 @@ func PrintMultiAS(w io.Writer, rows []MultiASRow) {
 	}
 }
 
-// DemoResult is the outcome of the paper's §3 demonstration.
-type DemoResult struct {
-	Switches    int
-	Links       int
-	Configured  time.Duration // all switches green
-	Converged   time.Duration // OSPF full everywhere
-	FirstVideo  time.Duration // cold start → first frame at the client
-	VideoStats  VideoStats
-	ManualEquiv time.Duration // what the administrator would have spent
-}
-
-// RunDemo reproduces the demonstration: a cold pan-European network, a video
-// stream started immediately, and the time until it reaches the remote
-// client — configuration included. It is the single-stream special case of
-// RunDemoMultiStream.
-func RunDemo(cfg ExperimentConfig, serverNode, clientNode int) (DemoResult, error) {
-	ms, err := RunDemoMultiStream(cfg, [][2]int{{serverNode, clientNode}})
-	res := DemoResult{
-		Switches: ms.Switches, Links: ms.Links,
-		Configured: ms.Configured, Converged: ms.Converged,
-		FirstVideo:  ms.AllVideo,
-		ManualEquiv: DefaultManualModel().Total(ms.Switches),
-	}
-	if len(ms.Streams) == 1 {
-		res.VideoStats = ms.Streams[0].VideoStats
-	}
-	return res, err
-}
-
-func waitProtocol(clk interface {
-	After(time.Duration) <-chan time.Time
-}, d time.Duration) {
-	<-clk.After(d)
-}
-
-// StreamResult is one stream of a multi-stream demonstration.
+// StreamResult is one stream of the demonstration.
 type StreamResult struct {
 	ServerNode, ClientNode int
 	FirstVideo             time.Duration // cold start → first frame at this client
 	VideoStats             VideoStats
 }
 
-// MultiStreamResult is the outcome of RunDemoMultiStream.
-type MultiStreamResult struct {
+// DemoResult is the outcome of the §3 demonstration.
+type DemoResult struct {
 	Switches   int
 	Links      int
 	Configured time.Duration
@@ -257,18 +139,13 @@ type MultiStreamResult struct {
 	Streams  []StreamResult
 }
 
-// RunDemoMultiStream is the §3 demonstration under concurrent load: one
-// video stream per (server, client) pair, all started at t=0 against the
-// cold network. It exercises the dataplane the way the paper's testbed
-// audience did — several flows crossing the 28-switch core at once — where
-// per-switch forwarding cost, not configuration time, sets the ceiling.
-func RunDemoMultiStream(cfg ExperimentConfig, pairs [][2]int) (MultiStreamResult, error) {
-	cfg = cfg.withDefaults()
-	if len(pairs) == 0 {
-		return MultiStreamResult{}, fmt.Errorf("routeflow: multi-stream demo needs at least one (server, client) pair")
-	}
+// runDemo is the §3 demonstration: a cold pan-European network with one
+// video stream per (server, client) pair, all started at t=0, and the time
+// until every stream reaches its client, configuration included. With
+// several pairs it exercises the dataplane the way the paper's testbed
+// audience did — several flows crossing the 28-switch core at once.
+func runDemo(pairs [][2]int, opts []Option) (DemoResult, error) {
 	g := PanEuropean()
-	clk := ScaledClock(cfg.TimeScale)
 	hostSet := map[int]bool{}
 	var hostNodes []int
 	for _, p := range pairs {
@@ -279,25 +156,26 @@ func RunDemoMultiStream(cfg ExperimentConfig, pairs [][2]int) (MultiStreamResult
 			}
 		}
 	}
-	d, err := cfg.deploy(g, hostNodes, clk)
+	d, err := deploy(g, hostNodes, opts)
 	if err != nil {
-		return MultiStreamResult{}, err
+		return DemoResult{}, err
 	}
 	defer d.Close()
 
+	clk := d.Clock()
 	clients := make([]*stream.Client, len(pairs))
 	for i, p := range pairs {
 		srvHost, ok := d.Host(p[0])
 		if !ok {
-			return MultiStreamResult{}, fmt.Errorf("routeflow: no host at server node %d", p[0])
+			return DemoResult{}, fmt.Errorf("routeflow: no host at server node %d", p[0])
 		}
 		cliHost, ok := d.Host(p[1])
 		if !ok {
-			return MultiStreamResult{}, fmt.Errorf("routeflow: no host at client node %d", p[1])
+			return DemoResult{}, fmt.Errorf("routeflow: no host at client node %d", p[1])
 		}
 		client, err := stream.NewClient(cliHost, 0, clk)
 		if err != nil {
-			return MultiStreamResult{}, err
+			return DemoResult{}, err
 		}
 		defer client.Close()
 		clients[i] = client
@@ -305,7 +183,7 @@ func RunDemoMultiStream(cfg ExperimentConfig, pairs [][2]int) (MultiStreamResult
 			Host: srvHost, Dst: cliHost.Addr(), Clock: clk,
 		})
 		if err != nil {
-			return MultiStreamResult{}, err
+			return DemoResult{}, err
 		}
 		// Cold start: stream first, then bring the network up — the paper's
 		// ordering ("At the start of the experiment, we stream a video
@@ -316,9 +194,9 @@ func RunDemoMultiStream(cfg ExperimentConfig, pairs [][2]int) (MultiStreamResult
 
 	startAt := clk.Now()
 	if err := d.Start(); err != nil {
-		return MultiStreamResult{}, err
+		return DemoResult{}, err
 	}
-	res := MultiStreamResult{Switches: g.NumNodes(), Links: g.NumLinks(),
+	res := DemoResult{Switches: g.NumNodes(), Links: g.NumLinks(),
 		Streams: make([]StreamResult, len(pairs))}
 	if res.Configured, err = d.AwaitConfigured(time.Hour); err != nil {
 		return res, err
@@ -333,7 +211,7 @@ func RunDemoMultiStream(cfg ExperimentConfig, pairs [][2]int) (MultiStreamResult
 	}
 	res.AllVideo = d.Elapsed()
 	// Let a little video accumulate for the delivery statistics.
-	waitProtocol(clk, 5*time.Second)
+	<-clk.After(5 * time.Second)
 	for i, c := range clients {
 		st := c.Stats()
 		res.Streams[i] = StreamResult{
@@ -342,6 +220,21 @@ func RunDemoMultiStream(cfg ExperimentConfig, pairs [][2]int) (MultiStreamResult
 		}
 	}
 	return res, nil
+}
+
+func printDemo(w io.Writer, ms *DemoResult) {
+	fmt.Fprintf(w, "pan-European demo: %d switches, %d links, %d stream(s)\n",
+		ms.Switches, ms.Links, len(ms.Streams))
+	fmt.Fprintf(w, "  all switches configured (green):  %v\n", round(ms.Configured))
+	fmt.Fprintf(w, "  OSPF fully converged:             %v\n", round(ms.Converged))
+	fmt.Fprintf(w, "  every stream delivering:          %v (paper: ~4 min)\n", round(ms.AllVideo))
+	for _, st := range ms.Streams {
+		fmt.Fprintf(w, "  stream %d→%d: first frame %v, frames %d (gaps %d)\n",
+			st.ServerNode, st.ClientNode, round(st.FirstVideo),
+			st.VideoStats.Frames, st.VideoStats.Gaps)
+	}
+	fmt.Fprintf(w, "  manual configuration equivalent:  %v (paper: ~7 h)\n",
+		DefaultManualModel().Total(ms.Switches))
 }
 
 // Chaos / scenario harness (internal/scenario re-exported).
@@ -376,14 +269,6 @@ const (
 	FaultReplicaHeal      = scenario.FaultReplicaHeal
 )
 
-// RunScenario executes one chaos scenario: build the deployment, inject the
-// fault schedule, converge at every quiesce point and evaluate the invariant
-// battery (no-blackhole, no-loop, flow-table consistency, stream
-// continuity). The returned error covers harness failures only; invariant
-// violations are reported in the result. The same spec (same seed) produces
-// a byte-identical event log.
-func RunScenario(spec ScenarioSpec) (*ScenarioResult, error) { return scenario.Run(spec) }
-
 // CuratedScenarios returns the named scenario suite CI gates on.
 func CuratedScenarios() []ScenarioSpec { return scenario.Curated() }
 
@@ -399,9 +284,7 @@ func RandomFaultSchedule(g *Topology, n int, seed int64) []ScenarioFault {
 	return scenario.RandomSchedule(g, n, seed)
 }
 
-// PrintScenario renders a scenario result: the event log, then per-phase
-// convergence times (protocol time) and failed checks.
-func PrintScenario(w io.Writer, r *ScenarioResult) {
+func printScenario(w io.Writer, r *ScenarioResult) {
 	fmt.Fprintf(w, "=== scenario %s (seed %d) ===\n", r.Name, r.Seed)
 	for _, line := range r.Events {
 		fmt.Fprintf(w, "  %s\n", line)
@@ -426,14 +309,4 @@ func PrintScenario(w io.Writer, r *ScenarioResult) {
 	} else {
 		fmt.Fprintf(w, "all invariants held\n")
 	}
-}
-
-// PrintDemo renders the demonstration outcome.
-func PrintDemo(w io.Writer, r DemoResult) {
-	fmt.Fprintf(w, "pan-European demo: %d switches, %d links\n", r.Switches, r.Links)
-	fmt.Fprintf(w, "  all switches configured (green):  %v\n", round(r.Configured))
-	fmt.Fprintf(w, "  OSPF fully converged:             %v\n", round(r.Converged))
-	fmt.Fprintf(w, "  video at remote client:           %v (paper: ~4 min)\n", round(r.FirstVideo))
-	fmt.Fprintf(w, "  frames received: %d (gaps %d)\n", r.VideoStats.Frames, r.VideoStats.Gaps)
-	fmt.Fprintf(w, "  manual configuration equivalent:  %v (paper: ~7 h)\n", r.ManualEquiv)
 }

@@ -8,6 +8,7 @@ import (
 
 	"routeflow/internal/openflow"
 
+	"routeflow/internal/clock"
 	"routeflow/internal/ctlkit"
 	"routeflow/internal/discovery"
 	"routeflow/internal/flowvisor"
@@ -265,6 +266,10 @@ func (d *Deployment) RPCServerApplied() uint64 {
 // Elapsed returns protocol time since Start (on a scaled clock this is
 // already protocol time, not wall time).
 func (d *Deployment) Elapsed() time.Duration { return d.clk.Since(d.startedAt) }
+
+// Clock returns the clock every timer of the deployment runs on, for traffic
+// sources and sinks that must share its protocol time.
+func (d *Deployment) Clock() clock.Clock { return d.clk }
 
 // pollUntil polls cond every millisecond of wall time until it holds or the
 // protocol-time budget is exhausted. It returns the protocol time elapsed

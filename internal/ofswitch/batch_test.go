@@ -469,26 +469,28 @@ func TestBatchBurstHammer(t *testing.T) {
 
 // TestSwitchBatchAllocBudget extends the 0 allocs/op gate to a full burst:
 // a warm same-flow burst must classify, run-detect, cache-hit, rewrite in
-// place and emit without touching the heap.
+// place and emit without touching the heap, whether the table holds one
+// entry or 128.
 func TestSwitchBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		// Race instrumentation defeats the escape analysis that keeps the
-		// per-burst key array on the stack; the gate runs in the non-race
-		// bench job.
+		// per-burst key array on the stack; the gate runs without -race.
 		t.Skip("alloc budget not meaningful under -race")
 	}
-	sw := benchSwitch(t, 2, 16)
-	burst := make([][]byte, netemu.MaxBurst)
-	for i := range burst {
-		burst[i] = benchFrameFor(1, 0)
-	}
-	for i := 0; i < 64; i++ { // warm cache, pool and inbox
-		sw.batchIn(1, burst)
-	}
-	avg := testing.AllocsPerRun(500, func() {
-		sw.batchIn(1, burst)
-	})
-	if avg > 0 {
-		t.Fatalf("batch forward allocates %.2f allocs/op, budget is 0", avg)
+	for _, flows := range []int{1, 16, 128} {
+		sw := benchSwitch(t, 2, flows)
+		burst := make([][]byte, netemu.MaxBurst)
+		for i := range burst {
+			burst[i] = benchFrameFor(1, 0)
+		}
+		for i := 0; i < 64; i++ { // warm cache, pool and inbox
+			sw.batchIn(1, burst)
+		}
+		avg := testing.AllocsPerRun(500, func() {
+			sw.batchIn(1, burst)
+		})
+		if avg > 0 {
+			t.Fatalf("batch forward over %d flows allocates %.2f allocs/op, budget is 0", flows, avg)
+		}
 	}
 }

@@ -1,15 +1,17 @@
 package openflow
 
 import (
+	"io"
 	"net/netip"
 	"testing"
 
 	"routeflow/internal/pkt"
 )
 
-// Allocation budgets for the two hottest codec operations. These are CI
-// gates, not benchmarks: a regression that re-introduces per-message garbage
-// fails the test suite instead of only drifting a benchmark number.
+// Allocation budgets for the hottest codec and classification operations.
+// These are the gates, not benchmarks: a regression that re-introduces
+// per-message or per-packet garbage fails the test suite instead of only
+// drifting a number (bench/ measures the speed).
 
 func allocBudgetFlowMod() *FlowMod {
 	m := MatchAll()
@@ -28,15 +30,15 @@ func allocBudgetFlowMod() *FlowMod {
 }
 
 // TestAppendToFlowModAllocBudget: encoding a representative flow-mod into a
-// reused buffer — the batched write path — must stay at <=1 alloc/op (it is
-// 0 once the buffer has grown).
+// reused buffer — the batched write path — allocates nothing once the buffer
+// has grown.
 func TestAppendToFlowModAllocBudget(t *testing.T) {
 	fm := allocBudgetFlowMod()
 	buf := fm.AppendTo(nil) // warm the buffer to working-set capacity
 	if got := testing.AllocsPerRun(200, func() {
 		buf = fm.AppendTo(buf[:0])
-	}); got > 1 {
-		t.Fatalf("AppendTo(FlowMod) = %.1f allocs/op, budget 1", got)
+	}); got != 0 {
+		t.Fatalf("AppendTo(FlowMod) = %.1f allocs/op, budget 0", got)
 	}
 }
 
@@ -72,23 +74,37 @@ func TestExtractKeyAllocBudget(t *testing.T) {
 }
 
 // TestMessageWriterSteadyStateAllocBudget: appending a burst to a warmed
-// MessageWriter must not allocate per message.
+// MessageWriter and flushing it in one write allocates nothing.
 func TestMessageWriterSteadyStateAllocBudget(t *testing.T) {
 	fm := allocBudgetFlowMod()
-	w := &countingWriter{}
-	mw := NewMessageWriter(w)
-	for i := 0; i < 64; i++ { // grow the batch buffer to working-set size
-		mw.Append(fm)
-	}
-	if err := mw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(100, func() {
+	mw := NewMessageWriter(io.Discard)
+	burst := func() {
 		for i := 0; i < 64; i++ {
 			mw.Append(fm)
 		}
-		mw.buf = mw.buf[:0] // discard instead of flushing; countingWriter would grow
-	}); got > 1 {
-		t.Fatalf("MessageWriter burst = %.1f allocs/op, budget 1", got)
+		if err := mw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst() // grow the batch buffer to working-set size
+	if got := testing.AllocsPerRun(100, burst); got != 0 {
+		t.Fatalf("MessageWriter burst = %.1f allocs/op, budget 0", got)
+	}
+}
+
+// TestMatchCoversAllocBudget: evaluating a flow entry's match against an
+// extracted key allocates nothing.
+func TestMatchCoversAllocBudget(t *testing.T) {
+	key := Match{DlType: 0x0800, NwDst: [4]byte{10, 9, 0, 100}}
+	m := MatchAll()
+	m.Wildcards &^= WildcardDlType
+	m.DlType = 0x0800
+	m.SetNwDstPrefix(netip.MustParsePrefix("10.9.0.0/24"))
+	if got := testing.AllocsPerRun(200, func() {
+		if !m.Covers(&key) {
+			t.Fatal("must match")
+		}
+	}); got != 0 {
+		t.Fatalf("Match.Covers = %.1f allocs/op, budget 0", got)
 	}
 }

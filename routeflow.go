@@ -19,6 +19,11 @@
 //	d.Start()
 //	t, _ := d.AwaitConfigured(5 * time.Minute) // protocol time
 //
+// The paper's experiments run through Run, which takes the same options:
+//
+//	report, err := routeflow.Run(routeflow.Fig3Run{}, routeflow.WithTimeScale(25))
+//	report.Print(os.Stdout)
+//
 // Since PR 6 the RF-controller can be run as a replicated cluster with
 // sharded per-switch ownership and lease-based failover: add
 // routeflow.WithReplicas(n) (or WithCluster for full control over shard

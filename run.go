@@ -3,7 +3,8 @@ package routeflow
 import (
 	"fmt"
 	"io"
-	"time"
+
+	"routeflow/internal/scenario"
 )
 
 // RunSpec selects one experiment for Run. The interface is sealed: the
@@ -34,9 +35,12 @@ type DemoRun struct {
 	Streams [][2]int
 }
 
-// ScenarioRun executes one chaos scenario. The spec is self-contained
-// (topology, fault schedule, timing, cluster), so Run options that tune
-// the experiment config do not apply to it.
+// ScenarioRun executes one chaos scenario: build the deployment, inject the
+// fault schedule, converge at every quiesce point and evaluate the invariant
+// battery (no-blackhole, no-loop, flow-table consistency, stream
+// continuity). The spec is self-contained (topology, fault schedule, timing,
+// cluster), so Run refuses options alongside it. The same spec (same seed)
+// produces a byte-identical event log.
 type ScenarioRun struct {
 	Spec ScenarioSpec
 }
@@ -46,62 +50,12 @@ func (MultiASRun) runSpec()  {}
 func (DemoRun) runSpec()     {}
 func (ScenarioRun) runSpec() {}
 
-// RunOption adjusts the experiment configuration a Run executes under.
-type RunOption func(*ExperimentConfig)
-
-// RunConfig replaces the whole experiment config — the migration path for
-// callers that already build an ExperimentConfig literal.
-func RunConfig(cfg ExperimentConfig) RunOption {
-	return func(c *ExperimentConfig) { *c = cfg }
-}
-
-// RunTimeScale compresses protocol time factor× (default 50).
-func RunTimeScale(factor float64) RunOption {
-	return func(c *ExperimentConfig) { c.TimeScale = factor }
-}
-
-// RunBootDelay models VM creation time (default 2s).
-func RunBootDelay(d time.Duration) RunOption {
-	return func(c *ExperimentConfig) { c.BootDelay = d }
-}
-
-// RunTimers sets the routing daemons' protocol timers.
-func RunTimers(t Timers) RunOption {
-	return func(c *ExperimentConfig) { c.Timers = t }
-}
-
-// RunProbeInterval sets the LLDP probe period (default 1s).
-func RunProbeInterval(d time.Duration) RunOption {
-	return func(c *ExperimentConfig) { c.ProbeInterval = d }
-}
-
-// RunMerged runs the merged-controller ablation (no FlowVisor).
-func RunMerged() RunOption {
-	return func(c *ExperimentConfig) { c.NoFlowVisor = true }
-}
-
-// RunCluster runs the experiment on a distributed RF-controller.
-func RunCluster(spec ClusterSpec) RunOption {
-	return func(c *ExperimentConfig) { c.Cluster = spec }
-}
-
-// RunReplicas is the RunCluster shorthand for "n replicas, defaults".
-func RunReplicas(n int) RunOption {
-	return func(c *ExperimentConfig) { c.Cluster = ClusterSpec{Replicas: n} }
-}
-
-// RunRPCApplyDelay models serialized per-switch work in each replica's RPC
-// apply path (what sharding divides).
-func RunRPCApplyDelay(d time.Duration) RunOption {
-	return func(c *ExperimentConfig) { c.RPCApplyDelay = d }
-}
-
 // RunReport is the outcome of Run: exactly one section is populated,
 // matching the spec variant that was executed.
 type RunReport struct {
 	Fig3     []Fig3Row
 	MultiAS  []MultiASRow
-	Demo     *MultiStreamResult
+	Demo     *DemoResult
 	Scenario *ScenarioResult
 }
 
@@ -110,47 +64,40 @@ func (r *RunReport) Print(w io.Writer) {
 	switch {
 	case r == nil:
 	case r.Fig3 != nil:
-		PrintFig3(w, r.Fig3)
+		printFig3(w, r.Fig3)
 	case r.MultiAS != nil:
-		PrintMultiAS(w, r.MultiAS)
+		printMultiAS(w, r.MultiAS)
 	case r.Demo != nil:
-		printMultiStream(w, r.Demo)
+		printDemo(w, r.Demo)
 	case r.Scenario != nil:
-		PrintScenario(w, r.Scenario)
+		printScenario(w, r.Scenario)
 	}
 }
 
-func printMultiStream(w io.Writer, ms *MultiStreamResult) {
-	fmt.Fprintf(w, "pan-European demo: %d switches, %d links, %d stream(s)\n",
-		ms.Switches, ms.Links, len(ms.Streams))
-	fmt.Fprintf(w, "  all switches configured (green):  %v\n", round(ms.Configured))
-	fmt.Fprintf(w, "  OSPF fully converged:             %v\n", round(ms.Converged))
-	fmt.Fprintf(w, "  every stream delivering:          %v (paper: ~4 min)\n", round(ms.AllVideo))
-	for _, st := range ms.Streams {
-		fmt.Fprintf(w, "  stream %d→%d: first frame %v, frames %d (gaps %d)\n",
-			st.ServerNode, st.ClientNode, round(st.FirstVideo),
-			st.VideoStats.Frames, st.VideoStats.Gaps)
+// Run executes one experiment, the only way the CLIs, examples and tests
+// run one. Every deployment it builds is New(topology, opts...): the
+// options are New's, and the zero configuration is the paper's conditions
+// (RFC OSPF timers, 1 s LLDP probes, a 2 s modeled VM boot) at a 50× time
+// compression. The experiment's own topology and host attachments override
+// any the options set.
+//
+//	report, err := routeflow.Run(routeflow.Fig3Run{Sizes: []int{4, 8}},
+//	        routeflow.WithTimeScale(200), routeflow.WithReplicas(2))
+//
+// A scenario's error covers harness failures only; invariant violations
+// are reported in RunReport.Scenario (see ScenarioExitCode).
+func Run(spec RunSpec, opts ...Option) (*RunReport, error) {
+	if _, ok := spec.(ScenarioRun); ok && len(opts) > 0 {
+		return nil, fmt.Errorf("routeflow: a ScenarioRun is configured by its spec, not by options")
 	}
-	fmt.Fprintf(w, "  manual configuration equivalent:  %v (paper: ~7 h)\n",
-		DefaultManualModel().Total(ms.Switches))
-}
-
-// Run executes one experiment through the single dispatcher the CLIs and
-// examples share: build the deployment, run the spec variant, tear down.
-// It replaces direct calls to RunFig3, RunMultiASScaling,
-// RunDemoMultiStream and RunScenario (all still exported).
-func Run(spec RunSpec, opts ...RunOption) (*RunReport, error) {
-	var cfg ExperimentConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+	opts = append([]Option{WithTimeScale(50)}, opts...)
 	switch s := spec.(type) {
 	case Fig3Run:
 		sizes := s.Sizes
 		if len(sizes) == 0 {
 			sizes = []int{4, 8, 12, 16, 20, 24, 28}
 		}
-		rows, err := RunFig3(sizes, cfg)
+		rows, err := sweep(sizes, func(n int) (Fig3Row, error) { return runFig3Point(n, opts) })
 		return &RunReport{Fig3: rows}, err
 	case MultiASRun:
 		counts := s.ASCounts
@@ -161,7 +108,7 @@ func Run(spec RunSpec, opts ...RunOption) (*RunReport, error) {
 		if size <= 0 {
 			size = 3
 		}
-		rows, err := RunMultiASScaling(counts, size, cfg)
+		rows, err := sweep(counts, func(n int) (MultiASRow, error) { return runMultiASPoint(n, size, opts) })
 		return &RunReport{MultiAS: rows}, err
 	case DemoRun:
 		pairs := s.Streams
@@ -171,16 +118,29 @@ func Run(spec RunSpec, opts ...RunOption) (*RunReport, error) {
 			stockholm, _ := g.NodeByName("Stockholm")
 			pairs = [][2]int{{lisbon.ID, stockholm.ID}}
 		}
-		ms, err := RunDemoMultiStream(cfg, pairs)
+		ms, err := runDemo(pairs, opts)
 		return &RunReport{Demo: &ms}, err
 	case ScenarioRun:
-		res, err := RunScenario(s.Spec)
+		res, err := scenario.Run(s.Spec)
 		return &RunReport{Scenario: res}, err
 	case nil:
 		return nil, fmt.Errorf("routeflow: Run needs a spec (Fig3Run, MultiASRun, DemoRun or ScenarioRun)")
 	default:
 		return nil, fmt.Errorf("routeflow: unknown run spec %T", spec)
 	}
+}
+
+// sweep measures one experiment point per x, stopping at the first error.
+func sweep[T any](xs []int, point func(int) (T, error)) ([]T, error) {
+	rows := make([]T, 0, len(xs))
+	for _, x := range xs {
+		row, err := point(x)
+		if err != nil {
+			return rows, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // ScenarioExitCode maps a scenario outcome to a process exit status: 1 on a

@@ -14,14 +14,21 @@ import (
 	"testing"
 )
 
+// runScenario runs spec through Run and fails t on a harness error.
+func runScenario(t *testing.T, spec ScenarioSpec) *ScenarioResult {
+	t.Helper()
+	report, err := Run(ScenarioRun{Spec: spec})
+	if err != nil {
+		t.Fatalf("%s: harness error: %v", spec.Name, err)
+	}
+	return report.Scenario
+}
+
 func TestCuratedScenario(t *testing.T) {
 	for _, spec := range CuratedScenarios() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			res, err := RunScenario(spec)
-			if err != nil {
-				t.Fatalf("harness error: %v", err)
-			}
+			res := runScenario(t, spec)
 			if failed := res.FailedChecks(); len(failed) > 0 {
 				t.Fatalf("invariants failed:\n  %s\nevent log:\n%s",
 					strings.Join(failed, "\n  "), res.EventLog())
@@ -77,10 +84,7 @@ func TestScenarioPartitionIsHonest(t *testing.T) {
 	if !ok {
 		t.Fatal("partition scenario missing from curated suite")
 	}
-	res, err := RunScenario(spec)
-	if err != nil {
-		t.Fatalf("harness error: %v", err)
-	}
+	res := runScenario(t, spec)
 	if failed := res.FailedChecks(); len(failed) > 0 {
 		t.Fatalf("invariants failed: %v\n%s", failed, res.EventLog())
 	}
@@ -111,10 +115,7 @@ func TestInterDomainScenarioDeterministicEventLog(t *testing.T) {
 		if !ok {
 			t.Fatal("multias3-border-down-up missing from curated suite")
 		}
-		res, err := RunScenario(spec)
-		if err != nil {
-			t.Fatalf("harness error: %v", err)
-		}
+		res := runScenario(t, spec)
 		if failed := res.FailedChecks(); len(failed) > 0 {
 			t.Fatalf("invariants failed: %v\n%s", failed, res.EventLog())
 		}
@@ -137,10 +138,7 @@ func TestTEScenarioDeterministicEventLog(t *testing.T) {
 		if !ok {
 			t.Fatal("grid9-te-master-kill missing from curated suite")
 		}
-		res, err := RunScenario(spec)
-		if err != nil {
-			t.Fatalf("harness error: %v", err)
-		}
+		res := runScenario(t, spec)
 		if failed := res.FailedChecks(); len(failed) > 0 {
 			t.Fatalf("invariants failed: %v\n%s", failed, res.EventLog())
 		}
@@ -164,27 +162,18 @@ func TestScenarioDeterministicEventLog(t *testing.T) {
 			RandomFaults: 2,
 		}
 	}
-	first, err := RunScenario(mk())
-	if err != nil {
-		t.Fatalf("run 1: %v", err)
-	}
+	first := runScenario(t, mk())
 	if failed := first.FailedChecks(); len(failed) > 0 {
 		t.Fatalf("run 1 invariants failed: %v\n%s", failed, first.EventLog())
 	}
-	second, err := RunScenario(mk())
-	if err != nil {
-		t.Fatalf("run 2: %v", err)
-	}
+	second := runScenario(t, mk())
 	if a, b := first.EventLog(), second.EventLog(); a != b {
 		t.Fatalf("same seed, different event logs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}
 	// A different seed must yield a different schedule (and thus log).
 	diff := mk()
 	diff.Seed = 1042
-	third, err := RunScenario(diff)
-	if err != nil {
-		t.Fatalf("run 3: %v", err)
-	}
+	third := runScenario(t, diff)
 	if third.EventLog() == first.EventLog() {
 		t.Fatal("different seeds produced identical event logs — the schedule ignores the seed")
 	}
@@ -201,10 +190,7 @@ func TestMasterKillScenarioDeterministicEventLog(t *testing.T) {
 		if !ok {
 			t.Fatal("ring6-master-kill-midconverge missing from curated suite")
 		}
-		res, err := RunScenario(spec)
-		if err != nil {
-			t.Fatalf("harness error: %v", err)
-		}
+		res := runScenario(t, spec)
 		if failed := res.FailedChecks(); len(failed) > 0 {
 			t.Fatalf("invariants failed: %v\n%s", failed, res.EventLog())
 		}
