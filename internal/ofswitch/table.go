@@ -12,6 +12,7 @@ package ofswitch
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -145,10 +146,20 @@ const counterShards = 8
 // atomically invalidates every cache line; the next packet of each
 // microflow re-classifies and refills. This keeps OF 1.0 semantics exact: a
 // barrier'd flow-mod is observed by the very next lookup.
+//
+// A mutation costs what it changes: an add is one binary search and one
+// copy into the ordered entries; a strict add-replace, modify or delete is
+// one index probe (and a binary search for the slot); a loose delete or an
+// expiry filters the entries in place, allocating only for what it removes.
 type flowTable struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// entries is kept in (priority desc, seq asc) order, the order classify
+	// scans: an add inserts at its sorted slot and a removal closes the gap.
 	entries []*flowEntry
-	seq     uint64
+	// strict indexes entries by OpenFlow strict identity; it holds exactly
+	// the entries in entries.
+	strict map[strictKey]*flowEntry
+	seq    uint64
 
 	// shards is the microflow cache, one shard per core (sized at
 	// construction from GOMAXPROCS, rounded up to a power of two), selected
@@ -163,10 +174,12 @@ type flowTable struct {
 	// unmonitored pipeline pays one pointer load per cache fill and nothing
 	// on cache hits.
 	mon atomic.Pointer[monitorSet]
+}
 
-	// disableCache forces every lookup through the tier-2 classifier; a
-	// benchmark/test knob to measure the cache against its slow path.
-	disableCache bool
+// strictKey is OpenFlow "strict" identity: equal match and priority.
+type strictKey struct {
+	match    openflow.Match
+	priority uint16
 }
 
 // newFlowTable sizes the microflow cache shards to the core count: one
@@ -177,7 +190,7 @@ func newFlowTable() *flowTable {
 	for n < runtime.GOMAXPROCS(0) && n < mfMaxShards {
 		n <<= 1
 	}
-	return &flowTable{shards: make([]mfShard, n), shardMask: uint32(n - 1)}
+	return &flowTable{strict: make(map[strictKey]*flowEntry), shards: make([]mfShard, n), shardMask: uint32(n - 1)}
 }
 
 // shardFor returns the microflow cache shard owned by the delivering port.
@@ -185,13 +198,13 @@ func (t *flowTable) shardFor(port uint16) *mfShard {
 	return &t.shards[uint32(port)&t.shardMask]
 }
 
-// sortLocked restores the priority ordering after insertion.
-func (t *flowTable) sortLocked() {
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		if t.entries[i].priority != t.entries[j].priority {
-			return t.entries[i].priority > t.entries[j].priority
-		}
-		return t.entries[i].seq < t.entries[j].seq
+// searchLocked returns the first slot whose entry sorts at or after
+// (priority, seq): the slot of an installed entry, and the insert position
+// of a new one, whose seq is the largest yet.
+func (t *flowTable) searchLocked(priority uint16, seq uint64) int {
+	return sort.Search(len(t.entries), func(i int) bool {
+		e := t.entries[i]
+		return e.priority < priority || e.priority == priority && e.seq >= seq
 	})
 }
 
@@ -215,33 +228,30 @@ func (t *flowTable) invalidateLocked() {
 func (t *flowTable) lookupN(key *openflow.Match, n, nBytes uint64, nowNanos int64) ([]openflow.Action, bool) {
 	c := &t.counters[key.InPort&(counterShards-1)]
 	c.lookups.Add(n)
-	var shard *mfShard
+	shard := t.shardFor(key.InPort)
+	gen := shard.gen.Load()
+	idx := uint32(key.KeyHash()) & mfCacheMask
 	var slot *atomic.Pointer[mfEntry]
-	if !t.disableCache {
-		shard = t.shardFor(key.InPort)
-		gen := shard.gen.Load()
-		idx := uint32(key.KeyHash()) & mfCacheMask
-		for way := uint32(0); way < mfWays; way++ {
-			w := &shard.slots[idx^way]
-			ce := w.Load()
-			if ce != nil && ce.gen == gen && ce.key == *key {
-				c.matched.Add(n)
-				c.cacheHits.Add(n)
-				ce.flow.hitN(n, nBytes, nowNanos)
-				if ce.mon != nil {
-					ce.mon.add(n, nBytes)
-				}
-				return ce.actions, true
+	for way := uint32(0); way < mfWays; way++ {
+		w := &shard.slots[idx^way]
+		ce := w.Load()
+		if ce != nil && ce.gen == gen && ce.key == *key {
+			c.matched.Add(n)
+			c.cacheHits.Add(n)
+			ce.flow.hitN(n, nBytes, nowNanos)
+			if ce.mon != nil {
+				ce.mon.add(n, nBytes)
 			}
-			// Refill the first way holding nothing live, the home slot when
-			// both do.
-			if slot == nil && (ce == nil || ce.gen != gen) {
-				slot = w
-			}
+			return ce.actions, true
 		}
-		if slot == nil {
-			slot = &shard.slots[idx]
+		// Refill the first way holding nothing live, the home slot when
+		// both do.
+		if slot == nil && (ce == nil || ce.gen != gen) {
+			slot = w
 		}
+	}
+	if slot == nil {
+		slot = &shard.slots[idx]
 	}
 	return t.classify(key, n, nBytes, nowNanos, shard, slot, c)
 }
@@ -258,10 +268,7 @@ func (t *flowTable) lookupN(key *openflow.Match, n, nBytes uint64, nowNanos int6
 // after removal, which OpenFlow permits.)
 func (t *flowTable) classify(key *openflow.Match, n, nBytes uint64, nowNanos int64, shard *mfShard, slot *atomic.Pointer[mfEntry], c *tableCounters) ([]openflow.Action, bool) {
 	t.mu.RLock()
-	var gen uint64
-	if shard != nil {
-		gen = shard.gen.Load()
-	}
+	gen := shard.gen.Load()
 	for _, e := range t.entries {
 		if e.match.Covers(key) {
 			actions := e.actions
@@ -276,9 +283,7 @@ func (t *flowTable) classify(key *openflow.Match, n, nBytes uint64, nowNanos int
 					mc.add(n, nBytes)
 				}
 			}
-			if slot != nil {
-				slot.Store(&mfEntry{key: *key, gen: gen, flow: e, actions: actions, mon: mc})
-			}
+			slot.Store(&mfEntry{key: *key, gen: gen, flow: e, actions: actions, mon: mc})
 			t.mu.RUnlock()
 			return actions, true
 		}
@@ -353,11 +358,6 @@ func (t *flowTable) cachedEntry(key *openflow.Match) *mfEntry {
 	return nil
 }
 
-// sameStrict reports ofp "strict" identity: equal match and priority.
-func sameStrict(a *flowEntry, match *openflow.Match, priority uint16) bool {
-	return a.priority == priority && a.match == *match
-}
-
 // overlaps approximates the OFPFF_CHECK_OVERLAP test: two entries of equal
 // priority overlap when one's match covers a packet the other also covers.
 // Exact overlap computation needs field-by-field intersection; covering in
@@ -374,28 +374,32 @@ func overlaps(a, b *flowEntry) bool {
 func (t *flowTable) add(e *flowEntry, checkOverlap bool) *openflow.ErrorMsg {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	k := strictKey{e.match, e.priority}
+	old := t.strict[k]
 	if checkOverlap {
-		for _, ex := range t.entries {
-			if overlaps(ex, e) && !sameStrict(ex, &e.match, e.priority) {
+		// Entries of other priorities never overlap: scan e's priority run.
+		for _, ex := range t.entries[t.searchLocked(e.priority, 0):] {
+			if ex.priority != e.priority {
+				break
+			}
+			if ex != old && overlaps(ex, e) {
 				return &openflow.ErrorMsg{ErrType: openflow.ErrTypeFlowModFailed,
 					Code: openflow.ErrCodeFlowModOverlap}
 			}
 		}
 	}
-	defer t.invalidateLocked()
-	// Identical match+priority replaces the existing entry (counters reset).
-	for i, ex := range t.entries {
-		if sameStrict(ex, &e.match, e.priority) {
-			t.seq++
-			e.seq = ex.seq
-			t.entries[i] = e
-			return nil
-		}
+	if old != nil {
+		// Identical match+priority replaces the existing entry in its slot
+		// (counters reset).
+		e.seq = old.seq
+		t.entries[t.searchLocked(old.priority, old.seq)] = e
+	} else {
+		t.seq++
+		e.seq = t.seq
+		t.entries = slices.Insert(t.entries, t.searchLocked(e.priority, e.seq), e)
 	}
-	t.seq++
-	e.seq = t.seq
-	t.entries = append(t.entries, e)
-	t.sortLocked()
+	t.strict[k] = e
+	t.invalidateLocked()
 	return nil
 }
 
@@ -406,15 +410,17 @@ func (t *flowTable) modify(m *openflow.Match, priority uint16, actions []openflo
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for _, e := range t.entries {
-		if strict {
-			if sameStrict(e, m, priority) {
+	if strict {
+		if e := t.strict[strictKey{*m, priority}]; e != nil {
+			e.actions = actions
+			n = 1
+		}
+	} else {
+		for _, e := range t.entries {
+			if m.Covers(&e.match) {
 				e.actions = actions
 				n++
 			}
-		} else if m.Covers(&e.match) {
-			e.actions = actions
-			n++
 		}
 	}
 	if n > 0 {
@@ -423,48 +429,68 @@ func (t *flowTable) modify(m *openflow.Match, priority uint16, actions []openflo
 	return n
 }
 
+// outputsTo reports whether e passes a delete's out_port filter: outPort is
+// PortNone (no filter), or one of e's outputs or multipath buckets is to it.
+func outputsTo(e *flowEntry, outPort uint16) bool {
+	if outPort == openflow.PortNone {
+		return true
+	}
+	for _, a := range e.actions {
+		switch a := a.(type) {
+		case *openflow.ActionOutput:
+			if a.Port == outPort {
+				return true
+			}
+		case *openflow.ActionMultipath:
+			for _, bk := range a.Buckets {
+				if bk.Port == outPort {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // deleteFlows removes flows per FlowModDelete semantics. outPort filters to
 // flows with an output action to that port (PortNone = no filter). Removed
 // entries are returned so the switch can emit flow-removed notifications.
 func (t *flowTable) deleteFlows(m *openflow.Match, priority uint16, outPort uint16, strict bool) []*flowEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var kept []*flowEntry
+	if !strict {
+		return t.removeLocked(func(e *flowEntry) bool {
+			return m.Covers(&e.match) && outputsTo(e, outPort)
+		})
+	}
+	k := strictKey{*m, priority}
+	e := t.strict[k]
+	if e == nil || !outputsTo(e, outPort) {
+		return nil
+	}
+	i := t.searchLocked(e.priority, e.seq)
+	t.entries = slices.Delete(t.entries, i, i+1)
+	delete(t.strict, k)
+	t.invalidateLocked()
+	return []*flowEntry{e}
+}
+
+// removeLocked filters the entries in place, keeping their order, and
+// returns the ones drop selects. It allocates only when it removes
+// something.
+func (t *flowTable) removeLocked(drop func(*flowEntry) bool) []*flowEntry {
 	var removed []*flowEntry
+	kept := t.entries[:0]
 	for _, e := range t.entries {
-		match := false
-		if strict {
-			match = sameStrict(e, m, priority)
-		} else {
-			match = m.Covers(&e.match)
-		}
-		if match && outPort != openflow.PortNone {
-			match = false
-			for _, a := range e.actions {
-				if out, ok := a.(*openflow.ActionOutput); ok && out.Port == outPort {
-					match = true
-					break
-				}
-				if mp, ok := a.(*openflow.ActionMultipath); ok {
-					for _, bk := range mp.Buckets {
-						if bk.Port == outPort {
-							match = true
-							break
-						}
-					}
-				}
-				if match {
-					break
-				}
-			}
-		}
-		if match {
+		if drop(e) {
 			removed = append(removed, e)
+			delete(t.strict, strictKey{e.match, e.priority})
 		} else {
 			kept = append(kept, e)
 		}
 	}
 	if len(removed) > 0 {
+		clear(t.entries[len(kept):])
 		t.entries = kept
 		t.invalidateLocked()
 	}
@@ -478,32 +504,19 @@ func (t *flowTable) deleteFlows(m *openflow.Match, priority uint16, outPort uint
 func (t *flowTable) expire(now time.Time) []*flowEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var kept, removed []*flowEntry
-	for _, e := range t.entries {
-		expired := false
+	return t.removeLocked(func(e *flowEntry) bool {
 		if e.hardTimeout > 0 && now.Sub(e.created) >= time.Duration(e.hardTimeout)*time.Second {
-			expired = true
+			return true
 		}
-		if !expired && e.idleTimeout > 0 {
-			ref := e.created
-			if n := e.lastUsed.Load(); n != 0 {
-				ref = time.Unix(0, n)
-			}
-			if now.Sub(ref) >= time.Duration(e.idleTimeout)*time.Second {
-				expired = true
-			}
+		if e.idleTimeout == 0 {
+			return false
 		}
-		if expired {
-			removed = append(removed, e)
-		} else {
-			kept = append(kept, e)
+		ref := e.created
+		if n := e.lastUsed.Load(); n != 0 {
+			ref = time.Unix(0, n)
 		}
-	}
-	if len(removed) > 0 {
-		t.entries = kept
-		t.invalidateLocked()
-	}
-	return removed
+		return now.Sub(ref) >= time.Duration(e.idleTimeout)*time.Second
+	})
 }
 
 // snapshot returns FlowInfo for all entries in table order. Actions are

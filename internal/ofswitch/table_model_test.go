@@ -1,0 +1,351 @@
+package ofswitch
+
+import (
+	"fmt"
+	"math/rand"
+	"net/netip"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"routeflow/internal/openflow"
+	"routeflow/internal/pkt"
+)
+
+// refEntry is one flow of the reference table. id is the cookie of the
+// flowEntry it mirrors.
+type refEntry struct {
+	id          uint64
+	match       openflow.Match
+	priority    uint16
+	seq         uint64
+	port        uint16
+	idleTimeout uint16
+	hardTimeout uint16
+	created     time.Time
+	lastUsed    int64
+	packets     uint64
+}
+
+// refTable is the flow table written the obvious way: a slice, a full
+// stable sort after every add, and linear scans for everything else.
+type refTable struct {
+	entries []*refEntry
+	seq     uint64
+}
+
+func (r *refTable) add(e *refEntry, checkOverlap bool) bool {
+	if checkOverlap {
+		for _, ex := range r.entries {
+			if ex.priority == e.priority && ex.match != e.match &&
+				(ex.match.Covers(&e.match) || e.match.Covers(&ex.match)) {
+				return false
+			}
+		}
+	}
+	r.seq++
+	for i, ex := range r.entries {
+		if ex.priority == e.priority && ex.match == e.match {
+			e.seq = ex.seq
+			r.entries[i] = e
+			return true
+		}
+	}
+	e.seq = r.seq
+	r.entries = append(r.entries, e)
+	sort.SliceStable(r.entries, func(i, j int) bool {
+		if r.entries[i].priority != r.entries[j].priority {
+			return r.entries[i].priority > r.entries[j].priority
+		}
+		return r.entries[i].seq < r.entries[j].seq
+	})
+	return true
+}
+
+func (r *refTable) modify(m *openflow.Match, priority, port uint16, strict bool) int {
+	n := 0
+	for _, e := range r.entries {
+		if strict && e.priority == priority && e.match == *m || !strict && m.Covers(&e.match) {
+			e.port = port
+			n++
+		}
+	}
+	return n
+}
+
+// remove keeps the entries drop rejects and returns the others' ids in
+// table order.
+func (r *refTable) remove(drop func(*refEntry) bool) []uint64 {
+	var kept []*refEntry
+	var removed []uint64
+	for _, e := range r.entries {
+		if drop(e) {
+			removed = append(removed, e.id)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	r.entries = kept
+	return removed
+}
+
+func (r *refTable) deleteFlows(m *openflow.Match, priority, outPort uint16, strict bool) []uint64 {
+	return r.remove(func(e *refEntry) bool {
+		if strict && (e.priority != priority || e.match != *m) || !strict && !m.Covers(&e.match) {
+			return false
+		}
+		return outPort == openflow.PortNone || e.port == outPort
+	})
+}
+
+func (r *refTable) expire(now time.Time) []uint64 {
+	return r.remove(func(e *refEntry) bool {
+		if e.hardTimeout > 0 && now.Sub(e.created) >= time.Duration(e.hardTimeout)*time.Second {
+			return true
+		}
+		ref := e.created
+		if e.lastUsed != 0 {
+			ref = time.Unix(0, e.lastUsed)
+		}
+		return e.idleTimeout > 0 && now.Sub(ref) >= time.Duration(e.idleTimeout)*time.Second
+	})
+}
+
+func (r *refTable) lookup(key *openflow.Match, nowNanos int64) *refEntry {
+	for _, e := range r.entries {
+		if e.match.Covers(key) {
+			e.packets++
+			e.lastUsed = nowNanos
+			return e
+		}
+	}
+	return nil
+}
+
+// modelGen draws matches and packet keys from a universe small enough that
+// duplicates, overlaps and equal-priority runs are common.
+type modelGen struct{ r *rand.Rand }
+
+var modelPriorities = []uint16{0, 1, 2, 132, 400, 500, 0xffff}
+
+func (g modelGen) addr(a byte) [4]byte {
+	return [4]byte{10, a, byte(g.r.Intn(2)), byte(1 + g.r.Intn(2))}
+}
+
+func (g modelGen) match() openflow.Match {
+	m := openflow.MatchAll()
+	if g.r.Intn(4) == 0 {
+		m.Wildcards &^= openflow.WildcardInPort
+		m.InPort = uint16(1 + g.r.Intn(3))
+	}
+	if g.r.Intn(5) == 0 {
+		return m
+	}
+	m.Wildcards &^= openflow.WildcardDlType
+	m.DlType = uint16(pkt.EtherTypeIPv4)
+	bits := []int{0, 8, 16, 24, 31, 32}
+	// The address is not masked to the prefix: two matches selecting the
+	// same packets can still differ as raw Match values.
+	m.SetNwDstPrefix(netip.PrefixFrom(netip.AddrFrom4(g.addr(byte(g.r.Intn(2)))), bits[g.r.Intn(len(bits))]))
+	if g.r.Intn(3) == 0 {
+		m.SetNwSrcPrefix(netip.PrefixFrom(netip.AddrFrom4(g.addr(9)), bits[g.r.Intn(len(bits))]))
+	}
+	return m
+}
+
+func (g modelGen) key() openflow.Match {
+	return openflow.Match{
+		InPort: uint16(1 + g.r.Intn(3)),
+		DlType: uint16(pkt.EtherTypeIPv4),
+		NwSrc:  g.addr(9),
+		NwDst:  g.addr(byte(g.r.Intn(2))),
+	}
+}
+
+func (g modelGen) priority() uint16 { return modelPriorities[g.r.Intn(len(modelPriorities))] }
+func (g modelGen) port() uint16     { return uint16(1 + g.r.Intn(4)) }
+func (g modelGen) timeout() uint16  { return []uint16{0, 0, 1, 2}[g.r.Intn(4)] }
+
+func ids(es []*flowEntry) []uint64 {
+	var out []uint64
+	for _, e := range es {
+		out = append(out, e.cookie)
+	}
+	return out
+}
+
+// TestFlowTableMatchesReference runs random interleavings of every table
+// mutation, expiry on a fake clock, and packet lookups against refTable, and
+// after every step compares the winner for each probe key, the length, the
+// snapshot order and counters, and each step's removed set or overlap
+// verdict.
+func TestFlowTableMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			g := modelGen{rand.New(rand.NewSource(seed))}
+			tb, ref := newFlowTable(), &refTable{}
+			now := time.Date(2013, 8, 12, 0, 0, 0, 0, time.UTC)
+			probes := make([]openflow.Match, 12)
+			for i := range probes {
+				probes[i] = g.key()
+			}
+			var id uint64
+			newEntry := func(m openflow.Match, prio uint16) (*flowEntry, *refEntry) {
+				id++
+				port, idle, hard := g.port(), g.timeout(), g.timeout()
+				return &flowEntry{match: m, priority: prio, cookie: id, idleTimeout: idle, hardTimeout: hard,
+						actions: []openflow.Action{&openflow.ActionOutput{Port: port}}, created: now},
+					&refEntry{id: id, match: m, priority: prio, port: port, idleTimeout: idle, hardTimeout: hard, created: now}
+			}
+			lookup := func(step int, key *openflow.Match) {
+				t.Helper()
+				nowNanos := now.UnixNano()
+				actions, ok := tb.lookupN(key, 1, 64, nowNanos)
+				want := ref.lookup(key, nowNanos)
+				if ok != (want != nil) {
+					t.Fatalf("step %d: lookup %v hit=%v, reference hit=%v", step, key, ok, want != nil)
+				}
+				if !ok {
+					return
+				}
+				if got := tb.cachedEntry(key).flow.cookie; got != want.id || outPortOf(t, actions) != want.port {
+					t.Fatalf("step %d: lookup %v won flow %d to port %d, reference flow %d to port %d",
+						step, key, got, outPortOf(t, actions), want.id, want.port)
+				}
+			}
+			for step := 0; step < 3000; step++ {
+				var gotRemoved, wantRemoved []uint64
+				switch op := g.r.Intn(20); {
+				case op < 7: // add, one in three with the overlap check
+					checkOverlap := op < 2
+					e, re := newEntry(g.match(), g.priority())
+					if err := tb.add(e, checkOverlap); (err == nil) != ref.add(re, checkOverlap) {
+						t.Fatalf("step %d: add %v prio %d check=%v refused=%v, reference disagrees",
+							step, &e.match, e.priority, checkOverlap, err != nil)
+					}
+				case op < 9: // duplicate add of an installed flow
+					if len(ref.entries) > 0 {
+						ex := ref.entries[g.r.Intn(len(ref.entries))]
+						e, re := newEntry(ex.match, ex.priority)
+						checkOverlap := op == 8
+						if err := tb.add(e, checkOverlap); (err == nil) != ref.add(re, checkOverlap) {
+							t.Fatalf("step %d: duplicate add refused=%v, reference disagrees", step, err != nil)
+						}
+					}
+				case op < 12: // modify, strict on an installed flow or loose
+					strict := op < 11
+					m, prio := g.match(), g.priority()
+					if strict && len(ref.entries) > 0 && g.r.Intn(4) != 0 {
+						ex := ref.entries[g.r.Intn(len(ref.entries))]
+						m, prio = ex.match, ex.priority
+					}
+					port := g.port()
+					got := tb.modify(&m, prio, []openflow.Action{&openflow.ActionOutput{Port: port}}, strict)
+					if want := ref.modify(&m, prio, port, strict); got != want {
+						t.Fatalf("step %d: modify strict=%v changed %d flows, reference %d", step, strict, got, want)
+					}
+				case op < 15: // delete, strict on an installed flow or loose, with and without out_port
+					strict := op < 14
+					m, prio := g.match(), g.priority()
+					if strict && len(ref.entries) > 0 && g.r.Intn(4) != 0 {
+						ex := ref.entries[g.r.Intn(len(ref.entries))]
+						m, prio = ex.match, ex.priority
+					}
+					outPort := openflow.PortNone
+					if g.r.Intn(2) == 0 {
+						outPort = g.port()
+					}
+					gotRemoved = ids(tb.deleteFlows(&m, prio, outPort, strict))
+					wantRemoved = ref.deleteFlows(&m, prio, outPort, strict)
+				case op < 17: // the clock moves on, then expiry
+					now = now.Add(time.Duration(g.r.Intn(2500)) * time.Millisecond)
+					gotRemoved, wantRemoved = ids(tb.expire(now)), ref.expire(now)
+				default: // a packet from outside the probe set
+					key := g.key()
+					lookup(step, &key)
+				}
+				if !slices.Equal(gotRemoved, wantRemoved) {
+					t.Fatalf("step %d: removed %v, reference %v", step, gotRemoved, wantRemoved)
+				}
+				if got, want := tb.len(), len(ref.entries); got != want {
+					t.Fatalf("step %d: table holds %d flows, reference %d", step, got, want)
+				}
+				for i, fi := range tb.snapshot(now) {
+					re := ref.entries[i]
+					if fi.Cookie != re.id || outPortOf(t, fi.Actions) != re.port || fi.Packets != re.packets {
+						t.Fatalf("step %d: snapshot[%d] = flow %d port %d packets %d, reference flow %d port %d packets %d",
+							step, i, fi.Cookie, outPortOf(t, fi.Actions), fi.Packets, re.id, re.port, re.packets)
+					}
+				}
+				for i := range probes {
+					lookup(step, &probes[i])
+				}
+			}
+		})
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun reporting bytes as well as objects:
+// one allocation of a whole-table slice is one object.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestFlowModStrictAllocBudget pins a strict flow-mod's cost on a full
+// table: an add and a DELETE_STRICT of a decoy among 4096 flows allocate a
+// few small objects (the removed list, the map's bookkeeping), not a copy of
+// the table's 32 KiB of pointers; an expiry that removes nothing allocates
+// nothing.
+func TestFlowModStrictAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budget not meaningful under -race")
+	}
+	tb := newFlowTable()
+	for i := 0; i < 4096; i++ {
+		m := openflow.MatchAll()
+		m.Wildcards &^= openflow.WildcardDlType
+		m.DlType = uint16(pkt.EtherTypeIPv4)
+		m.SetNwDstPrefix(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24))
+		if err := tb.add(tableEntry(m, modelPriorities[i%len(modelPriorities)], 2), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decoy := openflow.MatchAll()
+	decoy.Wildcards &^= openflow.WildcardDlType
+	decoy.DlType = uint16(pkt.EtherTypeIPv4)
+	decoy.SetNwDstPrefix(netip.MustParsePrefix("172.30.0.0/30"))
+	e := tableEntry(decoy, 132, 2)
+	objects, bytes := allocsPerRun(200, func() {
+		*e = flowEntry{match: decoy, priority: 132, actions: e.actions}
+		if err := tb.add(e, false); err != nil {
+			t.Fatal(err)
+		}
+		if removed := tb.deleteFlows(&decoy, 132, openflow.PortNone, true); len(removed) != 1 {
+			t.Fatalf("DELETE_STRICT removed %d flows, want 1", len(removed))
+		}
+	})
+	if objects > 4 || bytes > 512 {
+		t.Fatalf("add + DELETE_STRICT on 4096 flows = %.1f allocs, %.0f B; want ≤ 4 and ≤ 512 B", objects, bytes)
+	}
+	if n := tb.len(); n != 4096 {
+		t.Fatalf("table holds %d flows, want 4096", n)
+	}
+	now := time.Now()
+	if objects, _ := allocsPerRun(100, func() {
+		if removed := tb.expire(now); len(removed) != 0 {
+			t.Fatalf("expiry removed %d flows without timeouts", len(removed))
+		}
+	}); objects != 0 {
+		t.Fatalf("expiry that removes nothing = %.1f allocs, want 0", objects)
+	}
+}

@@ -587,8 +587,17 @@ func portOfIface(name string) (uint16, bool) {
 // onFIBEvent translates VM route changes into switch flow entries.
 func (p *Platform) onFIBEvent(dpid uint64, ev rib.Event) {
 	rt := ev.Route
+	route := keyOf(flowTo(rt.Prefix, routePriority(rt.Prefix)))
+	dropRoute := edit{drop: func(k flowKey) bool { return k == route }}
 	if rt.Source == rib.SourceConnected {
-		// Connected subnets stay on the punt path until hosts are learned.
+		// Connected subnets stay on the punt path until hosts are learned. A
+		// connected route that replaces a learned one (a border /30 whose
+		// interface came back) retires the learned route's flow: left in
+		// place, it steers traffic for the VM's own address, its eBGP
+		// session included, away from the punt path.
+		if ev.Type != rib.RouteRemoved {
+			p.set(dpid, dropRoute)
+		}
 		return
 	}
 	switch ev.Type {
@@ -597,8 +606,7 @@ func (p *Platform) onFIBEvent(dpid uint64, ev rib.Event) {
 			p.set(dpid, edit{put: []*openflow.FlowMod{fm}})
 		}
 	case rib.RouteRemoved:
-		gone := keyOf(flowTo(rt.Prefix, routePriority(rt.Prefix)))
-		p.set(dpid, edit{drop: func(k flowKey) bool { return k == gone }})
+		p.set(dpid, dropRoute)
 	}
 }
 

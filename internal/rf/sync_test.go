@@ -272,6 +272,28 @@ func TestHostAndRouteToOneAddressAreTwoFlows(t *testing.T) {
 	}
 }
 
+// TestConnectedRouteRetiresLearnedRouteFlow: a subnet first learned through
+// BGP and then connected again (a border /30 whose interface returns after
+// the far switch crashed) loses its route flow. The connected subnet is on
+// the punt path, and a flow left there forwards the VM's own eBGP traffic
+// away from it.
+func TestConnectedRouteRetiresLearnedRouteFlow(t *testing.T) {
+	r := newRig(t, false)
+	subnet := netip.MustParsePrefix("172.16.0.20/30")
+	r.p.onFIBEvent(rigDPID, rib.Event{Type: rib.RouteAdded, Route: rib.Route{
+		Prefix: subnet, NextHop: rigNextHop, Iface: "eth1", Source: rib.SourceIBGP}})
+	r.settle("learned route installed")
+	if n := r.p.FlowCount(rigDPID); n != 1 {
+		t.Fatalf("desired flows = %d, want the learned route's", n)
+	}
+	r.p.onFIBEvent(rigDPID, rib.Event{Type: rib.RouteReplaced, Route: rib.Route{
+		Prefix: subnet, Iface: "eth2", Source: rib.SourceConnected}})
+	r.settle("connected route replaced it")
+	if n := len(r.sw.FlowTable()); n != 0 {
+		t.Fatalf("switch holds %d flows, want none for a connected subnet", n)
+	}
+}
+
 // TestDroppedSendsRepairedWithinOneTick: sends dropped on a full queue leave
 // the switch wrong until the next repair tick, and right after it.
 func TestDroppedSendsRepairedWithinOneTick(t *testing.T) {

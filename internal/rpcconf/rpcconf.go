@@ -152,6 +152,10 @@ type Server struct {
 	// stale apply could overwrite newer configuration.
 	applyMu sync.Mutex
 	lastSeq uint64
+
+	// deduplicated counts messages acked without applying because their
+	// Seq was at or below lastSeq.
+	deduplicated atomic.Uint64
 }
 
 // NewServer creates a server applying messages with handler.
@@ -169,6 +173,11 @@ func (s *Server) Applied() uint64 {
 	defer s.mu.Unlock()
 	return s.applied
 }
+
+// Deduplicated returns how many messages were acknowledged without being
+// applied: retries of a message already applied, and stale re-deliveries
+// from an abandoned connection.
+func (s *Server) Deduplicated() uint64 { return s.deduplicated.Load() }
 
 // Serve accepts client connections until the listener closes. The Listener
 // interface matches ctlkit's (Accept/Close/Addr).
@@ -229,7 +238,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.applyMu.Lock()
 		stale := m.Seq != 0 && m.Seq <= s.lastSeq
 		var err error
-		if !stale {
+		if stale {
+			s.deduplicated.Add(1)
+		} else {
 			if err = s.handler(&m); err == nil {
 				// Only successful applies advance the dedup horizon: a
 				// retried message whose first attempt failed must be

@@ -330,6 +330,41 @@ func TestStaleAndDuplicateSeqHandling(t *testing.T) {
 	if srv.Applied() != 3 {
 		t.Fatalf("Applied() = %d, want 3", srv.Applied())
 	}
+	if n := srv.Deduplicated(); n != 2 {
+		t.Fatalf("Deduplicated() = %d, want 2 (the duplicate of seq 1 and the stale seq 2)", n)
+	}
+}
+
+// TestReplayedSeqIsCounted pins that a dedup discard is not silent: a
+// replayed sequence number is acked as a success, applied once, and counted.
+func TestReplayedSeqIsCounted(t *testing.T) {
+	l := ctlkit.NewMemListener("rpc")
+	defer l.Close()
+	srv := NewServer(func(m *Message) error { return nil })
+	go srv.Serve(l)
+	defer srv.Stop()
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	m := SwitchUp(0xA, 1)
+	m.Seq = 7
+	for i := 0; i < 2; i++ {
+		if err := writeFrame(conn, m); err != nil {
+			t.Fatal(err)
+		}
+		var a ack
+		if err := readFrame(conn, &a); err != nil {
+			t.Fatal(err)
+		}
+		if a.Err != "" || a.Seq != 7 {
+			t.Fatalf("delivery %d acked %+v, want seq 7 without error", i+1, a)
+		}
+	}
+	if srv.Applied() != 1 || srv.Deduplicated() != 1 {
+		t.Fatalf("Applied() = %d, Deduplicated() = %d; want 1 and 1", srv.Applied(), srv.Deduplicated())
+	}
 }
 
 func TestBadFrameRejected(t *testing.T) {
