@@ -203,7 +203,7 @@ func (c *Controller) handleConn(conn net.Conn) {
 type SwitchConn struct {
 	ctl      *Controller
 	conn     net.Conn
-	dec      *openflow.Decoder // reader-goroutine only; reuses its frame buffer
+	dec      *openflow.Decoder // owns conn's reads; reads ahead, so handshake and readLoop share it
 	dpid     uint64
 	features openflow.FeaturesReply
 

@@ -27,6 +27,11 @@ import (
 
 const writeQueueDepth = 1024
 
+// fenceEvery is how many messages a slice may relay to the switch without a
+// barrier before the proxy queues a barrier of its own behind them (see
+// session.relay).
+const fenceEvery = 1024
+
 // Slice is one controller's view of the network.
 type Slice struct {
 	// Name identifies the slice in counters and logs.
@@ -165,9 +170,11 @@ type session struct {
 
 	ctls []*sliceConn
 
-	xidMu   sync.Mutex
-	nextXID uint32
-	pending map[uint32]pendEntry
+	xidMu    sync.Mutex
+	nextXID  uint32
+	seq      uint64 // allocation order of pending entries
+	pending  map[uint32]pendEntry
+	unfenced []int // per slice: messages relayed since its last barrier
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -182,15 +189,18 @@ type sliceConn struct {
 type pendEntry struct {
 	slice int
 	orig  uint32
+	seq   uint64 // allocation order: a barrier reply fences older entries
+	own   bool   // the proxy's own barrier, whose reply no slice awaits
 }
 
 func (fv *FlowVisor) runSession(swConn net.Conn) {
 	s := &session{
-		fv:      fv,
-		swConn:  swConn,
-		swOut:   make(chan openflow.Message, writeQueueDepth),
-		pending: make(map[uint32]pendEntry),
-		closed:  make(chan struct{}),
+		fv:       fv,
+		swConn:   swConn,
+		swOut:    make(chan openflow.Message, writeQueueDepth),
+		pending:  make(map[uint32]pendEntry),
+		unfenced: make([]int, len(fv.slices)),
+		closed:   make(chan struct{}),
 	}
 	defer s.close()
 
@@ -273,32 +283,72 @@ func (s *session) enqueue(ch chan<- openflow.Message, m openflow.Message) {
 	}
 }
 
-// rewriteXID allocates a proxy transaction ID mapped back to (slice, orig).
-func (s *session) rewriteXID(slice int, orig uint32) uint32 {
+// relay gives m a proxy transaction ID mapped back to (slice, its own ID)
+// and queues it to the switch. A message the switch answers only on failure
+// (flow-mod, packet-out) keeps its mapping until a barrier reply fences it
+// (see resolveXID). So that a controller that never sends barriers cannot
+// grow the map for the life of the session, every fenceEvery messages
+// without one the proxy queues a barrier of its own behind them. Only the
+// slice's reader calls relay, so a slice's entries are allocated in the
+// order its messages reach the switch.
+func (s *session) relay(slice int, m openflow.Message) {
+	var own *openflow.BarrierRequest
 	s.xidMu.Lock()
-	defer s.xidMu.Unlock()
+	m.SetXID(s.mapXID(pendEntry{slice: slice, orig: m.XID()}))
+	if _, ok := m.(*openflow.BarrierRequest); ok {
+		s.unfenced[slice] = 0
+	} else if s.unfenced[slice]++; s.unfenced[slice] == fenceEvery {
+		s.unfenced[slice] = 0
+		own = &openflow.BarrierRequest{}
+		own.SetXID(s.mapXID(pendEntry{slice: slice, own: true}))
+	}
+	s.xidMu.Unlock()
+	s.enqueue(s.swOut, m)
+	if own != nil {
+		s.enqueue(s.swOut, own)
+	}
+}
+
+// mapXID allocates a free nonzero proxy transaction ID for pe. The caller
+// holds xidMu.
+func (s *session) mapXID(pe pendEntry) uint32 {
+	s.seq++
+	pe.seq = s.seq
 	for {
 		s.nextXID++
 		if s.nextXID == 0 {
 			continue
 		}
 		if _, busy := s.pending[s.nextXID]; !busy {
-			s.pending[s.nextXID] = pendEntry{slice: slice, orig: orig}
+			s.pending[s.nextXID] = pe
 			return s.nextXID
 		}
 	}
 }
 
-// resolveXID maps a switch reply back to its requesting slice. keep retains
-// the mapping (multipart stats with the MORE flag).
-func (s *session) resolveXID(x uint32, keep bool) (pendEntry, bool) {
+// resolveXID maps a switch reply back to its requesting slice and drops the
+// mapping, unless the reply is a multipart part with more to come. A barrier
+// reply also drops the slice's older mappings: OpenFlow 1.0 has the switch
+// finish every message before a barrier, errors included, before it
+// replies, so none of them can still be answered.
+func (s *session) resolveXID(m openflow.Message) (pendEntry, bool) {
+	sr, isStats := m.(*openflow.StatsReply)
+	_, isBarrier := m.(*openflow.BarrierReply)
 	s.xidMu.Lock()
 	defer s.xidMu.Unlock()
-	pe, ok := s.pending[x]
-	if ok && !keep {
-		delete(s.pending, x)
+	pe, ok := s.pending[m.XID()]
+	if !ok || isStats && sr.Flags&openflow.StatsReplyFlagMore != 0 {
+		return pe, ok
 	}
-	return pe, ok
+	delete(s.pending, m.XID())
+	if isBarrier {
+		for x, older := range s.pending {
+			if older.slice == pe.slice && older.seq < pe.seq {
+				delete(s.pending, x)
+			}
+		}
+	}
+	return pe, true
 }
 
 func (s *session) controllerReadLoop(sc *sliceConn) {
@@ -331,9 +381,8 @@ func (s *session) controllerReadLoop(sc *sliceConn) {
 			s.enqueue(sc.out, em)
 			continue
 		}
-		m.SetXID(s.rewriteXID(sc.idx, m.XID()))
 		s.fv.counters[sc.idx].toSwitch.Add(1)
-		s.enqueue(s.swOut, m)
+		s.relay(sc.idx, m)
 	}
 }
 
@@ -372,14 +421,9 @@ func (s *session) switchReadLoop() {
 			}
 		default:
 			// Replies: route by transaction ID.
-			keep := false
-			if sr, ok := m.(*openflow.StatsReply); ok &&
-				sr.Flags&openflow.StatsReplyFlagMore != 0 {
-				keep = true
-			}
-			pe, ok := s.resolveXID(m.XID(), keep)
-			if !ok {
-				continue // unsolicited reply; drop
+			pe, ok := s.resolveXID(m)
+			if !ok || pe.own {
+				continue // unsolicited reply or the proxy's own barrier; drop
 			}
 			m.SetXID(pe.orig)
 			s.fv.counters[pe.slice].toController.Add(1)

@@ -26,6 +26,7 @@ type stack struct {
 	rfPIs   chan *openflow.PacketIn
 	topoPSs chan *openflow.PortStatus
 	rfPSs   chan *openflow.PortStatus
+	rfErrs  chan *openflow.ErrorMsg
 }
 
 func newStack(t *testing.T) *stack {
@@ -35,6 +36,7 @@ func newStack(t *testing.T) *stack {
 		rfPIs:   make(chan *openflow.PacketIn, 64),
 		topoPSs: make(chan *openflow.PortStatus, 16),
 		rfPSs:   make(chan *openflow.PortStatus, 16),
+		rfErrs:  make(chan *openflow.ErrorMsg, 16),
 	}
 	topoL := ctlkit.NewMemListener("topo")
 	rfL := ctlkit.NewMemListener("rf")
@@ -47,6 +49,7 @@ func newStack(t *testing.T) *stack {
 	st.rf = ctlkit.New("rf", nil, ctlkit.Callbacks{
 		PacketIn:   func(_ *ctlkit.SwitchConn, pi *openflow.PacketIn) { st.rfPIs <- pi },
 		PortStatus: func(_ *ctlkit.SwitchConn, ps *openflow.PortStatus) { st.rfPSs <- ps },
+		Error:      func(_ *ctlkit.SwitchConn, em *openflow.ErrorMsg) { st.rfErrs <- em },
 	})
 	go st.topo.Serve(topoL)
 	go st.rf.Serve(rfL)
@@ -231,6 +234,106 @@ func TestConcurrentStatsXIDDisambiguation(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("%s request %d: %v", r.who, i, r.err)
 		}
+	}
+}
+
+// pendingXIDs returns how many proxy transaction IDs the stack's one session
+// still maps back to a slice.
+func (st *stack) pendingXIDs() int {
+	st.fv.mu.Lock()
+	defer st.fv.mu.Unlock()
+	for s := range st.fv.sessions {
+		s.xidMu.Lock()
+		defer s.xidMu.Unlock()
+		return len(s.pending)
+	}
+	st.t.Fatal("no proxy session")
+	return 0
+}
+
+func flowMod(priority uint16, flags uint16) *openflow.FlowMod {
+	return &openflow.FlowMod{Match: openflow.MatchAll(), Command: openflow.FlowModAdd,
+		Priority: priority, Flags: flags, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+		Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}}}
+}
+
+// TestBarrierFencesUnansweredXIDs: flow-mods and packet-outs get no reply
+// when they succeed, so their transaction-ID mappings go when a barrier from
+// the same slice is answered. An error to one of them still reaches its
+// slice first, and one slice's barrier leaves the other's mappings alone.
+func TestBarrierFencesUnansweredXIDs(t *testing.T) {
+	st := newStack(t)
+	tc, _ := st.topo.Switch(0xD1)
+	rc, _ := st.rf.Switch(0xD1)
+
+	const outs = 50
+	for i := 0; i < outs; i++ {
+		if err := st.topo.PacketOut(0xD1, openflow.PortNone,
+			[]openflow.Action{&openflow.ActionOutput{Port: 1}}, arpFrame()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the topology slice's packet-outs mapped", func() bool { return st.pendingXIDs() == outs })
+
+	// The second flow-mod overlaps the first at its priority and asks the
+	// switch to check: it fails, and only the error carries its XID.
+	if err := rc.Send(flowMod(7, 0)); err != nil {
+		t.Fatal(err)
+	}
+	bad := flowMod(7, openflow.FlowModFlagCheckOverlap)
+	bad.Match.Wildcards &^= openflow.WildcardInPort
+	bad.Match.InPort = 1
+	if err := rc.Send(bad); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint16(0); i < 300; i++ {
+		if err := rc.Send(flowMod(100+i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rc.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case em := <-st.rfErrs:
+		if em.XID() != bad.XID() || em.ErrType != openflow.ErrTypeFlowModFailed {
+			t.Fatalf("error %v for xid %d, want FLOW_MOD_FAILED for %d", em, em.XID(), bad.XID())
+		}
+	default:
+		t.Fatal("the failed flow-mod's error did not reach the rf slice before its barrier reply")
+	}
+	if n := st.pendingXIDs(); n != outs {
+		t.Fatalf("after the rf slice's barrier %d mappings remain, want the topology slice's %d", n, outs)
+	}
+	if err := tc.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.pendingXIDs(); n != 0 {
+		t.Fatalf("after both slices' barriers %d mappings remain", n)
+	}
+}
+
+// TestProxyBarrierBoundsXIDsWithoutSliceBarriers: a slice that never sends a
+// barrier does not grow the map either; the proxy fences every fenceEvery
+// messages with a barrier of its own, whose reply no controller sees.
+func TestProxyBarrierBoundsXIDsWithoutSliceBarriers(t *testing.T) {
+	st := newStack(t)
+	rc, _ := st.rf.Switch(0xD1)
+	// The handshake's FEATURES_REQUEST counts towards the first fence.
+	before, _ := st.fv.Counters("rf")
+	total := uint64(2*fenceEvery + 10)
+	tail := int((before.ToSwitch + total) % fenceEvery)
+	for i := uint64(0); i < total; i++ {
+		if err := rc.Send(flowMod(uint16(i%64), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "all but the last flow-mods fenced", func() bool {
+		c, _ := st.fv.Counters("rf")
+		return c.ToSwitch == before.ToSwitch+total && st.pendingXIDs() == tail
+	})
+	if c, _ := st.fv.Counters("rf"); c.ToController != before.ToController {
+		t.Fatalf("the proxy's barrier replies reached the controller: %+v, before %+v", c, before)
 	}
 }
 

@@ -220,29 +220,12 @@ func (s *Switch) UnsupportedOutputDrops() uint64 { return s.badOutputDrops.Load(
 // the control session was full.
 func (s *Switch) ControlQueueDrops() uint64 { return s.ctlDrops.Load() }
 
-// Start attaches the controller connection (usually to FlowVisor) and runs
-// the control loop until Stop or connection error. It sends the initial
-// HELLO immediately, per the OpenFlow handshake.
+// Start runs one control session on conn (usually a connection to
+// FlowVisor) until Stop or a connection error; the switch sends its HELLO
+// first, per the OpenFlow handshake. Unlike StartDialer, a session that ends
+// is not redialed.
 func (s *Switch) Start(conn io.ReadWriteCloser) error {
-	s.connMu.Lock()
-	if s.running || s.conn != nil {
-		s.connMu.Unlock()
-		return errors.New("ofswitch: already started")
-	}
-	s.running = true
-	s.conn = conn
-	s.out = make(chan openflow.Message, outQueueDepth)
-	s.connMu.Unlock()
-
-	if err := s.send(&openflow.Hello{}); err != nil {
-		return fmt.Errorf("ofswitch %s: hello: %w", s.name, err)
-	}
-	s.wg.Add(4)
-	go s.writeLoop(conn)
-	go s.controlLoop(conn)
-	go s.expireLoop()
-	go s.telemetryLoop()
-	return nil
+	return s.start(func() { s.runSession(conn) })
 }
 
 // StartDialer runs the control channel with level-triggered liveness: it
@@ -251,6 +234,12 @@ func (s *Switch) Start(conn io.ReadWriteCloser) error {
 // and then redials with exponential backoff instead of staying dark
 // forever — a real switch reconnects; so does this one. Stop ends it.
 func (s *Switch) StartDialer(dial func() (io.ReadWriteCloser, error)) error {
+	return s.start(func() { s.supervise(dial) })
+}
+
+// start runs the background loops and control, which owns the control
+// channel, until Stop. A switch starts once.
+func (s *Switch) start(control func()) error {
 	s.connMu.Lock()
 	if s.running {
 		s.connMu.Unlock()
@@ -261,12 +250,14 @@ func (s *Switch) StartDialer(dial func() (io.ReadWriteCloser, error)) error {
 	s.wg.Add(3)
 	go s.expireLoop()
 	go s.telemetryLoop()
-	go s.supervise(dial)
+	go func() {
+		defer s.wg.Done()
+		control()
+	}()
 	return nil
 }
 
 func (s *Switch) supervise(dial func() (io.ReadWriteCloser, error)) {
-	defer s.wg.Done()
 	delay := reconnectDelayMin
 	for {
 		select {
@@ -347,14 +338,6 @@ func (s *Switch) runSession(conn io.ReadWriteCloser) {
 	s.telSessionDown()
 }
 
-// writeLoop batches queued replies and packet-ins into single writes; a
-// burst of table-miss punts reaches the controller as one write instead of
-// one per packet.
-func (s *Switch) writeLoop(conn io.ReadWriteCloser) {
-	defer s.wg.Done()
-	_ = openflow.PumpBatched(conn, s.out, s.stop)
-}
-
 // Reboot models a switch crash and cold restart: the flow table and the
 // packet-buffer pool are lost (no flow-removed notifications — nobody is
 // there to send them) and the control session is cut. A StartDialer-managed
@@ -406,19 +389,6 @@ func (s *Switch) send(m openflow.Message) error {
 	default:
 		s.ctlDrops.Add(1)
 		return errors.New("ofswitch: controller queue full")
-	}
-}
-
-func (s *Switch) controlLoop(conn io.ReadWriteCloser) {
-	defer s.wg.Done()
-	defer s.telSessionDown()
-	dec := openflow.NewDecoder(conn)
-	for {
-		m, err := dec.Decode()
-		if err != nil {
-			return
-		}
-		s.handleControl(m)
 	}
 }
 

@@ -2,7 +2,11 @@ package openflow
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"routeflow/internal/pkt"
@@ -16,6 +20,91 @@ import (
 func FuzzUnmarshal(f *testing.F) {
 	// Seed corpus: one well-formed frame of every modeled message plus the
 	// malformed shapes the table tests cover.
+	for _, m := range seedMessages() {
+		f.Add(Marshal(m))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{Version, 0, 0, 4})                           // length below header
+	f.Add(frame(Version, TypeFlowMod, 200, 1, nil))           // length beyond buffer
+	f.Add(validFrame(TypeFlowMod, 1, make([]byte, 45)))       // truncated flow-mod
+	f.Add(validFrame(TypeFeaturesReply, 1, make([]byte, 25))) // trailing port bytes
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Unmarshal(data)
+		if err != nil {
+			return // rejected is fine; panicking is the bug
+		}
+		wire := Marshal(m)
+		m2, err := Unmarshal(wire)
+		if err != nil {
+			t.Fatalf("re-decode of canonical form failed: %v\nwire: %x", err, wire)
+		}
+		if m2.MsgType() != m.MsgType() || m2.XID() != m.XID() {
+			t.Fatalf("type/xid changed across round trip: %v/%d vs %v/%d",
+				m.MsgType(), m.XID(), m2.MsgType(), m2.XID())
+		}
+		if !bytes.Equal(Marshal(m2), wire) {
+			t.Fatalf("canonical form is not stable:\n first %x\nsecond %x", wire, Marshal(m2))
+		}
+	})
+}
+
+// FuzzDecoderStream feeds a byte stream to a Decoder through a reader that
+// returns it in fuzzer-chosen chunks (each byte of cuts is one chunk length
+// minus one, used in turn). The invariants: the Decoder never panics, and it
+// returns exactly what Unmarshal returns for each frame the stream's length
+// fields delimit, whatever the chunking; then io.EOF if the stream ends
+// between frames, or an error wrapping io.ErrUnexpectedEOF if it ends inside
+// one.
+func FuzzDecoderStream(f *testing.F) {
+	var all []byte
+	for _, m := range seedMessages() {
+		all = m.AppendTo(all)
+	}
+	f.Add(all, []byte{0})
+	f.Add(all, []byte{7, 255, 1, 99})
+	f.Add(all[:len(all)-3], []byte{200})
+	f.Add(append(Marshal(&EchoRequest{Data: make([]byte, 3000)}), all...), []byte{255, 3})
+	f.Add(append(Marshal(&Hello{}), Version, 0, 0, 4, 0, 0, 0, 0), []byte{5}) // length below header
+	f.Add(append(Marshal(&Hello{}), validFrame(TypeFlowMod, 1, make([]byte, 45))...), []byte{10})
+
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		if len(cuts) == 0 {
+			cuts = []byte{255}
+		}
+		dec := NewDecoder(&chunkReader{b: stream, cuts: cuts})
+		rest := stream
+		for i := 0; len(rest) >= HeaderLen; i++ {
+			length := int(binary.BigEndian.Uint16(rest[2:]))
+			got, err := dec.Decode()
+			if length < HeaderLen {
+				if !errors.Is(err, ErrBadMessage) {
+					t.Fatalf("frame %d: length field %d gave %v, %v", i, length, got, err)
+				}
+				return
+			}
+			if length > len(rest) {
+				break
+			}
+			want, wantErr := Unmarshal(rest[:length])
+			if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("frame %d: Decode gave %v, %v; Unmarshal gave %v, %v", i, got, err, want, wantErr)
+			}
+			rest = rest[length:]
+		}
+		_, err := dec.Decode()
+		if len(rest) == 0 && err != io.EOF {
+			t.Fatalf("clean end of stream gave %v, want io.EOF", err)
+		}
+		if len(rest) > 0 && (err == io.EOF || !errors.Is(err, io.ErrUnexpectedEOF)) {
+			t.Fatalf("stream ending %d bytes into a frame gave %v", len(rest), err)
+		}
+	})
+}
+
+// seedMessages returns one well-formed message of every modeled type (and a
+// Raw), each with its own transaction ID.
+func seedMessages() []Message {
 	seeds := []Message{
 		&Hello{},
 		&ErrorMsg{ErrType: ErrTypeBadRequest, Code: ErrCodeBadRequestEperm, Data: []byte{1, 2}},
@@ -59,32 +148,8 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	for i, m := range seeds {
 		m.SetXID(uint32(i + 1))
-		f.Add(Marshal(m))
 	}
-	f.Add([]byte{})
-	f.Add([]byte{Version, 0, 0, 4})                           // length below header
-	f.Add(frame(Version, TypeFlowMod, 200, 1, nil))           // length beyond buffer
-	f.Add(validFrame(TypeFlowMod, 1, make([]byte, 45)))       // truncated flow-mod
-	f.Add(validFrame(TypeFeaturesReply, 1, make([]byte, 25))) // trailing port bytes
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Unmarshal(data)
-		if err != nil {
-			return // rejected is fine; panicking is the bug
-		}
-		wire := Marshal(m)
-		m2, err := Unmarshal(wire)
-		if err != nil {
-			t.Fatalf("re-decode of canonical form failed: %v\nwire: %x", err, wire)
-		}
-		if m2.MsgType() != m.MsgType() || m2.XID() != m.XID() {
-			t.Fatalf("type/xid changed across round trip: %v/%d vs %v/%d",
-				m.MsgType(), m.XID(), m2.MsgType(), m2.XID())
-		}
-		if !bytes.Equal(Marshal(m2), wire) {
-			t.Fatalf("canonical form is not stable:\n first %x\nsecond %x", wire, Marshal(m2))
-		}
-	})
+	return seeds
 }
 
 // FuzzExtractKey throws arbitrary bytes at the dataplane classifier, the

@@ -11,11 +11,12 @@
 // slice. Encoding into a reused buffer is allocation-free — this is the hot
 // path the control channel uses. Marshal is the compatibility wrapper that
 // allocates a fresh slice per call. On the decode side, Unmarshal decodes
-// one framed message from a byte slice, and Decoder wraps an io.Reader with
-// a per-connection scratch buffer so reading a message stream does not
-// allocate a frame buffer per message; decoded messages never alias the
-// input buffer. MessageWriter/WriteBatch coalesce many messages into a
-// single underlying write for batched control-channel I/O.
+// one framed message from a byte slice, and Decoder owns an io.Reader: it
+// reads whatever the transport has ready into a per-connection buffer and
+// cuts complete frames out of it, so a batch of messages costs a few reads
+// instead of two per message. Decoded messages never alias either buffer.
+// MessageWriter/WriteBatch/PumpBatched coalesce many messages into a single
+// underlying write, the other half of batched control-channel I/O.
 //
 // Unknown message types decode to *Raw so a proxy (the FlowVisor substrate)
 // can forward what it does not understand, byte for byte and without
@@ -279,52 +280,99 @@ func Unmarshal(b []byte) (Message, error) {
 	return m, nil
 }
 
-// Decoder reads a stream of framed messages from an io.Reader, reusing one
-// scratch buffer per connection so steady-state reading allocates only the
-// decoded message values, never a frame buffer. Decoded messages copy what
-// they keep, so each message stays valid after the next Decode. Decoder is
-// not safe for concurrent use.
+// decoderReadSize is the least a Decoder asks its reader for in one Read. A
+// Decoder's buffer holds twice this, so after the partial frame left over
+// from the last read is moved to the front there is always room for a full
+// read behind it; frames larger than decoderReadSize grow the buffer.
+const decoderReadSize = 512
+
+// Decoder reads a stream of framed messages from an io.Reader. Each Read
+// takes whatever the transport has ready, up to the free space in the
+// Decoder's per-connection buffer, and Decode then cuts complete frames out
+// of that buffer; it reads again only when the next frame is incomplete. A
+// batch written in one Write (see PumpBatched) is therefore consumed in a
+// few large reads rather than two reads per message, which on a synchronous
+// transport such as net.Pipe is two goroutine hand-offs per message.
+//
+// A Decoder owns its reader: bytes it has read ahead belong to frames it has
+// not returned yet, so nothing else may read from the same stream. Decoded
+// messages copy what they keep and stay valid after the next Decode. Decoder
+// is not safe for concurrent use.
 type Decoder struct {
-	r   io.Reader
-	buf []byte
+	r          io.Reader
+	buf        []byte
+	start, end int   // buf[start:end] is read but not yet decoded
+	err        error // the reader's error, returned once buffered frames run out
 }
 
-// NewDecoder returns a Decoder reading from r.
+// NewDecoder returns a Decoder that owns r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: r, buf: make([]byte, 512)}
+	return &Decoder{r: r, buf: make([]byte, 2*decoderReadSize)}
 }
 
-// Decode reads and decodes the next message. It returns io.EOF unwrapped on
-// a clean end of stream before any header byte.
+// Decode returns the next message. It returns io.EOF unwrapped on a clean
+// end of stream between frames; an end of stream inside a frame is an error
+// wrapping io.ErrUnexpectedEOF. A frame that fails to decode is consumed, so
+// the next Decode starts at the frame after it.
 func (d *Decoder) Decode() (Message, error) {
-	n, err := d.readFrame()
+	frame, err := d.next()
 	if err != nil {
 		return nil, err
 	}
-	return Unmarshal(d.buf[:n])
+	return Unmarshal(frame)
 }
 
-// readFrame reads one complete frame into d.buf and returns its length.
-func (d *Decoder) readFrame() (int, error) {
-	if _, err := io.ReadFull(d.r, d.buf[:HeaderLen]); err != nil {
-		if err == io.EOF {
-			return 0, io.EOF
+// next returns the next complete frame, a slice of d.buf valid until the
+// following call.
+func (d *Decoder) next() ([]byte, error) {
+	for {
+		need := HeaderLen
+		if d.end-d.start >= HeaderLen {
+			need = int(binary.BigEndian.Uint16(d.buf[d.start+2:]))
+			if need < HeaderLen {
+				return nil, fmt.Errorf("%w: header length %d", ErrBadMessage, need)
+			}
+			if d.end-d.start >= need {
+				frame := d.buf[d.start : d.start+need]
+				d.start += need
+				return frame, nil
+			}
 		}
-		return 0, fmt.Errorf("openflow: reading header: %w", err)
+		if err := d.fill(need); err != nil {
+			return nil, err
+		}
 	}
-	length := int(binary.BigEndian.Uint16(d.buf[2:]))
-	if length < HeaderLen {
-		return 0, fmt.Errorf("%w: header length %d", ErrBadMessage, length)
+}
+
+// fill reads once into the buffer behind the buffered bytes, first moving
+// them to the front if fewer than decoderReadSize bytes are free behind
+// them. need is the length of the frame they start; a buffer that could not
+// then hold it plus a full read is replaced by one that can.
+func (d *Decoder) fill(need int) error {
+	if d.err == nil {
+		if len(d.buf)-d.end < decoderReadSize {
+			buf := d.buf
+			if need+decoderReadSize > len(buf) {
+				buf = make([]byte, need+decoderReadSize)
+			}
+			d.end = copy(buf, d.buf[d.start:d.end])
+			d.start, d.buf = 0, buf
+		}
+		n, err := d.r.Read(d.buf[d.end:])
+		d.end += n
+		d.err = err
+		if n > 0 || err == nil {
+			return nil
+		}
 	}
-	if length > len(d.buf) {
-		grown := make([]byte, length)
-		copy(grown, d.buf[:HeaderLen])
-		d.buf = grown
+	switch {
+	case d.err == io.EOF && d.start == d.end:
+		return io.EOF
+	case d.err == io.EOF:
+		return fmt.Errorf("openflow: stream ends inside a frame: %w", io.ErrUnexpectedEOF)
+	default:
+		return fmt.Errorf("openflow: reading: %w", d.err)
 	}
-	if _, err := io.ReadFull(d.r, d.buf[HeaderLen:length]); err != nil {
-		return 0, fmt.Errorf("openflow: reading body: %w", err)
-	}
-	return length, nil
 }
 
 // Raw is a message of a type this package does not model; Body is the frame

@@ -146,25 +146,32 @@ func TestDecoderStream(t *testing.T) {
 }
 
 // TestDecoderMessagesDoNotAliasScratch pins the reuse contract: a decoded
-// message must stay intact after later decodes overwrite the scratch buffer.
+// message must stay intact after later decodes overwrite the buffer it was
+// read into. Each seed message is followed by more frames than the buffer
+// holds.
 func TestDecoderMessagesDoNotAliasScratch(t *testing.T) {
-	var buf bytes.Buffer
-	first := &PacketIn{BufferID: 1, InPort: 1, Data: bytes.Repeat([]byte{0xAA}, 100)}
-	second := &PacketIn{BufferID: 2, InPort: 2, Data: bytes.Repeat([]byte{0xBB}, 100)}
-	for _, m := range []Message{first, second} {
-		m.SetXID(1)
-		buf.Write(m.AppendTo(nil))
-	}
-	dec := NewDecoder(&buf)
-	got1, err := dec.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dec.Decode(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got1.(*PacketIn).Data, first.Data) {
-		t.Fatal("first message corrupted by scratch reuse")
+	filler := Marshal(&EchoRequest{Data: bytes.Repeat([]byte{0xBB}, 100)})
+	for _, m := range seedMessages() {
+		first := Marshal(m)
+		stream := append([]byte(nil), first...)
+		for len(stream) < 4*decoderReadSize {
+			stream = append(stream, filler...)
+		}
+		dec := NewDecoder(bytes.NewReader(stream))
+		got, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, err := dec.Decode(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want, _ := Unmarshal(first); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v corrupted by buffer reuse: got %v, want %v", m.MsgType(), got, want)
+		}
 	}
 }
 
