@@ -23,7 +23,6 @@ func TestFunctionalOptionsMatchStructLiteral(t *testing.T) {
 		Timers:            DefaultExperimentTimers(),
 		ProbeInterval:     100 * time.Millisecond,
 		LinkTTL:           300 * time.Millisecond,
-		NoFlowVisor:       true,
 		RPCDropRate:       0.25,
 		RPCDropSeed:       7,
 		RPCAttempts:       2,
@@ -39,7 +38,6 @@ func TestFunctionalOptionsMatchStructLiteral(t *testing.T) {
 		WithTimers(DefaultExperimentTimers()),
 		WithProbeInterval(100 * time.Millisecond),
 		WithLinkTTL(300 * time.Millisecond),
-		WithoutFlowVisor(),
 		WithRPCDropRate(0.25, 7),
 		WithRPCAttempts(2),
 		WithReconcilerBackoff(40 * time.Millisecond),

@@ -4,12 +4,11 @@
 //	rfbench -experiment demo            # §3: pan-European video demo
 //	rfbench -experiment multias         # inter-domain scaling sweep
 //	rfbench -experiment fig3 -sizes 4,8,28 -scale 200
-//	rfbench -experiment demo -merged    # ablation: no FlowVisor
 //	rfbench -experiment multias -replicas 4   # sharded RF-controller
 //
 // Reported durations are protocol time (the -scale factor compresses wall
-// time without changing protocol behaviour). -scale, -replicas and -merged
-// are routeflow.New's options, passed to routeflow.Run with the spec.
+// time without changing protocol behaviour). -scale and -replicas are
+// routeflow.New's options, passed to routeflow.Run with the spec.
 package main
 
 import (
@@ -28,7 +27,6 @@ func main() {
 	asCounts := flag.String("ascounts", "2,3,4", "AS counts for multias")
 	asSize := flag.Int("assize", 3, "switches per AS for multias")
 	scale := flag.Float64("scale", 100, "time compression factor")
-	merged := flag.Bool("merged", false, "merged-controller ablation (no FlowVisor)")
 	replicas := flag.Int("replicas", 1, "rf-controller replicas (>1 = sharded switch ownership)")
 	server := flag.String("server", "Lisbon", "demo video server city")
 	client := flag.String("client", "Stockholm", "demo video client city")
@@ -37,9 +35,6 @@ func main() {
 	opts := []routeflow.Option{
 		routeflow.WithTimeScale(*scale),
 		routeflow.WithReplicas(*replicas),
-	}
-	if *merged {
-		opts = append(opts, routeflow.WithoutFlowVisor())
 	}
 
 	var spec routeflow.RunSpec

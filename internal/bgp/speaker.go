@@ -261,9 +261,9 @@ func (s *Speaker) Start() {
 	}
 	s.started = true
 	s.mu.Unlock()
-	s.cfg.RIB.Watch(func(ev rib.Event) {
+	s.cfg.RIB.Watch(func(src rib.Source) {
 		// BGP's own installs must not re-trigger the decision loop.
-		if ev.Route.Source == rib.SourceEBGP || ev.Route.Source == rib.SourceIBGP {
+		if src == rib.SourceEBGP || src == rib.SourceIBGP {
 			return
 		}
 		s.qmu.Lock()

@@ -21,13 +21,6 @@ func clusterOptions(g *topo.Graph, replicas int, hostNodes ...int) Options {
 
 func TestClusterValidation(t *testing.T) {
 	g := topo.Ring(3)
-	opts := fastOptions(g)
-	opts.Cluster.Replicas = 2
-	opts.NoFlowVisor = true
-	if _, err := NewDeployment(opts); err == nil {
-		t.Fatal("NoFlowVisor with Replicas > 1 accepted")
-	}
-
 	d, err := NewDeployment(fastOptions(g))
 	if err != nil {
 		t.Fatal(err)

@@ -180,39 +180,6 @@ func TestStatusCallbackLifecycle(t *testing.T) {
 	}
 }
 
-func TestMergedControllerAblation(t *testing.T) {
-	g := topo.Ring(3)
-	opts := fastOptions(g, 0, 1)
-	opts.NoFlowVisor = true
-	d, err := NewDeployment(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if d.FlowVisor() != nil {
-		t.Fatal("merged deployment created a FlowVisor")
-	}
-	if _, err := d.AwaitConfigured(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.AwaitConverged(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	h0, _ := d.Host(0)
-	h1, _ := d.Host(1)
-	deadline := time.Now().Add(15 * time.Second)
-	var lastErr error
-	for time.Now().Before(deadline) {
-		if _, lastErr = h0.Ping(h1.Addr(), 2*time.Second); lastErr == nil {
-			return
-		}
-	}
-	t.Fatalf("merged ablation never carried traffic: %v", lastErr)
-}
-
 func TestLinkFailureReconvergence(t *testing.T) {
 	// Ring of 4: cut one link; OSPF must route around it.
 	g := topo.Ring(4)

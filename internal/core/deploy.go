@@ -14,7 +14,6 @@ import (
 	"routeflow/internal/discovery"
 	"routeflow/internal/flowvisor"
 	"routeflow/internal/intent"
-	"routeflow/internal/ipam"
 	"routeflow/internal/netemu"
 	"routeflow/internal/ofswitch"
 	"routeflow/internal/pkt"
@@ -46,9 +45,6 @@ type Options struct {
 	// ProbeInterval / LinkTTL tune discovery (zero = package defaults).
 	ProbeInterval time.Duration
 	LinkTTL       time.Duration
-	// NoFlowVisor connects every switch to both controllers through a
-	// merged controller instead of the slicing proxy (ablation A1/A2).
-	NoFlowVisor bool
 	// OnStatus observes per-switch configuration state (GUI).
 	OnStatus func(dpid uint64, state vnet.State)
 	// RPCDropRate injects control-channel loss: each frame written by the
@@ -273,20 +269,11 @@ func (d *Deployment) build() error {
 
 	// RF-controller replicas, each with its own embedded RPC server. One
 	// replica is the paper's single rf-server; more than one is the
-	// distributed controller: every platform is sharded, router IDs derive
-	// from datapath IDs (VM creation order varies by replica), and a lease
+	// distributed controller: every platform is sharded and a lease
 	// coordinator arbitrates shard ownership.
 	nrep := d.opts.Cluster.Replicas
 	if nrep <= 0 {
 		nrep = 1
-	}
-	if nrep > 1 && d.opts.NoFlowVisor {
-		return fmt.Errorf("core: NoFlowVisor is incompatible with Cluster.Replicas > 1 (mastership routes each switch to its master through its own proxy)")
-	}
-	var ridFor func(uint64) netip.Addr
-	if nrep > 1 {
-		rids := ipam.NewRouterIDs(netip.MustParseAddr("10.255.0.1"))
-		ridFor = func(dpid uint64) netip.Addr { return rids.At(dpid - 1) }
 	}
 	var cliOpts []rpcconf.ClientOption
 	if d.opts.RPCAttempts > 0 {
@@ -295,14 +282,13 @@ func (d *Deployment) build() error {
 	senders := make([]intent.Sender, nrep)
 	for i := 0; i < nrep; i++ {
 		platform, err := rf.New(rf.Config{
-			Clock:       d.clk,
-			Pool:        d.opts.Pool,
-			BootDelay:   d.opts.BootDelay,
-			Timers:      d.opts.Timers,
-			OnStatus:    d.opts.OnStatus,
-			Sharded:     nrep > 1,
-			RouterIDFor: ridFor,
-			ApplyDelay:  d.opts.RPCApplyDelay,
+			Clock:      d.clk,
+			Pool:       d.opts.Pool,
+			BootDelay:  d.opts.BootDelay,
+			Timers:     d.opts.Timers,
+			OnStatus:   d.opts.OnStatus,
+			Sharded:    nrep > 1,
+			ApplyDelay: d.opts.RPCApplyDelay,
 		})
 		if err != nil {
 			return err
@@ -361,14 +347,7 @@ func (d *Deployment) build() error {
 	}
 	d.disc = discovery.New(d.clk, discOpts...)
 
-	if d.opts.NoFlowVisor {
-		// Merged ablation: one controller process hosts both applications.
-		merged := mergeCallbacks(d.disc.Callbacks(), platformCallbacks(d.reps[0].platform))
-		d.topoCtl = ctlkit.New("merged-controller", d.clk, merged)
-		d.reps[0].platform.UseController(d.topoCtl)
-	} else {
-		d.topoCtl = ctlkit.New("topology-controller", d.clk, d.disc.Callbacks())
-	}
+	d.topoCtl = ctlkit.New("topology-controller", d.clk, d.disc.Callbacks())
 	var recOpts []intent.Option
 	if d.opts.ReconcilerBackoff > 0 {
 		recOpts = append(recOpts,
@@ -419,13 +398,6 @@ func (d *Deployment) Start() error {
 
 	dialFor := make(map[uint64]func() (net.Conn, error), len(d.switches))
 	switch {
-	case d.opts.NoFlowVisor:
-		ctlL := ctlkit.NewMemListener("merged")
-		d.listeners = append(d.listeners, ctlL)
-		go d.topoCtl.Serve(ctlL)
-		for dpid := range d.switches {
-			dialFor[dpid] = ctlL.Dial
-		}
 	case !d.clustered():
 		topoL := ctlkit.NewMemListener("topology-controller")
 		rfL := ctlkit.NewMemListener("rf-controller")

@@ -6,10 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"routeflow/internal/openflow"
-
 	"routeflow/internal/clock"
-	"routeflow/internal/ctlkit"
 	"routeflow/internal/discovery"
 	"routeflow/internal/flowvisor"
 	"routeflow/internal/netemu"
@@ -17,71 +14,6 @@ import (
 	"routeflow/internal/rf"
 	"routeflow/internal/topo"
 )
-
-// mergeCallbacks composes two callback sets; both receive every event.
-func mergeCallbacks(a, b ctlkit.Callbacks) ctlkit.Callbacks {
-	return ctlkit.Callbacks{
-		SwitchUp: func(sc *ctlkit.SwitchConn) {
-			if a.SwitchUp != nil {
-				a.SwitchUp(sc)
-			}
-			if b.SwitchUp != nil {
-				b.SwitchUp(sc)
-			}
-		},
-		SwitchDown: func(sc *ctlkit.SwitchConn) {
-			if a.SwitchDown != nil {
-				a.SwitchDown(sc)
-			}
-			if b.SwitchDown != nil {
-				b.SwitchDown(sc)
-			}
-		},
-		PacketIn: func(sc *ctlkit.SwitchConn, pi *openflow.PacketIn) {
-			if a.PacketIn != nil {
-				a.PacketIn(sc, pi)
-			}
-			if b.PacketIn != nil {
-				b.PacketIn(sc, pi)
-			}
-		},
-		PortStatus: func(sc *ctlkit.SwitchConn, ps *openflow.PortStatus) {
-			if a.PortStatus != nil {
-				a.PortStatus(sc, ps)
-			}
-			if b.PortStatus != nil {
-				b.PortStatus(sc, ps)
-			}
-		},
-		FlowRemoved: func(sc *ctlkit.SwitchConn, fr *openflow.FlowRemoved) {
-			if a.FlowRemoved != nil {
-				a.FlowRemoved(sc, fr)
-			}
-			if b.FlowRemoved != nil {
-				b.FlowRemoved(sc, fr)
-			}
-		},
-		Error: func(sc *ctlkit.SwitchConn, em *openflow.ErrorMsg) {
-			if a.Error != nil {
-				a.Error(sc, em)
-			}
-			if b.Error != nil {
-				b.Error(sc, em)
-			}
-		},
-		Telemetry: func(sc *ctlkit.SwitchConn, ex *openflow.TelemetryExport) {
-			if a.Telemetry != nil {
-				a.Telemetry(sc, ex)
-			}
-			if b.Telemetry != nil {
-				b.Telemetry(sc, ex)
-			}
-		},
-	}
-}
-
-// platformCallbacks adapts the RF platform for a merged controller.
-func platformCallbacks(p *rf.Platform) ctlkit.Callbacks { return p.Callbacks() }
 
 // Graph returns the deployment's topology.
 func (d *Deployment) Graph() *topo.Graph { return d.graph }
@@ -97,7 +29,7 @@ func (d *Deployment) Discovery() *discovery.Discovery { return d.disc }
 // TopologyController returns the auto-configuration application.
 func (d *Deployment) TopologyController() *TopologyController { return d.tc }
 
-// FlowVisor returns the proxy, or nil in the merged ablation.
+// FlowVisor returns the proxy, or nil in a clustered deployment.
 func (d *Deployment) FlowVisor() *flowvisor.FlowVisor { return d.fv }
 
 // Switch returns the emulated switch for a graph node.

@@ -2,9 +2,8 @@
 // derives from its one piece of administrator input: "a range of IP
 // addresses for the virtual environment". Each discovered link gets its own
 // point-to-point subnet (a /30 by default) whose two usable addresses are
-// assigned to the VM interfaces at either end; each VM also gets a unique
-// router ID. Allocation is deterministic, released subnets are reused, and
-// exhaustion is an explicit error.
+// assigned to the VM interfaces at either end. Allocation is deterministic,
+// released subnets are reused, and exhaustion is an explicit error.
 package ipam
 
 import (
@@ -138,38 +137,6 @@ func (a *Allocator) LinkAddrs() (aEnd, bEnd netip.Prefix, err error) {
 	}
 	return netip.PrefixFrom(u32ToAddr(first), sub.Bits()),
 		netip.PrefixFrom(u32ToAddr(second), sub.Bits()), nil
-}
-
-// RouterIDs hands out unique 32-bit router identifiers rendered as
-// dotted-quad addresses (conventionally from a loopback range).
-type RouterIDs struct {
-	mu   sync.Mutex
-	base uint32
-	next uint32
-}
-
-// NewRouterIDs creates a router-ID sequence starting at start.
-func NewRouterIDs(start netip.Addr) *RouterIDs {
-	return &RouterIDs{base: addrToU32(start)}
-}
-
-// Next returns the next router ID.
-func (r *RouterIDs) Next() netip.Addr {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := r.base + r.next
-	r.next++
-	return u32ToAddr(id)
-}
-
-// At returns the i-th router ID of the sequence without consuming it.
-// Sharded deployments derive a switch's router ID from its datapath ID this
-// way, so the ID is stable no matter which controller replica creates the
-// VM or in what order.
-func (r *RouterIDs) At(i uint64) netip.Addr {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return u32ToAddr(r.base + uint32(i))
 }
 
 func addrToU32(a netip.Addr) uint32 {

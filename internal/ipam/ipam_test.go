@@ -103,14 +103,6 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func TestRouterIDs(t *testing.T) {
-	r := NewRouterIDs(netip.MustParseAddr("10.255.0.1"))
-	a, b := r.Next(), r.Next()
-	if a.String() != "10.255.0.1" || b.String() != "10.255.0.2" {
-		t.Fatalf("ids = %v, %v", a, b)
-	}
-}
-
 // Property: every allocated subnet is unique, inside the pool, and of the
 // requested size — across interleaved alloc/release sequences.
 func TestUniquenessQuick(t *testing.T) {

@@ -1,30 +1,31 @@
 package rf
 
-// Desired state: everything the platform wants a switch to hold, in one
-// table per switch. Route flows (one per FIB prefix), host flows (the learned
-// /32 fast path) and TE path pins share one map keyed by (Match, Priority),
-// the identity an OpenFlow 1.0 switch keys its table by, next to the switch's
-// monitoring program. Two functions carry it to a switch, and nothing else
-// does:
+// Desired state: every switch's flow table and monitoring program are a
+// function of the platform's inputs, compile(dpid): the VM's RIB best sets,
+// the hosts the VM learned, the switch's TE pins, the address index that
+// resolves next hops to ports, and the monitoring program. Flows are keyed
+// by (Match, Priority), the identity an OpenFlow 1.0 switch keys its table
+// by. Whatever changes an input calls refresh, which compiles, diffs against
+// the last compile and sends the delta; sync compiles and writes the switch
+// whole (SetConfig, delete-all, every flow, the program) on every connect,
+// adoption and repair of a dirty switch. Nothing else writes a flow.
 //
-//   - set is the one mutation. It edits the state and sends the switch the
-//     same delta: a strict delete per removed flow, an add per new or changed
-//     one, the program if it changed.
-//   - sync is the one full write: SetConfig, delete-all, every flow, the
-//     program. onSwitchUp runs it on every connect, Adopt on adoption, and
-//     the repair loop for every switch marked dirty.
-//
-// Sends never block (ctlkit's TrySend). A delta that cannot be sent, to a full
-// queue or to a switch that is not connected, marks the switch dirty, and the
-// repair loop syncs it once it is connected. Both functions send while holding
-// mu, so the order on the wire is the order of the edits and a full write
-// never interleaves with a delta.
+// Both compile under mu from the current inputs, the RIB included (lock
+// order: mu, then the RIB's read lock), so two refreshes never apply out of
+// order. Sends never block (ctlkit's TrySend): a delta that cannot be sent,
+// to a full queue or a disconnected switch, marks the switch dirty for the
+// repair loop. Sending under mu keeps the wire in compile order, so a full
+// write never interleaves with a delta.
 
 import (
+	"fmt"
+	"net/netip"
 	"reflect"
 	"time"
 
 	"routeflow/internal/openflow"
+	"routeflow/internal/rib"
+	"routeflow/internal/vnet"
 )
 
 // repairInterval paces the resync of dirty switches (protocol time).
@@ -38,98 +39,110 @@ type flowKey struct {
 
 func keyOf(fm *openflow.FlowMod) flowKey { return flowKey{fm.Match, fm.Priority} }
 
-func everyFlow(flowKey) bool { return true }
-
-// switchState is one switch's desired state.
+// switchState is one switch's own inputs and the table last compiled for it.
 type switchState struct {
+	hosts map[netip.Addr]vnet.HostLearned // learned hosts, by address
+	pins  []PinFlow                       // TE pins, in SetPins order
+	// flows and tel are the last compile: what the switch holds once every
+	// send has landed.
 	flows map[flowKey]*openflow.FlowMod
-	tel   *openflow.TelemetryMod // the monitoring program; nil: none
+	tel   *openflow.TelemetryMod // nil: no program
 	// dirty: the switch may differ from this state, and the repair loop is
 	// to sync it.
 	dirty bool
 }
 
-// edit is one change to a switch's desired state.
-type edit struct {
-	// drop selects the flows to delete, unless put installs them again.
-	drop func(flowKey) bool
-	// put installs or replaces flows; one equal to the desired flow is not
-	// sent again.
-	put []*openflow.FlowMod
-	// tel, when non-nil, replaces the program; Epoch 0 means no program.
-	tel *openflow.TelemetryMod
-}
-
-// stateLocked returns dpid's desired state, creating it with the current
-// program and no monitor rules. Callers hold mu.
+// stateLocked returns dpid's state, creating it empty. Callers hold mu.
 func (p *Platform) stateLocked(dpid uint64) *switchState {
 	st := p.sw[dpid]
 	if st == nil {
-		st = &switchState{flows: make(map[flowKey]*openflow.FlowMod)}
-		if p.tel.Epoch != 0 {
-			tm := p.tel
-			st.tel = &tm
-		}
+		st = &switchState{hosts: make(map[netip.Addr]vnet.HostLearned)}
 		p.sw[dpid] = st
 	}
 	return st
 }
 
-// set applies e to dpid's desired state and sends the switch the delta. A
-// switch left with nothing desired and nothing to repair is forgotten.
-func (p *Platform) set(dpid uint64, e edit) {
+// compileLocked derives dpid's flow table and monitoring program from the
+// inputs. A switch this replica does not master gets no program: its
+// master's, under that master's epoch, is the one it runs. Callers hold mu.
+func (p *Platform) compileLocked(dpid uint64, st *switchState) (map[flowKey]*openflow.FlowMod, *openflow.TelemetryMod) {
+	flows := make(map[flowKey]*openflow.FlowMod, len(st.flows))
+	if vm := p.vms[dpid]; vm != nil {
+		vm.RIB().EachBest(func(paths []rib.Route) {
+			if fm := p.routeFlowLocked(dpid, paths); fm != nil {
+				flows[keyOf(fm)] = fm
+			}
+		})
+	}
+	for _, h := range st.hosts {
+		fm := flowTo(netip.PrefixFrom(h.IP, 32), hostFlowPriority, rewriteTo(vnet.MAC(dpid, h.Port), h.MAC, h.Port)...)
+		flows[keyOf(fm)] = fm
+	}
+	for _, pf := range st.pins {
+		fm := pinFlow(pf)
+		flows[keyOf(fm)] = fm
+	}
+	var tel *openflow.TelemetryMod
+	if p.tel.Epoch != 0 && p.ownsLocked(dpid) {
+		tm := p.tel
+		tm.Rules = p.telRules[dpid]
+		tel = &tm
+	}
+	return flows, tel
+}
+
+// refresh recompiles dpid's table and sends the switch the difference.
+func (p *Platform) refresh(dpid uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.refreshLocked(dpid)
+}
+
+// refreshLocked is refresh for callers that hold mu.
+func (p *Platform) refreshLocked(dpid uint64) {
 	st := p.stateLocked(dpid)
+	flows, tel := p.compileLocked(dpid, st)
 	var delta []openflow.Message
-	if e.drop != nil {
-		kept := make(map[flowKey]bool, len(e.put))
-		for _, fm := range e.put {
-			kept[keyOf(fm)] = true
-		}
-		for k := range st.flows {
-			if !kept[k] && e.drop(k) {
-				delete(st.flows, k)
-				delta = append(delta, &openflow.FlowMod{Match: k.match, Priority: k.priority,
-					Command: openflow.FlowModDeleteStrict, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone})
-			}
+	for k := range st.flows {
+		if flows[k] == nil {
+			delta = append(delta, &openflow.FlowMod{Match: k.match, Priority: k.priority,
+				Command: openflow.FlowModDeleteStrict, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone})
 		}
 	}
-	for _, fm := range e.put {
-		if k := keyOf(fm); !reflect.DeepEqual(st.flows[k], fm) {
-			st.flows[k] = fm
+	for k, fm := range flows {
+		if !reflect.DeepEqual(st.flows[k], fm) {
 			cp := *fm
 			delta = append(delta, &cp)
 		}
 	}
-	if tel := e.tel; tel != nil {
-		if tel.Epoch == 0 {
-			tel = nil
-		}
-		if !reflect.DeepEqual(st.tel, tel) {
-			st.tel = tel
-			if tel != nil {
-				cp := *tel
-				delta = append(delta, &cp)
-			}
-		}
+	if tel != nil && !reflect.DeepEqual(st.tel, tel) {
+		cp := *tel
+		delta = append(delta, &cp)
 	}
+	st.flows, st.tel = flows, tel
 	p.sendLocked(dpid, st, delta)
-	if len(st.flows) == 0 && st.tel == nil && !st.dirty {
-		delete(p.sw, dpid)
+}
+
+// refreshAllLocked refreshes every switch the platform holds state for,
+// which includes every switch with a VM. An address index change calls it:
+// any VM may route via the address. Callers hold mu.
+func (p *Platform) refreshAllLocked() {
+	for dpid := range p.sw {
+		p.refreshLocked(dpid)
 	}
 }
 
-// sync writes dpid's switch whole from desired state. SetConfig goes first:
-// hellos punt whole at the 128-byte default miss send length, but multi-LSA
-// LSUpdates do not, and a truncated database dump at boot wedges OSPF until
-// the next adjacency event. The delete-all then clears whatever the table
-// holds that desired state does not: a previous master's entries, or
+// sync compiles dpid's table and writes the switch whole. SetConfig goes
+// first: hellos punt whole at the 128-byte default miss send length, but
+// multi-LSA LSUpdates do not, and a truncated database dump at boot wedges
+// OSPF until the next adjacency event. The delete-all then clears whatever
+// the table holds that the compile does not: a previous master's entries, or
 // withdrawals that could not be sent.
 func (p *Platform) sync(dpid uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.stateLocked(dpid)
+	st.flows, st.tel = p.compileLocked(dpid, st)
 	msgs := make([]openflow.Message, 0, len(st.flows)+3)
 	msgs = append(msgs, &openflow.SetConfig{MissSendLen: 0xffff}, &openflow.FlowMod{
 		Match:    openflow.MatchAll(),
@@ -216,7 +229,7 @@ func (p *Platform) FlowCount(dpid uint64) int {
 // DesiredFlows snapshots the desired flow entries for a switch — the state
 // the platform is driving the physical flow table toward. Invariant checkers
 // diff this against the switch's installed table. Actions are deep-copied so
-// holders may inspect them while FIB events keep mutating the live set.
+// holders may inspect them while later compiles replace the live set.
 func (p *Platform) DesiredFlows(dpid uint64) []*openflow.FlowMod {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -231,4 +244,40 @@ func (p *Platform) DesiredFlows(dpid uint64) []*openflow.FlowMod {
 		out = append(out, &cp)
 	}
 	return out
+}
+
+// CheckDerived is the oracle of the compile: nil when dpid's desired table
+// and program are what the inputs compile to now, and no flow sits on a
+// subnet the VM has a connected route for (those stay on the punt path). A
+// table that differs from a fresh compile missed a refresh; between a RIB
+// change and the refresh it runs, the two may differ briefly.
+func (p *Platform) CheckDerived(dpid uint64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st, known := p.sw[dpid]
+	if !known {
+		st = &switchState{} // never materialised, so nothing was sent: its connect syncs it
+	}
+	flows, tel := p.compileLocked(dpid, st)
+	if known && !reflect.DeepEqual(st.tel, tel) {
+		return fmt.Errorf("switch %016x: program %+v, compiles to %+v", dpid, st.tel, tel)
+	}
+	for k, fm := range flows {
+		if !reflect.DeepEqual(st.flows[k], fm) {
+			return fmt.Errorf("switch %016x: flow %v prio=%d is %v, compiles to %v", dpid, k.match.NwDstPrefix(), k.priority, st.flows[k], fm)
+		}
+	}
+	if len(st.flows) != len(flows) {
+		return fmt.Errorf("switch %016x: %d desired flows, %d compiled", dpid, len(st.flows), len(flows))
+	}
+	var err error
+	if vm := p.vms[dpid]; vm != nil {
+		vm.RIB().EachBest(func(paths []rib.Route) {
+			prefix := paths[0].Prefix
+			if paths[0].Source == rib.SourceConnected && st.flows[keyOf(flowTo(prefix, routePriority(prefix)))] != nil {
+				err = fmt.Errorf("switch %016x: a flow covers connected subnet %v", dpid, prefix)
+			}
+		})
+	}
+	return err
 }

@@ -6,9 +6,10 @@ package rf
 // and below the host /32 fast path, and forwards along the TE-assigned
 // path hop with the usual MAC rewrite — so a pinned pair follows exactly
 // the path telemetry charges it to, while unpinned traffic keeps riding
-// the ECMP route flows. Pins are ordinary desired flows (desired.go): set
-// sends them, sync restores them on reconnect, repair and adoption, and they
-// die with the switch on Release/teardown.
+// the ECMP route flows. The pin program is one of compile's inputs
+// (desired.go): SetPins replaces it and refreshes every switch, sync
+// restores it on reconnect, repair and adoption, and a switch's pins die
+// with it on Release/teardown until the next SetPins.
 
 import (
 	"net/netip"
@@ -31,29 +32,33 @@ type PinFlow struct {
 	OutPort      uint16
 }
 
-func isPin(k flowKey) bool { return k.priority == PinFlowPriority }
+// pinFlow builds the flow entry of one pin.
+func pinFlow(pf PinFlow) *openflow.FlowMod {
+	fm := flowTo(pf.Dst, PinFlowPriority, rewriteTo(pf.DlSrc, pf.DlDst, pf.OutPort)...)
+	fm.Match.SetNwSrcPrefix(pf.Src)
+	return fm
+}
 
 // SetPins replaces the whole pin program (full-replace semantics, like
-// SetTelemetry): pins that disappeared are deleted from their switches, new
-// or changed ones are (re)installed — an add with identical match and
-// priority replaces in place on the switch — and unchanged ones are left
-// alone.
+// SetTelemetry) and refreshes every switch it touches: pins that disappeared
+// are deleted from their switches, new or changed ones are (re)installed —
+// an add with identical match and priority replaces in place on the switch —
+// and unchanged ones are left alone.
 func (p *Platform) SetPins(pins []PinFlow) {
-	next := make(map[uint64][]*openflow.FlowMod)
+	next := make(map[uint64][]PinFlow)
 	for _, pf := range pins {
-		fm := flowTo(pf.Dst, PinFlowPriority, rewriteTo(pf.DlSrc, pf.DlDst, pf.OutPort)...)
-		fm.Match.SetNwSrcPrefix(pf.Src)
-		next[pf.DPID] = append(next[pf.DPID], fm)
+		next[pf.DPID] = append(next[pf.DPID], pf)
 	}
 	p.mu.Lock()
-	for dpid := range p.sw {
-		if _, ok := next[dpid]; !ok {
+	defer p.mu.Unlock()
+	for dpid, st := range p.sw {
+		if _, ok := next[dpid]; !ok && len(st.pins) > 0 {
 			next[dpid] = nil
 		}
 	}
-	p.mu.Unlock()
-	for dpid, mods := range next {
-		p.set(dpid, edit{drop: isPin, put: mods})
+	for dpid, pins := range next {
+		p.stateLocked(dpid).pins = pins
+		p.refreshLocked(dpid)
 	}
 }
 
@@ -62,27 +67,8 @@ func (p *Platform) Pins() []PinFlow {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []PinFlow
-	for dpid, st := range p.sw {
-		for k, fm := range st.flows {
-			if !isPin(k) {
-				continue
-			}
-			m := &fm.Match
-			pf := PinFlow{DPID: dpid,
-				Src: netip.PrefixFrom(netip.AddrFrom4(m.NwSrc), 32-m.NwSrcIgnoredBits()),
-				Dst: netip.PrefixFrom(netip.AddrFrom4(m.NwDst), 32-m.NwDstIgnoredBits())}
-			for _, a := range fm.Actions {
-				switch a := a.(type) {
-				case *openflow.ActionSetDlSrc:
-					pf.DlSrc = a.Addr
-				case *openflow.ActionSetDlDst:
-					pf.DlDst = a.Addr
-				case *openflow.ActionOutput:
-					pf.OutPort = a.Port
-				}
-			}
-			out = append(out, pf)
-		}
+	for _, st := range p.sw {
+		out = append(out, st.pins...)
 	}
 	return out
 }

@@ -2,16 +2,17 @@
 // RF-controller (Fig. 1): the rf-server that owns one virtual machine per
 // switch and the 1:1 mapping between VM interfaces and switch ports; the
 // rf-proxy data path that punts packet-ins into the mirrored VM interface
-// and packet-outs the VM's own frames; and the route translation that turns
-// every FIB change inside a VM into OpenFlow flow entries on its physical
+// and packet-outs the VM's own frames; and the route translation that
+// compiles each VM's routing table into OpenFlow flow entries on its physical
 // switch (match on destination prefix, rewrite source/destination MACs, and
-// forward out the mapped port). The package also embeds the paper's RPC
-// server: configuration messages from the topology controller create VMs,
-// map them to switches, address their interfaces and write their routing
-// configuration files.
+// forward out the mapped port) and sends the switch what changed. The
+// package also embeds the paper's RPC server: configuration messages from the
+// topology controller create VMs, map them to switches, address their
+// interfaces and write their routing configuration files.
 package rf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"strconv"
@@ -21,7 +22,6 @@ import (
 
 	"routeflow/internal/clock"
 	"routeflow/internal/ctlkit"
-	"routeflow/internal/ipam"
 	"routeflow/internal/openflow"
 	"routeflow/internal/pkt"
 	"routeflow/internal/quagga"
@@ -44,8 +44,6 @@ type Config struct {
 	// Pool is the administrator's IP range for the virtual environment; it
 	// becomes the OSPF network statement of every VM.
 	Pool netip.Prefix
-	// RouterIDStart seeds VM router IDs.
-	RouterIDStart netip.Addr
 	// BootDelay models VM creation time.
 	BootDelay time.Duration
 	// Timers are the routing daemons' protocol timers (zero = RFC
@@ -60,11 +58,6 @@ type Config struct {
 	// Off (the default), the platform owns every switch — the paper's
 	// single rf-server.
 	Sharded bool
-	// RouterIDFor, if set, derives a switch's router ID from its datapath
-	// ID instead of consuming the sequential RouterIDStart allocator.
-	// Sharded deployments need this: the ID must not depend on which
-	// replica creates the VM or in what order.
-	RouterIDFor func(dpid uint64) netip.Addr
 	// ApplyDelay models the per-message work of the paper's RPC server (VM
 	// cloning, config-file writes). It is served inside the RPC server's
 	// apply lock, so it serialises within one replica but parallelises
@@ -83,8 +76,6 @@ type Platform struct {
 	clk clock.Clock
 	ctl *ctlkit.Controller
 
-	rids *ipam.RouterIDs
-
 	mu        sync.Mutex
 	vms       map[uint64]*vnet.VM
 	asns      map[uint64]uint32 // AS per switch (0 = flat domain)
@@ -96,11 +87,12 @@ type Platform struct {
 	portAddr map[addrOwner]netip.Prefix
 	// owned is the set of adopted switches (Sharded mode only).
 	owned map[uint64]bool
-	// sw is every switch's desired state (desired.go).
+	// sw is every switch's own inputs and compiled table (desired.go).
 	sw map[uint64]*switchState
-	// tel is the current monitoring program without rules: a switch state
-	// created later starts with it.
-	tel openflow.TelemetryMod
+	// tel is the current monitoring program without rules, and telRules each
+	// switch's rules in it.
+	tel      openflow.TelemetryMod
+	telRules map[uint64][]openflow.MonitorRule
 
 	// telMu guards the telemetry aggregator (see telemetry.go); it is
 	// separate from mu so export handling never contends with the RPC apply
@@ -121,16 +113,12 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System()
 	}
-	if !cfg.RouterIDStart.IsValid() {
-		cfg.RouterIDStart = netip.MustParseAddr("10.255.0.1")
-	}
 	if cfg.BootDelay <= 0 {
 		cfg.BootDelay = DefaultBootDelay
 	}
 	p := &Platform{
 		cfg:       cfg,
 		clk:       cfg.Clock,
-		rids:      ipam.NewRouterIDs(cfg.RouterIDStart),
 		vms:       make(map[uint64]*vnet.VM),
 		asns:      make(map[uint64]uint32),
 		addrIndex: make(map[netip.Addr]addrOwner),
@@ -139,7 +127,8 @@ func New(cfg Config) (*Platform, error) {
 		sw:        make(map[uint64]*switchState),
 		stop:      make(chan struct{}),
 	}
-	p.ctl = ctlkit.New("rf-controller", cfg.Clock, p.Callbacks())
+	p.ctl = ctlkit.New("rf-controller", cfg.Clock,
+		ctlkit.Callbacks{SwitchUp: p.onSwitchUp, PacketIn: p.onPacketIn, Telemetry: p.onTelemetry})
 	p.wg.Add(1)
 	go p.repairLoop()
 	return p, nil
@@ -237,8 +226,6 @@ func (p *Platform) Release(dpid uint64) {
 	p.mu.Lock()
 	delete(p.owned, dpid)
 	p.mu.Unlock()
-	// The new master's program, under its own epoch, supersedes ours.
-	p.set(dpid, edit{tel: &openflow.TelemetryMod{}})
 	p.teardownSwitch(dpid)
 	if sc, ok := p.ctl.Switch(dpid); ok {
 		sc.Close()
@@ -292,7 +279,7 @@ func (p *Platform) handleSwitchUp(m *rpcconf.Message) error {
 	vm, err := vnet.New(vnet.Config{
 		DPID:      m.DPID,
 		Ports:     m.Ports,
-		RouterID:  p.routerID(m.DPID),
+		RouterID:  routerID(m.DPID),
 		Clock:     p.clk,
 		BootDelay: p.cfg.BootDelay,
 		Timers:    p.cfg.Timers,
@@ -306,8 +293,8 @@ func (p *Platform) handleSwitchUp(m *rpcconf.Message) error {
 		_ = p.ctl.PacketOut(dpid, openflow.PortNone,
 			[]openflow.Action{&openflow.ActionOutput{Port: port}}, frame)
 	})
-	vm.OnFIB(func(ev rib.Event) { p.onFIBEvent(dpid, ev) })
-	vm.OnHostLearned(func(h vnet.HostLearned) { p.onHostLearned(dpid, h) })
+	vm.OnFIB(func() { p.refresh(dpid) })
+	vm.OnHostLearned(func(h vnet.HostLearned) { p.onHostLearned(vm, h) })
 	if cb := p.cfg.OnStatus; cb != nil {
 		vm.OnReady(func() { cb(dpid, vnet.StateUp) })
 		cb(dpid, vnet.StateBooting)
@@ -316,6 +303,8 @@ func (p *Platform) handleSwitchUp(m *rpcconf.Message) error {
 	p.mu.Lock()
 	p.vms[dpid] = vm
 	p.asns[dpid] = m.ASN
+	// Routes the VM installed before it was stored compiled to nothing.
+	p.refreshLocked(dpid)
 	var ibgpPeers []*vnet.VM
 	if m.ASN != 0 {
 		// Full-mesh iBGP inside the AS: peer the new VM with every existing
@@ -342,19 +331,21 @@ func (p *Platform) handleSwitchDown(m *rpcconf.Message) error {
 	return nil
 }
 
-// routerID derives a VM's router ID: dpid-keyed when RouterIDFor is set
-// (sharded determinism), sequential otherwise.
-func (p *Platform) routerID(dpid uint64) netip.Addr {
-	if f := p.cfg.RouterIDFor; f != nil {
-		return f(dpid)
-	}
-	return p.rids.Next()
+// routerID derives a VM's router ID from its datapath ID, 10.255.0.0 + dpid,
+// so it depends neither on which replica creates the VM nor on the order
+// switches are discovered in.
+func routerID(dpid uint64) netip.Addr {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], 10<<24|255<<16+uint32(dpid))
+	return netip.AddrFrom4(b)
 }
 
 // teardownSwitch removes every trace of a switch from this platform: its VM
-// (destroyed), desired flows, address and endpoint indexes, and its seat in
-// the AS's iBGP mesh. Shared by the RPC switch-down path and Release. The
-// monitoring program stays: the telemetry placement decides where it goes.
+// (destroyed), learned hosts, pins, address and endpoint indexes, and its
+// seat in the AS's iBGP mesh. The switch then compiles to no flows, and a
+// FIB change the dying VM still reports compiles to none either. Shared by
+// the RPC switch-down path and Release. The monitoring program stays: the
+// telemetry placement decides where it goes.
 func (p *Platform) teardownSwitch(dpid uint64) {
 	p.mu.Lock()
 	vm, ok := p.vms[dpid]
@@ -379,6 +370,11 @@ func (p *Platform) teardownSwitch(dpid uint64) {
 			}
 		}
 	}
+	if st := p.sw[dpid]; st != nil {
+		clear(st.hosts)
+		st.pins = nil
+	}
+	p.refreshAllLocked()
 	p.mu.Unlock()
 	if ok {
 		// Unpeer the departed VM from the AS's iBGP mesh.
@@ -391,8 +387,6 @@ func (p *Platform) teardownSwitch(dpid uint64) {
 			cb(dpid, vnet.StateDestroyed)
 		}
 	}
-	// Dropped after the VM is gone, so no late FIB event re-adds a flow.
-	p.set(dpid, edit{drop: everyFlow})
 }
 
 func (p *Platform) handleLinkUp(m *rpcconf.Message) error {
@@ -450,7 +444,7 @@ func (p *Platform) handleLinkUp(m *rpcconf.Message) error {
 			}
 		}
 	}
-	// Index BOTH endpoint addresses regardless of mastership: routeToFlow
+	// Index BOTH endpoint addresses regardless of mastership: compile
 	// resolves next hops that may live on a remote replica's switch, and
 	// the teardown path unpeers eBGP using the far side's address.
 	p.mu.Lock()
@@ -458,6 +452,7 @@ func (p *Platform) handleLinkUp(m *rpcconf.Message) error {
 	p.addrIndex[bAddr.Addr()] = addrOwner{m.BDPID, m.BPort}
 	p.portAddr[addrOwner{m.ADPID, m.APort}] = aAddr
 	p.portAddr[addrOwner{m.BDPID, m.BPort}] = bAddr
+	p.refreshAllLocked()
 	p.mu.Unlock()
 	return nil
 }
@@ -506,6 +501,7 @@ func (p *Platform) unindexAddr(addr netip.Addr, dpid uint64, port uint16) {
 	p.mu.Lock()
 	if p.addrIndex[addr] == (addrOwner{dpid, port}) {
 		delete(p.addrIndex, addr)
+		p.refreshAllLocked()
 	}
 	p.mu.Unlock()
 }
@@ -532,6 +528,7 @@ func (p *Platform) handleHostUp(m *rpcconf.Message) error {
 	p.mu.Lock()
 	p.addrIndex[gw.Addr()] = addrOwner{m.ADPID, m.APort}
 	p.portAddr[addrOwner{m.ADPID, m.APort}] = gw
+	p.refreshAllLocked()
 	p.mu.Unlock()
 	return nil
 }
@@ -584,32 +581,6 @@ func portOfIface(name string) (uint16, bool) {
 	return uint16(v), true
 }
 
-// onFIBEvent translates VM route changes into switch flow entries.
-func (p *Platform) onFIBEvent(dpid uint64, ev rib.Event) {
-	rt := ev.Route
-	route := keyOf(flowTo(rt.Prefix, routePriority(rt.Prefix)))
-	dropRoute := edit{drop: func(k flowKey) bool { return k == route }}
-	if rt.Source == rib.SourceConnected {
-		// Connected subnets stay on the punt path until hosts are learned. A
-		// connected route that replaces a learned one (a border /30 whose
-		// interface came back) retires the learned route's flow: left in
-		// place, it steers traffic for the VM's own address, its eBGP
-		// session included, away from the punt path.
-		if ev.Type != rib.RouteRemoved {
-			p.set(dpid, dropRoute)
-		}
-		return
-	}
-	switch ev.Type {
-	case rib.RouteAdded, rib.RouteReplaced:
-		if fm, ok := p.routeToFlow(dpid, rt, ev.Paths); ok {
-			p.set(dpid, edit{put: []*openflow.FlowMod{fm}})
-		}
-	case rib.RouteRemoved:
-		p.set(dpid, dropRoute)
-	}
-}
-
 // routePriority ranks a route flow by prefix length: longest match wins.
 func routePriority(prefix netip.Prefix) uint16 { return uint16(100 + prefix.Bits()) }
 
@@ -638,18 +609,15 @@ func rewriteTo(src, dst pkt.MAC, port uint16) []openflow.Action {
 	}
 }
 
-// routeToFlow builds the flow entry for one VM route set. paths is the full
-// equal-cost set (primary first); when empty the single route rt stands
-// alone. One viable next hop yields the classic rewrite+output triple —
-// byte-identical to the pre-ECMP install — while several yield a multipath
-// action whose bucket the switch selects per microflow key hash, so equal-
-// cost alternates share load without ever reordering one flow.
-func (p *Platform) routeToFlow(dpid uint64, rt rib.Route, paths []rib.Route) (*openflow.FlowMod, bool) {
-	if len(paths) == 0 {
-		paths = []rib.Route{rt}
-	}
+// routeFlowLocked compiles one prefix's equal-cost best set (primary first)
+// into its flow entry, or nil when no path has a next hop the address index
+// resolves. Connected routes have no next hop, so their subnets stay on the
+// punt path. One viable next hop yields the classic rewrite+output triple,
+// while several yield a multipath action whose bucket the switch selects per
+// microflow key hash, so equal-cost alternates share load without ever
+// reordering one flow. Callers hold mu.
+func (p *Platform) routeFlowLocked(dpid uint64, paths []rib.Route) *openflow.FlowMod {
 	var buckets []openflow.MultipathBucket
-	p.mu.Lock()
 	for _, path := range paths {
 		port, ok := portOfIface(path.Iface)
 		if !ok || !path.NextHop.IsValid() {
@@ -665,31 +633,27 @@ func (p *Platform) routeToFlow(dpid uint64, rt rib.Route, paths []rib.Route) (*o
 			Port:  port,
 		})
 	}
-	p.mu.Unlock()
 	if len(buckets) == 0 {
-		return nil, false
+		return nil
 	}
 	actions := []openflow.Action{&openflow.ActionMultipath{Buckets: buckets}}
 	if len(buckets) == 1 {
 		actions = rewriteTo(buckets[0].DlSrc, buckets[0].DlDst, buckets[0].Port)
 	}
-	return flowTo(rt.Prefix, routePriority(rt.Prefix), actions...), true
+	prefix := paths[0].Prefix
+	return flowTo(prefix, routePriority(prefix), actions...)
 }
 
-// onHostLearned installs the /32 fast-path flow toward a directly attached
-// host.
-func (p *Platform) onHostLearned(dpid uint64, h vnet.HostLearned) {
-	fm := flowTo(netip.PrefixFrom(h.IP, 32), hostFlowPriority, rewriteTo(vnet.MAC(dpid, h.Port), h.MAC, h.Port)...)
-	p.set(dpid, edit{put: []*openflow.FlowMod{fm}})
+// onHostLearned adds a directly attached host to its switch's inputs, which
+// compile it to a /32 fast-path flow. A host a destroyed VM reports is
+// ignored.
+func (p *Platform) onHostLearned(vm *vnet.VM, h vnet.HostLearned) {
+	dpid := vm.DPID()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.vms[dpid] != vm {
+		return
+	}
+	p.stateLocked(dpid).hosts[h.IP] = h
+	p.refreshLocked(dpid)
 }
-
-// Callbacks exposes the platform's controller event handlers so a merged
-// deployment (no FlowVisor) can host them on a shared controller runtime.
-func (p *Platform) Callbacks() ctlkit.Callbacks {
-	return ctlkit.Callbacks{SwitchUp: p.onSwitchUp, PacketIn: p.onPacketIn, Telemetry: p.onTelemetry}
-}
-
-// UseController substitutes the controller runtime the platform sends
-// through; used by the merged-controller ablation. Call before any switch
-// connects.
-func (p *Platform) UseController(c *ctlkit.Controller) { p.ctl = c }

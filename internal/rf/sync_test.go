@@ -1,6 +1,7 @@
 package rf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,41 +20,51 @@ import (
 	"routeflow/internal/openflow"
 	"routeflow/internal/pkt"
 	"routeflow/internal/rib"
+	"routeflow/internal/rpcconf"
 	"routeflow/internal/vnet"
 )
 
 // The tests in this file run one platform, its controller and a real switch
 // dialing it over a MemListener, all on a fake clock: the repair tick and the
-// switch's redial backoff fire only when a test advances it.
+// switch's redial backoff fire only when a test advances it. The platform's
+// VMs are real, created through its RPC handler, but never finish booting, so
+// the only routes in a VM's RIB are the ones a test adds.
 
 const rigDPID = 1
 
-// rigNextHop is where every route of these tests points: port 1 of switch 2.
-var rigNextHop = netip.MustParseAddr("172.16.0.2")
+// Port 1 of the rig's switch links to switch 2 and port 2 to switch 3; the
+// next hops are the far ends. Port 3 leads to no interface rf assigned.
+var (
+	rigNextHop  = netip.MustParseAddr("172.16.0.2")
+	rigNextHop2 = netip.MustParseAddr("172.16.0.6")
+	unresolved  = netip.MustParseAddr("172.16.9.2")
+	ifaceVia    = map[netip.Addr]string{rigNextHop: "eth1", rigNextHop2: "eth2", unresolved: "eth3"}
+)
 
 type rig struct {
 	t   *testing.T
 	clk *clock.Fake
 	p   *Platform
 	sw  *ofswitch.Switch
+	vm  *vnet.VM // the VM of the rig's switch, once booted
 	// stall, while held, stops the switch reading its control channel, so
 	// the controller's send queue fills.
 	stall sync.Mutex
+	// flowMods counts the flow-mods the switch has read.
+	flowMods atomic.Int64
 	// rules is the last monitoring program set through setTelemetry.
 	rules []openflow.MonitorRule
 	epoch uint64
 }
 
+// newRig connects the switch; an unsharded rig also boots the VMs.
 func newRig(t *testing.T, sharded bool) *rig {
 	t.Helper()
 	clk := clock.NewFake()
-	p, err := New(Config{Clock: clk, Pool: netip.MustParsePrefix("172.16.0.0/16"), Sharded: sharded})
+	p, err := New(Config{Clock: clk, Pool: netip.MustParsePrefix("172.16.0.0/16"), BootDelay: time.Hour, Sharded: sharded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
-	p.addrIndex[rigNextHop] = addrOwner{2, 1}
-	p.mu.Unlock()
 	ln := ctlkit.NewMemListener("rf")
 	go p.Controller().Serve(ln)
 	r := &rig{t: t, clk: clk, p: p, sw: ofswitch.New(ofswitch.Config{DPID: rigDPID, Clock: clk})}
@@ -61,7 +73,7 @@ func newRig(t *testing.T, sharded bool) *rig {
 		if err != nil {
 			return nil, err
 		}
-		return stallConn{c, &r.stall}, nil
+		return &rigConn{Conn: c, r: r}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -71,24 +83,88 @@ func newRig(t *testing.T, sharded bool) *rig {
 		ln.Close()
 	})
 	r.await("switch connected", r.connected)
+	if !sharded {
+		r.boot()
+	}
 	return r
 }
 
-type stallConn struct {
-	net.Conn
-	stall *sync.Mutex
+// boot creates the VMs of switches 1-3 that the platform masters and brings
+// both links up.
+func (r *rig) boot() {
+	r.t.Helper()
+	for dpid, ports := range map[uint64]int{rigDPID: 3, 2: 1, 3: 1} {
+		if r.p.Owns(dpid) {
+			r.apply(rpcconf.SwitchUp(dpid, ports))
+		}
+	}
+	r.vm, _ = r.p.VM(rigDPID)
+	r.link(1, true)
+	r.link(2, true)
 }
 
-func (c stallConn) Read(b []byte) (int, error) {
-	c.stall.Lock()
+func (r *rig) apply(m *rpcconf.Message) {
+	r.t.Helper()
+	if err := r.p.RPCHandler()(m); err != nil {
+		r.t.Fatalf("%s: %v", m.Kind, err)
+	}
+}
+
+// link brings the link on port 1 or 2 up or down, which indexes or
+// unindexes the addresses at both of its ends.
+func (r *rig) link(port uint16, up bool) {
+	r.t.Helper()
+	far := uint64(port) + 1
+	if !up {
+		r.apply(rpcconf.LinkDown(rigDPID, port, far, 1))
+		return
+	}
+	near := netip.AddrFrom4([4]byte{172, 16, 0, byte(4*(port-1) + 1)})
+	r.apply(rpcconf.LinkUp(rigDPID, port, far, 1, netip.PrefixFrom(near, 30), netip.PrefixFrom(near.Next(), 30)))
+}
+
+// rigConn is the switch's end of the control channel: reads wait while the
+// test holds stall, and every flow-mod read is counted.
+type rigConn struct {
+	net.Conn
+	r   *rig
+	buf []byte // the part of a message read so far
+}
+
+func (c *rigConn) Read(b []byte) (int, error) {
+	c.r.stall.Lock()
 	//lint:ignore SA2001 the empty critical section is the gate: it waits while the test holds stall
-	c.stall.Unlock()
-	return c.Conn.Read(b)
+	c.r.stall.Unlock()
+	n, err := c.Conn.Read(b)
+	c.buf = append(c.buf, b[:n]...)
+	for len(c.buf) >= openflow.HeaderLen {
+		size := int(binary.BigEndian.Uint16(c.buf[2:4]))
+		if size < openflow.HeaderLen || len(c.buf) < size {
+			break
+		}
+		if openflow.Type(c.buf[1]) == openflow.TypeFlowMod {
+			c.r.flowMods.Add(1)
+		}
+		c.buf = c.buf[size:]
+	}
+	return n, err
 }
 
 func (r *rig) connected() bool {
 	_, ok := r.p.Controller().Switch(rigDPID)
 	return ok
+}
+
+// barrier returns once the switch has read everything sent before it.
+func (r *rig) barrier() {
+	r.t.Helper()
+	sc, ok := r.p.Controller().Switch(rigDPID)
+	if !ok {
+		r.t.Fatal("switch not connected")
+	}
+	if err := sc.Barrier(); err != nil {
+		r.t.Fatal(err)
+	}
 }
 
 // await polls cond on the wall clock without moving the fake clock.
@@ -167,20 +243,27 @@ func routePrefix(i int) netip.Prefix {
 	return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
 }
 
-func (r *rig) addRoute(i int) {
-	r.p.onFIBEvent(rigDPID, rib.Event{Type: rib.RouteAdded, Route: rib.Route{
-		Prefix: routePrefix(i), NextHop: rigNextHop, Iface: "eth1", Source: rib.SourceOSPF}})
+// ospfRoute is an OSPF route to prefix i through via.
+func ospfRoute(i int, via netip.Addr, metric uint32) rib.Route {
+	return rib.Route{Prefix: routePrefix(i), NextHop: via, Iface: ifaceVia[via], Source: rib.SourceOSPF, Metric: metric}
 }
 
-func (r *rig) delRoute(i int) {
-	r.p.onFIBEvent(rigDPID, rib.Event{Type: rib.RouteRemoved, Route: rib.Route{
-		Prefix: routePrefix(i), NextHop: rigNextHop, Iface: "eth1", Source: rib.SourceOSPF}})
+// routes is the RIB of the rig switch's VM.
+func (r *rig) routes() *rib.RIB { return r.vm.RIB() }
+
+func (r *rig) addRoute(i int) {
+	r.t.Helper()
+	if err := r.routes().Add(ospfRoute(i, rigNextHop, 10)); err != nil {
+		r.t.Fatal(err)
+	}
 }
+
+func (r *rig) delRoute(i int) { r.routes().Remove(routePrefix(i), rib.SourceOSPF, rigNextHop) }
 
 // addHost learns host i behind port. Host 0 is 10.0.0.1: the same /32 a
 // route /32 to it would match, at the host priority.
 func (r *rig) addHost(i int, port uint16) {
-	r.p.onHostLearned(rigDPID, vnet.HostLearned{Port: port,
+	r.p.onHostLearned(r.vm, vnet.HostLearned{Port: port,
 		IP: netip.AddrFrom4([4]byte{10, 0, byte(i), 1}), MAC: pkt.LocalMAC(uint64(0xB000 + i))})
 }
 
@@ -256,16 +339,14 @@ func TestHostAndRouteToOneAddressAreTwoFlows(t *testing.T) {
 	r := newRig(t, false)
 	r.addHost(0, 2)
 	host := netip.MustParsePrefix("10.0.0.1/32")
-	route := func(typ rib.EventType) {
-		r.p.onFIBEvent(rigDPID, rib.Event{Type: typ, Route: rib.Route{
-			Prefix: host, NextHop: rigNextHop, Iface: "eth1", Source: rib.SourceOSPF}})
+	if err := r.routes().Add(rib.Route{Prefix: host, NextHop: rigNextHop, Iface: "eth1", Source: rib.SourceOSPF}); err != nil {
+		t.Fatal(err)
 	}
-	route(rib.RouteAdded)
 	r.settle("host and route installed")
 	if n := r.p.FlowCount(rigDPID); n != 2 {
 		t.Fatalf("desired flows = %d, want 2", n)
 	}
-	route(rib.RouteRemoved)
+	r.routes().Remove(host, rib.SourceOSPF, rigNextHop)
 	r.settle("route withdrawn")
 	if fl := r.p.DesiredFlows(rigDPID); len(fl) != 1 || fl[0].Priority != hostFlowPriority {
 		t.Fatalf("desired after the withdrawal = %v, want the host flow", fl)
@@ -280,44 +361,143 @@ func TestHostAndRouteToOneAddressAreTwoFlows(t *testing.T) {
 func TestConnectedRouteRetiresLearnedRouteFlow(t *testing.T) {
 	r := newRig(t, false)
 	subnet := netip.MustParsePrefix("172.16.0.20/30")
-	r.p.onFIBEvent(rigDPID, rib.Event{Type: rib.RouteAdded, Route: rib.Route{
-		Prefix: subnet, NextHop: rigNextHop, Iface: "eth1", Source: rib.SourceIBGP}})
+	if err := r.routes().Add(rib.Route{Prefix: subnet, NextHop: rigNextHop, Iface: "eth1", Source: rib.SourceIBGP}); err != nil {
+		t.Fatal(err)
+	}
 	r.settle("learned route installed")
 	if n := r.p.FlowCount(rigDPID); n != 1 {
 		t.Fatalf("desired flows = %d, want the learned route's", n)
 	}
-	r.p.onFIBEvent(rigDPID, rib.Event{Type: rib.RouteReplaced, Route: rib.Route{
-		Prefix: subnet, Iface: "eth2", Source: rib.SourceConnected}})
+	if err := r.routes().Add(rib.Route{Prefix: subnet, Iface: "eth2", Source: rib.SourceConnected}); err != nil {
+		t.Fatal(err)
+	}
 	r.settle("connected route replaced it")
 	if n := len(r.sw.FlowTable()); n != 0 {
 		t.Fatalf("switch holds %d flows, want none for a connected subnet", n)
 	}
 }
 
+// TestUnresolvableReplacementLeavesNoFlow: a route replaced by a better one
+// whose next hop rf cannot resolve to a switch port leaves no flow for the
+// prefix. The old route's flow would forward along a path the VM no longer
+// uses.
+func TestUnresolvableReplacementLeavesNoFlow(t *testing.T) {
+	r := newRig(t, false)
+	if err := r.routes().Add(ospfRoute(1, rigNextHop, 20)); err != nil {
+		t.Fatal(err)
+	}
+	r.settle("route installed")
+	if err := r.routes().Add(ospfRoute(1, unresolved, 10)); err != nil {
+		t.Fatal(err)
+	}
+	r.settle("route replaced")
+	if n := len(r.sw.FlowTable()); n != 0 {
+		t.Fatalf("switch holds %d flows after the replacement, want none", n)
+	}
+}
+
+// TestNextHopIndexedAfterRouteGetsFlow: a route whose next hop is not indexed
+// when it arrives gets its flow once a link-up indexes the address, with no
+// further change to the RIB.
+func TestNextHopIndexedAfterRouteGetsFlow(t *testing.T) {
+	r := newRig(t, false)
+	r.link(1, false)
+	r.addRoute(1)
+	if n := r.p.FlowCount(rigDPID); n != 0 {
+		t.Fatalf("desired flows = %d before the next hop is indexed, want 0", n)
+	}
+	r.link(1, true)
+	r.settle("next hop indexed")
+	if n := len(r.sw.FlowTable()); n != 1 {
+		t.Fatalf("switch holds %d flows, want the route's", n)
+	}
+}
+
+// TestUnchangedTableSendsNoFlowMods: RIB mutations that leave the compiled
+// table as it was send the switch nothing. The last one withdraws a prefix
+// whose best route was unresolvable, so it had no flow to delete.
+func TestUnchangedTableSendsNoFlowMods(t *testing.T) {
+	r := newRig(t, false)
+	rt := r.routes()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(rt.Add(ospfRoute(1, rigNextHop, 20)))
+	must(rt.Add(ospfRoute(2, rigNextHop, 20)))
+	must(rt.Add(ospfRoute(2, unresolved, 20)))
+	rt.Remove(routePrefix(2), rib.SourceOSPF, rigNextHop)
+	r.settle("routes installed")
+	if n := len(r.sw.FlowTable()); n != 1 {
+		t.Fatalf("switch holds %d flows, want route 1's", n)
+	}
+	r.barrier()
+	before := r.flowMods.Load()
+
+	must(rt.Add(ospfRoute(1, rigNextHop, 10)))                                                                   // metric change
+	must(rt.Add(ospfRoute(1, unresolved, 10)))                                                                   // an alternate that does not resolve
+	must(rt.Add(rib.Route{Prefix: routePrefix(1), NextHop: rigNextHop2, Iface: "eth2", Source: rib.SourceIBGP})) // a loser
+	must(rt.Add(rib.Route{Prefix: routePrefix(9), Iface: "eth3", Source: rib.SourceConnected}))                  // a connected subnet
+	rt.Remove(routePrefix(2), rib.SourceOSPF, unresolved)                                                        // an unresolvable route's withdrawal
+	r.barrier()
+	if n := r.flowMods.Load() - before; n != 0 {
+		t.Fatalf("%d flow-mods sent for mutations that leave the table unchanged", n)
+	}
+	r.settle("after the mutations")
+}
+
+// TestConcurrentRIBMutationsConverge: mutations from several goroutines run
+// their refreshes concurrently and in any order; each compiles the RIB as it
+// is then, so once they return the desired table is the compile of the final
+// RIB and the switch holds it.
+func TestConcurrentRIBMutationsConverge(t *testing.T) {
+	r := newRig(t, false)
+	vias := []netip.Addr{rigNextHop, rigNextHop2, unresolved}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				via := vias[(g+i)%len(vias)]
+				if i%3 == 2 {
+					r.routes().Remove(routePrefix(10*g+i%10), rib.SourceOSPF, via)
+				} else if err := r.routes().Add(ospfRoute(10*g+i%10, via, 10)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := r.p.CheckDerived(rigDPID); err != nil {
+		t.Fatal(err)
+	}
+	r.settle("after the mutations")
+}
+
 // TestDroppedSendsRepairedWithinOneTick: sends dropped on a full queue leave
 // the switch wrong until the next repair tick, and right after it.
 func TestDroppedSendsRepairedWithinOneTick(t *testing.T) {
 	r := newRig(t, false)
-	sc, _ := r.p.Controller().Switch(rigDPID)
 	r.stall.Lock()
 	// More installs than the send queue holds: the tail is dropped. Then
 	// withdraw all but ten, which the full queue drops as well.
 	const n = 1100
-	for i := 0; i < n; i++ {
-		r.addRoute(i)
+	routes := make([]rib.Route, n)
+	for i := range routes {
+		routes[i] = ospfRoute(i, rigNextHop, 10)
 	}
-	for i := 10; i < n; i++ {
-		r.delRoute(i)
-	}
+	r.routes().ReplaceSource(rib.SourceOSPF, routes)
+	r.routes().ReplaceSource(rib.SourceOSPF, routes[:10])
 	r.stall.Unlock()
 	if r.p.Controller().SendQueueDrops() == 0 {
 		t.Fatal("no send was dropped; the queue never filled")
 	}
 	// Everything that was queued has reached the switch once a barrier
 	// comes back.
-	if err := sc.Barrier(); err != nil {
-		t.Fatal(err)
-	}
+	r.barrier()
 	if r.gap() == "" {
 		t.Fatal("switch matches desired state although sends were dropped")
 	}
@@ -343,48 +523,65 @@ func TestAdoptReplacesForeignFlows(t *testing.T) {
 	if err := sc.Send(&openflow.TelemetryMod{Epoch: 99, Rules: []openflow.MonitorRule{monitorRule(9)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Barrier(); err != nil {
-		t.Fatal(err)
-	}
+	r.barrier()
 	if len(r.sw.FlowTable()) != 5 || len(r.sw.MonitorCounters()) != 1 {
 		t.Fatal("foreign state not installed")
 	}
-	// Desired state built before adoption is held, not sent.
-	r.addRoute(1)
-	r.addHost(1, 2)
+	// Inputs given before adoption are held, not sent.
 	r.p.SetPins([]PinFlow{pin(1, 2)})
 	r.setTelemetry([]openflow.MonitorRule{monitorRule(1)})
-	if err := sc.Barrier(); err != nil {
-		t.Fatal(err)
-	}
+	r.barrier()
 	if len(r.sw.FlowTable()) != 5 {
 		t.Fatal("a replica wrote to a switch it does not master")
 	}
 	r.p.Adopt(rigDPID)
 	r.await("adopted switch equals desired state", func() bool { return r.gap() == "" })
+	r.boot()
+	r.addRoute(1)
+	r.addHost(1, 2)
+	r.await("routes and hosts installed", func() bool { return r.gap() == "" })
 	if n := len(r.sw.FlowTable()); n != 3 {
 		t.Fatalf("switch holds %d flows, want 3", n)
 	}
 }
 
-// TestRandomEditsCutsAndRebootsConverge interleaves every kind of edit with
-// session cuts and reboots; at quiesce the switch holds exactly the desired
-// flows and the program's monitor rules.
+// TestRandomEditsCutsAndRebootsConverge interleaves every kind of input
+// change with session cuts and reboots: learned routes (some through a next
+// hop rf cannot resolve, some equal-cost), connected routes over them, links
+// going down and up (which unindex and index next hops), hosts, pins and the
+// monitoring program. After every op the desired table is what the inputs
+// compile to, and at quiesce the switch holds exactly the desired flows and
+// the program's monitor rules.
 func TestRandomEditsCutsAndRebootsConverge(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			r := newRig(t, false)
 			rng := rand.New(rand.NewSource(seed))
 			port := func() uint16 { return uint16(1 + rng.Intn(3)) }
+			vias := []netip.Addr{rigNextHop, rigNextHop2, unresolved}
 			for op := 0; op < 300; op++ {
-				switch k := rng.Intn(20); {
-				case k < 6:
-					r.addRoute(rng.Intn(30))
+				switch k := rng.Intn(24); {
+				case k < 5:
+					via := vias[rng.Intn(len(vias))]
+					if err := r.routes().Add(ospfRoute(rng.Intn(30), via, uint32(10+10*rng.Intn(2)))); err != nil {
+						t.Fatal(err)
+					}
+				case k < 8:
+					r.routes().Remove(routePrefix(rng.Intn(30)), rib.SourceOSPF, vias[rng.Intn(len(vias))])
 				case k < 10:
-					r.delRoute(rng.Intn(30))
-				case k < 12:
+					i := rng.Intn(30)
+					if rng.Intn(2) == 0 {
+						if err := r.routes().Add(rib.Route{Prefix: routePrefix(i), Iface: "eth3", Source: rib.SourceConnected}); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						r.routes().Remove(routePrefix(i), rib.SourceConnected, netip.Addr{})
+					}
+				case k == 10:
+					r.link(uint16(1+rng.Intn(2)), rng.Intn(2) == 0)
+				case k < 13:
 					r.addHost(rng.Intn(8), port())
-				case k < 14:
+				case k < 15:
 					var pins []PinFlow
 					for i := 0; i < 6; i++ {
 						if rng.Intn(2) == 0 {
@@ -392,7 +589,7 @@ func TestRandomEditsCutsAndRebootsConverge(t *testing.T) {
 						}
 					}
 					r.p.SetPins(pins)
-				case k < 16:
+				case k < 17:
 					var rules []openflow.MonitorRule
 					for i := 1; i <= 4; i++ {
 						if rng.Intn(2) == 0 {
@@ -400,15 +597,18 @@ func TestRandomEditsCutsAndRebootsConverge(t *testing.T) {
 						}
 					}
 					r.setTelemetry(rules)
-				case k == 16:
+				case k == 17:
 					if r.connected() {
 						r.cut()
 					}
-				case k == 17:
+				case k == 18:
 					r.sw.Reboot()
 				default:
 					r.clk.Advance(time.Duration(rng.Intn(400)) * time.Millisecond)
 					time.Sleep(time.Millisecond)
+				}
+				if err := r.p.CheckDerived(rigDPID); err != nil {
+					t.Fatalf("op %d: %v", op, err)
 				}
 			}
 			r.settle("quiesce")

@@ -5,7 +5,7 @@ package rf
 // to the switches as TELEMETRY_MOD, feeds the switches' TELEMETRY_EXPORT
 // streams into a telemetry.Aggregator, and answers each export with the ack
 // that lets the switch advance its delta baseline. Each switch's share of the
-// program is part of its desired state (desired.go): set pushes a changed
+// program is one of compile's inputs (desired.go): refresh pushes a changed
 // TELEMETRY_MOD, and sync re-pushes it on every connect, repair and
 // adoption, so the program is level-triggered end to end.
 
@@ -35,16 +35,17 @@ type TelemetryProgram struct {
 	MonitorDPID func(node int) uint64
 	// Rules holds the compiled match rules per switch DPID. A switch with
 	// none here receives an empty TELEMETRY_MOD, retiring whatever rules it
-	// had (full-replace semantics).
+	// had (full-replace semantics). The platform keeps the map: do not
+	// modify it after SetTelemetry.
 	Rules map[uint64][]openflow.MonitorRule
 }
 
-// SetTelemetry installs a monitoring program: every switch's desired state
-// takes its share of the rules (none, for a switch the program leaves out),
-// and set pushes each TELEMETRY_MOD that changed. The aggregator survives
-// program changes: flows whose monitor switch is unchanged keep their views
-// and totals, and the epoch advances in place so the re-baselining FULLs
-// charge only gains.
+// SetTelemetry installs a monitoring program: each switch's share of the
+// rules (none, for a switch the program leaves out) is one of compile's inputs,
+// and the refresh pushes each TELEMETRY_MOD that changed. The aggregator
+// survives program changes: flows whose monitor switch is unchanged keep
+// their views and totals, and the epoch advances in place so the
+// re-baselining FULLs charge only gains.
 func (p *Platform) SetTelemetry(prog TelemetryProgram) {
 	p.telMu.Lock()
 	if p.telAgg == nil {
@@ -54,24 +55,11 @@ func (p *Platform) SetTelemetry(prog TelemetryProgram) {
 	}
 	p.telAgg.SetFlows(prog.Flows, prog.MonitorDPID)
 	p.telMu.Unlock()
-	base := openflow.TelemetryMod{Epoch: prog.Epoch, IntervalMS: uint32(prog.Interval / time.Millisecond)}
 	p.mu.Lock()
-	p.tel = base
-	dpids := make([]uint64, 0, len(p.sw)+len(prog.Rules))
-	for dpid := range p.sw {
-		dpids = append(dpids, dpid)
-	}
-	for dpid := range prog.Rules {
-		if p.sw[dpid] == nil {
-			dpids = append(dpids, dpid)
-		}
-	}
-	p.mu.Unlock()
-	for _, dpid := range dpids {
-		tm := base
-		tm.Rules = append([]openflow.MonitorRule(nil), prog.Rules[dpid]...)
-		p.set(dpid, edit{tel: &tm})
-	}
+	defer p.mu.Unlock()
+	p.tel = openflow.TelemetryMod{Epoch: prog.Epoch, IntervalMS: uint32(prog.Interval / time.Millisecond)}
+	p.telRules = prog.Rules
+	p.refreshAllLocked()
 }
 
 // onTelemetry consumes one export and answers with the ack that advances the

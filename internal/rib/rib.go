@@ -2,14 +2,15 @@
 // routing stack maintains — the analogue of the zebra RIB plus kernel FIB in
 // a Quagga-based RouteFlow VM. Routes from several sources (connected,
 // static, OSPF) compete per prefix by administrative distance and metric;
-// the winning route set is queryable by longest-prefix match and every
-// best-route change is published to watchers, which is exactly the hook the
-// RF-server uses to translate VM routes into OpenFlow flow entries.
+// the winning route set is queryable by longest-prefix match, and every
+// mutation that changes a best set is announced to watchers. The RF-server
+// is one: it reads the best sets back (EachBest) and compiles them into
+// OpenFlow flow entries.
 //
 // Candidates tied on (source, metric) with the winner form the prefix's
-// equal-cost best set — the ECMP alternates exposed through LookupAll /
-// BestPaths and carried on every watcher event, which is what lets the
-// RF-server install multipath flow entries.
+// equal-cost best set — the ECMP alternates exposed through LookupAll,
+// BestPaths and EachBest, which is what lets the RF-server install
+// multipath flow entries.
 package rib
 
 import (
@@ -70,38 +71,15 @@ func (r Route) String() string {
 	return fmt.Sprintf("%v [%d/%d] %s, %s", r.Prefix, int(r.Source), r.Metric, via, r.Iface)
 }
 
-// EventType discriminates best-route changes.
-type EventType int
-
-// Event kinds.
-const (
-	RouteAdded EventType = iota
-	RouteRemoved
-	RouteReplaced
-)
-
-// Event is one best-route change. A Replaced event fires whenever the
-// equal-cost best *set* changes, even if the primary route is unchanged —
-// gaining or losing an alternate matters to a multipath consumer exactly as
-// much as a primary swap.
-type Event struct {
-	Type EventType
-	// Route is the new primary route (Added/Replaced) or the departed one
-	// (Removed).
-	Route Route
-	// Old is the previous primary for Replaced events.
-	Old Route
-	// Paths is the full equal-cost best set for Added/Replaced events,
-	// primary first, alternates ordered by next-hop address. It is a copy:
-	// watchers may retain it. Carrying the set in the event lets watchers
-	// (which run under the RIB's lock) consume alternates without calling
-	// back into the RIB.
-	Paths []Route
-}
-
-// Watcher consumes best-route changes. Watchers run synchronously under the
-// RIB's lock: keep them fast and non-reentrant.
-type Watcher func(Event)
+// Watcher learns that the RIB changed. It runs once per mutation (Add,
+// Remove, PurgeSource, ReplaceSource) that changed at least one prefix's
+// equal-cost best set, after the RIB's lock is released, and receives the
+// mutation's source; a mutation that leaves every best set as it was runs no
+// watcher. It says that the table changed, not how: a watcher that needs the
+// routes reads them back. Two mutations' watchers may run concurrently and in
+// either order, so a reader sees at least the state of the mutation that ran
+// it.
+type Watcher func(Source)
 
 // RIB is a concurrent routing table.
 type RIB struct {
@@ -125,7 +103,7 @@ func New() *RIB {
 	}
 }
 
-// Watch registers a best-route watcher.
+// Watch registers a watcher.
 func (r *RIB) Watch(w Watcher) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -139,7 +117,6 @@ func (r *RIB) Add(rt Route) error {
 	}
 	rt.Prefix = rt.Prefix.Masked()
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	list := r.candidates[rt.Prefix]
 	replaced := false
 	for i := range list {
@@ -153,7 +130,7 @@ func (r *RIB) Add(rt Route) error {
 		list = append(list, rt)
 	}
 	r.candidates[rt.Prefix] = list
-	r.reselectLocked(rt.Prefix)
+	r.unlockNotify(r.reselectLocked(rt.Prefix), rt.Source)
 	return nil
 }
 
@@ -161,7 +138,6 @@ func (r *RIB) Add(rt Route) error {
 func (r *RIB) Remove(prefix netip.Prefix, src Source, nextHop netip.Addr) {
 	prefix = prefix.Masked()
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	list := r.candidates[prefix]
 	out := list[:0]
 	for _, c := range list {
@@ -174,14 +150,14 @@ func (r *RIB) Remove(prefix netip.Prefix, src Source, nextHop netip.Addr) {
 	} else {
 		r.candidates[prefix] = out
 	}
-	r.reselectLocked(prefix)
+	r.unlockNotify(r.reselectLocked(prefix), src)
 }
 
 // PurgeSource removes every candidate from one source (e.g. when an OSPF
 // recomputation replaces the whole route set).
 func (r *RIB) PurgeSource(src Source) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	changed := false
 	for prefix, list := range r.candidates {
 		out := list[:0]
 		for _, c := range list {
@@ -194,18 +170,18 @@ func (r *RIB) PurgeSource(src Source) {
 		} else {
 			r.candidates[prefix] = out
 		}
-		r.reselectLocked(prefix)
+		changed = r.reselectLocked(prefix) || changed
 	}
+	r.unlockNotify(changed, src)
 }
 
-// ReplaceSource atomically swaps the full route set of one source, emitting
-// only the net changes — the operation OSPF performs after each SPF run. The
-// set may carry several routes for one prefix (distinct next hops): they all
-// become candidates, which is how an ECMP-aware SPF publishes equal-cost
-// paths.
+// ReplaceSource atomically swaps the full route set of one source — the
+// operation OSPF performs after each SPF run — and notifies watchers once if
+// any best set changed. The set may carry several routes for one prefix
+// (distinct next hops): they all become candidates, which is how an
+// ECMP-aware SPF publishes equal-cost paths.
 func (r *RIB) ReplaceSource(src Source, routes []Route) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	byPrefix := map[netip.Prefix][]Route{}
 	for _, rt := range routes {
 		rt.Prefix = rt.Prefix.Masked()
@@ -236,6 +212,7 @@ func (r *RIB) ReplaceSource(src Source, routes []Route) {
 			}
 		}
 	}
+	changed := false
 	for prefix := range touched {
 		list := r.candidates[prefix]
 		out := list[:0]
@@ -250,8 +227,9 @@ func (r *RIB) ReplaceSource(src Source, routes []Route) {
 		} else {
 			r.candidates[prefix] = out
 		}
-		r.reselectLocked(prefix)
+		changed = r.reselectLocked(prefix) || changed
 	}
+	r.unlockNotify(changed, src)
 }
 
 // better orders candidate routes (true = a preferred over b).
@@ -303,33 +281,33 @@ func pathsEqual(a, b []Route) bool {
 	return true
 }
 
-// reselectLocked recomputes the equal-cost best set for prefix and notifies
-// watchers when the set changed.
-func (r *RIB) reselectLocked(prefix netip.Prefix) {
-	old := r.best[prefix]
+// reselectLocked recomputes the equal-cost best set for prefix and reports
+// whether it changed.
+func (r *RIB) reselectLocked(prefix netip.Prefix) bool {
 	sel := selectBest(r.candidates[prefix])
-	if pathsEqual(old, sel) {
-		return
+	if pathsEqual(r.best[prefix], sel) {
+		return false
 	}
 	if len(sel) == 0 {
 		delete(r.best, prefix)
 		r.trie.remove(prefix)
-		r.notifyLocked(Event{Type: RouteRemoved, Route: old[0]})
-		return
+	} else {
+		r.best[prefix] = sel
+		r.trie.insert(prefix, sel)
 	}
-	r.best[prefix] = sel
-	r.trie.insert(prefix, sel)
-	ev := Event{Type: RouteAdded, Route: sel[0], Paths: append([]Route(nil), sel...)}
-	if len(old) > 0 {
-		ev.Type = RouteReplaced
-		ev.Old = old[0]
-	}
-	r.notifyLocked(ev)
+	return true
 }
 
-func (r *RIB) notifyLocked(ev Event) {
-	for _, w := range r.watchers {
-		w(ev)
+// unlockNotify releases the write lock and then, if the mutation changed a
+// best set, runs every watcher with its source.
+func (r *RIB) unlockNotify(changed bool, src Source) {
+	watchers := r.watchers
+	r.mu.Unlock()
+	if !changed {
+		return
+	}
+	for _, w := range watchers {
+		w(src)
 	}
 }
 
@@ -369,6 +347,17 @@ func (r *RIB) BestPaths(prefix netip.Prefix) []Route {
 		return nil
 	}
 	return append([]Route(nil), rts...)
+}
+
+// EachBest calls fn with every prefix's equal-cost best set, primary first,
+// in unspecified order, under the read lock. paths is the RIB's own slice: fn
+// must not modify or retain it, and must not call back into the RIB.
+func (r *RIB) EachBest(fn func(paths []Route)) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, paths := range r.best {
+		fn(paths)
+	}
 }
 
 // Best returns the current primary best routes sorted by prefix.

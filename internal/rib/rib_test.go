@@ -1,6 +1,7 @@
 package rib
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -132,34 +133,50 @@ func TestMetricTiebreak(t *testing.T) {
 	}
 }
 
+// TestWatcherEvents pins the notification contract: one call per mutation
+// that changed a best set, carrying the mutation's source, however many
+// prefixes it touched; none for a mutation that changed no best set; and the
+// watcher runs outside the lock, so it may read the table back.
 func TestWatcherEvents(t *testing.T) {
 	r := New()
-	var events []Event
-	r.Watch(func(ev Event) { events = append(events, ev) })
+	var got []Source
+	var seen []int
+	r.Watch(func(src Source) {
+		got = append(got, src)
+		seen = append(seen, r.Len())
+	})
+	p := pfx("10.3.0.0/16")
+	r.Add(Route{Prefix: p, NextHop: ip("1.1.1.1"), Source: SourceOSPF, Metric: 20})
+	r.Add(Route{Prefix: p, NextHop: ip("2.2.2.2"), Source: SourceOSPF, Metric: 5})
+	r.Add(Route{Prefix: p, NextHop: ip("3.3.3.3"), Source: SourceIBGP}) // loses: silent
+	r.Remove(p, SourceStatic, ip("9.9.9.9"))                            // no such candidate: silent
+	r.Remove(p, SourceIBGP, ip("3.3.3.3"))                              // a loser leaves: silent
+	r.Add(Route{Prefix: p, NextHop: ip("4.4.4.4"), Source: SourceEBGP})
+	r.ReplaceSource(SourceOSPF, []Route{
+		{Prefix: pfx("10.4.0.0/16"), NextHop: ip("1.1.1.1"), Metric: 10},
+		{Prefix: pfx("10.5.0.0/16"), NextHop: ip("1.1.1.1"), Metric: 10},
+	})
+	r.ReplaceSource(SourceOSPF, []Route{ // the same set again: silent
+		{Prefix: pfx("10.5.0.0/16"), NextHop: ip("1.1.1.1"), Metric: 10},
+		{Prefix: pfx("10.4.0.0/16"), NextHop: ip("1.1.1.1"), Metric: 10},
+	})
+	r.PurgeSource(SourceOSPF)
+	r.PurgeSource(SourceOSPF) // nothing left to purge: silent
+	r.Remove(p, SourceEBGP, ip("4.4.4.4"))
 
-	r.Add(Route{Prefix: pfx("10.3.0.0/16"), NextHop: ip("1.1.1.1"), Source: SourceOSPF, Metric: 20})
-	r.Add(Route{Prefix: pfx("10.3.0.0/16"), NextHop: ip("2.2.2.2"), Source: SourceOSPF, Metric: 5})
-	r.Remove(pfx("10.3.0.0/16"), SourceOSPF, ip("2.2.2.2"))
-	r.Remove(pfx("10.3.0.0/16"), SourceOSPF, ip("1.1.1.1"))
-
-	want := []EventType{RouteAdded, RouteReplaced, RouteReplaced, RouteRemoved}
-	if len(events) != len(want) {
-		t.Fatalf("events = %+v", events)
+	want := []Source{SourceOSPF, SourceOSPF, SourceEBGP, SourceOSPF, SourceOSPF, SourceEBGP}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("notifications = %v, want %v", got, want)
 	}
-	for i, ty := range want {
-		if events[i].Type != ty {
-			t.Fatalf("event %d = %v, want %v", i, events[i].Type, ty)
-		}
-	}
-	if events[1].Old.NextHop != ip("1.1.1.1") {
-		t.Fatalf("replaced old = %v", events[1].Old)
+	if wantLen := []int{1, 1, 1, 3, 1, 0}; fmt.Sprint(seen) != fmt.Sprint(wantLen) {
+		t.Fatalf("table sizes read in the watcher = %v, want %v", seen, wantLen)
 	}
 }
 
 func TestNoEventOnIdenticalReAdd(t *testing.T) {
 	r := New()
 	n := 0
-	r.Watch(func(Event) { n++ })
+	r.Watch(func(Source) { n++ })
 	rt := Route{Prefix: pfx("10.4.0.0/16"), NextHop: ip("1.1.1.1"), Source: SourceOSPF, Metric: 7}
 	r.Add(rt)
 	r.Add(rt)
@@ -303,48 +320,31 @@ func TestWithdrawOneAlternate(t *testing.T) {
 	}
 }
 
-// TestWatcherEventsCarryPaths pins the multipath watcher contract: every
-// Added/Replaced event carries the full equal-cost set (primary first), the
-// set changing fires Replaced even when the primary is unchanged, and
-// re-adding an existing member stays silent.
+// TestWatcherEventsCarryPaths pins the multipath side of the contract: a
+// change to the equal-cost set notifies even when the primary is unchanged,
+// re-adding an existing member stays silent, and a watcher reading the table
+// back with EachBest sees the full set, primary first.
 func TestWatcherEventsCarryPaths(t *testing.T) {
 	r := New()
-	var events []Event
-	r.Watch(func(ev Event) { events = append(events, ev) })
+	var sets [][]Route
+	r.Watch(func(Source) {
+		var paths []Route
+		r.EachBest(func(rts []Route) { paths = append([]Route(nil), rts...) })
+		sets = append(sets, paths)
+	})
 	p := pfx("10.12.0.0/16")
 
 	a := Route{Prefix: p, NextHop: ip("1.1.1.1"), Source: SourceOSPF, Metric: 10}
 	b := Route{Prefix: p, NextHop: ip("2.2.2.2"), Source: SourceOSPF, Metric: 10}
-	r.Add(a)
-	r.Add(b) // primary (1.1.1.1) unchanged, set grows → Replaced
-	r.Add(b) // identical re-add → no event
+	r.Add(b)
+	r.Add(a) // primary becomes 1.1.1.1, set grows
+	r.Add(b) // identical re-add: silent
 	r.Remove(p, SourceOSPF, b.NextHop)
 	r.Remove(p, SourceOSPF, a.NextHop)
 
-	want := []EventType{RouteAdded, RouteReplaced, RouteReplaced, RouteRemoved}
-	if len(events) != len(want) {
-		t.Fatalf("events = %+v, want %d", events, len(want))
-	}
-	for i, ty := range want {
-		if events[i].Type != ty {
-			t.Fatalf("event %d = %v, want %v", i, events[i].Type, ty)
-		}
-	}
-	if len(events[0].Paths) != 1 || events[0].Paths[0] != a {
-		t.Fatalf("added paths = %v", events[0].Paths)
-	}
-	grown := events[1]
-	if grown.Route != a || grown.Old != a {
-		t.Fatalf("set-grow event primary = %v old = %v, want %v", grown.Route, grown.Old, a)
-	}
-	if len(grown.Paths) != 2 || grown.Paths[0] != a || grown.Paths[1] != b {
-		t.Fatalf("set-grow paths = %v", grown.Paths)
-	}
-	if shrunk := events[2]; len(shrunk.Paths) != 1 || shrunk.Paths[0] != a {
-		t.Fatalf("set-shrink paths = %v", shrunk.Paths)
-	}
-	if events[3].Paths != nil {
-		t.Fatalf("removed event has paths: %v", events[3].Paths)
+	want := [][]Route{{b}, {a, b}, {a}, nil}
+	if fmt.Sprint(sets) != fmt.Sprint(want) {
+		t.Fatalf("best sets read in the watcher = %v, want %v", sets, want)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // walk then exercises.
 func (r *runner) runChecks() []Check {
 	checks := []Check{r.checkNoBlackhole()}
-	checks = append(checks, r.checkFlowConsistency(), r.checkNoLoop())
+	checks = append(checks, r.checkFlowConsistency(), r.checkDerived(), r.checkNoLoop())
 	if r.spec.Telemetry {
 		checks = append(checks, r.checkTelemetryPlacement(), r.checkTelemetryConservation())
 	}
@@ -231,18 +231,43 @@ func (r *runner) walkFlows(src, dst, ttl int) string {
 // sends repaired by a resync loop), so the check retries briefly before
 // declaring divergence.
 func (r *runner) checkFlowConsistency() Check {
+	return retryCheck("flow-consistency", r.flowConsistencyGap)
+}
+
+// checkDerived requires every switch's desired table, at its master, to be
+// what the master's inputs compile to now (rf.Platform.CheckDerived): a table
+// that differs missed a refresh. A RIB change's refresh runs just after the
+// change, so the check retries like flow-consistency.
+func (r *runner) checkDerived() Check { return retryCheck("derived", r.derivedGap) }
+
+// retryCheck passes once gap reports nothing, and fails with gap's last
+// report after 10 s.
+func retryCheck(name string, gap func() string) Check {
 	deadline := time.Now().Add(10 * time.Second)
-	var gap string
 	for {
-		gap = r.flowConsistencyGap()
-		if gap == "" {
-			return Check{Name: "flow-consistency", OK: true}
+		g := gap()
+		if g == "" {
+			return Check{Name: name, OK: true}
 		}
 		if time.Now().After(deadline) {
-			return Check{Name: "flow-consistency", OK: false, Detail: gap}
+			return Check{Name: name, OK: false, Detail: g}
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+func (r *runner) derivedGap() string {
+	for _, n := range r.d.Graph().Nodes() {
+		dpid := core.DPIDForNode(n.ID)
+		platform, ok := r.d.OwnerPlatform(dpid)
+		if !ok {
+			return fmt.Sprintf("node %d: no live master for its shard", n.ID)
+		}
+		if err := platform.CheckDerived(dpid); err != nil {
+			return fmt.Sprintf("node %d: %v", n.ID, err)
+		}
+	}
+	return ""
 }
 
 func (r *runner) flowConsistencyGap() string {

@@ -108,7 +108,6 @@ type VM struct {
 	cfgMu sync.Mutex
 
 	onTransmit func(port uint16, frame []byte)
-	onFIB      func(rib.Event)
 	onHost     func(HostLearned)
 	onReady    func()
 
@@ -241,9 +240,11 @@ func (vm *VM) OnTransmit(f func(port uint16, frame []byte)) {
 	vm.onTransmit = f
 }
 
-// OnFIB installs the FIB-change hook (the rf-server's flow translation).
-func (vm *VM) OnFIB(f func(rib.Event)) {
-	vm.router.RIB().Watch(func(ev rib.Event) { f(ev) })
+// OnFIB installs the FIB-change hook: f runs after every RIB mutation that
+// changed a best set, outside the RIB's lock, and reads the table back through
+// RIB (the rf-server's flow compiler).
+func (vm *VM) OnFIB(f func()) {
+	vm.router.RIB().Watch(func(rib.Source) { f() })
 }
 
 // OnHostLearned installs the host-binding hook.

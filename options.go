@@ -76,9 +76,6 @@ func WithProbeInterval(d time.Duration) Option { return func(o *Options) { o.Pro
 // WithLinkTTL sets how long a discovered link survives without a probe.
 func WithLinkTTL(d time.Duration) Option { return func(o *Options) { o.LinkTTL = d } }
 
-// WithoutFlowVisor runs the merged-controller ablation (no slicing proxy).
-func WithoutFlowVisor() Option { return func(o *Options) { o.NoFlowVisor = true } }
-
 // WithOnStatus observes per-switch configuration state (wire a Dashboard's
 // Update here).
 func WithOnStatus(fn func(dpid uint64, state VMState)) Option {
