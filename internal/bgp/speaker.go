@@ -126,6 +126,9 @@ type peer struct {
 	holdDeadline time.Time
 	lastKA       time.Time
 	retryAt      time.Time
+	// reopen: an OPEN arrived in OpenConfirm with no KEEPALIVE behind it
+	// yet; the next tick answers it (see handleMessage).
+	reopen bool
 
 	adjIn      map[netip.Prefix]PathAttrs
 	advertised map[netip.Prefix]PathAttrs
@@ -496,6 +499,7 @@ func (s *Speaker) sessionDownLocked(p *peer, charge bool) {
 		}
 	}
 	p.state = StateIdle
+	p.reopen = false
 	p.retryAt = s.clk.Now().Add(s.cfg.ConnectRetry)
 }
 
@@ -587,6 +591,14 @@ func (s *Speaker) onTick() {
 				need = need || established
 				break
 			}
+			if p.reopen {
+				// The peer restarted: answer its OPEN as Established does.
+				p.reopen = false
+				s.sendOpen(p)
+				s.send(p, MarshalKeepalive())
+				p.lastKA = now
+				break
+			}
 			// RFC 4271 §8.2.2: OpenConfirm keeps sending KEEPALIVEs too, so
 			// a peer that lost the handshake's one still gets another.
 			if now.Sub(p.lastKA) >= s.keepaliveInterval() {
@@ -657,7 +669,13 @@ func (s *Speaker) handleMessage(src netip.Addr, payload []byte) bool {
 			p.lastKA = now
 			p.state = StateOpenConfirm
 		case StateOpenConfirm:
-			// Duplicate OPEN from a simultaneous open; harmless.
+			// RFC 4271 §6.8: a second OPEN on a session in OpenConfirm. A
+			// peer that restarted sends its OPEN alone and waits in OpenSent
+			// for ours, so the next tick answers it. A peer that is
+			// answering our OPEN sends a KEEPALIVE right behind its own;
+			// that KEEPALIVE cancels the answer, since a second OPEN would
+			// make the peer answer again, and so on without end.
+			p.reopen = true
 		}
 		p.holdDeadline = now.Add(s.cfg.HoldTime)
 		return false
@@ -665,6 +683,7 @@ func (s *Speaker) handleMessage(src netip.Addr, payload []byte) bool {
 		switch p.state {
 		case StateOpenConfirm:
 			p.state = StateEstablished
+			p.reopen = false
 			p.advertised = nil // full table push on next decision
 			p.holdDeadline = now.Add(s.cfg.HoldTime)
 			return true

@@ -586,3 +586,108 @@ func TestLostHandshakeKeepaliveStillEstablishes(t *testing.T) {
 		t.Fatalf("OPENs sent = %d and %d, want one each", a.Statistics().OpensSent, b.Statistics().OpensSent)
 	}
 }
+
+// handshakeToOpenConfirm runs a's and b's handshake to OpenConfirm on both
+// sides and loses the KEEPALIVE each sent to finish it.
+func handshakeToOpenConfirm(t *testing.T, clk *clock.Fake, w *wire, a, b *Speaker) {
+	t.Helper()
+	a.AddNeighbor(ip("172.16.0.2"), 20)
+	b.AddNeighbor(ip("172.16.0.1"), 10)
+	both := func(st State) func() bool {
+		return func() bool {
+			sa, _ := a.State(ip("172.16.0.2"))
+			sb, _ := b.State(ip("172.16.0.1"))
+			return sa == st && sb == st
+		}
+	}
+	waitFor(t, clk, tStep, both(StateOpenSent))
+	w.deliver(w.take()) // the two OPENs
+	waitFor(t, clk, 0, both(StateOpenConfirm))
+	for _, m := range w.take() {
+		if typ, _, err := ParseMessage(m.payload); err != nil || typ != MsgKeepalive {
+			t.Fatalf("lost message is type %d (%v), want the handshake KEEPALIVE", typ, err)
+		}
+	}
+}
+
+// pump advances the clock a tick at a time, delivering everything sent,
+// until cond holds. It fails t after limit of fake time, or on any
+// NOTIFICATION.
+func (w *wire) pump(t *testing.T, clk *clock.Fake, limit time.Duration, cond func() bool) {
+	t.Helper()
+	start := clk.Now()
+	for !cond() {
+		if clk.Since(start) > limit {
+			t.Fatalf("condition not reached %v after start", clk.Since(start))
+		}
+		clk.Advance(tStep)
+		for i := 0; i < 20; i++ {
+			time.Sleep(time.Millisecond)
+			msgs := w.take()
+			for _, m := range msgs {
+				if typ, _, _ := ParseMessage(m.payload); typ == MsgNotification {
+					t.Fatalf("%v sent a NOTIFICATION to %v: the session was reset", m.src, m.dst)
+				}
+			}
+			w.deliver(msgs)
+		}
+	}
+}
+
+// TestOpenConfirmAnswersRestartedPeer: both speakers sit in OpenConfirm with
+// the handshake KEEPALIVEs lost, and then one of them restarts. Its OPEN
+// reaches a session in OpenConfirm, which must answer it as an Established
+// session would (RFC 4271 §6.8), so that both are Established within a hold
+// time and without either side resetting the session by hold expiry.
+func TestOpenConfirmAnswersRestartedPeer(t *testing.T) {
+	clk := clock.NewFake()
+	w := &wire{own: make(map[netip.Addr]*Speaker)}
+	a := w.speaker(t, clk, 10, "172.16.0.1")
+	b := w.speaker(t, clk, 20, "172.16.0.2")
+	handshakeToOpenConfirm(t, clk, w, a, b)
+
+	a.Stop()
+	a = w.speaker(t, clk, 10, "172.16.0.1") // the restart: a fresh speaker at a's address
+	a.AddNeighbor(ip("172.16.0.2"), 20)
+	w.pump(t, clk, tHold, func() bool {
+		sa, _ := a.State(ip("172.16.0.2"))
+		sb, _ := b.State(ip("172.16.0.1"))
+		return sa == StateEstablished && sb == StateEstablished
+	})
+	if n := b.Statistics().OpensSent; n != 2 {
+		t.Fatalf("the peer that stayed up sent %d OPENs, want 2 (the first, and the answer)", n)
+	}
+}
+
+// TestOpenConfirmCrossingOpensDoNotReopen: a second OPEN that reaches a
+// session in OpenConfirm with a KEEPALIVE right behind it comes from a peer
+// answering our OPEN, not from a restart. Answering it would make the peer
+// answer ours in turn, for ever; the session goes Established on the
+// KEEPALIVE and sends no further OPEN.
+func TestOpenConfirmCrossingOpensDoNotReopen(t *testing.T) {
+	clk := clock.NewFake()
+	w := &wire{own: make(map[netip.Addr]*Speaker)}
+	a := w.speaker(t, clk, 10, "172.16.0.1")
+	b := w.speaker(t, clk, 20, "172.16.0.2")
+	handshakeToOpenConfirm(t, clk, w, a, b)
+
+	// b hears an OPEN and a KEEPALIVE from a, as from a peer answering b.
+	open := MarshalOpen(Open{ASN: 10, HoldTime: uint16(tHold / time.Second), RouterID: u32(ip("172.16.0.1"))})
+	w.deliver([]wireMsg{{ip("172.16.0.1"), ip("172.16.0.2"), open}, {ip("172.16.0.1"), ip("172.16.0.2"), MarshalKeepalive()}})
+	w.pump(t, clk, tHold, func() bool {
+		sa, _ := a.State(ip("172.16.0.2"))
+		sb, _ := b.State(ip("172.16.0.1"))
+		return sa == StateEstablished && sb == StateEstablished
+	})
+	for i := 0; i < 3; i++ { // a few more ticks: nothing reopens
+		clk.Advance(tStep)
+		time.Sleep(2 * time.Millisecond)
+		w.deliver(w.take())
+	}
+	if na, nb := a.Statistics().OpensSent, b.Statistics().OpensSent; na != 1 || nb != 1 {
+		t.Fatalf("OPENs sent = %d and %d, want one each", na, nb)
+	}
+	if sb, _ := b.State(ip("172.16.0.1")); sb != StateEstablished {
+		t.Fatalf("b is %v, want Established", sb)
+	}
+}

@@ -348,7 +348,7 @@ func (sc *SwitchConn) handshake() error {
 		return err
 	}
 	for {
-		m, err := sc.dec.Decode()
+		m, err := sc.read()
 		if err != nil {
 			return err
 		}
@@ -373,9 +373,20 @@ func (sc *SwitchConn) handshake() error {
 	}
 }
 
+// read returns the next message, owned: callbacks and reply waiters keep
+// what they are given, so each frame is decoded with Unmarshal rather than
+// borrowed from the Decoder.
+func (sc *SwitchConn) read() (openflow.Message, error) {
+	frame, err := sc.dec.Next()
+	if err != nil {
+		return nil, err
+	}
+	return openflow.Unmarshal(frame)
+}
+
 func (sc *SwitchConn) readLoop() {
 	for {
-		m, err := sc.dec.Decode()
+		m, err := sc.read()
 		if err != nil {
 			sc.Close()
 			return

@@ -12,9 +12,14 @@
 // slice whose flowspace claims them, broadcasting asynchronous status
 // messages, and enforcing per-slice write policies (a slice that may not
 // program flows gets an EPERM error back, per FlowVisor semantics).
+//
+// The proxy decides on the borrowed message its Decoder returns and relays
+// the frame's bytes: a copy with only the transaction ID changed, never a
+// re-encoding.
 package flowvisor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -267,9 +272,9 @@ func (s *session) close() {
 }
 
 // writeLoop batches queued messages into single writes (see
-// openflow.PumpBatched). Forwarded messages the proxy does not model travel
-// as *Raw and re-encode byte for byte straight from their stored body, so
-// relaying costs no re-marshal.
+// openflow.PumpBatched). Relayed messages are *Raw copies of their frames
+// (see copyFrame) and re-encode byte for byte, so relaying costs no
+// re-marshal.
 func (s *session) writeLoop(conn net.Conn, ch <-chan openflow.Message) {
 	if err := openflow.PumpBatched(conn, ch, s.closed); err != nil {
 		s.close()
@@ -283,19 +288,29 @@ func (s *session) enqueue(ch chan<- openflow.Message, m openflow.Message) {
 	}
 }
 
-// relay gives m a proxy transaction ID mapped back to (slice, its own ID)
-// and queues it to the switch. A message the switch answers only on failure
-// (flow-mod, packet-out) keeps its mapping until a barrier reply fences it
-// (see resolveXID). So that a controller that never sends barriers cannot
-// grow the map for the life of the session, every fenceEvery messages
-// without one the proxy queues a barrier of its own behind them. Only the
-// slice's reader calls relay, so a slice's entries are allocated in the
-// order its messages reach the switch.
-func (s *session) relay(slice int, m openflow.Message) {
+// copyFrame returns a proxy-owned copy of a frame the Decoder lent, as the
+// *Raw the writer re-encodes byte for byte. Callers patch its XID.
+func copyFrame(frame []byte) *openflow.Raw {
+	raw := &openflow.Raw{T: openflow.Type(frame[1]),
+		Body: append([]byte(nil), frame[openflow.HeaderLen:]...)}
+	raw.SetXID(binary.BigEndian.Uint32(frame[4:]))
+	return raw
+}
+
+// relay gives a copy of frame a proxy transaction ID mapped back to (slice,
+// its own ID) and queues it to the switch. A message the switch answers
+// only on failure (flow-mod, packet-out) keeps its mapping until a barrier
+// reply fences it (see resolveXID). So that a controller that never sends
+// barriers cannot grow the map for the life of the session, every
+// fenceEvery messages without one the proxy queues a barrier of its own
+// behind them. Only the slice's reader calls relay, so a slice's entries are
+// allocated in the order its messages reach the switch.
+func (s *session) relay(slice int, frame []byte) {
+	m := copyFrame(frame)
 	var own *openflow.BarrierRequest
 	s.xidMu.Lock()
 	m.SetXID(s.mapXID(pendEntry{slice: slice, orig: m.XID()}))
-	if _, ok := m.(*openflow.BarrierRequest); ok {
+	if m.T == openflow.TypeBarrierRequest {
 		s.unfenced[slice] = 0
 	} else if s.unfenced[slice]++; s.unfenced[slice] == fenceEvery {
 		s.unfenced[slice] = 0
@@ -365,7 +380,7 @@ func (s *session) controllerReadLoop(sc *sliceConn) {
 			continue // consumed by the proxy; the switch already said hello
 		case *openflow.EchoRequest:
 			// Keepalives terminate at the proxy, like real FlowVisor.
-			rep := &openflow.EchoReply{Data: msg.Data}
+			rep := &openflow.EchoReply{Data: append([]byte(nil), msg.Data...)}
 			rep.SetXID(msg.XID())
 			s.enqueue(sc.out, rep)
 			continue
@@ -375,14 +390,14 @@ func (s *session) controllerReadLoop(sc *sliceConn) {
 			em := &openflow.ErrorMsg{
 				ErrType: openflow.ErrTypeBadRequest,
 				Code:    openflow.ErrCodeBadRequestEperm,
-				Data:    truncate(openflow.Marshal(m), 64),
+				Data:    append([]byte(nil), truncate(dec.Frame(), 64)...),
 			}
 			em.SetXID(m.XID())
 			s.enqueue(sc.out, em)
 			continue
 		}
 		s.fv.counters[sc.idx].toSwitch.Add(1)
-		s.relay(sc.idx, m)
+		s.relay(sc.idx, dec.Frame())
 	}
 }
 
@@ -406,18 +421,20 @@ func (s *session) switchReadLoop() {
 				}
 			}
 		case *openflow.EchoRequest:
-			rep := &openflow.EchoReply{Data: msg.Data}
+			rep := &openflow.EchoReply{Data: append([]byte(nil), msg.Data...)}
 			rep.SetXID(msg.XID())
 			s.enqueue(s.swOut, rep)
 		case *openflow.PacketIn:
-			s.routePacketIn(msg)
+			s.routePacketIn(msg, dec.Frame())
 		case *openflow.PortStatus, *openflow.FlowRemoved, *openflow.TelemetryExport:
 			// Asynchronous switch events (including unsolicited telemetry
 			// exports) fan out to every slice; each controller's aggregator
 			// filters by epoch, so foreign streams are ignored downstream.
+			// The writers only read the copy, so the slices share it.
+			raw := copyFrame(dec.Frame())
 			for i, sc := range s.ctls {
 				s.fv.counters[i].toController.Add(1)
-				s.enqueue(sc.out, m)
+				s.enqueue(sc.out, raw)
 			}
 		default:
 			// Replies: route by transaction ID.
@@ -425,19 +442,22 @@ func (s *session) switchReadLoop() {
 			if !ok || pe.own {
 				continue // unsolicited reply or the proxy's own barrier; drop
 			}
-			m.SetXID(pe.orig)
+			raw := copyFrame(dec.Frame())
+			raw.SetXID(pe.orig)
 			s.fv.counters[pe.slice].toController.Add(1)
-			s.enqueue(s.ctls[pe.slice].out, m)
+			s.enqueue(s.ctls[pe.slice].out, raw)
 		}
 	}
 }
 
-func (s *session) routePacketIn(pi *openflow.PacketIn) {
+// routePacketIn relays frame, the packet-in pi was decoded from, to the
+// first slice that claims pi.
+func (s *session) routePacketIn(pi *openflow.PacketIn, frame []byte) {
 	for i, sl := range s.fv.slices {
 		if sl.OwnsPacketIn == nil || sl.OwnsPacketIn(pi) {
 			s.fv.counters[i].packetIns.Add(1)
 			s.fv.counters[i].toController.Add(1)
-			s.enqueue(s.ctls[i].out, pi)
+			s.enqueue(s.ctls[i].out, copyFrame(frame))
 			return
 		}
 	}

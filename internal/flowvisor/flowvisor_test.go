@@ -1,6 +1,9 @@
 package flowvisor
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"net/netip"
 	"testing"
@@ -401,5 +404,200 @@ func TestCountersUnknownSlice(t *testing.T) {
 	}
 	if fv.String() == "" {
 		t.Fatal("empty string")
+	}
+}
+
+// frameStream collects the frames read from conn, each copied, until the
+// connection closes.
+func frameStream(conn net.Conn) <-chan []byte {
+	ch := make(chan []byte, 1024)
+	go func() {
+		defer close(ch)
+		dec := openflow.NewDecoder(conn)
+		for {
+			f, err := dec.Next()
+			if err != nil {
+				return
+			}
+			ch <- append([]byte(nil), f...)
+		}
+	}()
+	return ch
+}
+
+func nextFrame(t *testing.T, ch <-chan []byte, what string) []byte {
+	t.Helper()
+	select {
+	case f, ok := <-ch:
+		if !ok {
+			t.Fatalf("%s: connection closed", what)
+		}
+		return f
+	case <-time.After(3 * time.Second):
+		t.Fatalf("%s: timed out", what)
+		return nil
+	}
+}
+
+// batch frames msgs back to back.
+func batch(msgs ...openflow.Message) []byte {
+	var b []byte
+	for _, m := range msgs {
+		b = m.AppendTo(b)
+	}
+	return b
+}
+
+// withXID returns a copy of frame with its transaction ID set to xid.
+func withXID(frame []byte, xid uint32) []byte {
+	out := append([]byte(nil), frame...)
+	binary.BigEndian.PutUint32(out[4:], xid)
+	return out
+}
+
+// TestRelayIsByteIdenticalButForXIDs drives the proxy from raw pipes: a
+// controller writes a mixed batch in one write, and the switch answers with
+// one of its own. Every relayed frame must arrive byte for byte as sent but
+// for its transaction ID, which the proxy maps out and back; echoes end at
+// the proxy, each reply carrying its request's data.
+func TestRelayIsByteIdenticalButForXIDs(t *testing.T) {
+	ctlEnds := make(chan net.Conn, 2)
+	dial := func() (net.Conn, error) {
+		a, b := net.Pipe()
+		ctlEnds <- b
+		return a, nil
+	}
+	fv := New("fv", []Slice{LLDPSlice("topo", dial), DefaultSlice("rf", dial)})
+	l := ctlkit.NewMemListener("fv")
+	defer l.Close()
+	go fv.Serve(l)
+	defer fv.Stop()
+	sw, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, rf := <-ctlEnds, <-ctlEnds
+	swIn, topoIn, rfIn := frameStream(sw), frameStream(topo), frameStream(rf)
+	write := func(conn net.Conn, b []byte) {
+		t.Helper()
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(sw, batch(&openflow.Hello{}))
+	nextFrame(t, topoIn, "topo hello")
+	nextFrame(t, rfIn, "rf hello")
+
+	// Controller to switch: everything but the hello and the echoes is
+	// relayed, in order.
+	var toSwitch []openflow.Message
+	for i := 0; i < 40; i++ {
+		fm := flowMod(uint16(100+i%3), 0)
+		fm.Actions = []openflow.Action{
+			&openflow.ActionSetDlDst{Addr: pkt.LocalMAC(uint64(i))},
+			&openflow.ActionOutput{Port: uint16(1 + i%2)},
+		}
+		if i%10 == 0 {
+			fm.Actions = append(fm.Actions, &openflow.ActionVendor{Vendor: 0x2320, Data: []byte{byte(i), 1, 2, 3, 4, 5, 6, 7}})
+		}
+		toSwitch = append(toSwitch, fm)
+		if i%8 == 0 {
+			toSwitch = append(toSwitch, &openflow.PacketOut{BufferID: openflow.NoBuffer, InPort: openflow.PortNone,
+				Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}}, Data: arpFrame()})
+		}
+	}
+	toSwitch = append(toSwitch,
+		&openflow.SetConfig{MissSendLen: 128},
+		&openflow.StatsRequest{StatsType: openflow.StatsFlow,
+			Flow: &openflow.FlowStatsRequest{Match: openflow.MatchAll(), TableID: 0xff, OutPort: openflow.PortNone}},
+		&openflow.Raw{T: openflow.TypeQueueGetConfigReq, Body: []byte{0, 5, 0, 0}},
+		&openflow.BarrierRequest{})
+	var echoes []*openflow.EchoRequest
+	ctlBatch := []openflow.Message{&openflow.Hello{}}
+	for i, m := range toSwitch {
+		m.SetXID(uint32(1000 + i))
+		ctlBatch = append(ctlBatch, m)
+		if i%9 == 0 {
+			e := &openflow.EchoRequest{Data: bytes.Repeat([]byte{byte(i)}, 50+i)}
+			e.SetXID(uint32(5000 + i))
+			echoes = append(echoes, e)
+			ctlBatch = append(ctlBatch, e)
+		}
+	}
+	write(rf, batch(ctlBatch...))
+	proxyXID := map[uint32]uint32{} // controller xid -> proxy xid
+	for i, m := range toSwitch {
+		sent := openflow.Marshal(m)
+		got := nextFrame(t, swIn, fmt.Sprintf("relayed %v %d", m.MsgType(), i))
+		xid := binary.BigEndian.Uint32(got[4:])
+		if !bytes.Equal(withXID(got, m.XID()), sent) {
+			t.Fatalf("relayed %v %d:\n got %x\nsent %x", m.MsgType(), i, got, sent)
+		}
+		proxyXID[m.XID()] = xid
+	}
+	for _, e := range echoes {
+		rep := nextFrame(t, rfIn, "echo reply")
+		want := openflow.Marshal(&openflow.EchoReply{MsgXID: e.MsgXID, Data: e.Data})
+		if !bytes.Equal(rep, want) {
+			t.Fatalf("echo reply\n got %x\nwant %x", rep, want)
+		}
+	}
+
+	// Switch to controllers: replies to the relayed requests, packet-ins
+	// for each slice, asynchronous events for both, and echoes for the
+	// proxy.
+	statsXID, errXID, barrierXID := uint32(1000+len(toSwitch)-3), uint32(1003), uint32(1000+len(toSwitch)-1)
+	flows := make([]openflow.FlowStats, 30)
+	for i := range flows {
+		flows[i] = openflow.FlowStats{Match: openflow.MatchAll(), Priority: uint16(i), Cookie: uint64(i),
+			Actions: []openflow.Action{&openflow.ActionOutput{Port: uint16(i)}}}
+	}
+	reply := func(m openflow.Message, ctlXID uint32) openflow.Message {
+		m.SetXID(proxyXID[ctlXID])
+		return m
+	}
+	lldp := &openflow.PacketIn{BufferID: 7, TotalLen: 60, InPort: 1, Data: lldpFrame(0x99, 4)}
+	arp := &openflow.PacketIn{BufferID: 8, TotalLen: 42, InPort: 2, Data: arpFrame()}
+	ps := &openflow.PortStatus{Reason: openflow.PortReasonModify, Desc: openflow.PhyPort{PortNo: 2, Name: "d1-eth2"}}
+	fr := &openflow.FlowRemoved{Match: openflow.MatchAll(), Cookie: 9, Priority: 3, PacketCount: 5}
+	errm := reply(&openflow.ErrorMsg{ErrType: openflow.ErrTypeFlowModFailed, Data: make([]byte, 64)}, errXID)
+	stats := reply(&openflow.StatsReply{StatsType: openflow.StatsFlow, Flows: flows}, statsXID)
+	bar := reply(&openflow.BarrierReply{}, barrierXID)
+	var swBatch []openflow.Message
+	var swEchoes []*openflow.EchoRequest
+	for i, m := range []openflow.Message{lldp, arp, ps, errm, fr, stats, bar} {
+		e := &openflow.EchoRequest{Data: bytes.Repeat([]byte{byte(0xE0 + i)}, 200+50*i)}
+		e.SetXID(uint32(70 + i))
+		swEchoes = append(swEchoes, e)
+		swBatch = append(swBatch, m, e)
+	}
+	write(sw, batch(swBatch...))
+
+	for _, w := range []struct {
+		in   <-chan []byte
+		m    openflow.Message
+		xid  uint32
+		what string
+	}{
+		{topoIn, lldp, 0, "topo: lldp packet-in"},
+		{topoIn, ps, 0, "topo: port status"},
+		{topoIn, fr, 0, "topo: flow removed"},
+		{rfIn, arp, 0, "rf: arp packet-in"},
+		{rfIn, ps, 0, "rf: port status"},
+		{rfIn, errm, errXID, "rf: error"},
+		{rfIn, fr, 0, "rf: flow removed"},
+		{rfIn, stats, statsXID, "rf: stats reply"},
+		{rfIn, bar, barrierXID, "rf: barrier reply"},
+	} {
+		want := withXID(openflow.Marshal(w.m), w.xid)
+		if got := nextFrame(t, w.in, w.what); !bytes.Equal(got, want) {
+			t.Fatalf("%s:\n got %x\nwant %x", w.what, got, want)
+		}
+	}
+	for _, e := range swEchoes {
+		want := openflow.Marshal(&openflow.EchoReply{MsgXID: e.MsgXID, Data: e.Data})
+		if got := nextFrame(t, swIn, "switch echo reply"); !bytes.Equal(got, want) {
+			t.Fatalf("switch echo reply\n got %x\nwant %x", got, want)
+		}
 	}
 }

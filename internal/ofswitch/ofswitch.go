@@ -65,8 +65,10 @@ type Switch struct {
 	ctlDrops atomic.Uint64
 
 	// ctlStage is the egress staging of the goroutine that runs
-	// handleControl: packet-outs and buffer releases stage on it.
+	// handleControl: packet-outs and buffer releases stage on it. ctlFrame
+	// is that goroutine's copy of the packet-out frame it is executing.
 	ctlStage staging
+	ctlFrame []byte
 
 	// noPortDrops counts frames an output action sent to a port number that
 	// has no port attached; runtDrops frames too short to classify;
@@ -426,12 +428,16 @@ func (s *Switch) sendFlowRemoved(e *flowEntry, reason uint8, now time.Time) {
 	})
 }
 
+// handleControl handles one message from the controller. m is borrowed from
+// the session's Decoder and is overwritten by the next message, so what
+// outlives this call is copied: a flow entry's actions, a packet-out's frame
+// and an echo reply's data. Replies queued for the writer hold only copies.
 func (s *Switch) handleControl(m openflow.Message) {
 	switch msg := m.(type) {
 	case *openflow.Hello:
 		// Nothing to do: version negotiation succeeded by construction.
 	case *openflow.EchoRequest:
-		rep := &openflow.EchoReply{Data: msg.Data}
+		rep := &openflow.EchoReply{Data: append([]byte(nil), msg.Data...)}
 		rep.SetXID(msg.XID())
 		_ = s.send(rep)
 	case *openflow.FeaturesRequest:
@@ -523,13 +529,15 @@ func (s *Switch) portStateChanged(p *swPort, up bool) {
 	_ = s.send(ps)
 }
 
+// handleFlowMod applies a borrowed flow-mod. A table entry keeps its own
+// copy of the actions.
 func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 	switch m.Command {
 	case openflow.FlowModAdd:
 		e := &flowEntry{
 			match: m.Match, priority: m.Priority, cookie: m.Cookie,
 			idleTimeout: m.IdleTimeout, hardTimeout: m.HardTimeout,
-			flags: m.Flags, actions: m.Actions, created: s.clk.Now(),
+			flags: m.Flags, actions: openflow.CloneActions(m.Actions), created: s.clk.Now(),
 		}
 		if errMsg := s.table.add(e, m.Flags&openflow.FlowModFlagCheckOverlap != 0); errMsg != nil {
 			errMsg.SetXID(m.XID())
@@ -539,12 +547,13 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 		}
 	case openflow.FlowModModify, openflow.FlowModModifyStrict:
 		strict := m.Command == openflow.FlowModModifyStrict
-		if n := s.table.modify(&m.Match, m.Priority, m.Actions, strict); n == 0 {
+		actions := openflow.CloneActions(m.Actions)
+		if n := s.table.modify(&m.Match, m.Priority, actions, strict); n == 0 {
 			// OF 1.0: a modify that matches nothing behaves like an add.
 			e := &flowEntry{
 				match: m.Match, priority: m.Priority, cookie: m.Cookie,
 				idleTimeout: m.IdleTimeout, hardTimeout: m.HardTimeout,
-				flags: m.Flags, actions: m.Actions, created: s.clk.Now(),
+				flags: m.Flags, actions: actions, created: s.clk.Now(),
 			}
 			_ = s.table.add(e, false)
 		}
@@ -565,8 +574,12 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 	}
 }
 
+// handlePacketOut executes a borrowed packet-out. Its inline frame aliases
+// the Decoder's buffer, which the dataplane must never rewrite, move or
+// pool, so it runs from the control loop's own copy.
 func (s *Switch) handlePacketOut(m *openflow.PacketOut) {
-	frame := m.Data
+	s.ctlFrame = append(s.ctlFrame[:0], m.Data...)
+	frame := s.ctlFrame
 	if m.BufferID != openflow.NoBuffer {
 		bp, ok := s.takeBuffer(m.BufferID)
 		if !ok {

@@ -49,10 +49,15 @@ func newHarness(t *testing.T, clk clock.Clock) *harness {
 	t.Cleanup(sw.Stop)
 	h := &harness{t: t, sw: sw, net: n, h1: h1, h2: h2, conn: ctlConn,
 		msgs: make(chan openflow.Message, 256)}
-	go func() {
+	go func() { // the harness keeps what it reads, so it decodes owned messages
 		dec := openflow.NewDecoder(ctlConn)
 		for {
-			m, err := dec.Decode()
+			frame, err := dec.Next()
+			if err != nil {
+				close(h.msgs)
+				return
+			}
+			m, err := openflow.Unmarshal(frame)
 			if err != nil {
 				close(h.msgs)
 				return

@@ -147,17 +147,22 @@ const counterShards = 8
 // microflow re-classifies and refills. This keeps OF 1.0 semantics exact: a
 // barrier'd flow-mod is observed by the very next lookup.
 //
-// A mutation costs what it changes: an add is one binary search and one
-// copy into the ordered entries; a strict add-replace, modify or delete is
-// one index probe (and a binary search for the slot); a loose delete or an
-// expiry filters the entries in place, allocating only for what it removes.
+// The entries are kept in bands, one per priority in use, and a mutation
+// costs what it changes: an add finds its band by a binary search over the
+// bands and appends to it; a strict add-replace, modify or delete is one
+// index probe, then a binary search for the slot inside the band; a loose
+// delete or an expiry filters the bands in place, allocating only for what
+// it removes.
 type flowTable struct {
 	mu sync.RWMutex
-	// entries is kept in (priority desc, seq asc) order, the order classify
-	// scans: an add inserts at its sorted slot and a removal closes the gap.
-	entries []*flowEntry
+	// bands holds the entries in (priority desc, seq asc) order, the order
+	// classify scans: bands by priority, descending, and each band's entries
+	// in seq order, so an add (whose seq is the largest yet) appends to its
+	// band. No band is empty.
+	bands []band
+	n     int // entries in all bands
 	// strict indexes entries by OpenFlow strict identity; it holds exactly
-	// the entries in entries.
+	// the entries in bands.
 	strict map[strictKey]*flowEntry
 	seq    uint64
 
@@ -198,14 +203,33 @@ func (t *flowTable) shardFor(port uint16) *mfShard {
 	return &t.shards[uint32(port)&t.shardMask]
 }
 
-// searchLocked returns the first slot whose entry sorts at or after
-// (priority, seq): the slot of an installed entry, and the insert position
-// of a new one, whose seq is the largest yet.
-func (t *flowTable) searchLocked(priority uint16, seq uint64) int {
-	return sort.Search(len(t.entries), func(i int) bool {
-		e := t.entries[i]
-		return e.priority < priority || e.priority == priority && e.seq >= seq
-	})
+// band is the run of entries of one priority, in seq order.
+type band struct {
+	priority uint16
+	entries  []*flowEntry
+}
+
+// bandLocked returns the index of the band of priority, or where to insert
+// it, and whether it exists.
+func (t *flowTable) bandLocked(priority uint16) (int, bool) {
+	i := sort.Search(len(t.bands), func(i int) bool { return t.bands[i].priority <= priority })
+	return i, i < len(t.bands) && t.bands[i].priority == priority
+}
+
+// slotLocked returns the band and slot of e, which is installed.
+func (t *flowTable) slotLocked(e *flowEntry) (*band, int) {
+	i, _ := t.bandLocked(e.priority)
+	b := &t.bands[i]
+	return b, sort.Search(len(b.entries), func(j int) bool { return b.entries[j].seq >= e.seq })
+}
+
+// eachLocked calls f on every entry in classify order.
+func (t *flowTable) eachLocked(f func(*flowEntry)) {
+	for i := range t.bands {
+		for _, e := range t.bands[i].entries {
+			f(e)
+		}
+	}
 }
 
 // invalidateLocked marks every microflow cache line stale by bumping every
@@ -269,23 +293,25 @@ func (t *flowTable) lookupN(key *openflow.Match, n, nBytes uint64, nowNanos int6
 func (t *flowTable) classify(key *openflow.Match, n, nBytes uint64, nowNanos int64, shard *mfShard, slot *atomic.Pointer[mfEntry], c *tableCounters) ([]openflow.Action, bool) {
 	t.mu.RLock()
 	gen := shard.gen.Load()
-	for _, e := range t.entries {
-		if e.match.Covers(key) {
-			actions := e.actions
-			if hasMultipath(actions) {
-				actions = resolveMultipath(actions, key)
-			}
-			c.matched.Add(n)
-			e.hitN(n, nBytes, nowNanos)
-			var mc *telCounter
-			if ms := t.mon.Load(); ms != nil {
-				if mc = ms.match(key); mc != nil {
-					mc.add(n, nBytes)
+	for i := range t.bands {
+		for _, e := range t.bands[i].entries {
+			if e.match.Covers(key) {
+				actions := e.actions
+				if hasMultipath(actions) {
+					actions = resolveMultipath(actions, key)
 				}
+				c.matched.Add(n)
+				e.hitN(n, nBytes, nowNanos)
+				var mc *telCounter
+				if ms := t.mon.Load(); ms != nil {
+					if mc = ms.match(key); mc != nil {
+						mc.add(n, nBytes)
+					}
+				}
+				slot.Store(&mfEntry{key: *key, gen: gen, flow: e, actions: actions, mon: mc})
+				t.mu.RUnlock()
+				return actions, true
 			}
-			slot.Store(&mfEntry{key: *key, gen: gen, flow: e, actions: actions, mon: mc})
-			t.mu.RUnlock()
-			return actions, true
 		}
 	}
 	t.mu.RUnlock()
@@ -376,27 +402,31 @@ func (t *flowTable) add(e *flowEntry, checkOverlap bool) *openflow.ErrorMsg {
 	defer t.mu.Unlock()
 	k := strictKey{e.match, e.priority}
 	old := t.strict[k]
-	if checkOverlap {
-		// Entries of other priorities never overlap: scan e's priority run.
-		for _, ex := range t.entries[t.searchLocked(e.priority, 0):] {
-			if ex.priority != e.priority {
-				break
-			}
+	bi, ok := t.bandLocked(e.priority)
+	if checkOverlap && ok {
+		// Entries of other priorities never overlap: scan e's band.
+		for _, ex := range t.bands[bi].entries {
 			if ex != old && overlaps(ex, e) {
 				return &openflow.ErrorMsg{ErrType: openflow.ErrTypeFlowModFailed,
 					Code: openflow.ErrCodeFlowModOverlap}
 			}
 		}
 	}
-	if old != nil {
+	switch {
+	case old != nil:
 		// Identical match+priority replaces the existing entry in its slot
 		// (counters reset).
 		e.seq = old.seq
-		t.entries[t.searchLocked(old.priority, old.seq)] = e
-	} else {
+		b, j := t.slotLocked(old)
+		b.entries[j] = e
+	case !ok:
+		t.bands = slices.Insert(t.bands, bi, band{priority: e.priority})
+		fallthrough
+	default:
 		t.seq++
 		e.seq = t.seq
-		t.entries = slices.Insert(t.entries, t.searchLocked(e.priority, e.seq), e)
+		t.bands[bi].entries = append(t.bands[bi].entries, e)
+		t.n++
 	}
 	t.strict[k] = e
 	t.invalidateLocked()
@@ -416,12 +446,12 @@ func (t *flowTable) modify(m *openflow.Match, priority uint16, actions []openflo
 			n = 1
 		}
 	} else {
-		for _, e := range t.entries {
+		t.eachLocked(func(e *flowEntry) {
 			if m.Covers(&e.match) {
 				e.actions = actions
 				n++
 			}
-		}
+		})
 	}
 	if n > 0 {
 		t.invalidateLocked()
@@ -468,33 +498,44 @@ func (t *flowTable) deleteFlows(m *openflow.Match, priority uint16, outPort uint
 	if e == nil || !outputsTo(e, outPort) {
 		return nil
 	}
-	i := t.searchLocked(e.priority, e.seq)
-	t.entries = slices.Delete(t.entries, i, i+1)
+	b, j := t.slotLocked(e)
+	b.entries = slices.Delete(b.entries, j, j+1)
+	t.n--
 	delete(t.strict, k)
+	t.dropEmptyLocked()
 	t.invalidateLocked()
 	return []*flowEntry{e}
 }
 
-// removeLocked filters the entries in place, keeping their order, and
-// returns the ones drop selects. It allocates only when it removes
-// something.
+// removeLocked filters every band in place, keeping the order, and returns
+// the entries drop selects. It allocates only when it removes something.
 func (t *flowTable) removeLocked(drop func(*flowEntry) bool) []*flowEntry {
 	var removed []*flowEntry
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		if drop(e) {
-			removed = append(removed, e)
-			delete(t.strict, strictKey{e.match, e.priority})
-		} else {
-			kept = append(kept, e)
+	for i := range t.bands {
+		b := &t.bands[i]
+		kept := b.entries[:0]
+		for _, e := range b.entries {
+			if drop(e) {
+				removed = append(removed, e)
+				delete(t.strict, strictKey{e.match, e.priority})
+			} else {
+				kept = append(kept, e)
+			}
 		}
+		clear(b.entries[len(kept):])
+		b.entries = kept
 	}
 	if len(removed) > 0 {
-		clear(t.entries[len(kept):])
-		t.entries = kept
+		t.n -= len(removed)
+		t.dropEmptyLocked()
 		t.invalidateLocked()
 	}
 	return removed
+}
+
+// dropEmptyLocked removes the bands a removal left empty.
+func (t *flowTable) dropEmptyLocked() {
+	t.bands = slices.DeleteFunc(t.bands, func(b band) bool { return len(b.entries) == 0 })
 }
 
 // expire removes entries past their idle or hard timeout. Idle accounting
@@ -525,8 +566,8 @@ func (t *flowTable) expire(now time.Time) []*flowEntry {
 func (t *flowTable) snapshot(now time.Time) []FlowInfo {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]FlowInfo, 0, len(t.entries))
-	for _, e := range t.entries {
+	out := make([]FlowInfo, 0, t.n)
+	t.eachLocked(func(e *flowEntry) {
 		out = append(out, FlowInfo{
 			Match: e.match, Priority: e.priority, Cookie: e.cookie,
 			IdleTimeout: e.idleTimeout, HardTimeout: e.hardTimeout,
@@ -534,19 +575,19 @@ func (t *flowTable) snapshot(now time.Time) []FlowInfo {
 			Packets: e.packets.Load(), Bytes: e.bytes.Load(),
 			Age: now.Sub(e.created),
 		})
-	}
+	})
 	return out
 }
 
 func (t *flowTable) len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.entries)
+	return t.n
 }
 
 func (t *flowTable) stats() (lookups, matched uint64, active int) {
 	t.mu.RLock()
-	active = len(t.entries)
+	active = t.n
 	t.mu.RUnlock()
 	for i := range t.counters {
 		lookups += t.counters[i].lookups.Load()

@@ -125,8 +125,14 @@ func (r *refTable) lookup(key *openflow.Match, nowNanos int64) *refEntry {
 }
 
 // modelGen draws matches and packet keys from a universe small enough that
-// duplicates, overlaps and equal-priority runs are common.
-type modelGen struct{ r *rand.Rand }
+// duplicates, overlaps and equal-priority runs are common. Priorities come
+// from four neighbouring entries of modelPriorities, starting at window:
+// as the window moves, the bands it leaves drain and the ones it reaches
+// fill.
+type modelGen struct {
+	r      *rand.Rand
+	window int
+}
 
 var modelPriorities = []uint16{0, 1, 2, 132, 400, 500, 0xffff}
 
@@ -164,9 +170,11 @@ func (g modelGen) key() openflow.Match {
 	}
 }
 
-func (g modelGen) priority() uint16 { return modelPriorities[g.r.Intn(len(modelPriorities))] }
-func (g modelGen) port() uint16     { return uint16(1 + g.r.Intn(4)) }
-func (g modelGen) timeout() uint16  { return []uint16{0, 0, 1, 2}[g.r.Intn(4)] }
+func (g modelGen) priority() uint16 {
+	return modelPriorities[(g.window+g.r.Intn(4))%len(modelPriorities)]
+}
+func (g modelGen) port() uint16    { return uint16(1 + g.r.Intn(4)) }
+func (g modelGen) timeout() uint16 { return []uint16{0, 0, 1, 2}[g.r.Intn(4)] }
 
 func ids(es []*flowEntry) []uint64 {
 	var out []uint64
@@ -176,15 +184,46 @@ func ids(es []*flowEntry) []uint64 {
 	return out
 }
 
+// checkBands fails t unless tb's bands are well formed: none empty, their
+// priorities strictly descending, and each one's entries of its priority in
+// ascending seq order, as many in all as tb counts. It returns the bands'
+// priorities.
+func checkBands(t *testing.T, step int, tb *flowTable) map[uint16]bool {
+	t.Helper()
+	prios := map[uint16]bool{}
+	n := 0
+	for i, b := range tb.bands {
+		if len(b.entries) == 0 {
+			t.Fatalf("step %d: band %d (priority %d) is empty", step, i, b.priority)
+		}
+		if i > 0 && tb.bands[i-1].priority <= b.priority {
+			t.Fatalf("step %d: band %d priority %d after %d", step, i, b.priority, tb.bands[i-1].priority)
+		}
+		for j, e := range b.entries {
+			if e.priority != b.priority || j > 0 && b.entries[j-1].seq >= e.seq {
+				t.Fatalf("step %d: band %d (priority %d) slot %d holds priority %d seq %d", step, i, b.priority, j, e.priority, e.seq)
+			}
+		}
+		prios[b.priority] = true
+		n += len(b.entries)
+	}
+	if n != tb.n {
+		t.Fatalf("step %d: bands hold %d entries, table counts %d", step, n, tb.n)
+	}
+	return prios
+}
+
 // TestFlowTableMatchesReference runs random interleavings of every table
 // mutation, expiry on a fake clock, and packet lookups against refTable, and
 // after every step compares the winner for each probe key, the length, the
 // snapshot order and counters, and each step's removed set or overlap
-// verdict.
+// verdict, and checks the bands (checkBands). Priorities are drawn from a
+// window that moves every few hundred steps, so bands are created, emptied
+// and re-created; each seed must re-create at least one.
 func TestFlowTableMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			g := modelGen{rand.New(rand.NewSource(seed))}
+			g := &modelGen{r: rand.New(rand.NewSource(seed))}
 			tb, ref := newFlowTable(), &refTable{}
 			now := time.Date(2013, 8, 12, 0, 0, 0, 0, time.UTC)
 			probes := make([]openflow.Match, 12)
@@ -215,7 +254,9 @@ func TestFlowTableMatchesReference(t *testing.T) {
 						step, key, got, outPortOf(t, actions), want.id, want.port)
 				}
 			}
+			bands, emptied, recreated := map[uint16]bool{}, map[uint16]bool{}, 0
 			for step := 0; step < 3000; step++ {
+				g.window = step / 300
 				var gotRemoved, wantRemoved []uint64
 				switch op := g.r.Intn(20); {
 				case op < 7: // add, one in three with the overlap check
@@ -282,6 +323,19 @@ func TestFlowTableMatchesReference(t *testing.T) {
 				for i := range probes {
 					lookup(step, &probes[i])
 				}
+				now := checkBands(t, step, tb)
+				for p := range bands {
+					emptied[p] = emptied[p] || !now[p]
+				}
+				for p := range now {
+					if !bands[p] && emptied[p] {
+						recreated++
+					}
+				}
+				bands = now
+			}
+			if recreated == 0 {
+				t.Fatal("no band was emptied and re-created")
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package openflow
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"routeflow/internal/pkt"
 )
@@ -325,12 +326,19 @@ func appendActions(b []byte, actions []Action) []byte {
 	return b
 }
 
+// decodeActions decodes an action list of length bytes. The list and its
+// action values come from r's store; an empty list is nil.
 func decodeActions(r *rbuf, length int) ([]Action, error) {
 	if length < 0 || length > r.remaining() {
 		return nil, fmt.Errorf("action list length %d of %d", length, r.remaining())
 	}
-	sub := rbuf{b: r.take(length)}
-	var out []Action
+	if r.st == nil {
+		r.st = new(store) // an owning decode's store, made for its first list
+	}
+	st := r.st
+	sub := rbuf{b: r.take(length), st: st, own: r.own}
+	start := len(st.list)
+	st.list = slices.Grow(st.list, length/8) // every action is at least 8 bytes
 	for sub.remaining() > 0 {
 		if sub.remaining() < 4 {
 			return nil, fmt.Errorf("trailing %d bytes in action list", sub.remaining())
@@ -340,7 +348,7 @@ func decodeActions(r *rbuf, length int) ([]Action, error) {
 		if alen < 8 || alen%8 != 0 {
 			return nil, fmt.Errorf("action type %d has invalid length %d", t, alen)
 		}
-		body := rbuf{b: sub.take(alen - 4)}
+		body := rbuf{b: sub.take(alen - 4), st: st, own: r.own}
 		if sub.err != nil {
 			return nil, sub.err
 		}
@@ -348,45 +356,62 @@ func decodeActions(r *rbuf, length int) ([]Action, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, a)
+		st.list = append(st.list, a)
 	}
-	return out, nil
+	if len(st.list) == start {
+		return nil, nil
+	}
+	return st.list[start:len(st.list):len(st.list)], nil
 }
 
 func decodeOneAction(t uint16, r *rbuf) (Action, error) {
+	st := r.st
 	switch t {
 	case ActionTypeOutput:
-		return &ActionOutput{Port: r.u16(), MaxLen: r.u16()}, r.err
+		a := st.output.next()
+		a.Port, a.MaxLen = r.u16(), r.u16()
+		return a, r.err
 	case ActionTypeSetVlanVid:
-		return &ActionSetVlanVid{VlanVid: r.u16()}, r.err
+		a := st.vlanVid.next()
+		a.VlanVid = r.u16()
+		return a, r.err
 	case ActionTypeSetVlanPcp:
-		return &ActionSetVlanPcp{Pcp: r.u8()}, r.err
+		a := st.vlanPcp.next()
+		a.Pcp = r.u8()
+		return a, r.err
 	case ActionTypeStripVlan:
-		return &ActionStripVlan{}, r.err
+		return &ActionStripVlan{}, r.err // zero-sized: allocates nothing
 	case ActionTypeSetDlSrc:
-		var a ActionSetDlSrc
+		a := st.dlSrc.next()
 		copy(a.Addr[:], r.take(6))
-		return &a, r.err
+		return a, r.err
 	case ActionTypeSetDlDst:
-		var a ActionSetDlDst
+		a := st.dlDst.next()
 		copy(a.Addr[:], r.take(6))
-		return &a, r.err
+		return a, r.err
 	case ActionTypeSetNwSrc:
-		var a ActionSetNwSrc
+		a := st.nwSrc.next()
 		copy(a.Addr[:], r.take(4))
-		return &a, r.err
+		return a, r.err
 	case ActionTypeSetNwDst:
-		var a ActionSetNwDst
+		a := st.nwDst.next()
 		copy(a.Addr[:], r.take(4))
-		return &a, r.err
+		return a, r.err
 	case ActionTypeSetNwTos:
-		return &ActionSetNwTos{Tos: r.u8()}, r.err
+		a := st.nwTos.next()
+		a.Tos = r.u8()
+		return a, r.err
 	case ActionTypeSetTpSrc:
-		return &ActionSetTpSrc{Port: r.u16()}, r.err
+		a := st.tpSrc.next()
+		a.Port = r.u16()
+		return a, r.err
 	case ActionTypeSetTpDst:
-		return &ActionSetTpDst{Port: r.u16()}, r.err
+		a := st.tpDst.next()
+		a.Port = r.u16()
+		return a, r.err
 	case ActionTypeEnqueue:
-		a := &ActionEnqueue{Port: r.u16()}
+		a := st.enqueue.next()
+		a.Port = r.u16()
 		r.skip(6)
 		a.QueueID = r.u32()
 		return a, r.err
@@ -399,7 +424,8 @@ func decodeOneAction(t uint16, r *rbuf) (Action, error) {
 		if n == 0 || r.remaining() != 16*n {
 			return nil, fmt.Errorf("multipath action: %d buckets in %d body bytes", n, r.remaining())
 		}
-		a := &ActionMultipath{Buckets: make([]MultipathBucket, n)}
+		a := st.multipath.next()
+		a.Buckets = st.buckets.take(n)
 		for i := range a.Buckets {
 			a.Buckets[i].Port = r.u16()
 			copy(a.Buckets[i].DlSrc[:], r.take(6))
@@ -408,10 +434,73 @@ func decodeOneAction(t uint16, r *rbuf) (Action, error) {
 		}
 		return a, r.err
 	case ActionTypeVendor:
-		a := &ActionVendor{Vendor: r.u32()}
-		a.Data = append([]byte(nil), r.rest()...)
+		a := st.vendor.next()
+		a.Vendor = r.u32()
+		a.Data = r.bytes()
 		return a, r.err
 	default:
 		return nil, fmt.Errorf("unknown action type %d", t)
 	}
+}
+
+// store is the storage a decode takes action values and action lists from.
+// A Decoder keeps one and resets it before every message, so a borrowed
+// message's actions are overwritten by the next Decode; Unmarshal makes a
+// fresh one per message that has actions, so its result owns them.
+type store struct {
+	list      []Action
+	output    pool[ActionOutput]
+	vlanVid   pool[ActionSetVlanVid]
+	vlanPcp   pool[ActionSetVlanPcp]
+	dlSrc     pool[ActionSetDlSrc]
+	dlDst     pool[ActionSetDlDst]
+	nwSrc     pool[ActionSetNwSrc]
+	nwDst     pool[ActionSetNwDst]
+	nwTos     pool[ActionSetNwTos]
+	tpSrc     pool[ActionSetTpSrc]
+	tpDst     pool[ActionSetTpDst]
+	enqueue   pool[ActionEnqueue]
+	multipath pool[ActionMultipath]
+	buckets   pool[MultipathBucket]
+	vendor    pool[ActionVendor]
+}
+
+// reset makes all of st's storage free for the next message, keeping its
+// capacity.
+func (st *store) reset() {
+	st.list = st.list[:0]
+	st.output = st.output[:0]
+	st.vlanVid = st.vlanVid[:0]
+	st.vlanPcp = st.vlanPcp[:0]
+	st.dlSrc = st.dlSrc[:0]
+	st.dlDst = st.dlDst[:0]
+	st.nwSrc = st.nwSrc[:0]
+	st.nwDst = st.nwDst[:0]
+	st.nwTos = st.nwTos[:0]
+	st.tpSrc = st.tpSrc[:0]
+	st.tpDst = st.tpDst[:0]
+	st.enqueue = st.enqueue[:0]
+	st.multipath = st.multipath[:0]
+	st.buckets = st.buckets[:0]
+	st.vendor = st.vendor[:0]
+}
+
+// pool hands out values of one type from a slice that keeps its capacity
+// across resets. A value taken before the slice grows stays where it was,
+// so growing never moves what a message already points at.
+type pool[T any] []T
+
+// next returns a zeroed value from p.
+func (p *pool[T]) next() *T {
+	var zero T
+	*p = append(*p, zero)
+	return &(*p)[len(*p)-1]
+}
+
+// take returns n zeroed values from p as a slice that cannot be appended
+// into its neighbours.
+func (p *pool[T]) take(n int) []T {
+	start := len(*p)
+	*p = append(*p, make([]T, n)...)
+	return (*p)[start:len(*p):len(*p)]
 }

@@ -92,6 +92,50 @@ func TestMessageWriterSteadyStateAllocBudget(t *testing.T) {
 	}
 }
 
+// repeatReader returns frame over and over, as a stream that never ends.
+type repeatReader struct {
+	frame []byte
+	off   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	for n := 0; ; {
+		c := copy(p[n:], r.frame[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.frame)
+		if n == len(p) {
+			return n, nil
+		}
+	}
+}
+
+// TestDecodeAllocBudget: once a Decoder has seen a message type, decoding
+// another FlowMod (three actions), PacketIn (64 B) or PacketOut allocates
+// nothing — the message, its action list and its data are borrowed.
+func TestDecodeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	frame64 := make([]byte, 64)
+	for name, m := range map[string]Message{
+		"FlowMod":  allocBudgetFlowMod(),
+		"PacketIn": &PacketIn{BufferID: 7, TotalLen: 64, InPort: 2, Data: frame64},
+		"PacketOut": &PacketOut{BufferID: NoBuffer, InPort: PortNone,
+			Actions: []Action{&ActionOutput{Port: 3}}, Data: frame64},
+	} {
+		dec := NewDecoder(&repeatReader{frame: Marshal(m)})
+		decode := func() {
+			if got, err := dec.Decode(); err != nil || got.MsgType() != m.MsgType() {
+				t.Fatalf("%s: decoded %v, %v", name, got, err)
+			}
+		}
+		decode() // the first message of a type sizes the Decoder's storage
+		if got := testing.AllocsPerRun(200, decode); got != 0 {
+			t.Errorf("Decode(%s) = %.1f allocs/op, budget 0", name, got)
+		}
+	}
+}
+
 // TestMatchCoversAllocBudget: evaluating a flow entry's match against an
 // extracted key allocates nothing.
 func TestMatchCoversAllocBudget(t *testing.T) {

@@ -53,9 +53,10 @@ func FuzzUnmarshal(f *testing.F) {
 // returns it in fuzzer-chosen chunks (each byte of cuts is one chunk length
 // minus one, used in turn). The invariants: the Decoder never panics, and it
 // returns exactly what Unmarshal returns for each frame the stream's length
-// fields delimit, whatever the chunking; then io.EOF if the stream ends
-// between frames, or an error wrapping io.ErrUnexpectedEOF if it ends inside
-// one.
+// fields delimit, whatever the chunking, and each borrowed message encodes,
+// before the next Decode, to what Unmarshal's result encodes to; then io.EOF
+// if the stream ends between frames, or an error wrapping
+// io.ErrUnexpectedEOF if it ends inside one.
 func FuzzDecoderStream(f *testing.F) {
 	var all []byte
 	for _, m := range seedMessages() {
@@ -89,6 +90,9 @@ func FuzzDecoderStream(f *testing.F) {
 			want, wantErr := Unmarshal(rest[:length])
 			if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("frame %d: Decode gave %v, %v; Unmarshal gave %v, %v", i, got, err, want, wantErr)
+			}
+			if err == nil && !bytes.Equal(got.AppendTo(nil), Marshal(want)) {
+				t.Fatalf("frame %d: borrowed %v encodes to %x, Unmarshal's to %x", i, got.MsgType(), got.AppendTo(nil), Marshal(want))
 			}
 			rest = rest[length:]
 		}
@@ -133,6 +137,11 @@ func seedMessages() []Message {
 					{DlSrc: pkt.LocalMAC(1), DlDst: pkt.LocalMAC(2), Port: 2},
 					{DlSrc: pkt.LocalMAC(1), DlDst: pkt.LocalMAC(3), Port: 3},
 				}},
+			}},
+		&FlowMod{Match: MatchAll(), Command: FlowModModify, BufferID: NoBuffer,
+			OutPort: PortNone, Actions: []Action{
+				&ActionVendor{Vendor: 0x2320, Data: []byte("nicira!!")},
+				&ActionOutput{Port: 5},
 			}},
 		&StatsRequest{StatsType: StatsFlow,
 			Flow: &FlowStatsRequest{Match: MatchAll(), TableID: 0xff, OutPort: PortNone}},

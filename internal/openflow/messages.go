@@ -64,7 +64,7 @@ func (m *ErrorMsg) appendBody(b []byte) []byte {
 func (m *ErrorMsg) decodeBody(r *rbuf) error {
 	m.ErrType = r.u16()
 	m.Code = r.u16()
-	m.Data = append([]byte(nil), r.rest()...)
+	m.Data = r.bytes()
 	return r.err
 }
 
@@ -86,7 +86,7 @@ func (*EchoRequest) MsgType() Type { return TypeEchoRequest }
 func (m *EchoRequest) AppendTo(b []byte) []byte   { return appendMessage(b, m) }
 func (m *EchoRequest) appendBody(b []byte) []byte { return append(b, m.Data...) }
 func (m *EchoRequest) decodeBody(r *rbuf) error {
-	m.Data = append([]byte(nil), r.rest()...)
+	m.Data = r.bytes()
 	return nil
 }
 
@@ -103,7 +103,7 @@ func (*EchoReply) MsgType() Type { return TypeEchoReply }
 func (m *EchoReply) AppendTo(b []byte) []byte   { return appendMessage(b, m) }
 func (m *EchoReply) appendBody(b []byte) []byte { return append(b, m.Data...) }
 func (m *EchoReply) decodeBody(r *rbuf) error {
-	m.Data = append([]byte(nil), r.rest()...)
+	m.Data = r.bytes()
 	return nil
 }
 
@@ -127,7 +127,7 @@ func (m *Vendor) appendBody(b []byte) []byte {
 
 func (m *Vendor) decodeBody(r *rbuf) error {
 	m.VendorID = r.u32()
-	m.Data = append([]byte(nil), r.rest()...)
+	m.Data = r.bytes()
 	return r.err
 }
 
@@ -340,7 +340,7 @@ func (m *PacketIn) decodeBody(r *rbuf) error {
 	m.InPort = r.u16()
 	m.Reason = r.u8()
 	r.skip(1)
-	m.Data = append([]byte(nil), r.rest()...)
+	m.Data = r.bytes()
 	return r.err
 }
 
@@ -382,7 +382,7 @@ func (m *PacketOut) decodeBody(r *rbuf) error {
 		return err
 	}
 	m.Actions = actions
-	m.Data = append([]byte(nil), r.rest()...)
+	m.Data = r.bytes()
 	return r.err
 }
 

@@ -10,11 +10,18 @@
 // encoding to buf (growing it as append does) and returns the extended
 // slice. Encoding into a reused buffer is allocation-free — this is the hot
 // path the control channel uses. Marshal is the compatibility wrapper that
-// allocates a fresh slice per call. On the decode side, Unmarshal decodes
-// one framed message from a byte slice, and Decoder owns an io.Reader: it
-// reads whatever the transport has ready into a per-connection buffer and
-// cuts complete frames out of it, so a batch of messages costs a few reads
-// instead of two per message. Decoded messages never alias either buffer.
+// allocates a fresh slice per call. On the decode side, Decoder owns an
+// io.Reader: it reads whatever the transport has ready into a
+// per-connection buffer and cuts complete frames out of it, so a batch of
+// messages costs a few reads instead of two per message. Decode lends the
+// message it returns until the next Decode: byte fields alias the buffer and
+// action lists are the Decoder's reused storage, so a steady-state decode of
+// a flow-mod, packet-in or packet-out allocates nothing, and a consumer
+// copies what it keeps. Unmarshal decodes one framed message the same way,
+// but copies byte fields out of the frame and takes actions from fresh
+// storage, so its result owns everything and never aliases its input; a
+// consumer that keeps whole messages takes frames from Decoder.Next and
+// Unmarshals them.
 // MessageWriter/WriteBatch/PumpBatched coalesce many messages into a single
 // underlying write, the other half of batched control-channel I/O.
 //
@@ -186,8 +193,8 @@ func fixedStr(b []byte, s string, size int) []byte {
 	return pad(b, size-len(s))
 }
 
-// newMessage returns the empty struct for a message type, or nil for types
-// decoded as Raw.
+// newMessage returns the empty struct for a message type; types this
+// package does not model decode as *Raw.
 func newMessage(t Type) Message {
 	switch t {
 	case TypeHello:
@@ -235,7 +242,7 @@ func newMessage(t Type) Message {
 	case TypeTelemetryAck:
 		return &TelemetryAck{}
 	default:
-		return nil
+		return &Raw{T: t}
 	}
 }
 
@@ -256,26 +263,27 @@ func checkHeader(b []byte) (t Type, length int, xid uint32, err error) {
 }
 
 // Unmarshal decodes one complete framed message from b, which must contain
-// exactly one message. The returned message does not alias b.
+// exactly one message. The result owns everything it refers to: it decodes
+// like Decoder.Decode, but copies its byte fields out of b and takes its
+// actions from fresh storage, so it never aliases b.
 func Unmarshal(b []byte) (Message, error) {
 	t, length, xid, err := checkHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	m := newMessage(t)
-	if m == nil {
-		raw := &Raw{T: t}
-		raw.Body = append([]byte(nil), b[HeaderLen:length]...)
-		raw.SetXID(xid)
-		return raw, nil
-	}
+	return decode(newMessage(t), xid, &rbuf{b: b[HeaderLen:length], own: true})
+}
+
+// decode fills m, the empty message for its type, from the frame body r
+// reads.
+func decode(m Message, xid uint32, r *rbuf) (Message, error) {
 	m.SetXID(xid)
-	r := rbuf{b: b[HeaderLen:length]}
-	if err := m.decodeBody(&r); err != nil {
-		return nil, fmt.Errorf("%w: %v body: %v", ErrBadMessage, t, err)
+	err := m.decodeBody(r)
+	if err == nil {
+		err = r.err
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v body: %v", ErrBadMessage, t, r.err)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v body: %v", ErrBadMessage, m.MsgType(), err)
 	}
 	return m, nil
 }
@@ -295,14 +303,28 @@ const decoderReadSize = 512
 // transport such as net.Pipe is two goroutine hand-offs per message.
 //
 // A Decoder owns its reader: bytes it has read ahead belong to frames it has
-// not returned yet, so nothing else may read from the same stream. Decoded
-// messages copy what they keep and stay valid after the next Decode. Decoder
-// is not safe for concurrent use.
+// not returned yet, so nothing else may read from the same stream.
+//
+// What Decode returns is borrowed: it is valid until the next call to Decode
+// or Next, which may overwrite it. Its byte fields alias the Decoder's
+// buffer, its action lists and their values are the Decoder's reused
+// storage, and a FlowMod, PacketIn or PacketOut is itself one value the
+// Decoder decodes every message of that type into. The contract is the same
+// for every type. A consumer copies what it keeps (CloneActions, or
+// Unmarshal of the frame for a whole message). Decoder is not safe for
+// concurrent use.
 type Decoder struct {
 	r          io.Reader
 	buf        []byte
-	start, end int   // buf[start:end] is read but not yet decoded
-	err        error // the reader's error, returned once buffered frames run out
+	start, end int    // buf[start:end] is read but not yet decoded
+	err        error  // the reader's error, returned once buffered frames run out
+	frame      []byte // the frame of the message Decode last returned
+
+	body      rbuf // the cursor over the frame Decode is decoding
+	st        store
+	flowMod   FlowMod
+	packetIn  PacketIn
+	packetOut PacketOut
 }
 
 // NewDecoder returns a Decoder that owns r.
@@ -310,21 +332,52 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: r, buf: make([]byte, 2*decoderReadSize)}
 }
 
-// Decode returns the next message. It returns io.EOF unwrapped on a clean
-// end of stream between frames; an end of stream inside a frame is an error
-// wrapping io.ErrUnexpectedEOF. A frame that fails to decode is consumed, so
-// the next Decode starts at the frame after it.
+// Decode returns the next message, borrowed until the next Decode or Next.
+// It returns io.EOF unwrapped on a clean end of stream between frames; an end
+// of stream inside a frame is an error wrapping io.ErrUnexpectedEOF. A frame
+// that fails to decode is consumed, so the next Decode starts at the frame
+// after it.
 func (d *Decoder) Decode() (Message, error) {
-	frame, err := d.next()
+	frame, err := d.Next()
 	if err != nil {
 		return nil, err
 	}
-	return Unmarshal(frame)
+	t, _, xid, err := checkHeader(frame)
+	if err != nil {
+		return nil, err
+	}
+	d.frame = frame
+	d.st.reset()
+	d.body = rbuf{b: frame[HeaderLen:], st: &d.st}
+	return decode(d.message(t), xid, &d.body)
 }
 
-// next returns the next complete frame, a slice of d.buf valid until the
-// following call.
-func (d *Decoder) next() ([]byte, error) {
+// Frame returns the wire bytes of the message Decode last returned,
+// borrowed like the message. A proxy relays a message by copying them.
+func (d *Decoder) Frame() []byte { return d.frame }
+
+// message returns the empty message Decode fills for type t: the Decoder's
+// own value for the hot types, a new one for the rest.
+func (d *Decoder) message(t Type) Message {
+	switch t {
+	case TypeFlowMod:
+		d.flowMod = FlowMod{}
+		return &d.flowMod
+	case TypePacketIn:
+		d.packetIn = PacketIn{}
+		return &d.packetIn
+	case TypePacketOut:
+		d.packetOut = PacketOut{}
+		return &d.packetOut
+	}
+	return newMessage(t)
+}
+
+// Next returns the next frame undecoded, a slice of the Decoder's buffer
+// valid until the next call to Next or Decode. A consumer that keeps the
+// messages it reads decodes each frame with Unmarshal.
+func (d *Decoder) Next() ([]byte, error) {
+	d.frame = nil
 	for {
 		need := HeaderLen
 		if d.end-d.start >= HeaderLen {
@@ -391,15 +444,20 @@ func (m *Raw) MsgType() Type { return m.T }
 func (m *Raw) AppendTo(b []byte) []byte   { return appendMessage(b, m) }
 func (m *Raw) appendBody(b []byte) []byte { return append(b, m.Body...) }
 func (m *Raw) decodeBody(r *rbuf) error {
-	m.Body = append([]byte(nil), r.rest()...)
+	m.Body = r.bytes()
 	return nil
 }
 
-// rbuf is a cursor-based big-endian decoder with a sticky error.
+// rbuf is a cursor-based big-endian decoder with a sticky error over one
+// frame's body.
 type rbuf struct {
 	b   []byte
 	off int
 	err error
+	// st is where decoded action lists take their values from; an owning
+	// decode (own) starts without one and copies byte fields out of b.
+	st  *store
+	own bool
 }
 
 func (r *rbuf) fail(n int) bool {
@@ -467,6 +525,20 @@ func (r *rbuf) rest() []byte {
 	v := r.b[r.off:]
 	r.off = len(r.b)
 	return v
+}
+
+// bytes returns the rest of the body, or nil when nothing is left: a copy
+// for an owning decode, else the frame's bytes, capped so that appending to
+// them cannot write past them.
+func (r *rbuf) bytes() []byte {
+	b := r.rest()
+	switch {
+	case len(b) == 0:
+		return nil
+	case r.own:
+		return append([]byte(nil), b...)
+	}
+	return b[:len(b):len(b)]
 }
 
 func (r *rbuf) remaining() int { return len(r.b) - r.off }

@@ -145,15 +145,17 @@ func TestDecoderStream(t *testing.T) {
 	}
 }
 
-// TestDecoderMessagesDoNotAliasScratch pins the reuse contract: a decoded
-// message must stay intact after later decodes overwrite the buffer it was
-// read into. Each seed message is followed by more frames than the buffer
-// holds.
-func TestDecoderMessagesDoNotAliasScratch(t *testing.T) {
+// TestDecoderBorrowsUnmarshalOwns pins the decode contract. A message Decode
+// returns is borrowed: until the next Decode it equals what Unmarshal makes
+// of the same frame and re-encodes to that frame, and its byte fields alias
+// the Decoder's buffer; a FlowMod, PacketIn or PacketOut is the same value
+// every time. Unmarshal's result owns everything: overwriting the input
+// leaves it intact.
+func TestDecoderBorrowsUnmarshalOwns(t *testing.T) {
 	filler := Marshal(&EchoRequest{Data: bytes.Repeat([]byte{0xBB}, 100)})
 	for _, m := range seedMessages() {
 		first := Marshal(m)
-		stream := append([]byte(nil), first...)
+		stream := append(append([]byte(nil), first...), first...)
 		for len(stream) < 4*decoderReadSize {
 			stream = append(stream, filler...)
 		}
@@ -162,15 +164,34 @@ func TestDecoderMessagesDoNotAliasScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			if _, err := dec.Decode(); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatal(err)
+		want, _ := Unmarshal(first)
+		if !reflect.DeepEqual(got, want) || !bytes.Equal(got.AppendTo(nil), first) || !bytes.Equal(dec.Frame(), first) {
+			t.Fatalf("%v: borrowed message %v, want %v", m.MsgType(), got, want)
+		}
+		again, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch m.MsgType() {
+		case TypeFlowMod, TypePacketIn, TypePacketOut:
+			if again != got {
+				t.Fatalf("%v: a second message of the type was not decoded into the first's value", m.MsgType())
 			}
 		}
-		if want, _ := Unmarshal(first); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v corrupted by buffer reuse: got %v, want %v", m.MsgType(), got, want)
+		if pi, ok := again.(*PacketIn); ok && &pi.Data[0] != &dec.Frame()[len(first)-len(pi.Data)] {
+			t.Fatal("PacketIn.Data does not alias the frame")
+		}
+
+		wire := Marshal(m)
+		owned, err := Unmarshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wire {
+			wire[i] = 0xFF
+		}
+		if !reflect.DeepEqual(owned, want) {
+			t.Fatalf("%v: Unmarshal result changed with its input: got %v, want %v", m.MsgType(), owned, want)
 		}
 	}
 }

@@ -290,7 +290,7 @@ func (m *StatsReply) decodeBody(r *rbuf) error {
 			m.Ports = append(m.Ports, p)
 		}
 	default:
-		m.Raw = append([]byte(nil), r.rest()...)
+		m.Raw = r.bytes()
 	}
 	return r.err
 }
