@@ -381,19 +381,35 @@ func TestBestPathSelection(t *testing.T) {
 	b.AddNeighbor(ip("172.16.0.5"), 30)
 
 	waitFor(t, clk, tStep, func() bool { return c.EstablishedCount() == 2 })
-	waitFor(t, clk, tStep, func() bool {
-		_, ok := rc.Lookup(ip("10.9.0.9"))
-		return ok
-	})
+	// The decision must have seen both copies, not just the first to arrive.
+	waitFor(t, clk, tStep, func() bool { return adjInCount(c, pfx("10.9.0.0/24")) == 2 })
 	// Equal AS-path length (1 vs 1), equal origin/MED: lowest peer address
 	// wins — 172.16.0.2 (AS 10).
-	rt, _ := rc.Lookup(ip("10.9.0.9"))
+	rt, ok := rc.Lookup(ip("10.9.0.9"))
+	if !ok {
+		t.Fatal("no route to 10.9.0.0/24 with both paths learned")
+	}
 	if rt.NextHop != ip("172.16.0.2") {
 		t.Fatalf("best = %v, want via 172.16.0.2 (lowest peer address)", rt)
 	}
 	if runs := c.Statistics().DecisionRuns; runs == 0 {
 		t.Fatal("no decision runs counted")
 	}
+}
+
+// adjInCount counts the peers whose Adj-RIB-In holds prefix. The speaker
+// updates Adj-RIB-In and runs the decision under one hold of its lock, so a
+// count read here is one the RIB already reflects.
+func adjInCount(s *Speaker, prefix netip.Prefix) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, p := range s.peers {
+		if _, ok := p.adjIn[prefix]; ok {
+			n++
+		}
+	}
+	return n
 }
 
 // TestLoopedReadvertisementImplicitlyWithdraws: a peer re-advertising a

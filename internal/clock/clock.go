@@ -9,6 +9,12 @@
 // unchanged while the experiment itself finishes quickly. Durations measured
 // on a scaled clock are reported back in protocol time (multiplied by the
 // factor) by the experiment harness.
+//
+// A scaled clock's timers and tickers are runtime timers with shrunken
+// durations: they start no goroutine, and their channels deliver the wall
+// time of the fire, not protocol time. The value a timer, ticker or After
+// channel delivers is therefore not protocol time on every clock; a caller
+// that needs the time of a fire reads Now.
 package clock
 
 import (
@@ -21,7 +27,7 @@ import (
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// After returns a channel that delivers the clock's time after d.
+	// After returns a channel that fires after d of this clock's time.
 	After(d time.Duration) <-chan time.Time
 	// Sleep blocks for d of this clock's time.
 	Sleep(d time.Duration)
@@ -102,78 +108,25 @@ func (c *scaledClock) shrink(d time.Duration) time.Duration {
 	return s
 }
 
-func (c *scaledClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	go func() {
-		time.Sleep(c.shrink(d))
-		ch <- c.Now()
-	}()
-	return ch
-}
-
-func (c *scaledClock) Sleep(d time.Duration)           { time.Sleep(c.shrink(d)) }
-func (c *scaledClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+func (c *scaledClock) After(d time.Duration) <-chan time.Time { return time.After(c.shrink(d)) }
+func (c *scaledClock) Sleep(d time.Duration)                  { time.Sleep(c.shrink(d)) }
+func (c *scaledClock) Since(t time.Time) time.Duration        { return c.Now().Sub(t) }
 
 func (c *scaledClock) NewTicker(d time.Duration) Ticker {
-	t := time.NewTicker(c.shrink(d))
-	return &scaledTicker{clk: c, t: t, out: make(chan time.Time, 1), stop: make(chan struct{})}
-}
-
-type scaledTicker struct {
-	clk      *scaledClock
-	t        *time.Ticker
-	out      chan time.Time
-	stop     chan struct{}
-	stopOnce sync.Once
-	once     sync.Once
-}
-
-func (s *scaledTicker) C() <-chan time.Time {
-	s.once.Do(func() {
-		go func() {
-			for {
-				select {
-				case <-s.t.C:
-					select {
-					case s.out <- s.clk.Now():
-					default:
-					}
-				case <-s.stop:
-					return
-				}
-			}
-		}()
-	})
-	return s.out
-}
-
-func (s *scaledTicker) Stop() {
-	s.t.Stop()
-	s.stopOnce.Do(func() { close(s.stop) })
-}
-
-type scaledTimer struct {
-	clk *scaledClock
-	t   *time.Timer
-	out chan time.Time
+	return sysTicker{time.NewTicker(c.shrink(d))}
 }
 
 func (c *scaledClock) NewTimer(d time.Duration) Timer {
-	st := &scaledTimer{clk: c, out: make(chan time.Time, 1)}
-	st.t = time.AfterFunc(c.shrink(d), func() {
-		select {
-		case st.out <- c.Now():
-		default:
-		}
-	})
-	return st
+	return scaledTimer{sysTimer{time.NewTimer(c.shrink(d))}, c}
 }
 
-func (s *scaledTimer) C() <-chan time.Time { return s.out }
-func (s *scaledTimer) Stop() bool          { return s.t.Stop() }
-func (s *scaledTimer) Reset(d time.Duration) bool {
-	return s.t.Reset(s.clk.shrink(d))
+// scaledTimer is a runtime timer whose Reset takes protocol time.
+type scaledTimer struct {
+	sysTimer
+	clk *scaledClock
 }
+
+func (s scaledTimer) Reset(d time.Duration) bool { return s.t.Reset(s.clk.shrink(d)) }
 
 // Fake is a manually stepped clock for deterministic tests. Time advances
 // only through Advance or AdvanceTo; timers and tickers fire synchronously

@@ -394,11 +394,20 @@ func (s *Switch) send(m openflow.Message) error {
 	}
 }
 
+// expireLoop checks the table for expired entries once an expireInterval
+// while any entry has a timeout, and sleeps while none has.
 func (s *Switch) expireLoop() {
 	defer s.wg.Done()
-	tick := s.clk.NewTicker(expireInterval)
-	defer tick.Stop()
 	for {
+		if !s.table.hasTimed() {
+			select {
+			case <-s.table.timedAdded:
+				continue
+			case <-s.stop:
+				return
+			}
+		}
+		tick := s.clk.NewTimer(expireInterval)
 		select {
 		case <-tick.C():
 			now := s.clk.Now()
@@ -412,6 +421,7 @@ func (s *Switch) expireLoop() {
 				}
 			}
 		case <-s.stop:
+			tick.Stop()
 			return
 		}
 	}

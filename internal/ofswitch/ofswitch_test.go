@@ -416,6 +416,62 @@ func TestHardTimeoutExpiry(t *testing.T) {
 	}
 }
 
+// TestExpiryLoopSleepsAndWakes: the expiry loop sleeps while no entry has a
+// timeout and wakes for the next one, so a timed flow added after another
+// expired still expires; untimed flows never count.
+func TestExpiryLoopSleepsAndWakes(t *testing.T) {
+	h := newHarness(t, clock.Scaled(50))
+	timed := func(prio uint16) *openflow.FlowMod {
+		return &openflow.FlowMod{Match: openflow.MatchAll(), Command: openflow.FlowModAdd,
+			Priority: prio, IdleTimeout: 1, BufferID: openflow.NoBuffer,
+			OutPort: openflow.PortNone, Flags: openflow.FlowModFlagSendFlowRem,
+			Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}}}
+	}
+	untimed := timed(9)
+	untimed.IdleTimeout = 0
+	h.send(untimed)
+	for prio := uint16(5); prio <= 6; prio++ {
+		h.send(timed(prio))
+		if fr := h.expect(openflow.TypeFlowRemoved).(*openflow.FlowRemoved); fr.Priority != prio {
+			t.Fatalf("removed priority %d, want %d", fr.Priority, prio)
+		}
+		if h.sw.table.hasTimed() {
+			t.Fatal("timed entries counted after the last one expired")
+		}
+	}
+	if h.sw.NumFlows() != 1 {
+		t.Fatalf("%d flows left, want the untimed one", h.sw.NumFlows())
+	}
+}
+
+// TestIdleSwitchArmsNoTimer: a running switch with no timed entry and no
+// monitoring program holds no timer, so it does not wake; a timed entry
+// arms the expiry loop's.
+func TestIdleSwitchArmsNoTimer(t *testing.T) {
+	clk := clock.NewFake()
+	h := newHarness(t, clk)
+	h.send(&openflow.FlowMod{Match: openflow.MatchAll(), Command: openflow.FlowModAdd,
+		Priority: 5, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+		Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}}})
+	h.send(&openflow.BarrierRequest{})
+	h.expect(openflow.TypeBarrierReply)
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("idle switch holds %d armed timers, want 0", n)
+	}
+	h.send(&openflow.FlowMod{Match: openflow.MatchAll(), Command: openflow.FlowModAdd,
+		Priority: 6, IdleTimeout: 1, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+		Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}}})
+	h.send(&openflow.BarrierRequest{})
+	h.expect(openflow.TypeBarrierReply)
+	deadline := time.Now().Add(5 * time.Second)
+	for clk.Pending() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("switch with a timed entry holds %d armed timers, want 1", clk.Pending())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestOverlapCheck(t *testing.T) {
 	h := newHarness(t, nil)
 	a := openflow.MatchAll()

@@ -165,6 +165,10 @@ type flowTable struct {
 	// the entries in bands.
 	strict map[strictKey]*flowEntry
 	seq    uint64
+	// timed counts the entries with an idle or hard timeout; timedAdded
+	// wakes the expiry loop when it leaves zero.
+	timed      int
+	timedAdded chan struct{}
 
 	// shards is the microflow cache, one shard per core (sized at
 	// construction from GOMAXPROCS, rounded up to a power of two), selected
@@ -195,7 +199,8 @@ func newFlowTable() *flowTable {
 	for n < runtime.GOMAXPROCS(0) && n < mfMaxShards {
 		n <<= 1
 	}
-	return &flowTable{strict: make(map[strictKey]*flowEntry), shards: make([]mfShard, n), shardMask: uint32(n - 1)}
+	return &flowTable{strict: make(map[strictKey]*flowEntry), timedAdded: make(chan struct{}, 1),
+		shards: make([]mfShard, n), shardMask: uint32(n - 1)}
 }
 
 // shardFor returns the microflow cache shard owned by the delivering port.
@@ -419,6 +424,7 @@ func (t *flowTable) add(e *flowEntry, checkOverlap bool) *openflow.ErrorMsg {
 		e.seq = old.seq
 		b, j := t.slotLocked(old)
 		b.entries[j] = e
+		t.untrackLocked(old)
 	case !ok:
 		t.bands = slices.Insert(t.bands, bi, band{priority: e.priority})
 		fallthrough
@@ -429,8 +435,33 @@ func (t *flowTable) add(e *flowEntry, checkOverlap bool) *openflow.ErrorMsg {
 		t.n++
 	}
 	t.strict[k] = e
+	if e.timed() {
+		if t.timed++; t.timed == 1 {
+			select {
+			case t.timedAdded <- struct{}{}:
+			default:
+			}
+		}
+	}
 	t.invalidateLocked()
 	return nil
+}
+
+// timed reports whether e can expire.
+func (e *flowEntry) timed() bool { return e.idleTimeout != 0 || e.hardTimeout != 0 }
+
+// untrackLocked accounts for e leaving the table.
+func (t *flowTable) untrackLocked(e *flowEntry) {
+	if e.timed() {
+		t.timed--
+	}
+}
+
+// hasTimed reports whether any entry can expire.
+func (t *flowTable) hasTimed() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.timed > 0
 }
 
 // modify updates actions of matching flows; strict compares match+priority
@@ -501,6 +532,7 @@ func (t *flowTable) deleteFlows(m *openflow.Match, priority uint16, outPort uint
 	b, j := t.slotLocked(e)
 	b.entries = slices.Delete(b.entries, j, j+1)
 	t.n--
+	t.untrackLocked(e)
 	delete(t.strict, k)
 	t.dropEmptyLocked()
 	t.invalidateLocked()
@@ -517,6 +549,7 @@ func (t *flowTable) removeLocked(drop func(*flowEntry) bool) []*flowEntry {
 		for _, e := range b.entries {
 			if drop(e) {
 				removed = append(removed, e)
+				t.untrackLocked(e)
 				delete(t.strict, strictKey{e.match, e.priority})
 			} else {
 				kept = append(kept, e)

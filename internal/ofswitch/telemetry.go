@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"routeflow/internal/clock"
 	"routeflow/internal/openflow"
 )
 
@@ -215,6 +216,13 @@ func (ts *telState) wake() {
 	}
 }
 
+// programmed reports whether any monitor rule is installed.
+func (ts *telState) programmed() bool {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return len(ts.rules) > 0
+}
+
 func (ts *telState) currentInterval() time.Duration {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -297,23 +305,36 @@ func (s *Switch) handleTelemetryAck(m *openflow.TelemetryAck) {
 	}
 }
 
-// telemetryLoop drives the export cadence until Stop.
+// telemetryLoop drives the export cadence until Stop. With no monitor rules
+// installed it sleeps until a program arrives.
 func (s *Switch) telemetryLoop() {
 	defer s.wg.Done()
 	for {
-		t := s.clk.NewTimer(s.tel.currentInterval())
+		var t clock.Timer
+		var fire <-chan time.Time
+		if s.tel.programmed() {
+			t = s.clk.NewTimer(s.tel.currentInterval())
+			fire = t.C()
+		}
 		select {
 		case <-s.stop:
-			t.Stop()
+			stopTimer(t)
 			return
 		case <-s.tel.poke:
 			// A fresh program: export its first FULLs immediately and re-arm
 			// with its interval.
-			t.Stop()
+			stopTimer(t)
 			s.telemetryTick()
-		case <-t.C():
+		case <-fire:
 			s.telemetryTick()
 		}
+	}
+}
+
+// stopTimer stops t unless it is nil.
+func stopTimer(t clock.Timer) {
+	if t != nil {
+		t.Stop()
 	}
 }
 

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -317,6 +318,57 @@ func CloneActions(actions []Action) []Action {
 		}
 	}
 	return out
+}
+
+// ActionsEqual reports whether two action lists are the same actions in the
+// same order, compared by type and field.
+func ActionsEqual(a, b []Action) bool {
+	return slices.EqualFunc(a, b, actionEqual)
+}
+
+func actionEqual(a, b Action) bool {
+	switch x := a.(type) {
+	case *ActionOutput:
+		return sameAction(x, b)
+	case *ActionSetVlanVid:
+		return sameAction(x, b)
+	case *ActionSetVlanPcp:
+		return sameAction(x, b)
+	case *ActionStripVlan:
+		return sameAction(x, b)
+	case *ActionSetDlSrc:
+		return sameAction(x, b)
+	case *ActionSetDlDst:
+		return sameAction(x, b)
+	case *ActionSetNwSrc:
+		return sameAction(x, b)
+	case *ActionSetNwDst:
+		return sameAction(x, b)
+	case *ActionSetNwTos:
+		return sameAction(x, b)
+	case *ActionSetTpSrc:
+		return sameAction(x, b)
+	case *ActionSetTpDst:
+		return sameAction(x, b)
+	case *ActionEnqueue:
+		return sameAction(x, b)
+	case *ActionMultipath:
+		y, ok := b.(*ActionMultipath)
+		return ok && slices.Equal(x.Buckets, y.Buckets)
+	case *ActionVendor:
+		y, ok := b.(*ActionVendor)
+		return ok && x.Vendor == y.Vendor && bytes.Equal(x.Data, y.Data)
+	}
+	return a == b
+}
+
+// sameAction reports whether b is a P holding what x holds.
+func sameAction[T comparable, P interface {
+	*T
+	Action
+}](x P, b Action) bool {
+	y, ok := b.(P)
+	return ok && *x == *y
 }
 
 func appendActions(b []byte, actions []Action) []byte {

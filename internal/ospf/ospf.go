@@ -99,6 +99,11 @@ type Instance struct {
 	seq    uint32
 	spfAt  time.Time // zero = no SPF scheduled
 	spfRun uint64    // count of SPF executions
+	// spfTimer fires at spfAt; Start creates it, scheduleSPFLocked arms it.
+	spfTimer clock.Timer
+
+	spfMu sync.Mutex // guards spf
+	spf   spfScratch
 
 	hellosSent atomic.Uint64 // periodic + triggered
 	rejected   atomic.Uint64 // received packets dropped as malformed or mismatched
@@ -205,13 +210,21 @@ func (i *Instance) Start() {
 		return
 	}
 	i.started = true
+	// The SPF timer exists from here on. Interfaces enabled before Start
+	// already scheduled a run: arm for what is left of its holddown (with
+	// none scheduled, the first fire finds nothing to do).
+	wait := i.cfg.SPFDelay
+	if !i.spfAt.IsZero() {
+		wait = max(i.spfAt.Sub(i.clk.Now()), 0)
+	}
+	i.spfTimer = i.clk.NewTimer(wait)
 	// Add under mu so a concurrent Stop either observes the counter or
 	// prevents the start entirely — never an Add racing the Wait. The
 	// initial hello burst below is fenced by the same WaitGroup: Stop may
 	// overlap it but never returns before it finishes.
 	i.wg.Add(2)
 	i.mu.Unlock()
-	go i.timerLoop()
+	go i.timerLoop(i.spfTimer)
 	// Interfaces enabled before Start get their first hello now; one enabled
 	// later sends its own from AddInterface. Either way the neighbor answers
 	// a hello that changes its view of us at once (handleHello), so an
@@ -282,14 +295,13 @@ func (i *Instance) FullNeighbors() int {
 	return n
 }
 
-func (i *Instance) timerLoop() {
+func (i *Instance) timerLoop(spfTimer clock.Timer) {
 	defer i.wg.Done()
 	tick := i.clk.NewTicker(i.cfg.HelloInterval)
 	defer tick.Stop()
 	agingTick := i.clk.NewTicker(i.cfg.DeadInterval)
 	defer agingTick.Stop()
-	spfTick := i.clk.NewTicker(i.cfg.SPFDelay)
-	defer spfTick.Stop()
+	defer spfTimer.Stop()
 	// Anti-entropy runs at a multiple of the aging period: frequent enough
 	// to repair one-shot flood loss well inside any convergence budget,
 	// rare enough that the full-LSDB resends stay a rounding error in the
@@ -301,7 +313,7 @@ func (i *Instance) timerLoop() {
 		case <-tick.C():
 			i.sendHellos()
 			i.checkDeadNeighbors()
-		case <-spfTick.C():
+		case <-spfTimer.C():
 			i.maybeRunSPF()
 		case <-agingTick.C():
 			i.ageLSDB()
@@ -652,25 +664,37 @@ func (i *Instance) ageLSDB() {
 	i.mu.Unlock()
 }
 
-// scheduleSPFLocked arms the SPF holddown timer. Callers hold i.mu.
+// scheduleSPFLocked schedules an SPF run one SPFDelay from now, unless one
+// is already scheduled (the holddown batches what arrives meanwhile), and
+// arms the SPF timer for it. Callers hold i.mu.
 func (i *Instance) scheduleSPFLocked() {
-	if i.spfAt.IsZero() {
-		i.spfAt = i.clk.Now().Add(i.cfg.SPFDelay)
+	if !i.spfAt.IsZero() {
+		return
+	}
+	i.spfAt = i.clk.Now().Add(i.cfg.SPFDelay)
+	if i.spfTimer != nil && !i.stopped {
+		i.spfTimer.Reset(i.cfg.SPFDelay)
 	}
 }
 
-// maybeRunSPF runs SPF if the holddown expired. Also invoked on demand from
-// tests via RunSPFNow.
+// maybeRunSPF handles an SPF timer fire: it runs SPF if the holddown
+// expired. A fire with nothing scheduled (RunSPFNow ran it) does nothing;
+// one that comes before spfAt (a fire from an earlier arming) re-arms for
+// the remainder, so no scheduled run is lost.
 func (i *Instance) maybeRunSPF() {
 	i.mu.Lock()
-	due := !i.spfAt.IsZero() && !i.clk.Now().Before(i.spfAt)
-	if due {
-		i.spfAt = time.Time{}
+	if i.spfAt.IsZero() {
+		i.mu.Unlock()
+		return
 	}
+	if wait := i.spfAt.Sub(i.clk.Now()); wait > 0 {
+		i.spfTimer.Reset(wait)
+		i.mu.Unlock()
+		return
+	}
+	i.spfAt = time.Time{}
 	i.mu.Unlock()
-	if due {
-		i.runSPF()
-	}
+	i.runSPF()
 }
 
 // RunSPFNow forces an immediate SPF computation (tests, vtysh `clear`).

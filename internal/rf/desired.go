@@ -18,9 +18,11 @@ package rf
 // write never interleaves with a delta.
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"net/netip"
-	"reflect"
+	"slices"
 	"time"
 
 	"routeflow/internal/openflow"
@@ -38,6 +40,62 @@ type flowKey struct {
 }
 
 func keyOf(fm *openflow.FlowMod) flowKey { return flowKey{fm.Match, fm.Priority} }
+
+// compareKeys orders flows by (priority, match): the order sync writes a
+// table in and refresh writes a delta in, so that the same inputs put the
+// same messages on the wire.
+func compareKeys(a, b flowKey) int {
+	x, y := &a.match, &b.match
+	return cmp.Or(
+		cmp.Compare(a.priority, b.priority),
+		cmp.Compare(x.Wildcards, y.Wildcards),
+		cmp.Compare(x.InPort, y.InPort),
+		bytes.Compare(x.DlSrc[:], y.DlSrc[:]),
+		bytes.Compare(x.DlDst[:], y.DlDst[:]),
+		cmp.Compare(x.DlVlan, y.DlVlan),
+		cmp.Compare(x.DlVlanPcp, y.DlVlanPcp),
+		cmp.Compare(x.DlType, y.DlType),
+		cmp.Compare(x.NwTos, y.NwTos),
+		cmp.Compare(x.NwProto, y.NwProto),
+		bytes.Compare(x.NwSrc[:], y.NwSrc[:]),
+		bytes.Compare(x.NwDst[:], y.NwDst[:]),
+		cmp.Compare(x.TpSrc, y.TpSrc),
+		cmp.Compare(x.TpDst, y.TpDst),
+	)
+}
+
+// sortedKeys returns flows' keys in compareKeys order.
+func sortedKeys(flows map[flowKey]*openflow.FlowMod) []flowKey {
+	keys := make([]flowKey, 0, len(flows))
+	for k := range flows {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compareKeys)
+	return keys
+}
+
+// sameFlow reports whether two compiled flows (either may be nil) are the
+// same message, compared field by field.
+func sameFlow(a, b *openflow.FlowMod) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.MsgXID == b.MsgXID && a.Match == b.Match && a.Cookie == b.Cookie &&
+		a.Command == b.Command && a.IdleTimeout == b.IdleTimeout &&
+		a.HardTimeout == b.HardTimeout && a.Priority == b.Priority &&
+		a.BufferID == b.BufferID && a.OutPort == b.OutPort && a.Flags == b.Flags &&
+		openflow.ActionsEqual(a.Actions, b.Actions)
+}
+
+// sameProgram reports whether two compiled programs (either may be nil) are
+// the same message.
+func sameProgram(a, b *openflow.TelemetryMod) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.MsgXID == b.MsgXID && a.Epoch == b.Epoch && a.IntervalMS == b.IntervalMS &&
+		slices.Equal(a.Rules, b.Rules)
+}
 
 // switchState is one switch's own inputs and the table last compiled for it.
 type switchState struct {
@@ -98,24 +156,34 @@ func (p *Platform) refresh(dpid uint64) {
 	p.refreshLocked(dpid)
 }
 
-// refreshLocked is refresh for callers that hold mu.
+// refreshLocked is refresh for callers that hold mu. The delta goes out in
+// compareKeys order, the program last.
 func (p *Platform) refreshLocked(dpid uint64) {
 	st := p.stateLocked(dpid)
 	flows, tel := p.compileLocked(dpid, st)
-	var delta []openflow.Message
+	var changed []flowKey
 	for k := range st.flows {
 		if flows[k] == nil {
+			changed = append(changed, k)
+		}
+	}
+	for k, fm := range flows {
+		if !sameFlow(st.flows[k], fm) {
+			changed = append(changed, k)
+		}
+	}
+	slices.SortFunc(changed, compareKeys)
+	var delta []openflow.Message
+	for _, k := range changed {
+		if fm := flows[k]; fm != nil {
+			cp := *fm
+			delta = append(delta, &cp)
+		} else {
 			delta = append(delta, &openflow.FlowMod{Match: k.match, Priority: k.priority,
 				Command: openflow.FlowModDeleteStrict, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone})
 		}
 	}
-	for k, fm := range flows {
-		if !reflect.DeepEqual(st.flows[k], fm) {
-			cp := *fm
-			delta = append(delta, &cp)
-		}
-	}
-	if tel != nil && !reflect.DeepEqual(st.tel, tel) {
+	if tel != nil && !sameProgram(st.tel, tel) {
 		cp := *tel
 		delta = append(delta, &cp)
 	}
@@ -137,7 +205,7 @@ func (p *Platform) refreshAllLocked() {
 // multi-LSA LSUpdates do not, and a truncated database dump at boot wedges
 // OSPF until the next adjacency event. The delete-all then clears whatever
 // the table holds that the compile does not: a previous master's entries, or
-// withdrawals that could not be sent.
+// withdrawals that could not be sent. The flows go out in compareKeys order.
 func (p *Platform) sync(dpid uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -150,8 +218,8 @@ func (p *Platform) sync(dpid uint64) {
 		BufferID: openflow.NoBuffer,
 		OutPort:  openflow.PortNone,
 	})
-	for _, fm := range st.flows {
-		cp := *fm
+	for _, k := range sortedKeys(st.flows) {
+		cp := *st.flows[k]
 		msgs = append(msgs, &cp)
 	}
 	if st.tel != nil {
@@ -259,11 +327,11 @@ func (p *Platform) CheckDerived(dpid uint64) error {
 		st = &switchState{} // never materialised, so nothing was sent: its connect syncs it
 	}
 	flows, tel := p.compileLocked(dpid, st)
-	if known && !reflect.DeepEqual(st.tel, tel) {
+	if known && !sameProgram(st.tel, tel) {
 		return fmt.Errorf("switch %016x: program %+v, compiles to %+v", dpid, st.tel, tel)
 	}
 	for k, fm := range flows {
-		if !reflect.DeepEqual(st.flows[k], fm) {
+		if !sameFlow(st.flows[k], fm) {
 			return fmt.Errorf("switch %016x: flow %v prio=%d is %v, compiles to %v", dpid, k.match.NwDstPrefix(), k.priority, st.flows[k], fm)
 		}
 	}

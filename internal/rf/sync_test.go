@@ -1,6 +1,7 @@
 package rf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -52,6 +53,10 @@ type rig struct {
 	stall sync.Mutex
 	// flowMods counts the flow-mods the switch has read.
 	flowMods atomic.Int64
+	// writes logs the state-writing messages the switch has read (SetConfig,
+	// FlowMod, TelemetryMod), XIDs zeroed, in order.
+	writesMu sync.Mutex
+	writes   [][]byte
 	// rules is the last monitoring program set through setTelemetry.
 	rules []openflow.MonitorRule
 	epoch uint64
@@ -142,8 +147,16 @@ func (c *rigConn) Read(b []byte) (int, error) {
 		if size < openflow.HeaderLen || len(c.buf) < size {
 			break
 		}
-		if openflow.Type(c.buf[1]) == openflow.TypeFlowMod {
+		switch openflow.Type(c.buf[1]) {
+		case openflow.TypeFlowMod:
 			c.r.flowMods.Add(1)
+			fallthrough
+		case openflow.TypeSetConfig, openflow.TypeTelemetryMod:
+			msg := append([]byte(nil), c.buf[:size]...)
+			clear(msg[4:8])
+			c.r.writesMu.Lock()
+			c.r.writes = append(c.r.writes, msg)
+			c.r.writesMu.Unlock()
 		}
 		c.buf = c.buf[size:]
 	}
@@ -613,5 +626,45 @@ func TestRandomEditsCutsAndRebootsConverge(t *testing.T) {
 			}
 			r.settle("quiesce")
 		})
+	}
+}
+
+// TestSameInputsSameWire: two platforms fed the same inputs write the same
+// messages in the same order, XIDs aside. A refresh's delta and a sync's
+// whole table go out in (priority, match) order, not in map order.
+func TestSameInputsSameWire(t *testing.T) {
+	run := func() [][]byte {
+		r := newRig(t, false)
+		var routes []rib.Route
+		for i := 1; i <= 40; i++ {
+			routes = append(routes, ospfRoute(i, rigNextHop, 10))
+			if i%3 == 0 {
+				routes = append(routes, ospfRoute(i, rigNextHop2, 10)) // a multipath flow
+			}
+		}
+		r.routes().ReplaceSource(rib.SourceOSPF, routes) // one delta of 40 flows
+		for i := 1; i <= 8; i++ {
+			r.addHost(i, 1)
+		}
+		r.p.SetPins([]PinFlow{pin(1, 1), pin(2, 2), pin(3, 1)})
+		r.setTelemetry([]openflow.MonitorRule{monitorRule(1), monitorRule(2)})
+		r.routes().ReplaceSource(rib.SourceOSPF, routes[10:]) // a delta of deletes
+		r.settle("inputs installed")
+		r.sw.Reboot()
+		r.await("session down", func() bool { return !r.connected() })
+		r.settle("resynced") // a sync: the whole table
+		r.barrier()
+		r.writesMu.Lock()
+		defer r.writesMu.Unlock()
+		return r.writes
+	}
+	a, b := run(), run()
+	if len(a) < 100 {
+		t.Fatalf("only %d state-writing messages sent", len(a))
+	}
+	for i := range max(len(a), len(b)) {
+		if i >= len(a) || i >= len(b) || !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("the two platforms' writes differ at message %d of %d/%d", i, len(a), len(b))
+		}
 	}
 }

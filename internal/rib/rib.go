@@ -14,8 +14,11 @@
 package rib
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -85,6 +88,11 @@ type Watcher func(Source)
 type RIB struct {
 	mu         sync.RWMutex
 	candidates map[netip.Prefix][]Route
+	// sources holds each source's candidates again, sorted by (prefix, next
+	// hop), so that a ReplaceSource finds the prefixes it changes by merging
+	// two sorted lists. Every write keeps it equal to candidates.
+	sources map[Source][]Route
+	spare   []Route // ReplaceSource's buffer for the next set
 	// best holds the equal-cost best set per prefix: every candidate tied on
 	// (source, metric) with the winner, primary first, alternates ordered by
 	// next-hop address. Slices are replaced wholesale on reselection, never
@@ -98,6 +106,7 @@ type RIB struct {
 func New() *RIB {
 	return &RIB{
 		candidates: make(map[netip.Prefix][]Route),
+		sources:    make(map[Source][]Route),
 		best:       make(map[netip.Prefix][]Route),
 		trie:       &trieNode{},
 	}
@@ -117,20 +126,14 @@ func (r *RIB) Add(rt Route) error {
 	}
 	rt.Prefix = rt.Prefix.Masked()
 	r.mu.Lock()
-	list := r.candidates[rt.Prefix]
-	replaced := false
-	for i := range list {
-		if list[i].Source == rt.Source && list[i].NextHop == rt.NextHop {
-			list[i] = rt
-			replaced = true
-			break
-		}
+	set := r.sources[rt.Source]
+	if i, found := slices.BinarySearchFunc(set, rt, compareRoutes); found {
+		set[i] = rt
+	} else {
+		set = slices.Insert(set, i, rt)
+		r.sources[rt.Source] = set
 	}
-	if !replaced {
-		list = append(list, rt)
-	}
-	r.candidates[rt.Prefix] = list
-	r.unlockNotify(r.reselectLocked(rt.Prefix), rt.Source)
+	r.unlockNotify(r.setCandidatesLocked(rt.Prefix, rt.Source, prefixRoutes(set, rt.Prefix)), rt.Source)
 	return nil
 }
 
@@ -138,98 +141,125 @@ func (r *RIB) Add(rt Route) error {
 func (r *RIB) Remove(prefix netip.Prefix, src Source, nextHop netip.Addr) {
 	prefix = prefix.Masked()
 	r.mu.Lock()
-	list := r.candidates[prefix]
-	out := list[:0]
-	for _, c := range list {
-		if !(c.Source == src && c.NextHop == nextHop) {
-			out = append(out, c)
-		}
+	set := r.sources[src]
+	i, found := slices.BinarySearchFunc(set, Route{Prefix: prefix, NextHop: nextHop}, compareRoutes)
+	if !found {
+		r.mu.Unlock()
+		return
 	}
-	if len(out) == 0 {
-		delete(r.candidates, prefix)
-	} else {
-		r.candidates[prefix] = out
-	}
-	r.unlockNotify(r.reselectLocked(prefix), src)
+	set = slices.Delete(set, i, i+1)
+	r.sources[src] = set
+	r.unlockNotify(r.setCandidatesLocked(prefix, src, prefixRoutes(set, prefix)), src)
 }
 
 // PurgeSource removes every candidate from one source (e.g. when an OSPF
 // recomputation replaces the whole route set).
-func (r *RIB) PurgeSource(src Source) {
-	r.mu.Lock()
-	changed := false
-	for prefix, list := range r.candidates {
-		out := list[:0]
-		for _, c := range list {
-			if c.Source != src {
-				out = append(out, c)
-			}
-		}
-		if len(out) == 0 {
-			delete(r.candidates, prefix)
-		} else {
-			r.candidates[prefix] = out
-		}
-		changed = r.reselectLocked(prefix) || changed
-	}
-	r.unlockNotify(changed, src)
-}
+func (r *RIB) PurgeSource(src Source) { r.ReplaceSource(src, nil) }
 
 // ReplaceSource atomically swaps the full route set of one source — the
 // operation OSPF performs after each SPF run — and notifies watchers once if
 // any best set changed. The set may carry several routes for one prefix
 // (distinct next hops): they all become candidates, which is how an
-// ECMP-aware SPF publishes equal-cost paths.
+// ECMP-aware SPF publishes equal-cost paths; of two routes with the same
+// prefix and next hop, the later counts. A replace costs the prefixes it
+// changes: one that changes nothing allocates nothing and runs no watcher.
+// ReplaceSource does not retain routes.
 func (r *RIB) ReplaceSource(src Source, routes []Route) {
 	r.mu.Lock()
-	byPrefix := map[netip.Prefix][]Route{}
+	old, next := r.sources[src], normalise(r.spare[:0], src, routes)
+	changed := false
+	// Merge the two sorted sets a prefix at a time; a prefix whose routes
+	// differ gets next's routes as its candidates from src.
+	for i, j := 0, 0; i < len(old) || j < len(next); {
+		var prefix netip.Prefix
+		if j == len(next) || i < len(old) && comparePrefixes(old[i].Prefix, next[j].Prefix) < 0 {
+			prefix = old[i].Prefix
+		} else {
+			prefix = next[j].Prefix
+		}
+		i0, j0 := i, j
+		for i < len(old) && old[i].Prefix == prefix {
+			i++
+		}
+		for j < len(next) && next[j].Prefix == prefix {
+			j++
+		}
+		if !slices.Equal(old[i0:i], next[j0:j]) {
+			changed = r.setCandidatesLocked(prefix, src, next[j0:j]) || changed
+		}
+	}
+	r.sources[src], r.spare = next, old[:0]
+	r.unlockNotify(changed, src)
+}
+
+// setCandidatesLocked makes routes (copied) prefix's candidates from src,
+// reselects prefix and reports whether its best set changed. Callers hold the
+// write lock.
+func (r *RIB) setCandidatesLocked(prefix netip.Prefix, src Source, routes []Route) bool {
+	list := r.candidates[prefix]
+	out := list[:0]
+	for _, c := range list {
+		if c.Source != src {
+			out = append(out, c)
+		}
+	}
+	out = append(out, routes...)
+	if len(out) == 0 {
+		delete(r.candidates, prefix)
+	} else {
+		r.candidates[prefix] = out
+	}
+	return r.reselectLocked(prefix)
+}
+
+// prefixRoutes returns the run of set, sorted by compareRoutes, whose prefix
+// is prefix.
+func prefixRoutes(set []Route, prefix netip.Prefix) []Route {
+	i, _ := slices.BinarySearchFunc(set, prefix, func(rt Route, p netip.Prefix) int { return comparePrefixes(rt.Prefix, p) })
+	j := i
+	for j < len(set) && set[j].Prefix == prefix {
+		j++
+	}
+	return set[i:j]
+}
+
+// normalise appends routes to buf as src's candidates — prefixes masked,
+// source set — sorted by compareRoutes, keeping the last of any routes with
+// the same prefix and next hop, and returns buf.
+func normalise(buf []Route, src Source, routes []Route) []Route {
+	start := len(buf)
 	for _, rt := range routes {
 		rt.Prefix = rt.Prefix.Masked()
 		rt.Source = src
-		list := byPrefix[rt.Prefix]
-		dup := false
-		for i := range list {
-			if list[i].NextHop == rt.NextHop {
-				list[i] = rt
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			list = append(list, rt)
-		}
-		byPrefix[rt.Prefix] = list
+		buf = append(buf, rt)
 	}
-	touched := map[netip.Prefix]bool{}
-	for prefix := range byPrefix {
-		touched[prefix] = true
-	}
-	for prefix, list := range r.candidates {
-		for _, c := range list {
-			if c.Source == src {
-				touched[prefix] = true
-				break
-			}
+	out := buf[start:]
+	slices.SortStableFunc(out, compareRoutes)
+	kept := out[:0]
+	for _, rt := range out {
+		if n := len(kept); n > 0 && compareRoutes(kept[n-1], rt) == 0 {
+			kept[n-1] = rt
+			continue
 		}
+		kept = append(kept, rt)
 	}
-	changed := false
-	for prefix := range touched {
-		list := r.candidates[prefix]
-		out := list[:0]
-		for _, c := range list {
-			if c.Source != src {
-				out = append(out, c)
-			}
-		}
-		out = append(out, byPrefix[prefix]...)
-		if len(out) == 0 {
-			delete(r.candidates, prefix)
-		} else {
-			r.candidates[prefix] = out
-		}
-		changed = r.reselectLocked(prefix) || changed
+	return buf[:start+len(kept)]
+}
+
+// compareRoutes orders one source's routes by prefix, then next hop.
+func compareRoutes(a, b Route) int {
+	if c := comparePrefixes(a.Prefix, b.Prefix); c != 0 {
+		return c
 	}
-	r.unlockNotify(changed, src)
+	return a.NextHop.Compare(b.NextHop)
+}
+
+// comparePrefixes orders prefixes by address, then length.
+func comparePrefixes(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits(), b.Bits())
 }
 
 // better orders candidate routes (true = a preferred over b).
@@ -241,7 +271,23 @@ func better(a, b Route) bool {
 		return a.Metric < b.Metric
 	}
 	// Deterministic tiebreak so reselection is stable.
-	return a.NextHop.String() < b.NextHop.String()
+	return compareNextHop(a.NextHop, b.NextHop) < 0
+}
+
+// compareNextHop orders next hops as their String forms compare, without
+// building the strings: the ECMP bucket order this gives ("10.0.0.10"
+// before "10.0.0.2") is visible on the wire, so it must not change.
+func compareNextHop(a, b netip.Addr) int {
+	var ab, bb [64]byte
+	return bytes.Compare(appendNextHop(ab[:0], a), appendNextHop(bb[:0], b))
+}
+
+// appendNextHop appends a's String form to buf.
+func appendNextHop(buf []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(buf, "invalid IP"...)
+	}
+	return a.AppendTo(buf)
 }
 
 // selectBest reduces a candidate list to its equal-cost best set: every
@@ -263,9 +309,7 @@ func selectBest(list []Route) []Route {
 			sel = append(sel, c)
 		}
 	}
-	sort.Slice(sel, func(i, j int) bool {
-		return sel[i].NextHop.String() < sel[j].NextHop.String()
-	})
+	slices.SortFunc(sel, func(a, b Route) int { return compareNextHop(a.NextHop, b.NextHop) })
 	return sel
 }
 

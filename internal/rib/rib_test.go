@@ -2,7 +2,10 @@ package rib
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -300,6 +303,27 @@ func TestLookupAllTieOrdering(t *testing.T) {
 	}
 }
 
+// TestTieOrderIsNextHopStringOrder pins the equal-cost order to the next
+// hops' text ("10.0.0.10" before "10.0.0.2", the invalid address as "invalid
+// IP"): the RF-server writes multipath buckets in this order, so it is
+// visible on the wire.
+func TestTieOrderIsNextHopStringOrder(t *testing.T) {
+	r := New()
+	p := pfx("10.10.0.0/16")
+	hops := []netip.Addr{ip("10.0.0.2"), ip("10.0.0.10"), ip("9.0.0.1"), ip("10.0.0.1"), ip("100.0.0.1"), {}}
+	for _, nh := range hops {
+		r.Add(Route{Prefix: p, NextHop: nh, Iface: "eth1", Source: SourceStatic, Metric: 1})
+	}
+	want := slices.Clone(hops)
+	slices.SortFunc(want, func(a, b netip.Addr) int { return strings.Compare(a.String(), b.String()) })
+	got := r.BestPaths(p)
+	for i := range want {
+		if got[i].NextHop != want[i] {
+			t.Fatalf("best set order %v, want next hops %v", got, want)
+		}
+	}
+}
+
 // TestWithdrawOneAlternate proves withdrawing one member of an equal-cost
 // set falls back to the survivors (with an event), and withdrawing the last
 // removes the prefix.
@@ -410,5 +434,110 @@ func TestLPMMatchesBruteForceQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomWritesMatchReference: after every Add, Remove, ReplaceSource or
+// PurgeSource from a random sequence over a few prefixes, sources and next
+// hops, each prefix's best set is what a naive reference over every
+// candidate selects, and a watcher ran exactly when some best set changed.
+func TestRandomWritesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	prefixes := []netip.Prefix{pfx("10.0.0.0/24"), pfx("10.0.1.0/24"), pfx("10.0.0.0/16"), pfx("10.0.0.0/8")}
+	sources := []Source{SourceStatic, SourceOSPF, SourceIBGP}
+	hops := []netip.Addr{ip("172.16.0.2"), ip("172.16.0.10"), ip("172.16.0.6")}
+	randRoute := func(src Source) Route {
+		return Route{Prefix: prefixes[rng.Intn(len(prefixes))], NextHop: hops[rng.Intn(len(hops))],
+			Iface: "eth1", Source: src, Metric: uint32(rng.Intn(3))}
+	}
+	type key struct {
+		prefix netip.Prefix
+		src    Source
+		hop    netip.Addr
+	}
+	ref := map[key]Route{}
+	refBest := func(p netip.Prefix) []Route {
+		var all []Route
+		for k, rt := range ref {
+			if k.prefix == p {
+				all = append(all, rt)
+			}
+		}
+		if len(all) == 0 {
+			return nil
+		}
+		top := all[0]
+		for _, c := range all {
+			if c.Source < top.Source || c.Source == top.Source && c.Metric < top.Metric {
+				top = c
+			}
+		}
+		var sel []Route
+		for _, c := range all {
+			if c.Source == top.Source && c.Metric == top.Metric {
+				sel = append(sel, c)
+			}
+		}
+		slices.SortFunc(sel, func(a, b Route) int { return strings.Compare(a.NextHop.String(), b.NextHop.String()) })
+		return sel
+	}
+	r := New()
+	watched := 0
+	r.Watch(func(Source) { watched++ })
+	lastSet := map[Source][]Route{} // replayed: SPF hands the RIB the same set again and again
+	for op := 0; op < 3000; op++ {
+		before := map[netip.Prefix][]Route{}
+		for _, p := range prefixes {
+			before[p] = r.BestPaths(p)
+		}
+		src := sources[rng.Intn(len(sources))]
+		switch kind := rng.Intn(5); kind {
+		case 0:
+			rt := randRoute(src)
+			r.Add(rt)
+			ref[key{rt.Prefix, src, rt.NextHop}] = rt
+		case 1:
+			rt := randRoute(src)
+			r.Remove(rt.Prefix, src, rt.NextHop)
+			delete(ref, key{rt.Prefix, src, rt.NextHop})
+		case 2, 4:
+			set := lastSet[src]
+			if kind == 2 {
+				set = nil
+				for range rng.Intn(5) {
+					set = append(set, randRoute(Source(99))) // ReplaceSource sets the source
+				}
+				lastSet[src] = set
+			}
+			r.ReplaceSource(src, set)
+			for k := range ref {
+				if k.src == src {
+					delete(ref, k)
+				}
+			}
+			for _, rt := range set {
+				rt.Source = src
+				ref[key{rt.Prefix, src, rt.NextHop}] = rt
+			}
+		case 3:
+			r.PurgeSource(src)
+			for k := range ref {
+				if k.src == src {
+					delete(ref, k)
+				}
+			}
+		}
+		changed := false
+		for _, p := range prefixes {
+			got, want := r.BestPaths(p), refBest(p)
+			if !slices.Equal(got, want) {
+				t.Fatalf("op %d: best %v = %v, reference %v", op, p, got, want)
+			}
+			changed = changed || !slices.Equal(got, before[p])
+		}
+		if changed != (watched > 0) {
+			t.Fatalf("op %d: best sets changed %v, watcher calls %d", op, changed, watched)
+		}
+		watched = 0
 	}
 }
