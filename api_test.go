@@ -16,20 +16,18 @@ import (
 func TestFunctionalOptionsMatchStructLiteral(t *testing.T) {
 	g := Ring(4)
 	want := Options{
-		Topology:          g,
-		Pool:              netip.MustParsePrefix("172.20.0.0/16"),
-		HostNodes:         []int{0, 2},
-		BootDelay:         time.Second,
-		Timers:            DefaultExperimentTimers(),
-		ProbeInterval:     100 * time.Millisecond,
-		LinkTTL:           300 * time.Millisecond,
-		RPCDropRate:       0.25,
-		RPCDropSeed:       7,
-		RPCAttempts:       2,
-		ReconcilerBackoff: 40 * time.Millisecond,
-		ResyncProbe:       150 * time.Millisecond,
-		Cluster:           ClusterSpec{Replicas: 3, LeaseTTL: time.Second, LeaseRenew: 200 * time.Millisecond},
-		RPCApplyDelay:     10 * time.Millisecond,
+		Topology:      g,
+		Pool:          netip.MustParsePrefix("172.20.0.0/16"),
+		HostNodes:     []int{0, 2},
+		BootDelay:     time.Second,
+		Timers:        DefaultExperimentTimers(),
+		ProbeInterval: 100 * time.Millisecond,
+		LinkTTL:       300 * time.Millisecond,
+		RPCDropRate:   0.25,
+		RPCDropSeed:   7,
+		ResyncProbe:   150 * time.Millisecond,
+		Cluster:       ClusterSpec{Replicas: 3, LeaseTTL: time.Second, LeaseRenew: 200 * time.Millisecond},
+		RPCApplyDelay: 10 * time.Millisecond,
 	}
 	opts := []Option{
 		WithPool(netip.MustParsePrefix("172.20.0.0/16")),
@@ -39,8 +37,6 @@ func TestFunctionalOptionsMatchStructLiteral(t *testing.T) {
 		WithProbeInterval(100 * time.Millisecond),
 		WithLinkTTL(300 * time.Millisecond),
 		WithRPCDropRate(0.25, 7),
-		WithRPCAttempts(2),
-		WithReconcilerBackoff(40 * time.Millisecond),
 		WithResyncProbe(150 * time.Millisecond),
 		WithCluster(ClusterSpec{Replicas: 3, LeaseTTL: time.Second, LeaseRenew: 200 * time.Millisecond}),
 		WithRPCApplyDelay(10 * time.Millisecond),

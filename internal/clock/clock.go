@@ -138,14 +138,16 @@ type Fake struct {
 	seq     int
 }
 
+// fakeWaiter is one timer or ticker. It is armed exactly while it is in its
+// clock's waiter list: Stop and a one-shot fire take it out, Reset puts it
+// back.
 type fakeWaiter struct {
-	clk      *Fake
-	when     time.Time
-	period   time.Duration // 0 for one-shot timers
-	ch       chan time.Time
-	stopped  bool
-	seq      int
-	deferred bool // detached from the waiter list (fired one-shot)
+	clk    *Fake
+	when   time.Time
+	period time.Duration // 0 for one-shot timers
+	ch     chan time.Time
+	seq    int
+	armed  bool // in clk.waiters
 }
 
 // NewFake returns a Fake clock starting at a fixed, arbitrary epoch so tests
@@ -202,8 +204,13 @@ func (f *Fake) addWaiterLocked(d, period time.Duration) *fakeWaiter {
 		ch:     make(chan time.Time, 1),
 		seq:    f.seq,
 	}
-	f.waiters = append(f.waiters, w)
+	f.armLocked(w)
 	return w
+}
+
+func (f *Fake) armLocked(w *fakeWaiter) {
+	w.armed = true
+	f.waiters = append(f.waiters, w)
 }
 
 // Advance moves the fake clock forward by d, firing due timers and tickers
@@ -228,7 +235,6 @@ func (f *Fake) AdvanceTo(t time.Time) {
 		if w.period > 0 {
 			w.when = w.when.Add(w.period)
 		} else {
-			w.deferred = true
 			f.removeLocked(w)
 		}
 	}
@@ -240,7 +246,7 @@ func (f *Fake) AdvanceTo(t time.Time) {
 func (f *Fake) nextDueLocked(limit time.Time) *fakeWaiter {
 	var best *fakeWaiter
 	for _, w := range f.waiters {
-		if w.stopped || w.when.After(limit) {
+		if w.when.After(limit) {
 			continue
 		}
 		if best == nil || w.when.Before(best.when) ||
@@ -251,7 +257,12 @@ func (f *Fake) nextDueLocked(limit time.Time) *fakeWaiter {
 	return best
 }
 
+// removeLocked disarms w if it is armed.
 func (f *Fake) removeLocked(w *fakeWaiter) {
+	if !w.armed {
+		return
+	}
+	w.armed = false
 	for i, cand := range f.waiters {
 		if cand == w {
 			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
@@ -264,13 +275,7 @@ func (f *Fake) removeLocked(w *fakeWaiter) {
 func (f *Fake) Pending() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := 0
-	for _, w := range f.waiters {
-		if !w.stopped {
-			n++
-		}
-	}
-	return n
+	return len(f.waiters)
 }
 
 type fakeTimer fakeWaiter
@@ -281,11 +286,8 @@ func (t *fakeTimer) Stop() bool {
 	w := (*fakeWaiter)(t)
 	w.clk.mu.Lock()
 	defer w.clk.mu.Unlock()
-	was := !w.stopped && !w.deferred
-	w.stopped = true
-	if was {
-		w.clk.removeLocked(w)
-	}
+	was := w.armed
+	w.clk.removeLocked(w)
 	return was
 }
 
@@ -293,12 +295,10 @@ func (t *fakeTimer) Reset(d time.Duration) bool {
 	w := (*fakeWaiter)(t)
 	w.clk.mu.Lock()
 	defer w.clk.mu.Unlock()
-	was := !w.stopped && !w.deferred
+	was := w.armed
 	w.when = w.clk.now.Add(d)
-	w.stopped = false
-	if w.deferred {
-		w.deferred = false
-		w.clk.waiters = append(w.clk.waiters, w)
+	if !was {
+		w.clk.armLocked(w)
 	}
 	return was
 }
@@ -311,8 +311,5 @@ func (t *fakeTicker) Stop() {
 	w := (*fakeWaiter)(t)
 	w.clk.mu.Lock()
 	defer w.clk.mu.Unlock()
-	if !w.stopped {
-		w.stopped = true
-		w.clk.removeLocked(w)
-	}
+	w.clk.removeLocked(w)
 }

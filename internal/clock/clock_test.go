@@ -177,6 +177,34 @@ func TestFakeTimerResetAfterFire(t *testing.T) {
 	}
 }
 
+// TestFakeTimerResetAfterStopFires: Reset re-arms a stopped timer, as it
+// does a fired one, and the clock counts it as pending again.
+func TestFakeTimerResetAfterStopFires(t *testing.T) {
+	f := NewFake()
+	tm := f.NewTimer(time.Second)
+	if !tm.Stop() {
+		t.Fatal("Stop of an armed timer should report true")
+	}
+	if n := f.Pending(); n != 0 {
+		t.Fatalf("pending after Stop = %d, want 0", n)
+	}
+	if tm.Reset(time.Second) {
+		t.Fatal("Reset after Stop should report false")
+	}
+	if n := f.Pending(); n != 1 {
+		t.Fatalf("pending after Reset = %d, want 1", n)
+	}
+	f.Advance(2 * time.Second)
+	select {
+	case <-tm.C():
+	default:
+		t.Fatal("timer reset after Stop never fired")
+	}
+	if n := f.Pending(); n != 0 {
+		t.Fatalf("pending after the fire = %d, want 0", n)
+	}
+}
+
 func TestFakeTickerPeriodic(t *testing.T) {
 	f := NewFake()
 	tk := f.NewTicker(5 * time.Second)

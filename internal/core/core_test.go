@@ -246,8 +246,6 @@ func TestPanEuropeanConvergesUnderRPCDrops(t *testing.T) {
 	}
 	opts.RPCDropRate = 0.2
 	opts.RPCDropSeed = 7
-	opts.RPCAttempts = 1                           // no short-horizon retry: reconciler only
-	opts.ReconcilerBackoff = time.Millisecond * 20 // keep retry latency test-sized
 	d, err := NewDeployment(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -55,13 +55,6 @@ type Options struct {
 	// RPCDropSeed makes injected loss reproducible (used when RPCDropRate
 	// is non-zero).
 	RPCDropSeed int64
-	// RPCAttempts bounds the RPC client's short-horizon retries per send
-	// (0 = package default). Long-horizon retry is the reconciler's job, so
-	// loss tests set this low to exercise it.
-	RPCAttempts int
-	// ReconcilerBackoff overrides the reconciler's first retry delay
-	// (0 = intent.DefaultBackoffBase). The ceiling stays proportional.
-	ReconcilerBackoff time.Duration
 	// ResyncProbe overrides the reconciler's idle epoch-probe period — how
 	// quickly an rf-server restart is detected when no configuration is in
 	// flight (0 = intent.DefaultResyncProbe).
@@ -275,10 +268,6 @@ func (d *Deployment) build() error {
 	if nrep <= 0 {
 		nrep = 1
 	}
-	var cliOpts []rpcconf.ClientOption
-	if d.opts.RPCAttempts > 0 {
-		cliOpts = append(cliOpts, rpcconf.WithRetry(100*time.Millisecond, d.opts.RPCAttempts))
-	}
 	senders := make([]intent.Sender, nrep)
 	for i := 0; i < nrep; i++ {
 		platform, err := rf.New(rf.Config{
@@ -316,7 +305,7 @@ func (d *Deployment) build() error {
 			}
 			return rep.rpcLn.Load().Dial()
 		})
-		rep.cli = rpcconf.NewClient(rpcDial, d.clk, cliOpts...)
+		rep.cli = rpcconf.NewClient(rpcDial, d.clk)
 		senders[i] = rep.cli
 		d.reps = append(d.reps, rep)
 	}
@@ -349,10 +338,6 @@ func (d *Deployment) build() error {
 
 	d.topoCtl = ctlkit.New("topology-controller", d.clk, d.disc.Callbacks())
 	var recOpts []intent.Option
-	if d.opts.ReconcilerBackoff > 0 {
-		recOpts = append(recOpts,
-			intent.WithBackoff(d.opts.ReconcilerBackoff, 50*d.opts.ReconcilerBackoff))
-	}
 	if d.opts.ResyncProbe > 0 {
 		recOpts = append(recOpts, intent.WithResyncProbe(d.opts.ResyncProbe))
 	}

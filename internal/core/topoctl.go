@@ -78,11 +78,6 @@ type TopologyController struct {
 
 	errMu    sync.Mutex
 	lastErrs []string // ring of recent delivery failures (diagnostics)
-
-	// Errs observes RPC delivery failures (buffered; drops when full). With
-	// the reconciler in place these are retried, so entries here are
-	// telemetry, not lost configuration.
-	Errs chan error
 }
 
 // NewTopologyController builds the controller application. disc supplies
@@ -122,7 +117,6 @@ func NewTopologyController(clk clock.Clock, disc *discovery.Discovery, ctl *ctlk
 		registry: make(map[intent.Key]declared),
 		asns:     make(map[uint64]uint32),
 		stop:     make(chan struct{}),
-		Errs:     make(chan error, 64),
 	}
 	for _, h := range hosts {
 		tc.hosts[h.DPID] = append(tc.hosts[h.DPID], h)
@@ -269,10 +263,6 @@ func (tc *TopologyController) report(err error) {
 		tc.lastErrs = tc.lastErrs[len(tc.lastErrs)-4:]
 	}
 	tc.errMu.Unlock()
-	select {
-	case tc.Errs <- err:
-	default:
-	}
 }
 
 // LastErrors returns the most recent delivery failures (diagnostics).

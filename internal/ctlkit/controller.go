@@ -97,7 +97,16 @@ func (c *Controller) Serve(l Listener) {
 		if err != nil {
 			return
 		}
+		// Count the handler in under mu: once Stop has set stopped and
+		// begun waiting, no new handler may join the WaitGroup.
+		c.mu.Lock()
+		if c.stopped {
+			c.mu.Unlock()
+			conn.Close()
+			continue
+		}
 		c.wg.Add(1)
+		c.mu.Unlock()
 		go func() {
 			defer c.wg.Done()
 			c.handleConn(conn)

@@ -350,3 +350,31 @@ func TestDuplicateDPIDReplacesOldConnection(t *testing.T) {
 }
 
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
+
+// TestStopWhileSwitchesDial stops a controller with a switch connected
+// while another goroutine keeps dialing. Stop waits for the switch's handler,
+// and Serve must not count a new handler in once Stop has begun that wait;
+// under -race such a handler is a report against the WaitGroup.
+func TestStopWhileSwitchesDial(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		l := NewMemListener("ctl")
+		c := New("ctl", nil, Callbacks{})
+		go c.Serve(l)
+		startSwitch(t, 1, 1, l)
+		waitFor(t, "switch registered", func() bool { _, ok := c.Switch(1); return ok })
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for j := 0; j < 500; j++ {
+				conn, err := l.Dial()
+				if err != nil {
+					return
+				}
+				conn.Close()
+			}
+		}()
+		c.Stop()
+		<-done
+		l.Close()
+	}
+}

@@ -175,7 +175,6 @@ func TestHandoffRaceHammer(t *testing.T) {
 	var recs [2]*Reconciler
 	for i := range stores {
 		recs[i] = NewReconciler(clk, stores[i], senders[i],
-			WithBackoff(time.Millisecond, 5*time.Millisecond),
 			WithResyncProbe(2*time.Millisecond))
 		recs[i].Run()
 		defer recs[i].Stop()

@@ -5,7 +5,10 @@
 // (switches, links with allocated subnets, host attachments) into a
 // versioned Store, and a Reconciler continuously diffs desired against
 // acknowledged state, (re)issuing configuration RPCs with exponential
-// backoff until the rf-server acknowledges every item.
+// backoff until the rf-server acknowledges every item. That backoff is the
+// only retry between the topology controller and the rf-server: the RPC
+// client makes one attempt per send, and a retry is a fresh send that the
+// rf-server applies again, which is safe because its apply is idempotent.
 //
 // The model survives everything the edge-triggered design could not: a
 // dropped RPC is retried until acked, a flapping switch converges to its
@@ -319,7 +322,7 @@ func sortBatch(batch []workItem) {
 // complete records the outcome of one send. A success acknowledges the item
 // (or finalises its deletion); a failure schedules the next attempt with
 // exponential backoff. epoch is the server epoch observed on success.
-func (s *Store) complete(w workItem, err error, epoch uint64, now time.Time, base, max time.Duration) {
+func (s *Store) complete(w workItem, err error, epoch uint64, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Observe the epoch regardless of outcome: a remote-handler error still
@@ -347,14 +350,7 @@ func (s *Store) complete(w workItem, err error, epoch uint64, now time.Time, bas
 		}
 		return
 	}
-	if e.backoff <= 0 {
-		e.backoff = base
-	} else {
-		e.backoff *= 2
-		if e.backoff > max {
-			e.backoff = max
-		}
-	}
+	e.backoff = nextBackoff(e.backoff, DefaultBackoffMax)
 	e.next = now.Add(e.backoff)
 }
 

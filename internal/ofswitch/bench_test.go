@@ -3,6 +3,8 @@ package ofswitch
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"routeflow/internal/netemu"
@@ -10,26 +12,28 @@ import (
 	"routeflow/internal/pkt"
 )
 
-// benchSwitch builds a switch with `ports` data ports (peer endpoints are
-// sinks with no receiver) and a table of `flows` entries shaped like the
-// RF-server's installs: dst-prefix matches with MAC-rewrite + output
-// actions. The entry matching benchFrame's microflow is the lowest-priority
-// one, so the tier-2 classifier pays the full O(flows) scan for it — the
-// cost profile of a routed switch whose busiest flow sits under the host
-// (/32) routes.
-func benchSwitch(tb testing.TB, ports, flows int) *Switch {
+// benchSwitch builds a switch with `ports` data ports, whose peer endpoints
+// are sinks, and a table of `flows` entries shaped like the RF-server's
+// installs: dst-prefix matches with MAC-rewrite + output actions. The entry
+// matching benchFrame's microflow is the lowest-priority one, so the tier-2
+// classifier pays the full O(flows) scan for it — the cost profile of a
+// routed switch whose busiest flow sits under the host (/32) routes.
+func benchSwitch(tb testing.TB, ports, flows int) (*Switch, *sinks) {
 	tb.Helper()
 	sw := New(Config{DPID: 0xBE, Name: "bench"})
 	n := netemu.NewNetwork(nil)
 	if t, ok := tb.(interface{ Cleanup(func()) }); ok {
 		t.Cleanup(n.Close)
 	}
+	snk := &sinks{}
 	for p := 1; p <= ports; p++ {
-		a, _ := n.NewCable(netemu.CableOpts{
+		a, b := n.NewCable(netemu.CableOpts{
 			NameA: fmt.Sprintf("bench:%d", p), MACA: pkt.LocalMAC(uint64(p))})
 		if err := sw.AttachPort(uint16(p), a); err != nil {
 			tb.Fatal(err)
 		}
+		b.SetBurstReceiver(snk.recv)
+		snk.tx = append(snk.tx, a)
 	}
 	for i := 0; i < flows-1; i++ {
 		m := openflow.MatchAll()
@@ -53,7 +57,42 @@ func benchSwitch(tb testing.TB, ports, flows int) *Switch {
 	if err := sw.table.add(e, false); err != nil {
 		tb.Fatal(err)
 	}
-	return sw
+	return sw, snk
+}
+
+// sinks are the far ends of benchSwitch's cables. A sink releases each
+// delivered frame's buffer to the pool before it counts the frame, so once
+// drain returns, every buffer the switch sent is back in the pool. An
+// allocation gate that drains after each burst holds at most one burst of
+// buffers in flight. Otherwise a sink goroutine that a loaded machine runs
+// late parks up to an inbox's worth of buffers, and the switch's next sends
+// allocate new ones.
+type sinks struct {
+	tx   []*netemu.Endpoint // the switch's ends of the cables
+	seen atomic.Uint64
+}
+
+func (s *sinks) recv(b *netemu.Burst) {
+	for i := range b.Frames {
+		if fb := b.Take(i); fb != nil {
+			fb.Release()
+		}
+	}
+	s.seen.Add(uint64(len(b.Frames)))
+}
+
+// drain waits until the sinks have recycled every frame the switch sent.
+func (s *sinks) drain() {
+	for {
+		var sent uint64
+		for _, ep := range s.tx {
+			sent += ep.Stats().TxPackets
+		}
+		if s.seen.Load() >= sent {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // benchFrameFor returns a UDP frame whose microflow is unique per (port, i).
@@ -71,7 +110,7 @@ func benchFrameFor(port uint16, i int) []byte {
 func BenchmarkSwitchForwardBatch(b *testing.B) {
 	for _, flows := range []int{1, 128} {
 		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
-			sw := benchSwitch(b, 2, flows)
+			sw, _ := benchSwitch(b, 2, flows)
 			burst := make([][]byte, netemu.MaxBurst)
 			for i := range burst {
 				burst[i] = benchFrameFor(1, 0)
@@ -98,13 +137,15 @@ func TestSwitchForwardAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budget not meaningful under -race")
 	}
-	sw := benchSwitch(t, 2, 16)
+	sw, snk := benchSwitch(t, 2, 16)
 	burst := [][]byte{benchFrameFor(1, 0)}
-	for i := 0; i < 4096; i++ { // warm cache, buffer pool and peer inbox
+	for i := 0; i < 4096; i++ { // warm cache and buffer pool
 		sw.batchIn(1, burst)
+		snk.drain()
 	}
 	avg := testing.AllocsPerRun(1000, func() {
 		sw.batchIn(1, burst)
+		snk.drain()
 	})
 	if avg > 0 {
 		t.Fatalf("steady-state forward allocates %.2f allocs/op, budget is 0", avg)
@@ -119,7 +160,7 @@ func TestSwitchForwardAllocBudgetECMP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budget not meaningful under -race")
 	}
-	sw := benchSwitch(t, 3, 16)
+	sw, snk := benchSwitch(t, 3, 16)
 	m := openflow.MatchAll()
 	m.Wildcards &^= openflow.WildcardDlType
 	m.DlType = uint16(pkt.EtherTypeIPv4)
@@ -132,11 +173,13 @@ func TestSwitchForwardAllocBudgetECMP(t *testing.T) {
 		t.Fatalf("modify rewired %d flows, want 1", n)
 	}
 	burst := [][]byte{benchFrameFor(1, 0)}
-	for i := 0; i < 4096; i++ { // warm cache, buffer pool and peer inbox
+	for i := 0; i < 4096; i++ { // warm cache and buffer pool
 		sw.batchIn(1, burst)
+		snk.drain()
 	}
 	avg := testing.AllocsPerRun(1000, func() {
 		sw.batchIn(1, burst)
+		snk.drain()
 	})
 	if avg > 0 {
 		t.Fatalf("ECMP steady-state forward allocates %.2f allocs/op, budget is 0", avg)

@@ -21,7 +21,7 @@ func monRule10(id uint32) openflow.MonitorRule {
 // counters on both the classify fill and the cache-hit path; unmonitored
 // traffic does not.
 func TestTelemetryMonitorCharging(t *testing.T) {
-	sw := benchSwitch(t, 2, 16)
+	sw, _ := benchSwitch(t, 2, 16)
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(7)})
 	frame := benchFrameFor(1, 0)
 	for i := 0; i < 10; i++ {
@@ -50,7 +50,7 @@ func TestTelemetryMonitorCharging(t *testing.T) {
 // its counters (level-triggered TELEMETRY_MODs are no-ops); a changed rule
 // starts over.
 func TestTelemetryCounterCarryAcrossMod(t *testing.T) {
-	sw := benchSwitch(t, 2, 16)
+	sw, _ := benchSwitch(t, 2, 16)
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(7)})
 	frame := benchFrameFor(1, 0)
 	for i := 0; i < 4; i++ {
@@ -194,7 +194,7 @@ func TestSwitchTelemetryForwardAllocBudget10k(t *testing.T) {
 		// full the peer inbox happens to be when AllocsPerRun starts.
 		t.Skip("alloc budget not meaningful under -race")
 	}
-	sw := benchSwitch(t, 2, 16)
+	sw, snk := benchSwitch(t, 2, 16)
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(1)})
 
 	// 10240 distinct monitored microflows, delivered in bursts.
@@ -222,9 +222,11 @@ func TestSwitchTelemetryForwardAllocBudget10k(t *testing.T) {
 	one := [][]byte{benchFrameFor(1, 0)}
 	for i := 0; i < 4096; i++ {
 		sw.batchIn(1, one)
+		snk.drain()
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		sw.batchIn(1, one)
+		snk.drain()
 	}); avg > 0 {
 		t.Fatalf("monitored forward allocates %.2f allocs/op, budget is 0", avg)
 	}
@@ -236,17 +238,19 @@ func TestSwitchTelemetryBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budget not meaningful under -race")
 	}
-	sw := benchSwitch(t, 2, 16)
+	sw, snk := benchSwitch(t, 2, 16)
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(1)})
 	burst := make([][]byte, netemu.MaxBurst)
 	for i := range burst {
 		burst[i] = benchFrameFor(1, 0)
 	}
-	for i := 0; i < 64; i++ { // warm cache, pool and inbox
+	for i := 0; i < 64; i++ { // warm cache and pool
 		sw.batchIn(1, burst)
+		snk.drain()
 	}
 	if avg := testing.AllocsPerRun(500, func() {
 		sw.batchIn(1, burst)
+		snk.drain()
 	}); avg > 0 {
 		t.Fatalf("monitored batch forward allocates %.2f allocs/op, budget is 0", avg)
 	}
@@ -259,7 +263,7 @@ func TestSwitchTelemetryBatchAllocBudget(t *testing.T) {
 // monitored; the telemetry tax on the hot path is two atomic adds on a cache
 // hit.
 func BenchmarkSwitchForwardTelemetry(b *testing.B) {
-	sw := benchSwitch(b, 2, 128)
+	sw, _ := benchSwitch(b, 2, 128)
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(1)})
 	one := [][]byte{benchFrameFor(1, 0)}
 	for i := 0; i < 2048; i++ {

@@ -7,9 +7,15 @@
 // teardown counterparts needed for dynamic networks.
 //
 // Wire format: length-prefixed JSON over any net.Conn (in-memory pipe or
-// TCP). The client queues and retries, so configuration messages survive a
-// briefly unavailable server, and every message is acknowledged so callers
-// can await application.
+// TCP). Every message is acknowledged so callers can await application.
+//
+// Delivery is at-least-once. Client.Send makes one attempt and reports a
+// transport failure without retrying; the caller (the intent reconciler)
+// retries, and each retry is a fresh Send with a fresh sequence number. A
+// message whose ack was lost may therefore be applied twice, which is safe
+// because every Handler in the system applies idempotently. The server's
+// sequence fence only keeps a stale frame from an abandoned connection from
+// overwriting newer configuration.
 package rpcconf
 
 import (
@@ -102,7 +108,7 @@ func writeFrame(w io.Writer, v any) error {
 		return err
 	}
 	// Single Write: header and body leave in one frame, so injected
-	// per-write loss (Flaky) drops whole messages, never half a frame.
+	// per-write loss (LossInjector) drops whole messages, never half a frame.
 	buf := make([]byte, 4+len(body))
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(body)))
 	copy(buf[4:], body)
@@ -175,8 +181,8 @@ func (s *Server) Applied() uint64 {
 }
 
 // Deduplicated returns how many messages were acknowledged without being
-// applied: retries of a message already applied, and stale re-deliveries
-// from an abandoned connection.
+// applied because their sequence number was at or below one already
+// applied: stale re-deliveries from an abandoned connection, and replays.
 func (s *Server) Deduplicated() uint64 { return s.deduplicated.Load() }
 
 // Serve accepts client connections until the listener closes. The Listener
@@ -263,19 +269,16 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // DefaultAckTimeout bounds one request/ack exchange (wall time). A wedged
-// server-side apply must surface as a retryable transport error, never
-// block the sender forever. It is a last-resort liveness bound, set well
-// above any legitimate apply latency so it fires only on true wedges.
+// server-side apply must surface as a transport error, never block the
+// sender forever. It is a last-resort liveness bound, set well above any
+// legitimate apply latency so it fires only on true wedges.
 const DefaultAckTimeout = 10 * time.Second
 
 // Client is the RPC client co-located with the topology controller. It owns
-// one connection, re-dialing on failure, and delivers messages in order.
+// one connection, dialing lazily and dropping it on any transport failure,
+// and delivers messages in call order.
 type Client struct {
-	dial       func() (net.Conn, error)
-	clk        clock.Clock
-	retry      time.Duration
-	retries    int
-	ackTimeout time.Duration
+	dial func() (net.Conn, error)
 
 	mu    sync.Mutex
 	conn  net.Conn
@@ -283,87 +286,54 @@ type Client struct {
 	epoch uint64 // last server epoch observed in an ack
 }
 
-// ClientOption tweaks the client.
-type ClientOption func(*Client)
-
-// WithRetry sets the redial pause and attempt count per message.
-func WithRetry(pause time.Duration, attempts int) ClientOption {
-	return func(c *Client) { c.retry, c.retries = pause, attempts }
-}
-
-// WithAckTimeout bounds one write+ack exchange in wall time (0 disables).
-func WithAckTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.ackTimeout = d }
-}
-
-// NewClient creates a client that connects lazily via dial.
-func NewClient(dial func() (net.Conn, error), clk clock.Clock, opts ...ClientOption) *Client {
-	if clk == nil {
-		clk = clock.System()
-	}
-	c := &Client{dial: dial, clk: clk, retry: 100 * time.Millisecond, retries: 5,
-		ackTimeout: DefaultAckTimeout}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+// NewClient creates a client that connects lazily via dial. The clock is
+// unused: Send never sleeps, and its ack deadline is wall time.
+func NewClient(dial func() (net.Conn, error), _ clock.Clock) *Client {
+	return &Client{dial: dial}
 }
 
 // ErrRemote wraps handler-side failures.
 var ErrRemote = errors.New("rpcconf: remote handler failed")
 
-// Send delivers one message and waits for its acknowledgement, redialing and
-// retrying on transport errors. It is safe for concurrent use; messages are
-// serialized in call order.
+// Send delivers one message in one attempt and waits for its
+// acknowledgement: it dials if there is no connection, writes the frame and
+// reads the ack within DefaultAckTimeout of wall time. A transport failure
+// or an ack for another message drops the connection and is returned; the
+// next Send dials afresh. Retrying is the caller's job. It is safe for
+// concurrent use; messages are serialized in call order.
 func (c *Client) Send(m *Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
 	m.Seq = c.seq
-	var lastErr error
-	for attempt := 0; attempt < c.retries; attempt++ {
-		if attempt > 0 {
-			c.clk.Sleep(c.retry)
+	if c.conn == nil {
+		conn, err := c.dial()
+		if err != nil {
+			return fmt.Errorf("rpcconf: dial: %w", err)
 		}
-		if c.conn == nil {
-			conn, err := c.dial()
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			c.conn = conn
-		}
-		if c.ackTimeout > 0 {
-			_ = c.conn.SetDeadline(time.Now().Add(c.ackTimeout))
-		}
-		if err := writeFrame(c.conn, m); err != nil {
-			c.resetConn()
-			lastErr = err
-			continue
-		}
-		var a ack
-		if err := readFrame(c.conn, &a); err != nil {
-			c.resetConn()
-			lastErr = err
-			continue
-		}
-		if c.ackTimeout > 0 {
-			_ = c.conn.SetDeadline(time.Time{})
-		}
-		if a.Seq != m.Seq {
-			c.resetConn()
-			lastErr = fmt.Errorf("rpcconf: ack for %d, want %d", a.Seq, m.Seq)
-			continue
-		}
-		if a.Epoch != 0 {
-			c.epoch = a.Epoch
-		}
-		if a.Err != "" {
-			return fmt.Errorf("%w: %s", ErrRemote, a.Err)
-		}
-		return nil
+		c.conn = conn
 	}
-	return fmt.Errorf("rpcconf: giving up after %d attempts: %w", c.retries, lastErr)
+	_ = c.conn.SetDeadline(time.Now().Add(DefaultAckTimeout))
+	var a ack
+	err := writeFrame(c.conn, m)
+	if err == nil {
+		err = readFrame(c.conn, &a)
+	}
+	if err == nil && a.Seq != m.Seq {
+		err = fmt.Errorf("ack for seq %d", a.Seq)
+	}
+	if err != nil {
+		c.resetConn()
+		return fmt.Errorf("rpcconf: %s seq %d: %w", m.Kind, m.Seq, err)
+	}
+	_ = c.conn.SetDeadline(time.Time{})
+	if a.Epoch != 0 {
+		c.epoch = a.Epoch
+	}
+	if a.Err != "" {
+		return fmt.Errorf("%w: %s", ErrRemote, a.Err)
+	}
+	return nil
 }
 
 func (c *Client) resetConn() {
@@ -441,19 +411,13 @@ func HostDown(dpid uint64, port uint16) *Message {
 // Probe builds the no-op epoch probe.
 func Probe() *Message { return &Message{Kind: KindProbe} }
 
-// FlakyDialer wraps dial so every connection it hands out drops each written
-// frame with probability rate and then closes itself — the loss model of a
-// failing control channel. The rng is seeded deterministically so failure
-// scenarios are reproducible.
-func FlakyDialer(dial func() (net.Conn, error), rate float64, seed int64) func() (net.Conn, error) {
-	return NewLossInjector(rate, seed).Dialer(dial)
-}
-
-// LossInjector is a FlakyDialer whose drop probability can be changed while
-// connections are live — the knob behind RPC loss *bursts* in failure
-// scenarios (lossless steady state, a lossy window, lossless again). The rng
-// is shared by every connection the injector wraps and seeded
-// deterministically.
+// LossInjector is the loss model of a failing control channel: every
+// connection it wraps drops each written frame with its current probability
+// and then closes itself. The probability can be changed while connections
+// are live — the knob behind RPC loss *bursts* in failure scenarios
+// (lossless steady state, a lossy window, lossless again). The rng is shared
+// by every connection the injector wraps and seeded deterministically, so
+// failure scenarios are reproducible.
 type LossInjector struct {
 	mu   sync.Mutex
 	rng  *rand.Rand

@@ -6,7 +6,9 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
+	"time"
 
+	"routeflow/internal/clock"
 	"routeflow/internal/ctlkit"
 )
 
@@ -129,12 +131,32 @@ func TestClientRedialsAfterServerConnLoss(t *testing.T) {
 	}
 }
 
-func TestClientGivesUpEventually(t *testing.T) {
+// TestSendToUnreachableServerDialsOnce pins the one-attempt contract: a Send
+// that cannot dial returns the dial error after exactly one dial, without
+// arming or sleeping on the clock. Retrying belongs to the reconciler.
+func TestSendToUnreachableServerDialsOnce(t *testing.T) {
+	clk := clock.NewFake()
+	dials := 0
+	refused := errors.New("connection refused")
 	c := NewClient(func() (net.Conn, error) {
-		return nil, errors.New("connection refused")
-	}, nil, WithRetry(0, 3))
-	if err := c.Send(SwitchUp(1, 1)); err == nil {
-		t.Fatal("send with unreachable server succeeded")
+		dials++
+		return nil, refused
+	}, clk)
+	done := make(chan error, 1)
+	go func() { done <- c.Send(SwitchUp(1, 1)) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, refused) {
+			t.Fatalf("err = %v, want the dial error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Send still blocked after %d dials: it is waiting on the clock", dials)
+	}
+	if dials != 1 {
+		t.Fatalf("dials = %d, want exactly 1", dials)
+	}
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("Send armed %d timers on the clock, want 0", n)
 	}
 }
 
@@ -217,40 +239,19 @@ func TestEpochSurvivesInAcksAndChangesOnRestart(t *testing.T) {
 	target = l2
 	mu.Unlock()
 	srv1.Stop()
+	// The first send after the restart finds the connection srv1 closed and
+	// fails without retrying; the next one dials the new incarnation.
+	if err := c.Send(Probe()); err == nil {
+		t.Fatal("send on the dead incarnation's connection succeeded")
+	}
+	if c.Epoch() != e1 {
+		t.Fatalf("a failed send changed the epoch to %d", c.Epoch())
+	}
 	if err := c.Send(Probe()); err != nil {
 		t.Fatal(err)
 	}
 	if e2 := c.Epoch(); e2 == e1 || e2 != srv2.Epoch() {
 		t.Fatalf("epoch after restart = %d, want %d (was %d)", e2, srv2.Epoch(), e1)
-	}
-}
-
-func TestFlakyDialerDropsButClientConverges(t *testing.T) {
-	l := ctlkit.NewMemListener("rpc")
-	defer l.Close()
-	var mu sync.Mutex
-	applied := 0
-	srv := NewServer(func(m *Message) error {
-		mu.Lock()
-		applied++
-		mu.Unlock()
-		return nil
-	})
-	go srv.Serve(l)
-	defer srv.Stop()
-
-	dial := FlakyDialer(func() (net.Conn, error) { return l.Dial() }, 0.4, 42)
-	c := NewClient(dial, nil, WithRetry(0, 50))
-	defer c.Close()
-	for i := 0; i < 20; i++ {
-		if err := c.Send(SwitchUp(uint64(i+1), 1)); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if applied != 20 {
-		t.Fatalf("applied = %d, want 20 (each message exactly once despite drops)", applied)
 	}
 }
 
@@ -402,7 +403,7 @@ func TestLossInjectorRateChange(t *testing.T) {
 
 	li := NewLossInjector(0, 7)
 	dial := li.Dialer(func() (net.Conn, error) { return l.Dial() })
-	c := NewClient(dial, nil, WithRetry(0, 3))
+	c := NewClient(dial, nil)
 	defer c.Close()
 	if err := c.Send(Probe()); err != nil {
 		t.Fatalf("lossless send: %v", err)
@@ -411,7 +412,7 @@ func TestLossInjectorRateChange(t *testing.T) {
 		t.Fatalf("rate = %v, want 0", li.Rate())
 	}
 
-	li.SetRate(1.0) // total loss: every attempt must fail
+	li.SetRate(1.0) // total loss: the send must fail
 	if err := c.Send(Probe()); err == nil {
 		t.Fatal("send succeeded under 100% loss")
 	}

@@ -89,14 +89,6 @@ func WithRPCDropRate(rate float64, seed int64) Option {
 	return func(o *Options) { o.RPCDropRate = rate; o.RPCDropSeed = seed }
 }
 
-// WithRPCAttempts bounds the RPC client's short-horizon retries per send.
-func WithRPCAttempts(n int) Option { return func(o *Options) { o.RPCAttempts = n } }
-
-// WithReconcilerBackoff overrides the reconciler's first retry delay.
-func WithReconcilerBackoff(d time.Duration) Option {
-	return func(o *Options) { o.ReconcilerBackoff = d }
-}
-
 // WithResyncProbe overrides the reconciler's idle epoch-probe period.
 func WithResyncProbe(d time.Duration) Option { return func(o *Options) { o.ResyncProbe = d } }
 
