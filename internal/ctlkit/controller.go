@@ -23,8 +23,11 @@ const (
 // run on the owning switch connection's reader goroutine: a blocking
 // callback stalls only that switch.
 type Callbacks struct {
-	SwitchUp    func(sw *SwitchConn)
-	SwitchDown  func(sw *SwitchConn)
+	SwitchUp   func(sw *SwitchConn)
+	SwitchDown func(sw *SwitchConn)
+	// PacketIn is lent its message: *pi and its Data are borrowed until the
+	// callback returns, because they are decoded in place in the
+	// connection's read buffer. A callback copies whatever it keeps.
 	PacketIn    func(sw *SwitchConn, pi *openflow.PacketIn)
 	PortStatus  func(sw *SwitchConn, ps *openflow.PortStatus)
 	FlowRemoved func(sw *SwitchConn, fr *openflow.FlowRemoved)
@@ -382,9 +385,9 @@ func (sc *SwitchConn) handshake() error {
 	}
 }
 
-// read returns the next message, owned: callbacks and reply waiters keep
-// what they are given, so each frame is decoded with Unmarshal rather than
-// borrowed from the Decoder.
+// read returns the next message, owned: the handshake keeps what it reads,
+// so each frame is decoded with Unmarshal rather than borrowed from the
+// Decoder.
 func (sc *SwitchConn) read() (openflow.Message, error) {
 	frame, err := sc.dec.Next()
 	if err != nil {
@@ -393,9 +396,22 @@ func (sc *SwitchConn) read() (openflow.Message, error) {
 	return openflow.Unmarshal(frame)
 }
 
+// readLoop decodes each message in place. A packet-in, the bulk of what a
+// controller reads, is lent to the PacketIn callback and never matches a
+// request waiter; every other message is decoded again from its frame into
+// one that owns its bytes, because waiters and callbacks keep those.
 func (sc *SwitchConn) readLoop() {
 	for {
-		m, err := sc.read()
+		m, err := sc.dec.Decode()
+		if err == nil {
+			if pi, ok := m.(*openflow.PacketIn); ok {
+				if cb := sc.ctl.cb.PacketIn; cb != nil {
+					cb(sc, pi)
+				}
+				continue
+			}
+			m, err = openflow.Unmarshal(sc.dec.Frame())
+		}
 		if err != nil {
 			sc.Close()
 			return
@@ -404,6 +420,7 @@ func (sc *SwitchConn) readLoop() {
 	}
 }
 
+// dispatch hands an owned message to its request waiter or callback.
 func (sc *SwitchConn) dispatch(m openflow.Message) {
 	// Request/reply rendezvous first.
 	if x := m.XID(); x != 0 {
@@ -424,10 +441,6 @@ func (sc *SwitchConn) dispatch(m openflow.Message) {
 		rep := &openflow.EchoReply{Data: msg.Data}
 		rep.SetXID(msg.XID())
 		_ = sc.Send(rep)
-	case *openflow.PacketIn:
-		if cb.PacketIn != nil {
-			cb.PacketIn(sc, msg)
-		}
 	case *openflow.PortStatus:
 		if cb.PortStatus != nil {
 			cb.PortStatus(sc, msg)

@@ -1,6 +1,7 @@
 package ctlkit
 
 import (
+	"bytes"
 	"net/netip"
 	"sync/atomic"
 	"testing"
@@ -180,7 +181,11 @@ func TestRequestStats(t *testing.T) {
 func TestPacketInCallbackAndPacketOut(t *testing.T) {
 	pins := make(chan *openflow.PacketIn, 8)
 	ctl := New("test", nil, Callbacks{
-		PacketIn: func(sw *SwitchConn, pi *openflow.PacketIn) { pins <- pi },
+		PacketIn: func(sw *SwitchConn, pi *openflow.PacketIn) {
+			cp := *pi // lent: keep a copy
+			cp.Data = bytes.Clone(pi.Data)
+			pins <- &cp
+		},
 	})
 	l := NewMemListener("ctl")
 	defer l.Close()

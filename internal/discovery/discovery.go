@@ -274,8 +274,8 @@ func (d *Discovery) onPortStatus(sc *ctlkit.SwitchConn, ps *openflow.PortStatus)
 }
 
 func (d *Discovery) onPacketIn(sc *ctlkit.SwitchConn, pi *openflow.PacketIn) {
-	f, err := pkt.DecodeFrame(pi.Data)
-	if err != nil || f.Type != pkt.EtherTypeLLDP {
+	var f pkt.Frame
+	if pkt.DecodeFrameInto(&f, pi.Data) != nil || f.Type != pkt.EtherTypeLLDP {
 		return // not ours; under FlowVisor slicing we only see LLDP anyway
 	}
 	lldp, err := pkt.DecodeLLDP(f.Payload)

@@ -59,8 +59,8 @@ func LLDPSlice(name string, dial func() (net.Conn, error)) Slice {
 		Name: name,
 		Dial: dial,
 		OwnsPacketIn: func(pi *openflow.PacketIn) bool {
-			f, err := pkt.DecodeFrame(pi.Data)
-			return err == nil && f.Type == pkt.EtherTypeLLDP
+			var f pkt.Frame
+			return pkt.DecodeFrameInto(&f, pi.Data) == nil && f.Type == pkt.EtherTypeLLDP
 		},
 		AllowWrite: func(m openflow.Message) bool {
 			switch m.(type) {

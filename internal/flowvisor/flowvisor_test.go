@@ -32,6 +32,13 @@ type stack struct {
 	rfErrs  chan *openflow.ErrorMsg
 }
 
+// keepPacketIn copies a packet-in the controller lent to its callback.
+func keepPacketIn(pi *openflow.PacketIn) *openflow.PacketIn {
+	cp := *pi
+	cp.Data = bytes.Clone(pi.Data)
+	return &cp
+}
+
 func newStack(t *testing.T) *stack {
 	t.Helper()
 	st := &stack{t: t,
@@ -46,11 +53,11 @@ func newStack(t *testing.T) *stack {
 	t.Cleanup(func() { topoL.Close(); rfL.Close() })
 
 	st.topo = ctlkit.New("topo", nil, ctlkit.Callbacks{
-		PacketIn:   func(_ *ctlkit.SwitchConn, pi *openflow.PacketIn) { st.topoPIs <- pi },
+		PacketIn:   func(_ *ctlkit.SwitchConn, pi *openflow.PacketIn) { st.topoPIs <- keepPacketIn(pi) },
 		PortStatus: func(_ *ctlkit.SwitchConn, ps *openflow.PortStatus) { st.topoPSs <- ps },
 	})
 	st.rf = ctlkit.New("rf", nil, ctlkit.Callbacks{
-		PacketIn:   func(_ *ctlkit.SwitchConn, pi *openflow.PacketIn) { st.rfPIs <- pi },
+		PacketIn:   func(_ *ctlkit.SwitchConn, pi *openflow.PacketIn) { st.rfPIs <- keepPacketIn(pi) },
 		PortStatus: func(_ *ctlkit.SwitchConn, ps *openflow.PortStatus) { st.rfPSs <- ps },
 		Error:      func(_ *ctlkit.SwitchConn, em *openflow.ErrorMsg) { st.rfErrs <- em },
 	})

@@ -299,8 +299,9 @@ const decoderReadSize = 512
 // Decoder's per-connection buffer, and Decode then cuts complete frames out
 // of that buffer; it reads again only when the next frame is incomplete. A
 // batch written in one Write (see PumpBatched) is therefore consumed in a
-// few large reads rather than two reads per message, which on a synchronous
-// transport such as net.Pipe is two goroutine hand-offs per message.
+// few large reads rather than two reads per message, and on a buffered
+// transport (ctlkit's in-memory stream, a socket) each of those reads takes
+// whatever has arrived without waiting for the writer.
 //
 // A Decoder owns its reader: bytes it has read ahead belong to frames it has
 // not returned yet, so nothing else may read from the same stream.

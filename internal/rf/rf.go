@@ -555,10 +555,11 @@ func (p *Platform) handleHostDown(m *rpcconf.Message) error {
 // its session was down — desired state replaces it.
 func (p *Platform) onSwitchUp(sc *ctlkit.SwitchConn) { p.sync(sc.DPID()) }
 
-// onPacketIn punts non-LLDP frames into the mirrored VM interface.
+// onPacketIn punts non-LLDP frames into the mirrored VM interface. pi is
+// lent, and so is the frame Inject gets: the VM copies what it keeps.
 func (p *Platform) onPacketIn(sc *ctlkit.SwitchConn, pi *openflow.PacketIn) {
-	f, err := pkt.DecodeFrame(pi.Data)
-	if err != nil || f.Type == pkt.EtherTypeLLDP {
+	var f pkt.Frame
+	if pkt.DecodeFrameInto(&f, pi.Data) != nil || f.Type == pkt.EtherTypeLLDP {
 		return
 	}
 	vm, ok := p.VM(sc.DPID())

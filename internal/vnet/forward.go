@@ -12,11 +12,9 @@ const maxPendingPerHop = 64
 
 // Inject delivers a frame punted from the physical switch into the VM
 // interface mirroring the ingress port — the rf-proxy's upward data path.
-// Inject takes ownership of frame permanently: the routed slow path
-// decrements TTL and rewrites the Ethernet addresses in place instead of
-// re-marshalling the packet, and the mutated slice may be retained past
-// the call (forwarded by reference into the control channel's send queue).
-// Callers must not reuse or recycle the buffer after Inject returns.
+// Inject borrows frame for the call only: the punted frame is lent by the
+// control channel's decoder, so whatever the VM keeps or sends on is a copy
+// (see route), and frame is left as it was.
 func (vm *VM) Inject(port uint16, frame []byte) {
 	vm.mu.Lock()
 	ifc, ok := vm.ifaces[port]
@@ -86,8 +84,8 @@ func (vm *VM) learnARP(ifc *vmIface, ip netip.Addr, mac pkt.MAC) {
 }
 
 func (vm *VM) handleIPv4(ifc *vmIface, f *pkt.Frame, frame []byte) {
-	ip, err := pkt.DecodeIPv4(f.Payload)
-	if err != nil {
+	var ip pkt.IPv4
+	if err := pkt.DecodeIPv4Into(&ip, f.Payload); err != nil {
 		return
 	}
 	vm.mu.Lock()
@@ -96,25 +94,25 @@ func (vm *VM) handleIPv4(ifc *vmIface, f *pkt.Frame, frame []byte) {
 
 	// OSPF rides multicast or our own address.
 	if ip.Proto == pkt.ProtoOSPF {
-		vm.deliverOSPF(ifc, ip)
+		vm.deliverOSPF(ifc, &ip)
 		return
 	}
 	// BGP sessions terminate on any local address — border interfaces for
 	// eBGP, the loopback for iBGP — not just the ingress interface.
 	if ip.Proto == pkt.ProtoTCP && vm.router.IsLocalAddr(ip.Dst) {
-		vm.deliverTCP(ip)
+		vm.deliverTCP(&ip)
 		return
 	}
 	if addr.IsValid() && ip.Dst == addr.Addr() {
 		// For us: ICMP echo is the only local service.
 		if ip.Proto == pkt.ProtoICMP {
-			vm.answerEcho(ifc, f, ip)
+			vm.answerEcho(ifc, f, &ip)
 		}
 		return
 	}
 	// Transit: the VM routes it (the punted slow path a Quagga VM's kernel
 	// would take).
-	vm.route(f, ip, frame)
+	vm.route(f, &ip, frame)
 }
 
 // deliverTCP terminates a locally addressed TCP segment: port 179 goes to
@@ -157,8 +155,10 @@ func (vm *VM) answerEcho(ifc *vmIface, f *pkt.Frame, ip *pkt.IPv4) {
 	vm.transmit(ifc.port, frame.Marshal())
 }
 
-// route performs slow-path IP forwarding using the VM's RIB. The hop is
-// executed in place on frame: TTL decremented with an RFC 1624 incremental
+// route performs slow-path IP forwarding using the VM's RIB. The punted
+// frame is borrowed from the control channel's read buffer, while the frame
+// sent on waits in a send queue and an ARP miss queues it, so the hop is
+// executed on one copy: TTL decremented with an RFC 1624 incremental
 // checksum update and the Ethernet addresses overwritten, instead of the
 // decode → re-marshal round trip per hop this path used to pay.
 func (vm *VM) route(f *pkt.Frame, ip *pkt.IPv4, frame []byte) {
@@ -173,27 +173,23 @@ func (vm *VM) route(f *pkt.Frame, ip *pkt.IPv4, frame []byte) {
 	if !ok {
 		return
 	}
-	// f.Payload aliases frame, so this patches the frame bytes directly.
-	if !pkt.DecrementTTL(f.Payload) {
+	out := append([]byte(nil), frame...)
+	// f.Payload is the tail of frame; patch the same bytes of out.
+	if !pkt.DecrementTTL(out[len(out)-len(f.Payload):]) {
 		return
 	}
-	copy(frame[6:12], egress.mac[:])
+	copy(out[6:12], egress.mac[:])
 
 	hop := ip.Dst
 	if rt.NextHop.IsValid() {
 		hop = rt.NextHop
 	}
-	// Queue a copy on ARP miss: the punted frame may alias a buffer the
-	// control channel reuses, so only a copy is safe to retain until ARP
-	// answers.
-	mac, ok := vm.resolveNextHop(egress, hop, func() []byte {
-		return append([]byte(nil), frame...)
-	})
+	mac, ok := vm.resolveNextHop(egress, hop, func() []byte { return out })
 	if !ok {
 		return
 	}
-	copy(frame[0:6], mac[:])
-	vm.transmit(egress.port, frame)
+	copy(out[0:6], mac[:])
+	vm.transmit(egress.port, out)
 }
 
 func (vm *VM) forwardResolved(ifc *vmIface, frame []byte, mac pkt.MAC) {
