@@ -103,8 +103,8 @@ func benchFrameFor(port uint16, i int) []byte {
 }
 
 // BenchmarkSwitchForwardBatch measures the dataplane on full bursts: a
-// MaxBurst-long same-flow burst costs one cache probe, one batched counter
-// update and one rewrite plan. The per-frame cost of a hop in a running
+// MaxBurst-long same-flow burst costs one cache probe and one counter flush;
+// its rewrite plan was made when the cache line was filled. The per-frame cost of a hop in a running
 // network, where most bursts are short, is what bench/'s ofswitch.hop_ns_*
 // rigs price.
 func BenchmarkSwitchForwardBatch(b *testing.B) {

@@ -22,6 +22,18 @@ func tableEntry(m openflow.Match, prio uint16, outPort uint16) *flowEntry {
 	}
 }
 
+// lookupFlushed is lookupN for one run with its hits flushed at once: what
+// a burst carrying that run leaves counted once handleBatch returns.
+func (t *flowTable) lookupFlushed(key *openflow.Match, n, nBytes uint64, nowNanos int64) ([]openflow.Action, bool) {
+	var h hitTally
+	p, ok := t.lookupN(key, n, nBytes, nowNanos, &h)
+	t.flushHits(&h)
+	if !ok {
+		return nil, false
+	}
+	return p.actions, true
+}
+
 func exactKeyFor(t testing.TB, inPort uint16) openflow.Match {
 	t.Helper()
 	frame := udpFrame(pkt.LocalMAC(0xA1), pkt.LocalMAC(0xA2), "10.0.0.1", "10.9.0.9", 1000, 2000, "k")
@@ -53,7 +65,7 @@ func TestMicroflowCacheHitPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now().UnixNano()
-	a1, ok := tb.lookupN(&key, 1, 100, now)
+	a1, ok := tb.lookupFlushed(&key, 1, 100, now)
 	if !ok || outPortOf(t, a1) != 2 {
 		t.Fatalf("first lookup = %v, %v", a1, ok)
 	}
@@ -63,7 +75,7 @@ func TestMicroflowCacheHitPath(t *testing.T) {
 	if tb.cachedEntry(&key) == nil {
 		t.Fatal("lookup did not fill the cache")
 	}
-	a2, ok := tb.lookupN(&key, 1, 50, now)
+	a2, ok := tb.lookupFlushed(&key, 1, 50, now)
 	if !ok || outPortOf(t, a2) != 2 {
 		t.Fatalf("second lookup = %v, %v", a2, ok)
 	}
@@ -85,7 +97,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 
 	warm := func(t *testing.T, tb *flowTable, wantPort uint16) {
 		t.Helper()
-		actions, ok := tb.lookupN(&key, 1, 10, now)
+		actions, ok := tb.lookupFlushed(&key, 1, 10, now)
 		if !ok || outPortOf(t, actions) != wantPort {
 			t.Fatalf("warm lookup = %v, %v (want port %d)", actions, ok, wantPort)
 		}
@@ -108,7 +120,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 		if tb.cachedEntry(&key) != nil {
 			t.Fatal("add did not invalidate the cache")
 		}
-		actions, ok := tb.lookupN(&key, 1, 10, now)
+		actions, ok := tb.lookupFlushed(&key, 1, 10, now)
 		if !ok || outPortOf(t, actions) != 3 {
 			t.Fatalf("post-add lookup = %v, %v", actions, ok)
 		}
@@ -127,7 +139,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 		if tb.cachedEntry(&key) != nil {
 			t.Fatal("modify did not invalidate the cache")
 		}
-		actions, ok := tb.lookupN(&key, 1, 10, now)
+		actions, ok := tb.lookupFlushed(&key, 1, 10, now)
 		if !ok || outPortOf(t, actions) != 7 {
 			t.Fatalf("post-modify lookup = %v, %v", actions, ok)
 		}
@@ -146,7 +158,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 		if tb.cachedEntry(&key) != nil {
 			t.Fatal("delete did not invalidate the cache")
 		}
-		if _, ok := tb.lookupN(&key, 1, 10, now); ok {
+		if _, ok := tb.lookupFlushed(&key, 1, 10, now); ok {
 			t.Fatal("lookup matched a deleted flow")
 		}
 	})
@@ -165,7 +177,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 		if tb.cachedEntry(&key) != nil {
 			t.Fatal("expire did not invalidate the cache")
 		}
-		if _, ok := tb.lookupN(&key, 1, 10, now); ok {
+		if _, ok := tb.lookupFlushed(&key, 1, 10, now); ok {
 			t.Fatal("lookup matched an expired flow")
 		}
 	})
@@ -177,7 +189,7 @@ func TestMicroflowCacheInvalidation(t *testing.T) {
 func TestTableMissNotCached(t *testing.T) {
 	tb := newFlowTable()
 	key := exactKeyFor(t, 1)
-	if _, ok := tb.lookupN(&key, 1, 10, time.Now().UnixNano()); ok {
+	if _, ok := tb.lookupFlushed(&key, 1, 10, time.Now().UnixNano()); ok {
 		t.Fatal("lookup matched an empty table")
 	}
 	for way := uint32(0); way < mfWays; way++ {
@@ -188,7 +200,7 @@ func TestTableMissNotCached(t *testing.T) {
 	if err := tb.add(tableEntry(openflow.MatchAll(), 1, 2), false); err != nil {
 		t.Fatal(err)
 	}
-	if actions, ok := tb.lookupN(&key, 1, 10, time.Now().UnixNano()); !ok || outPortOf(t, actions) != 2 {
+	if actions, ok := tb.lookupFlushed(&key, 1, 10, time.Now().UnixNano()); !ok || outPortOf(t, actions) != 2 {
 		t.Fatalf("lookup after install = %v, %v", actions, ok)
 	}
 }
@@ -349,7 +361,7 @@ func TestMultipathResolvedAtCacheFill(t *testing.T) {
 
 	key := exactKeyFor(t, 1)
 	want := mp.Bucket(key.KeyHash())
-	a1, ok := tb.lookupN(&key, 1, 100, now)
+	a1, ok := tb.lookupFlushed(&key, 1, 100, now)
 	if !ok {
 		t.Fatal("lookup miss")
 	}
@@ -360,11 +372,11 @@ func TestMultipathResolvedAtCacheFill(t *testing.T) {
 	if ce == nil {
 		t.Fatal("lookup did not fill the cache")
 	}
-	if hasMultipath(ce.actions) {
+	if hasMultipath(ce.plan.actions) {
 		t.Fatal("cache line still carries an unresolved multipath action")
 	}
 	var src, dst *pkt.MAC
-	for _, a := range ce.actions {
+	for _, a := range ce.plan.actions {
 		switch act := a.(type) {
 		case *openflow.ActionSetDlSrc:
 			src = &act.Addr
@@ -375,7 +387,7 @@ func TestMultipathResolvedAtCacheFill(t *testing.T) {
 	if src == nil || dst == nil || *src != want.DlSrc || *dst != want.DlDst {
 		t.Fatalf("resolved rewrites %v/%v, want %v/%v", src, dst, want.DlSrc, want.DlDst)
 	}
-	a2, ok := tb.lookupN(&key, 1, 50, now)
+	a2, ok := tb.lookupFlushed(&key, 1, 50, now)
 	if !ok || tb.cacheHitCount() != 1 {
 		t.Fatalf("second lookup ok=%v cacheHits=%d, want hit", ok, tb.cacheHitCount())
 	}
@@ -393,7 +405,7 @@ func TestMultipathResolvedAtCacheFill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, ok := tb.lookupN(&k, 1, 10, now)
+		a, ok := tb.lookupFlushed(&k, 1, 10, now)
 		if !ok {
 			t.Fatal("lookup miss")
 		}

@@ -101,11 +101,13 @@ type swPort struct {
 
 // staging holds what the burst one goroutine is handling sends, per egress
 // port, until handleBatch hands each port's frames to its cable in one
-// SendBurst. Every goroutine that runs the pipeline owns one: a port's
+// SendBurst, and the burst's cache-hit counts, which every flush writes out
+// before it sends. Every goroutine that runs the pipeline owns one: a port's
 // delivery goroutine the port's, the control loop the switch's.
 type staging struct {
 	stages [stagedPorts]egressStage
 	n      int
+	hits   hitTally
 }
 
 // stagedPorts is how many egress ports one burst can have frames staged for
@@ -179,8 +181,8 @@ func (s *Switch) AttachPort(portNo uint16, ep *netemu.Endpoint) error {
 	p := &swPort{no: portNo, ep: ep}
 	s.ports[portNo] = p
 	// Batch delivery: the cable hands over its whole inbox burst in one
-	// callback, letting the dataplane amortize classification, cache probes
-	// and counter updates over runs of same-flow frames, and cable hand-offs
+	// callback, letting the dataplane amortize cache probes over runs of
+	// same-flow frames, counter updates over the burst, and cable hand-offs
 	// over each egress port's share of the burst.
 	ep.SetBurstReceiver(func(b *netemu.Burst) { s.handleBatch(&p.stage, p.no, b) })
 	ep.OnLinkState(func(up bool) { s.portStateChanged(p, up) })
@@ -668,12 +670,15 @@ func (s *Switch) handleStats(m *openflow.StatsRequest) {
 }
 
 // handleBatch is the dataplane, for one burst (of at most MaxBurst frames)
-// that arrived on port inPort, staging its egress on st. Consecutive frames
-// with an identical microflow key form a run; each run costs one cache probe
-// plus one batched counter update, and its rewrite actions are planned once
-// (see planRewrites) instead of re-scanned per frame. Output frames are
-// staged per egress port and each port's share of the burst goes to its
-// cable in one SendBurst.
+// that arrived on port inPort, staging its egress on st. Each frame's key is
+// read in place (openflow.ExtractKeyInto). Consecutive frames with an
+// identical microflow key form a run; each run costs one cache probe, and a
+// hit's plan (see planActions) was made when its cache line was filled. Hits
+// are tallied on st and reach the table, flow and monitor counters once per
+// burst, in the flush that precedes the first send, so every count is in
+// place before a receiver sees the frame and once handleBatch returns. Output
+// frames are staged per egress port and each port's share of the burst goes
+// to its cable in one SendBurst.
 //
 // A cable burst is owned by the ingress cable and valid only for this call,
 // and staged frames alias it, so every stage is flushed before handleBatch
@@ -691,10 +696,7 @@ func (s *Switch) handleBatch(st *staging, inPort uint16, b *netemu.Burst) {
 	var keys [netemu.MaxBurst]openflow.Match
 	var valid [netemu.MaxBurst]bool
 	for i := 0; i < n; i++ {
-		k, err := openflow.ExtractKey(inPort, frames[i])
-		if err == nil {
-			keys[i], valid[i] = k, true
-		}
+		valid[i] = openflow.ExtractKeyInto(&keys[i], inPort, frames[i]) == nil
 	}
 	now := s.clk.Now().UnixNano()
 	for i := 0; i < n; {
@@ -709,8 +711,8 @@ func (s *Switch) handleBatch(st *staging, inPort uint16, b *netemu.Burst) {
 			nBytes += uint64(len(frames[j]))
 			j++
 		}
-		if actions, ok := s.table.lookupN(&keys[i], uint64(j-i), nBytes, now); ok {
-			s.apply(st, inPort, b, i, j, actions)
+		if p, ok := s.table.lookupN(&keys[i], uint64(j-i), nBytes, now, &st.hits); ok {
+			s.apply(st, inPort, b, i, j, p)
 		} else {
 			for _, f := range frames[i:j] {
 				s.punt(inPort, f)
@@ -721,42 +723,25 @@ func (s *Switch) handleBatch(st *staging, inPort uint16, b *netemu.Burst) {
 	s.flushStaged(st)
 }
 
-// apply executes actions on frames i to j of b, which arrived on inPort: the
-// rewrites are planned once and every frame is staged on st for its outputs.
+// apply executes the planned actions p on frames i to j of b, which arrived
+// on inPort, staging every frame on st for its outputs.
 //
-// When the actions are one output to one physical port and the rewrite
-// leaves the frame where it is (none, or MACs patched in place), nobody else
+// When p.move holds — one output to one physical port, and a rewrite that
+// leaves the frame where it is (none, or MACs patched in place) — nobody else
 // will read the frame, so the switch takes its buffer from the ingress cable
 // and stages that: the egress cable queues the buffer itself. A moved frame
 // is the egress cable's from the flush on, and the next hop rewrites it in
 // place; nothing here reads a frame after staging it. A burst with no
 // buffers behind it has nothing to take, and every egress copies.
-func (s *Switch) apply(st *staging, inPort uint16, b *netemu.Burst, i, j int, actions []openflow.Action) {
-	plan := planRewrites(actions)
-	port, move := soleOutputPort(actions)
-	move = move && plan != rwFull
+func (s *Switch) apply(st *staging, inPort uint16, b *netemu.Burst, i, j int, p *actionPlan) {
 	for k := i; k < j; k++ {
-		out := applyRewrites(b.Frames[k], actions, plan)
-		if move {
-			s.emit(st, port, out, b.Take(k))
+		out := applyRewrites(b.Frames[k], p)
+		if p.move {
+			s.emit(st, p.port, out, b.Take(k))
 		} else {
-			s.output(st, inPort, out, actions)
+			s.output(st, inPort, out, p.actions)
 		}
 	}
-}
-
-// soleOutputPort reports the port of an action list's output when it has
-// exactly one and that one names a physical port.
-func soleOutputPort(actions []openflow.Action) (port uint16, ok bool) {
-	for _, a := range actions {
-		if o, isOut := a.(*openflow.ActionOutput); isOut {
-			if ok || o.Port >= openflow.PortMax {
-				return 0, false
-			}
-			port, ok = o.Port, true
-		}
-	}
-	return port, ok
 }
 
 // punt buffers the frame and sends a packet-in to the controller.
@@ -814,7 +799,8 @@ func (s *Switch) execute(inPort uint16, frame []byte, actions []openflow.Action)
 			actions = resolveMultipath(actions, &key)
 		}
 	}
-	s.apply(&s.ctlStage, inPort, &netemu.Burst{Frames: [][]byte{frame}}, 0, 1, actions)
+	p := planActions(actions)
+	s.apply(&s.ctlStage, inPort, &netemu.Burst{Frames: [][]byte{frame}}, 0, 1, &p)
 	s.flushStaged(&s.ctlStage)
 }
 
@@ -833,6 +819,7 @@ func (s *Switch) output(st *staging, inPort uint16, out []byte, actions []openfl
 			s.flushStaged(st) // flood sends at once; keep each port's order
 			s.flood(inPort, out)
 		case openflow.PortController:
+			s.table.flushHits(&st.hits) // counted before the controller sees it
 			data := out
 			if o.MaxLen > 0 && len(data) > int(o.MaxLen) {
 				data = data[:o.MaxLen]
@@ -880,13 +867,15 @@ func (s *Switch) emit(st *staging, portNo uint16, frame []byte, buf *netemu.Buff
 	}
 	eg.frames[eg.n], eg.bufs[eg.n] = frame, buf
 	if eg.n++; eg.n == len(eg.frames) {
+		s.table.flushHits(&st.hits)
 		s.flushStage(eg)
 	}
 }
 
-// flushStaged hands every frame staged on st to its egress cable and leaves
-// st empty.
+// flushStaged writes out st's tallied hits, then hands every frame staged on
+// st to its egress cable, and leaves st empty.
 func (s *Switch) flushStaged(st *staging) {
+	s.table.flushHits(&st.hits)
 	for i := range st.stages[:st.n] {
 		s.flushStage(&st.stages[i])
 	}

@@ -7,8 +7,7 @@ import (
 	"routeflow/internal/pkt"
 )
 
-// rewritePlan classifies an action list's rewrite shape so burst
-// forwarding can scan the actions once per run instead of once per frame.
+// rewritePlan classifies an action list's rewrite shape.
 type rewritePlan uint8
 
 const (
@@ -17,44 +16,61 @@ const (
 	rwFull                    // VLAN/L3/L4 rewrites: decode and re-marshal
 )
 
-// planRewrites scans the action list and classifies its rewrite shape.
-func planRewrites(actions []openflow.Action) rewritePlan {
-	plan := rwNone
-	for _, a := range actions {
-		switch a.(type) {
-		case *openflow.ActionSetDlSrc, *openflow.ActionSetDlDst:
-			if plan == rwNone {
-				plan = rwL2
-			}
-		case *openflow.ActionOutput, *openflow.ActionEnqueue, *openflow.ActionVendor:
-			// Not rewrites; handled (or ignored) by the caller.
-		default:
-			plan = rwFull
-		}
-	}
-	return plan
+// actionPlan is an action list with what apply needs to know about it
+// worked out in one scan: the rewrite shape, the MAC addresses an L2 rewrite
+// writes, and whether the frame can leave in the buffer it came in (move),
+// which needs exactly one output, to a physical port, and no rebuild
+// rewrite. A cache line holds the plan of its actions, computed when
+// classify fills it; the packet-out path plans its actions per call.
+type actionPlan struct {
+	actions      []openflow.Action
+	dlSrc, dlDst *pkt.MAC // the last SetDlSrc/SetDlDst address; nil when none
+	rewrite      rewritePlan
+	move         bool
+	port         uint16 // the sole output's port when move
 }
 
-// applyRewrites returns frame with all non-output actions applied: L2
+// planActions scans actions once and returns their plan.
+func planActions(actions []openflow.Action) actionPlan {
+	p := actionPlan{actions: actions}
+	outputs, physical := 0, true
+	for _, a := range actions {
+		switch a := a.(type) {
+		case *openflow.ActionSetDlSrc:
+			p.dlSrc = &a.Addr
+			p.rewrite = max(p.rewrite, rwL2)
+		case *openflow.ActionSetDlDst:
+			p.dlDst = &a.Addr
+			p.rewrite = max(p.rewrite, rwL2)
+		case *openflow.ActionOutput:
+			outputs++
+			p.port, physical = a.Port, physical && a.Port < openflow.PortMax
+		case *openflow.ActionEnqueue, *openflow.ActionVendor:
+			// Not rewrites; ignored by apply.
+		default:
+			p.rewrite = rwFull
+		}
+	}
+	p.move = outputs == 1 && physical && p.rewrite != rwFull
+	return p
+}
+
+// applyRewrites returns frame with all non-output actions of p applied: L2
 // address and VLAN rewrites, and L3/L4 rewrites with checksum repair. Output
-// actions are collected separately by the caller, and plan is
-// planRewrites(actions), scanned once per run of frames. The caller must own
-// frame: the hot path (pure MAC rewrites, which is what every routed hop
-// executes) patches the Ethernet header in place instead of decoding and
-// re-marshalling the whole packet; only VLAN/L3/L4 rewrites take the rebuild
-// path.
-func applyRewrites(frame []byte, actions []openflow.Action, plan rewritePlan) []byte {
-	if plan == rwNone {
+// actions are the caller's. The caller must own frame: the hot path (pure
+// MAC rewrites, which is what every routed hop executes) patches the
+// Ethernet header in place instead of decoding and re-marshalling the whole
+// packet; only VLAN/L3/L4 rewrites take the rebuild path.
+func applyRewrites(frame []byte, p *actionPlan) []byte {
+	if p.rewrite == rwNone {
 		return frame
 	}
-	if plan == rwL2 && len(frame) >= pkt.EthernetHeaderLen {
-		for _, a := range actions {
-			switch act := a.(type) {
-			case *openflow.ActionSetDlSrc:
-				copy(frame[6:12], act.Addr[:])
-			case *openflow.ActionSetDlDst:
-				copy(frame[0:6], act.Addr[:])
-			}
+	if p.rewrite == rwL2 && len(frame) >= pkt.EthernetHeaderLen {
+		if p.dlSrc != nil {
+			copy(frame[6:12], p.dlSrc[:])
+		}
+		if p.dlDst != nil {
+			copy(frame[0:6], p.dlDst[:])
 		}
 		return frame
 	}
@@ -83,7 +99,7 @@ func applyRewrites(frame []byte, actions []openflow.Action, plan rewritePlan) []
 		return udp
 	}
 
-	for _, a := range actions {
+	for _, a := range p.actions {
 		switch act := a.(type) {
 		case *openflow.ActionSetDlSrc:
 			f.Src = act.Addr

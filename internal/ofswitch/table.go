@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"routeflow/internal/netemu"
 	"routeflow/internal/openflow"
 )
 
@@ -43,13 +44,16 @@ type flowEntry struct {
 	seq      uint64 // insertion order tiebreak
 }
 
-// hitN records a run of n matched packets totalling nBytes in one set of
-// atomic updates. Lock-free: it runs on the dataplane for every same-key run,
-// concurrently across all ports of the switch.
+// hitN records n matched packets totalling nBytes, last seen at nowNanos.
+// Lock-free: classify calls it per cache fill and flushHits per burst,
+// concurrently across all ports of the switch. lastUsed is written only when
+// it moves forward, so hits within one clock tick share one store.
 func (e *flowEntry) hitN(n, nBytes uint64, nowNanos int64) {
 	e.packets.Add(n)
 	e.bytes.Add(nBytes)
-	e.lastUsed.Store(nowNanos)
+	if e.lastUsed.Load() < nowNanos {
+		e.lastUsed.Store(nowNanos)
+	}
 }
 
 // FlowInfo is a read-only snapshot of one flow entry, for tests and the GUI.
@@ -92,20 +96,43 @@ const (
 )
 
 // mfEntry is one microflow cache line: an exact packet key resolved to its
-// matching flow and that flow's action list, valid for one table generation.
+// matching flow and that flow's action list with its plan, valid for one
+// table generation.
 // Entries are immutable after publication; invalidation is wholesale via the
 // table generation counter, so flow-mod semantics never depend on finding
 // and scrubbing individual lines.
 type mfEntry struct {
-	key     openflow.Match
-	gen     uint64
-	flow    *flowEntry
-	actions []openflow.Action
+	key  openflow.Match
+	gen  uint64
+	flow *flowEntry
+	plan actionPlan
 	// mon is the telemetry counter of the monitor rule covering this
-	// microflow, resolved once at cache fill (nil when unmonitored). The
-	// cache-hit path charges it with two atomic adds — monitoring rides the
-	// existing zero-alloc fast path instead of adding a second classifier.
+	// microflow, resolved once at cache fill (nil when unmonitored). A cache
+	// hit charges it through the burst's hitTally, beside the flow —
+	// monitoring rides the zero-alloc fast path instead of adding a second
+	// classifier.
 	mon *telCounter
+}
+
+// hitTally holds the counter updates of cache hits not yet written to the
+// shared counters. Each goroutine that runs the pipeline owns one (on its
+// staging): lookupN adds every hit to it, merging consecutive hits on the
+// same flow and monitor into one run, and flushHits writes it out — once per
+// burst, before any of the burst's frames leave the switch — as three table
+// counter adds plus, per run, the flow's packets, bytes and lastUsed and the
+// monitor's packets and bytes.
+type hitTally struct {
+	port uint16 // ingress port: picks the table counter shard
+	now  int64  // UnixNano of the burst
+	n    int
+	runs [netemu.MaxBurst]hitRun
+}
+
+// hitRun is consecutive cache hits on one flow and monitor counter.
+type hitRun struct {
+	flow           *flowEntry
+	mon            *telCounter
+	packets, bytes uint64
 }
 
 // mfShard is one per-core slice of the microflow cache: its own generation
@@ -118,10 +145,10 @@ type mfShard struct {
 }
 
 // tableCounters is one shard of the table-level counters, padded to a cache
-// line. Every forwarded packet bumps lookups/matched; a single shared
-// counter would make all ports of a switch bounce one cache line per packet
-// — the very contention the lock-free hit path exists to avoid — so shards
-// are picked by ingress port and summed on demand.
+// line. Every burst bumps lookups/matched; a single shared counter would make
+// all ports of a switch bounce one cache line per burst — the very contention
+// the lock-free hit path exists to avoid — so shards are picked by ingress
+// port and summed on demand.
 type tableCounters struct {
 	lookups   atomic.Uint64
 	matched   atomic.Uint64
@@ -137,7 +164,8 @@ const counterShards = 8
 // Tier 1 is an exact-match microflow cache (the Open vSwitch idea): a
 // two-way array indexed by a hash of the packet's exact header key,
 // consulted with only atomic loads. A hit yields the pre-resolved action
-// list and bumps per-entry atomic counters — the steady-state forwarding
+// list and its plan and adds to the caller's hitTally, which reaches the
+// per-entry atomic counters once per burst — the steady-state forwarding
 // path takes zero locks and is O(1) in the number of installed flows.
 //
 // Tier 2 is the priority-ordered linear classifier, demoted to a cache-fill
@@ -248,15 +276,14 @@ func (t *flowTable) invalidateLocked() {
 	}
 }
 
-// lookupN resolves key to the action list of the highest-priority covering
-// flow for a run of n same-key frames totalling nBytes, updating that flow's
-// counters, or reports ok=false for a table miss (the punt path — misses are
-// never cached, so a controller installing a flow takes effect on the next
-// packet). One cache probe (or one classifier scan) and one set of counter
-// updates cover the whole run. The returned slice must not be mutated.
-func (t *flowTable) lookupN(key *openflow.Match, n, nBytes uint64, nowNanos int64) ([]openflow.Action, bool) {
-	c := &t.counters[key.InPort&(counterShards-1)]
-	c.lookups.Add(n)
+// lookupN resolves key to the action plan of the highest-priority covering
+// flow for a run of n same-key frames totalling nBytes, or reports ok=false
+// for a table miss (the punt path — misses are never cached, so a controller
+// installing a flow takes effect on the next packet). One cache probe (or one
+// classifier scan) covers the whole run. A hit is counted in tally, which the
+// caller flushes (flushHits) before the run's frames leave the switch; a
+// fill or a miss is counted at once. The returned plan must not be mutated.
+func (t *flowTable) lookupN(key *openflow.Match, n, nBytes uint64, nowNanos int64, tally *hitTally) (*actionPlan, bool) {
 	shard := t.shardFor(key.InPort)
 	gen := shard.gen.Load()
 	idx := uint32(key.KeyHash()) & mfCacheMask
@@ -265,13 +292,8 @@ func (t *flowTable) lookupN(key *openflow.Match, n, nBytes uint64, nowNanos int6
 		w := &shard.slots[idx^way]
 		ce := w.Load()
 		if ce != nil && ce.gen == gen && ce.key == *key {
-			c.matched.Add(n)
-			c.cacheHits.Add(n)
-			ce.flow.hitN(n, nBytes, nowNanos)
-			if ce.mon != nil {
-				ce.mon.add(n, nBytes)
-			}
-			return ce.actions, true
+			tally.add(t, ce, key.InPort, n, nBytes, nowNanos)
+			return &ce.plan, true
 		}
 		// Refill the first way holding nothing live, the home slot when
 		// both do.
@@ -282,20 +304,64 @@ func (t *flowTable) lookupN(key *openflow.Match, n, nBytes uint64, nowNanos int6
 	if slot == nil {
 		slot = &shard.slots[idx]
 	}
+	c := &t.counters[key.InPort&(counterShards-1)]
+	c.lookups.Add(n)
 	return t.classify(key, n, nBytes, nowNanos, shard, slot, c)
 }
 
+// add tallies a run of n cache hits totalling nBytes on ce's flow and
+// monitor. A full tally is flushed into t first.
+func (h *hitTally) add(t *flowTable, ce *mfEntry, port uint16, n, nBytes uint64, nowNanos int64) {
+	h.port, h.now = port, nowNanos
+	if h.n > 0 {
+		if r := &h.runs[h.n-1]; r.flow == ce.flow && r.mon == ce.mon {
+			r.packets += n
+			r.bytes += nBytes
+			return
+		}
+	}
+	if h.n == len(h.runs) {
+		t.flushHits(h)
+	}
+	h.runs[h.n] = hitRun{flow: ce.flow, mon: ce.mon, packets: n, bytes: nBytes}
+	h.n++
+}
+
+// flushHits writes h into the table counters, the flows and the monitor
+// counters and empties it.
+func (t *flowTable) flushHits(h *hitTally) {
+	if h.n == 0 {
+		return
+	}
+	var hits uint64
+	for i := range h.runs[:h.n] {
+		r := &h.runs[i]
+		hits += r.packets
+		r.flow.hitN(r.packets, r.bytes, h.now)
+		if r.mon != nil {
+			r.mon.add(r.packets, r.bytes)
+		}
+	}
+	c := &t.counters[h.port&(counterShards-1)]
+	c.lookups.Add(hits)
+	c.matched.Add(hits)
+	c.cacheHits.Add(hits)
+	clear(h.runs[:h.n]) // hold no removed flow or monitor past the burst
+	h.n = 0
+}
+
 // classify is the tier-2 slow path: scan the priority-ordered entries under
-// the read lock, then publish the resolution into the caller's cache slot.
-// The shard generation is captured under the read lock, so a mutation
-// racing the publication leaves a line that is already stale — never a
-// wrong hit. The counter update also happens under the read lock, so on
-// this path a concurrent delete/expiry cannot snapshot flow-removed totals
-// until the packet is counted. (The tier-1 hit path counts lock-free after
-// its generation check; a packet racing the removal there may miss the
-// notification totals — indistinguishable from the packet arriving just
-// after removal, which OpenFlow permits.)
-func (t *flowTable) classify(key *openflow.Match, n, nBytes uint64, nowNanos int64, shard *mfShard, slot *atomic.Pointer[mfEntry], c *tableCounters) ([]openflow.Action, bool) {
+// the read lock, then publish the resolution and its plan into the caller's
+// cache slot. The shard generation is captured under the read lock, so a
+// mutation racing the publication leaves a line that is already stale —
+// never a wrong hit. The counter update also happens under the read lock, so
+// on this path a concurrent delete/expiry cannot snapshot flow-removed totals
+// until the packet is counted. (A cache hit is counted when its burst's
+// tally is flushed, after its generation check; a packet whose flow is
+// removed in between may miss the notification totals — indistinguishable
+// from the packet arriving just after removal, which OpenFlow permits. Every
+// count is in place once the burst that carried it returns.)
+func (t *flowTable) classify(key *openflow.Match, n, nBytes uint64, nowNanos int64, shard *mfShard, slot *atomic.Pointer[mfEntry], c *tableCounters) (*actionPlan, bool) {
 	t.mu.RLock()
 	gen := shard.gen.Load()
 	for i := range t.bands {
@@ -313,9 +379,10 @@ func (t *flowTable) classify(key *openflow.Match, n, nBytes uint64, nowNanos int
 						mc.add(n, nBytes)
 					}
 				}
-				slot.Store(&mfEntry{key: *key, gen: gen, flow: e, actions: actions, mon: mc})
+				ce := &mfEntry{key: *key, gen: gen, flow: e, plan: planActions(actions), mon: mc}
+				slot.Store(ce)
 				t.mu.RUnlock()
-				return actions, true
+				return &ce.plan, true
 			}
 		}
 	}
@@ -339,7 +406,7 @@ func hasMultipath(actions []openflow.Action) bool {
 // rewrite+output triple of the bucket selected by the microflow key's hash.
 // Resolution happens once per microflow at cache fill, so the published
 // cache line holds only standard OF 1.0 actions: the zero-alloc hit path
-// and the rewrite planner never see a select group, the bucket choice
+// and planActions never see a select group, the bucket choice
 // is stable per flow (same key, same hash, same bucket — a flow never
 // reorders across equal-cost paths), and distinct microflows spread across
 // the buckets. The key hash differs hop to hop (in-port and rewritten MACs
@@ -572,9 +639,9 @@ func (t *flowTable) dropEmptyLocked() {
 }
 
 // expire removes entries past their idle or hard timeout. Idle accounting
-// reads the per-entry atomic lastUsed stamp, which cached hits keep fresh —
-// a flow carrying steady traffic through the microflow cache never idles
-// out.
+// reads the per-entry atomic lastUsed stamp, which every burst's tally flush
+// keeps fresh — a flow carrying steady traffic through the microflow cache
+// never idles out.
 func (t *flowTable) expire(now time.Time) []*flowEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -241,7 +241,7 @@ func TestFlowTableMatchesReference(t *testing.T) {
 			lookup := func(step int, key *openflow.Match) {
 				t.Helper()
 				nowNanos := now.UnixNano()
-				actions, ok := tb.lookupN(key, 1, 64, nowNanos)
+				actions, ok := tb.lookupFlushed(key, 1, 64, nowNanos)
 				want := ref.lookup(key, nowNanos)
 				if ok != (want != nil) {
 					t.Fatalf("step %d: lookup %v hit=%v, reference hit=%v", step, key, ok, want != nil)

@@ -18,9 +18,10 @@ import (
 // Charging rides the two-tier pipeline: a microflow's monitor counter is
 // resolved once, at cache fill (classify holds the read lock anyway; the
 // rules of one switch are disjoint, so a linear scan finds the at-most-one
-// match), cached in the published mfEntry, and thereafter charged with two
-// atomic adds on the cache-hit path — the forwarding path stays lock-free
-// and allocation-free no matter how many flows are monitored.
+// match), cached in the published mfEntry, and thereafter charged through
+// the burst's hitTally, two atomic adds per burst and flow on the cache-hit
+// path — the forwarding path stays lock-free and allocation-free no matter
+// how many flows are monitored.
 //
 // The export protocol is stop-and-wait per rule with a full-resync escape
 // hatch: a rule's delta is in flight until the controller acknowledges the

@@ -260,8 +260,8 @@ func TestSwitchTelemetryBatchAllocBudget(t *testing.T) {
 }
 
 // BenchmarkSwitchForwardTelemetry forwards bursts of one frame whose flow is
-// monitored; the telemetry tax on the hot path is two atomic adds on a cache
-// hit.
+// monitored; the telemetry tax on the hot path is two atomic adds per burst
+// of cache hits.
 func BenchmarkSwitchForwardTelemetry(b *testing.B) {
 	sw, _ := benchSwitch(b, 2, 128)
 	sw.table.setMonitors([]openflow.MonitorRule{monRule10(1)})

@@ -1,6 +1,8 @@
 package openflow
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -44,6 +46,145 @@ func fullDecodeKey(inPort uint16, frame []byte) (Match, error) {
 		}
 	}
 	return k, nil
+}
+
+// decoderKey is ExtractKey as it was while it ran the generic pkt decoders
+// (DecodeFrameInto, DecodeIPv4Into, DecodeARPInto) over the frame. It is the
+// reference FuzzExtractKey holds the fixed-offset ExtractKey to on every
+// input: the same key, and an error exactly when it gives one.
+func decoderKey(inPort uint16, frame []byte) (Match, error) {
+	var k Match
+	k.InPort = inPort
+	var f pkt.Frame
+	if err := pkt.DecodeFrameInto(&f, frame); err != nil {
+		return k, err
+	}
+	k.DlSrc, k.DlDst = f.Src, f.Dst
+	k.DlType = uint16(f.Type)
+	if f.VLANID != 0 {
+		k.DlVlan = f.VLANID
+	} else {
+		k.DlVlan = 0xffff // OFP_VLAN_NONE
+	}
+	switch f.Type {
+	case pkt.EtherTypeIPv4:
+		var ip pkt.IPv4
+		if err := pkt.DecodeIPv4Into(&ip, f.Payload); err != nil {
+			return k, nil
+		}
+		k.NwTos = ip.TOS
+		k.NwProto = uint8(ip.Proto)
+		k.NwSrc = ip.Src.As4()
+		k.NwDst = ip.Dst.As4()
+		switch ip.Proto {
+		case pkt.ProtoUDP:
+			k.TpSrc, k.TpDst, _ = pkt.UDPPorts(ip.Payload)
+		case pkt.ProtoICMP:
+			typ, code, _ := pkt.ICMPTypeCode(ip.Payload)
+			k.TpSrc, k.TpDst = uint16(typ), uint16(code)
+		}
+	case pkt.EtherTypeARP:
+		var a pkt.ARP
+		if err := pkt.DecodeARPInto(&a, f.Payload); err == nil {
+			k.NwProto = uint8(a.Op)
+			k.NwSrc = a.SenderIP.As4()
+			k.NwDst = a.TargetIP.As4()
+		}
+	}
+	return k, nil
+}
+
+// malformedKeyFrames are header corruptions the fixed-offset reads must
+// treat exactly as the decoders did: each names a check ExtractKey makes.
+func malformedKeyFrames() map[string][]byte {
+	src, dst := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
+	udp := (&pkt.UDP{SrcPort: 5004, DstPort: 7001, Payload: []byte("abcdefgh")}).Marshal(src, dst)
+	ipFrame := func(vlan uint16, ip []byte) []byte {
+		return (&pkt.Frame{Dst: pkt.LocalMAC(2), Src: pkt.LocalMAC(1), VLANID: vlan, Type: pkt.EtherTypeIPv4, Payload: ip}).Marshal()
+	}
+	ip := (&pkt.IPv4{TTL: 9, Proto: pkt.ProtoUDP, Src: src, Dst: dst, Payload: udp}).Marshal()
+	badSum := append([]byte(nil), ip...)
+	badSum[10] ^= 0xff
+	// IHL 6: a 4-byte option, checksum repaired, so the header is valid and
+	// the ports sit 24 bytes in.
+	opt := append(append([]byte(nil), ip[:20]...), 1, 1, 1, 0)
+	opt = append(opt, udp...)
+	opt[0] = 0x46
+	binary.BigEndian.PutUint16(opt[2:], uint16(len(opt)))
+	opt[10], opt[11] = 0, 0
+	binary.BigEndian.PutUint16(opt[10:], pkt.Checksum(opt[:24]))
+	// The same header with its checksum computed over the first 20 bytes
+	// only: the option words must be covered too.
+	optSum20 := append([]byte(nil), opt...)
+	optSum20[10], optSum20[11] = 0, 0
+	binary.BigEndian.PutUint16(optSum20[10:], pkt.Checksum(optSum20[:20]))
+	withTotal := func(total uint16) []byte {
+		b := append([]byte(nil), ip...)
+		binary.BigEndian.PutUint16(b[2:], total)
+		b[10], b[11] = 0, 0
+		binary.BigEndian.PutUint16(b[10:], pkt.Checksum(b[:20]))
+		return b
+	}
+	arp := pkt.NewARPRequest(pkt.LocalMAC(1), src, dst).Marshal()
+	arpWith := func(i int, v byte) []byte {
+		b := append([]byte(nil), arp...)
+		b[i] = v
+		return (&pkt.Frame{Dst: pkt.BroadcastMAC, Src: pkt.LocalMAC(1), Type: pkt.EtherTypeARP, Payload: b}).Marshal()
+	}
+	// A tag with VLAN id 0 (priority-only): the frame reads as untagged.
+	vlan0 := ipFrame(7, ip)
+	vlan0[14], vlan0[15] = 0xe0, 0 // PCP 7, id 0
+	return map[string][]byte{
+		"ipv4 header checksum corrupted": ipFrame(0, badSum),
+		"ipv4 IHL 6 with option":         ipFrame(0, opt),
+		"ipv4 IHL 6 checksum over 20 B":  ipFrame(0, optSum20),
+		"ipv4 total length below IHL":    ipFrame(0, withTotal(19)),
+		"ipv4 total length past frame":   ipFrame(0, withTotal(uint16(len(ip)+1))),
+		"vlan id 0":                      vlan0,
+		"arp htype 6":                    arpWith(1, 6),
+		"arp hlen 8":                     arpWith(4, 8),
+		"arp plen 16":                    arpWith(5, 16),
+	}
+}
+
+// TestExtractKeyMatchesDecoders: on the header corruptions of
+// malformedKeyFrames, ExtractKey agrees with the decoder-based reference,
+// and each corruption does what its name says to the key.
+func TestExtractKeyMatchesDecoders(t *testing.T) {
+	frames := malformedKeyFrames()
+	for name, frame := range frames {
+		got, err := ExtractKey(4, frame)
+		want, wantErr := decoderKey(4, frame)
+		if got != want || (err == nil) != (wantErr == nil) {
+			t.Errorf("%s: key %v (%v), reference %v (%v)", name, &got, err, &want, wantErr)
+		}
+	}
+	l3Kept := func(name string) bool {
+		k, _ := ExtractKey(4, frames[name])
+		return k.NwDst != [4]byte{}
+	}
+	for name, kept := range map[string]bool{
+		"ipv4 header checksum corrupted": false, "ipv4 IHL 6 with option": true,
+		"ipv4 IHL 6 checksum over 20 B": false, "ipv4 total length below IHL": false,
+		"ipv4 total length past frame": false, "vlan id 0": true,
+		"arp htype 6": false, "arp hlen 8": false, "arp plen 16": false,
+	} {
+		if l3Kept(name) != kept {
+			t.Errorf("%s: L3 fields kept = %v, want %v", name, !kept, kept)
+		}
+	}
+	if k, _ := ExtractKey(4, frames["ipv4 IHL 6 with option"]); k.TpSrc != 5004 || k.TpDst != 7001 {
+		t.Errorf("IHL 6: ports %d/%d, want 5004/7001 after the option", k.TpSrc, k.TpDst)
+	}
+	if k, _ := ExtractKey(4, frames["vlan id 0"]); k.DlVlan != 0xffff || k.DlType != uint16(pkt.EtherTypeIPv4) {
+		t.Errorf("vlan id 0: dl_vlan %#x dl_type %#x, want 0xffff and IPv4", k.DlVlan, k.DlType)
+	}
+	for _, runt := range [][]byte{nil, make([]byte, 13), {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x81, 0, 0, 1, 8}} {
+		k, err := ExtractKey(4, runt)
+		if !errors.Is(err, pkt.ErrTruncated) || k != (Match{InPort: 4}) {
+			t.Errorf("runt of %d B: key %v, err %v; want in_port only and ErrTruncated", len(runt), &k, err)
+		}
+	}
 }
 
 // keyTestFrame is one generated frame and the offset where the headers its

@@ -163,12 +163,16 @@ func seedMessages() []Message {
 
 // FuzzExtractKey throws arbitrary bytes at the dataplane classifier, the
 // parser every frame on every switch port goes through. The invariants:
-// ExtractKey never panics, never writes to the frame, and is a function of
-// the bytes alone (a second call on a copy gives the same key and verdict).
+// ExtractKey never panics, never writes to the frame, gives an exact key,
+// and on every input agrees with decoderKey, the generic-decoder extractor
+// it replaced: the same key, and an error exactly when the reference gives
+// one, which then wraps pkt.ErrTruncated.
 func FuzzExtractKey(f *testing.F) {
 	// Seed corpus: the frame shapes the pkt tests build — UDP, ICMP echo,
 	// OSPF, ARP, LLDP-typed, tagged and untagged — whole, and cut inside
-	// each header.
+	// each header; then the header corruptions malformedKeyFrames names
+	// (bad IPv4 checksum, IHL > 5, total length below IHL or past the
+	// frame, VLAN id 0, ARP with a wrong htype or address lengths).
 	for _, kt := range keyTestFrames(rand.New(rand.NewSource(17)), 20) {
 		f.Add(kt.frame)
 		for _, cut := range []int{13, 17, 30, kt.headersEnd - 1} {
@@ -177,20 +181,26 @@ func FuzzExtractKey(f *testing.F) {
 			}
 		}
 	}
+	for _, frame := range malformedKeyFrames() {
+		f.Add(frame)
+	}
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		orig := append([]byte(nil), data...)
-		k1, err1 := ExtractKey(5, data)
+		k, err := ExtractKey(5, data)
 		if !bytes.Equal(data, orig) {
 			t.Fatalf("ExtractKey wrote to the frame:\n before %x\n after  %x", orig, data)
 		}
-		k2, err2 := ExtractKey(5, orig)
-		if k1 != k2 || (err1 == nil) != (err2 == nil) {
-			t.Fatalf("two calls on equal bytes disagree: %v (%v) vs %v (%v)\nframe %x", &k1, err1, &k2, err2, orig)
+		ref, refErr := decoderKey(5, orig)
+		if k != ref || (err == nil) != (refErr == nil) {
+			t.Fatalf("ExtractKey and the decoder reference disagree:\n got %v (%v)\n ref %v (%v)\nframe %x", &k, err, &ref, refErr, orig)
 		}
-		if err1 == nil && k1.Wildcards != 0 {
-			t.Fatalf("key is not exact: %v", &k1)
+		if err != nil && !errors.Is(err, pkt.ErrTruncated) {
+			t.Fatalf("error %v does not wrap pkt.ErrTruncated", err)
+		}
+		if err == nil && k.Wildcards != 0 {
+			t.Fatalf("key is not exact: %v", &k)
 		}
 	})
 }

@@ -185,56 +185,83 @@ func (m *Match) Covers(k *Match) bool {
 // ExtractKey classifies an Ethernet frame received on inPort into an exact
 // match key, following OpenFlow 1.0 header-parsing rules (fields beyond the
 // parsed protocol stay zero). It runs on the dataplane's per-packet path,
-// does not allocate, and reads headers only: its cost and its result do not
-// depend on any byte after the L4 header. The 20-byte IPv4 header checksum
-// is verified (a packet that fails it keeps its L2 fields only); UDP and
+// does not allocate, and reads headers only, at fixed offsets in frame: its
+// cost and its result do not depend on any byte after the L4 header. The
+// IPv4 header checksum is verified (a packet that fails it, or whose version,
+// IHL or total length is inconsistent, keeps its L2 fields only); UDP and
 // ICMP checksums are not — the receiving host is their only verifier, so a
 // datagram corrupted in flight is forwarded like a switch would and dropped,
 // and counted, at the host (netemu.Host.RxDiscards).
 //
-// tp_src/tp_dst stay zero on an otherwise valid IPv4 packet in exactly two
-// cases: the L4 header is truncated (fewer than 8 bytes of IP payload), or
-// the UDP length field is below 8 or runs past the IP payload.
+// A frame too short for its Ethernet header or VLAN tag is an error wrapping
+// pkt.ErrTruncated, with a key of InPort only. A VLAN tag with id 0 reads as
+// untagged (dl_vlan 0xffff, OFP_VLAN_NONE). tp_src/tp_dst stay zero on an
+// otherwise valid IPv4 packet in exactly two cases: the L4 header is
+// truncated (fewer than 8 bytes of IP payload), or the UDP length field is
+// below 8 or runs past the IP payload.
 func ExtractKey(inPort uint16, frame []byte) (Match, error) {
 	var k Match
-	k.InPort = inPort
-	var f pkt.Frame
-	if err := pkt.DecodeFrameInto(&f, frame); err != nil {
-		return k, err
+	err := ExtractKeyInto(&k, inPort, frame)
+	return k, err
+}
+
+// Errors ExtractKeyInto returns; preallocated so a runt costs no allocation.
+var (
+	errShortEthernet = fmt.Errorf("%w: ethernet header", pkt.ErrTruncated)
+	errShortVLAN     = fmt.Errorf("%w: vlan tag", pkt.ErrTruncated)
+)
+
+// ExtractKeyInto is ExtractKey writing the key into *k, which it overwrites
+// whole; the burst dataplane extracts straight into its key array.
+func ExtractKeyInto(k *Match, inPort uint16, frame []byte) error {
+	*k = Match{InPort: inPort}
+	if len(frame) < pkt.EthernetHeaderLen {
+		return errShortEthernet
 	}
-	k.DlSrc, k.DlDst = f.Src, f.Dst
-	k.DlType = uint16(f.Type)
-	if f.VLANID != 0 {
-		k.DlVlan = f.VLANID
-	} else {
-		k.DlVlan = 0xffff // OFP_VLAN_NONE
-	}
-	switch f.Type {
-	case pkt.EtherTypeIPv4:
-		var ip pkt.IPv4
-		if err := pkt.DecodeIPv4Into(&ip, f.Payload); err != nil {
-			return k, nil // not further classifiable; L2 fields still valid
+	et := binary.BigEndian.Uint16(frame[12:])
+	vlan, l3 := uint16(0xffff), frame[pkt.EthernetHeaderLen:]
+	if et == uint16(pkt.EtherTypeVLAN) {
+		if len(frame) < pkt.EthernetHeaderLen+4 {
+			return errShortVLAN
 		}
-		k.NwTos = ip.TOS
-		k.NwProto = uint8(ip.Proto)
-		k.NwSrc = ip.Src.As4()
-		k.NwDst = ip.Dst.As4()
-		switch ip.Proto {
+		if vid := binary.BigEndian.Uint16(frame[14:]) & 0x0fff; vid != 0 {
+			vlan = vid
+		}
+		et, l3 = binary.BigEndian.Uint16(frame[16:]), frame[18:]
+	}
+	k.DlDst, k.DlSrc = pkt.MAC(frame[0:6]), pkt.MAC(frame[6:12])
+	k.DlVlan, k.DlType = vlan, et
+	switch pkt.EtherType(et) {
+	case pkt.EtherTypeIPv4:
+		if len(l3) < pkt.IPv4HeaderLen || l3[0]>>4 != 4 {
+			return nil // not further classifiable; L2 fields still valid
+		}
+		ihl := int(l3[0]&0x0f) * 4
+		if ihl < pkt.IPv4HeaderLen || len(l3) < ihl || pkt.Checksum(l3[:ihl]) != 0 {
+			return nil
+		}
+		total := int(binary.BigEndian.Uint16(l3[2:]))
+		if total < ihl || total > len(l3) {
+			return nil
+		}
+		k.NwTos, k.NwProto = l3[1], l3[9]
+		k.NwSrc, k.NwDst = [4]byte(l3[12:16]), [4]byte(l3[16:20])
+		switch l4 := l3[ihl:total]; pkt.IPProto(k.NwProto) {
 		case pkt.ProtoUDP:
-			k.TpSrc, k.TpDst, _ = pkt.UDPPorts(ip.Payload)
+			k.TpSrc, k.TpDst, _ = pkt.UDPPorts(l4)
 		case pkt.ProtoICMP:
-			typ, code, _ := pkt.ICMPTypeCode(ip.Payload)
+			typ, code, _ := pkt.ICMPTypeCode(l4)
 			k.TpSrc, k.TpDst = uint16(typ), uint16(code)
 		}
 	case pkt.EtherTypeARP:
-		var a pkt.ARP
-		if err := pkt.DecodeARPInto(&a, f.Payload); err == nil {
-			k.NwProto = uint8(a.Op) // OF1.0 carries the ARP opcode in nw_proto
-			k.NwSrc = a.SenderIP.As4()
-			k.NwDst = a.TargetIP.As4()
+		// IPv4-over-Ethernet ARP only; OF1.0 carries the opcode in nw_proto.
+		if len(l3) >= pkt.ARPLen && binary.BigEndian.Uint16(l3[0:]) == 1 &&
+			binary.BigEndian.Uint16(l3[2:]) == uint16(pkt.EtherTypeIPv4) && l3[4] == 6 && l3[5] == 4 {
+			k.NwProto = uint8(binary.BigEndian.Uint16(l3[6:]))
+			k.NwSrc, k.NwDst = [4]byte(l3[14:18]), [4]byte(l3[24:28])
 		}
 	}
-	return k, nil
+	return nil
 }
 
 func (m *Match) appendTo(b []byte) []byte {

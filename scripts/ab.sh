@@ -55,21 +55,25 @@ for i in $(seq 1 "$pairs"); do
 	echo "pair $i/$pairs done" >&2
 done
 
-# Where the linker put the hot dataplane symbols: moving one of them between
-# 0 and 32 mod 64 alone has read as a ±10 % change in churn-4k's CPU per
-# packet, so a side-to-side difference here is a confound to rule out first.
-placement() { # tree
-	go tool nm -sort name "$1/.bench_build/rfbench" |
-		grep -E 'ofswitch\.\(\*flowTable\)\.classify$|openflow\.\(\*Match\)\.Covers$' |
-		while read -r addr _ sym; do printf '%s %d  ' "${sym##*/}" $((16#$addr % 64)); done || true
+# Where the linker put the hot dataplane symbols: the classifier (classify,
+# Covers) and the cache-hit path (handleBatch, lookupN, the key extractor).
+# Moving one of them between 0 and 32 mod 64 alone has read as a ±10 %
+# change in churn-4k's CPU per packet, so a side-to-side difference here is a
+# confound to rule out first. A symbol only one side has is listed, not
+# compared.
+hot='ofswitch\.\(\*Switch\)\.handleBatch$|ofswitch\.\(\*flowTable\)\.(lookupN|classify)$|openflow\.ExtractKey(Into)?$|openflow\.\(\*Match\)\.Covers$'
+placement() { # tree: one "symbol offset" line per hot symbol
+	go tool nm -sort name "$1/.bench_build/rfbench" | grep -E "$hot" |
+		while read -r addr _ sym; do echo "${sym##*/} $((16#$addr % 64))"; done || true
 }
 parent_place="$(placement "$parent")"
 change_place="$(placement "$root")"
 echo "hot-symbol offsets mod 64 (go tool nm .bench_build/rfbench)"
-echo "  parent: $parent_place"
-echo "  change: $change_place"
-if [ "$parent_place" != "$change_place" ]; then
-	echo "  WARNING: the hot symbols sit at other offsets on the two sides; a CPU-per-packet difference may be code placement, not the change"
+echo "  parent: $(echo $parent_place)"
+echo "  change: $(echo $change_place)"
+moved="$(join <(echo "$parent_place" | sort) <(echo "$change_place" | sort) | awk '$2 != $3 {printf "%s %s->%s  ", $1, $2, $3}')"
+if [ -n "$moved" ]; then
+	echo "  WARNING: hot symbols sit at other offsets on the two sides ($moved); a CPU-per-packet difference may be code placement, not the change"
 fi
 
 python3 - "$root/BENCHMARK.json" "$out" "$pairs" "$workload" "$seed" <<'EOF'

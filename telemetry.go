@@ -44,8 +44,8 @@ func MakeLinkKey(a, b int) LinkKey { return telemetry.MakeLinkKey(a, b) }
 // counter export over the control channel, and rolling per-flow / per-link
 // views served by Deployment.TelemetrySnapshot.
 //
-// The export path adds two atomic counter updates to forwarding and
-// allocates nothing per packet.
+// The export path adds two atomic counter updates per burst and monitored
+// flow to forwarding and allocates nothing per packet.
 func WithTelemetry() Option { return func(o *Options) { o.Telemetry = true } }
 
 // WithTelemetryTimers enables telemetry and sets its cadence: interval is
