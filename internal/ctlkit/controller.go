@@ -386,37 +386,33 @@ func (sc *SwitchConn) handshake() error {
 }
 
 // read returns the next message, owned: the handshake keeps what it reads,
-// so each frame is decoded with Unmarshal rather than borrowed from the
-// Decoder.
+// so each message the Decoder lends is cloned.
 func (sc *SwitchConn) read() (openflow.Message, error) {
-	frame, err := sc.dec.Next()
+	m, err := sc.dec.Decode()
 	if err != nil {
 		return nil, err
 	}
-	return openflow.Unmarshal(frame)
+	return openflow.Clone(m), nil
 }
 
 // readLoop decodes each message in place. A packet-in, the bulk of what a
 // controller reads, is lent to the PacketIn callback and never matches a
-// request waiter; every other message is decoded again from its frame into
-// one that owns its bytes, because waiters and callbacks keep those.
+// request waiter; every other message is cloned into one that owns its
+// bytes, because waiters and callbacks keep those.
 func (sc *SwitchConn) readLoop() {
 	for {
 		m, err := sc.dec.Decode()
-		if err == nil {
-			if pi, ok := m.(*openflow.PacketIn); ok {
-				if cb := sc.ctl.cb.PacketIn; cb != nil {
-					cb(sc, pi)
-				}
-				continue
-			}
-			m, err = openflow.Unmarshal(sc.dec.Frame())
-		}
 		if err != nil {
 			sc.Close()
 			return
 		}
-		sc.dispatch(m)
+		if pi, ok := m.(*openflow.PacketIn); ok {
+			if cb := sc.ctl.cb.PacketIn; cb != nil {
+				cb(sc, pi)
+			}
+			continue
+		}
+		sc.dispatch(openflow.Clone(m))
 	}
 }
 

@@ -270,49 +270,33 @@ func CloneActions(actions []Action) []Action {
 	for i, a := range actions {
 		switch act := a.(type) {
 		case *ActionOutput:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionSetVlanVid:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionSetVlanPcp:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionStripVlan:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionSetDlSrc:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionSetDlDst:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionSetNwSrc:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionSetNwDst:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionSetNwTos:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionSetTpSrc:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionSetTpDst:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionEnqueue:
-			cp := *act
-			out[i] = &cp
+			out[i] = copyOf(act)
 		case *ActionMultipath:
-			cp := *act
-			cp.Buckets = append([]MultipathBucket(nil), act.Buckets...)
-			out[i] = &cp
+			out[i] = &ActionMultipath{Buckets: append([]MultipathBucket(nil), act.Buckets...)}
 		case *ActionVendor:
-			cp := *act
-			cp.Data = append([]byte(nil), act.Data...)
-			out[i] = &cp
+			out[i] = &ActionVendor{Vendor: act.Vendor, Data: append([]byte(nil), act.Data...)}
 		default:
 			out[i] = a
 		}
@@ -378,37 +362,25 @@ func appendActions(b []byte, actions []Action) []byte {
 	return b
 }
 
-// decodeActions decodes an action list of length bytes. The list and its
-// action values come from r's store; an empty list is nil.
-func decodeActions(r *rbuf, length int) ([]Action, error) {
-	if length < 0 || length > r.remaining() {
-		return nil, fmt.Errorf("action list length %d of %d", length, r.remaining())
-	}
-	if r.st == nil {
-		r.st = new(store) // an owning decode's store, made for its first list
-	}
-	st := r.st
-	sub := rbuf{b: r.take(length), st: st, own: r.own}
+// decodeActions decodes the action list b. The list and its action values
+// come from st; an empty list is nil.
+func (st *store) decodeActions(b []byte) ([]Action, error) {
 	start := len(st.list)
-	st.list = slices.Grow(st.list, length/8) // every action is at least 8 bytes
-	for sub.remaining() > 0 {
-		if sub.remaining() < 4 {
-			return nil, fmt.Errorf("trailing %d bytes in action list", sub.remaining())
+	st.list = slices.Grow(st.list, len(b)/8) // every action is at least 8 bytes
+	for len(b) > 0 {
+		if len(b) < 4 {
+			return nil, fmt.Errorf("trailing %d bytes in action list", len(b))
 		}
-		t := sub.u16()
-		alen := int(sub.u16())
-		if alen < 8 || alen%8 != 0 {
-			return nil, fmt.Errorf("action type %d has invalid length %d", t, alen)
+		t, alen := binary.BigEndian.Uint16(b), int(binary.BigEndian.Uint16(b[2:]))
+		if alen < 8 || alen%8 != 0 || alen > len(b) {
+			return nil, fmt.Errorf("action type %d has invalid length %d of %d", t, alen, len(b))
 		}
-		body := rbuf{b: sub.take(alen - 4), st: st, own: r.own}
-		if sub.err != nil {
-			return nil, sub.err
-		}
-		a, err := decodeOneAction(t, &body)
+		a, err := st.decodeAction(t, b[4:alen])
 		if err != nil {
 			return nil, err
 		}
 		st.list = append(st.list, a)
+		b = b[alen:]
 	}
 	if len(st.list) == start {
 		return nil, nil
@@ -416,89 +388,87 @@ func decodeActions(r *rbuf, length int) ([]Action, error) {
 	return st.list[start:len(st.list):len(st.list)], nil
 }
 
-func decodeOneAction(t uint16, r *rbuf) (Action, error) {
-	st := r.st
+// decodeAction decodes the body b of one action of type t, reading it at
+// fixed offsets into a value from st. An action is a multiple of 8 bytes
+// long, so b holds 4, 12, 20, ... bytes.
+func (st *store) decodeAction(t uint16, b []byte) (Action, error) {
+	switch t {
+	case ActionTypeSetDlSrc, ActionTypeSetDlDst, ActionTypeEnqueue:
+		if len(b) < 12 {
+			return nil, fmt.Errorf("action type %d has length %d, need 16", t, len(b)+4)
+		}
+	}
 	switch t {
 	case ActionTypeOutput:
 		a := st.output.next()
-		a.Port, a.MaxLen = r.u16(), r.u16()
-		return a, r.err
+		a.Port, a.MaxLen = binary.BigEndian.Uint16(b), binary.BigEndian.Uint16(b[2:])
+		return a, nil
 	case ActionTypeSetVlanVid:
 		a := st.vlanVid.next()
-		a.VlanVid = r.u16()
-		return a, r.err
+		a.VlanVid = binary.BigEndian.Uint16(b)
+		return a, nil
 	case ActionTypeSetVlanPcp:
 		a := st.vlanPcp.next()
-		a.Pcp = r.u8()
-		return a, r.err
+		a.Pcp = b[0]
+		return a, nil
 	case ActionTypeStripVlan:
-		return &ActionStripVlan{}, r.err // zero-sized: allocates nothing
+		return &ActionStripVlan{}, nil // zero-sized: allocates nothing
 	case ActionTypeSetDlSrc:
 		a := st.dlSrc.next()
-		copy(a.Addr[:], r.take(6))
-		return a, r.err
+		a.Addr = pkt.MAC(b[:6])
+		return a, nil
 	case ActionTypeSetDlDst:
 		a := st.dlDst.next()
-		copy(a.Addr[:], r.take(6))
-		return a, r.err
+		a.Addr = pkt.MAC(b[:6])
+		return a, nil
 	case ActionTypeSetNwSrc:
 		a := st.nwSrc.next()
-		copy(a.Addr[:], r.take(4))
-		return a, r.err
+		a.Addr = [4]byte(b[:4])
+		return a, nil
 	case ActionTypeSetNwDst:
 		a := st.nwDst.next()
-		copy(a.Addr[:], r.take(4))
-		return a, r.err
+		a.Addr = [4]byte(b[:4])
+		return a, nil
 	case ActionTypeSetNwTos:
 		a := st.nwTos.next()
-		a.Tos = r.u8()
-		return a, r.err
+		a.Tos = b[0]
+		return a, nil
 	case ActionTypeSetTpSrc:
 		a := st.tpSrc.next()
-		a.Port = r.u16()
-		return a, r.err
+		a.Port = binary.BigEndian.Uint16(b)
+		return a, nil
 	case ActionTypeSetTpDst:
 		a := st.tpDst.next()
-		a.Port = r.u16()
-		return a, r.err
+		a.Port = binary.BigEndian.Uint16(b)
+		return a, nil
 	case ActionTypeEnqueue:
 		a := st.enqueue.next()
-		a.Port = r.u16()
-		r.skip(6)
-		a.QueueID = r.u32()
-		return a, r.err
+		a.Port, a.QueueID = binary.BigEndian.Uint16(b), binary.BigEndian.Uint32(b[8:])
+		return a, nil
 	case ActionTypeMultipath:
-		n := int(r.u16())
-		r.skip(2)
-		if r.err != nil {
-			return nil, r.err
-		}
-		if n == 0 || r.remaining() != 16*n {
-			return nil, fmt.Errorf("multipath action: %d buckets in %d body bytes", n, r.remaining())
+		n := int(binary.BigEndian.Uint16(b))
+		if b = b[4:]; n == 0 || len(b) != 16*n {
+			return nil, fmt.Errorf("multipath action: %d buckets in %d body bytes", n, len(b))
 		}
 		a := st.multipath.next()
 		a.Buckets = st.buckets.take(n)
 		for i := range a.Buckets {
-			a.Buckets[i].Port = r.u16()
-			copy(a.Buckets[i].DlSrc[:], r.take(6))
-			copy(a.Buckets[i].DlDst[:], r.take(6))
-			r.skip(2)
+			bk := b[16*i:]
+			a.Buckets[i] = MultipathBucket{Port: binary.BigEndian.Uint16(bk), DlSrc: pkt.MAC(bk[2:8]), DlDst: pkt.MAC(bk[8:14])}
 		}
-		return a, r.err
+		return a, nil
 	case ActionTypeVendor:
 		a := st.vendor.next()
-		a.Vendor = r.u32()
-		a.Data = r.bytes()
-		return a, r.err
-	default:
-		return nil, fmt.Errorf("unknown action type %d", t)
+		a.Vendor, a.Data = binary.BigEndian.Uint32(b), tail(b[4:])
+		return a, nil
 	}
+	return nil, fmt.Errorf("unknown action type %d", t)
 }
 
 // store is the storage a decode takes action values and action lists from.
 // A Decoder keeps one and resets it before every message, so a borrowed
-// message's actions are overwritten by the next Decode; Unmarshal makes a
-// fresh one per message that has actions, so its result owns them.
+// message's actions are overwritten by the next Decode; Clone copies them
+// out.
 type store struct {
 	list      []Action
 	output    pool[ActionOutput]

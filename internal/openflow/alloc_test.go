@@ -110,8 +110,9 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 }
 
 // TestDecodeAllocBudget: once a Decoder has seen a message type, decoding
-// another FlowMod (three actions), PacketIn (64 B) or PacketOut allocates
-// nothing — the message, its action list and its data are borrowed.
+// another FlowMod (three actions), PacketIn (64 B), PacketOut, BarrierReply
+// or PortStatus (of the same named port) allocates nothing — the message,
+// its action list and its data are borrowed.
 func TestDecodeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -122,6 +123,9 @@ func TestDecodeAllocBudget(t *testing.T) {
 		"PacketIn": &PacketIn{BufferID: 7, TotalLen: 64, InPort: 2, Data: frame64},
 		"PacketOut": &PacketOut{BufferID: NoBuffer, InPort: PortNone,
 			Actions: []Action{&ActionOutput{Port: 3}}, Data: frame64},
+		"BarrierReply": &BarrierReply{MsgXID: MsgXID{Xid: 9}},
+		"PortStatus": &PortStatus{Reason: PortReasonModify,
+			Desc: PhyPort{PortNo: 3, HWAddr: pkt.LocalMAC(3), Name: "s1-eth3", State: PortStateDown}},
 	} {
 		dec := NewDecoder(&repeatReader{frame: Marshal(m)})
 		decode := func() {
@@ -151,4 +155,29 @@ func TestMatchCoversAllocBudget(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("Match.Covers = %.1f allocs/op, budget 0", got)
 	}
+}
+
+// BenchmarkDecodeFlowMod prices decoding an rf-shaped flow-mod (a /24
+// destination match, SetDlSrc, SetDlDst, Output): lent by a Decoder, as
+// FlowVisor and the switch read it, and owned by Unmarshal, which is that
+// decode plus Clone.
+func BenchmarkDecodeFlowMod(b *testing.B) {
+	frame := Marshal(allocBudgetFlowMod())
+	b.Run("Decode", func(b *testing.B) {
+		dec := NewDecoder(&repeatReader{frame: frame})
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := dec.Decode(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := Unmarshal(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

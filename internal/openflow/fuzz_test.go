@@ -145,7 +145,16 @@ func seedMessages() []Message {
 			}},
 		&StatsRequest{StatsType: StatsFlow,
 			Flow: &FlowStatsRequest{Match: MatchAll(), TableID: 0xff, OutPort: PortNone}},
+		&StatsRequest{StatsType: StatsPort, Port: &PortStatsRequest{PortNo: 3}},
 		&StatsReply{StatsType: StatsDesc, Desc: &DescStats{Manufacturer: "routeflow"}},
+		&StatsReply{StatsType: StatsFlow, Flags: StatsReplyFlagMore, Flows: []FlowStats{
+			{Match: MatchAll(), Priority: 100, PacketCount: 10, Actions: everyAction()},
+			{Match: MatchAll(), Priority: 50},
+		}},
+		&StatsReply{StatsType: StatsTable, Tables: []TableStats{{Name: "classifier", ActiveCount: 12}}},
+		&StatsReply{StatsType: StatsPort, Ports: []PortStats{{PortNo: 1, RxPackets: 10}, {PortNo: 2, Collisions: 7}}},
+		&StatsReply{StatsType: StatsAggregate, Raw: make([]byte, 24)},
+		&PacketOut{BufferID: 9, InPort: 1, Actions: everyAction()},
 		&BarrierRequest{},
 		&BarrierReply{},
 		&Raw{T: TypeQueueGetConfigReq, Body: []byte{0, 5, 0, 0}},
@@ -159,6 +168,75 @@ func seedMessages() []Message {
 		m.SetXID(uint32(i + 1))
 	}
 	return seeds
+}
+
+// everyAction returns one action of every modeled type, each with a body
+// that re-encodes byte for byte.
+func everyAction() []Action {
+	return []Action{
+		&ActionOutput{Port: PortController, MaxLen: 256},
+		&ActionSetVlanVid{VlanVid: 100},
+		&ActionSetVlanPcp{Pcp: 5},
+		&ActionStripVlan{},
+		&ActionSetDlSrc{Addr: pkt.LocalMAC(3)},
+		&ActionSetDlDst{Addr: pkt.LocalMAC(4)},
+		&ActionSetNwSrc{Addr: [4]byte{10, 0, 0, 1}},
+		&ActionSetNwDst{Addr: [4]byte{10, 0, 0, 2}},
+		&ActionSetNwTos{Tos: 0x10},
+		&ActionSetTpSrc{Port: 5004},
+		&ActionSetTpDst{Port: 5005},
+		&ActionEnqueue{Port: 1, QueueID: 3},
+		&ActionMultipath{Buckets: []MultipathBucket{
+			{DlSrc: pkt.LocalMAC(5), DlDst: pkt.LocalMAC(6), Port: 2},
+			{DlSrc: pkt.LocalMAC(5), DlDst: pkt.LocalMAC(7), Port: 3},
+		}},
+		&ActionVendor{Vendor: 0x1234, Data: []byte("8 bytes!")},
+	}
+}
+
+// FuzzDecodeMatchesReference holds the fixed-offset decoder to refUnmarshal,
+// the cursor decoder it replaced, on arbitrary frames: Unmarshal and the
+// lent decode a Decoder makes both give a message equal to the reference's,
+// or both fail with ErrBadMessage when the reference does.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	// Seed corpus: every seed message whole, and cut short inside its body
+	// (the length field cut with it, so the body decoder sees the cut);
+	// then action lists the reference rejects or reads only in part.
+	for _, m := range seedMessages() {
+		wire := Marshal(m)
+		for _, n := range []int{HeaderLen + 1, HeaderLen + 9, len(wire) / 2, len(wire) - 9, len(wire) - 4, len(wire) - 1, len(wire)} {
+			if n >= HeaderLen && n <= len(wire) {
+				cut := append([]byte(nil), wire[:n]...)
+				binary.BigEndian.PutUint16(cut[2:], uint16(n))
+				f.Add(cut)
+			}
+		}
+	}
+	flowMod := func(actions ...byte) []byte {
+		return validFrame(TypeFlowMod, 1, append(Marshal(&FlowMod{Match: MatchAll()})[HeaderLen:], actions...))
+	}
+	f.Add(flowMod(0, 4, 0, 8, 1, 2, 3, 4))                                                      // set-dl-src in 8 bytes
+	f.Add(flowMod(0, 11, 0, 8, 0, 1, 0, 0))                                                     // enqueue in 8 bytes
+	f.Add(flowMod(0, 0, 0, 16, 0, 1, 0, 0, 9, 9, 9, 9, 9, 9, 9, 9))                             // output in 16 bytes
+	f.Add(flowMod(0, 12, 0, 24, 0, 2, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6))                            // multipath: 2 buckets, room for 1
+	f.Add(flowMod(0xff, 0xff, 0, 8, 0, 0, 0x23, 0x20))                                          // vendor action, no data
+	f.Add(flowMod(0, 0, 0, 8, 0, 1, 0, 0, 0, 0))                                                // 2 trailing bytes
+	f.Add(validFrame(TypeTelemetryExport, 1, append(make([]byte, 13), 0, 1, 0x80, 0x80, 0x80))) // unterminated varint
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := refUnmarshal(data)
+		got, err := Unmarshal(data)
+		lent, lentErr := new(Decoder).decode(data)
+		if wantErr != nil {
+			if !errors.Is(wantErr, ErrBadMessage) || !errors.Is(err, ErrBadMessage) || !errors.Is(lentErr, ErrBadMessage) {
+				t.Fatalf("reference rejects %x with %v; Unmarshal gave %v, %v; Decoder gave %v, %v", data, wantErr, got, err, lent, lentErr)
+			}
+			return
+		}
+		if err != nil || lentErr != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(lent, want) {
+			t.Fatalf("frame %x:\nreference %#v\nUnmarshal %#v, %v\n Decoder %#v, %v", data, want, got, err, lent, lentErr)
+		}
+	})
 }
 
 // FuzzExtractKey throws arbitrary bytes at the dataplane classifier, the

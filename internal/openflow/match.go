@@ -280,22 +280,20 @@ func (m *Match) appendTo(b []byte) []byte {
 	return b
 }
 
-func (m *Match) decode(r *rbuf) {
-	m.Wildcards = r.u32()
-	m.InPort = r.u16()
-	copy(m.DlSrc[:], r.take(6))
-	copy(m.DlDst[:], r.take(6))
-	m.DlVlan = r.u16()
-	m.DlVlanPcp = r.u8()
-	r.skip(1)
-	m.DlType = r.u16()
-	m.NwTos = r.u8()
-	m.NwProto = r.u8()
-	r.skip(2)
-	copy(m.NwSrc[:], r.take(4))
-	copy(m.NwDst[:], r.take(4))
-	m.TpSrc = r.u16()
-	m.TpDst = r.u16()
+// decode reads m from the first MatchLen bytes of b, which the caller has
+// checked are there.
+func (m *Match) decode(b []byte) {
+	_ = b[MatchLen-1]
+	m.Wildcards = binary.BigEndian.Uint32(b)
+	m.InPort = binary.BigEndian.Uint16(b[4:])
+	m.DlSrc, m.DlDst = pkt.MAC(b[6:12]), pkt.MAC(b[12:18])
+	m.DlVlan = binary.BigEndian.Uint16(b[18:])
+	m.DlVlanPcp = b[20]
+	m.DlType = binary.BigEndian.Uint16(b[22:])
+	m.NwTos, m.NwProto = b[24], b[25]
+	m.NwSrc, m.NwDst = [4]byte(b[28:32]), [4]byte(b[32:36])
+	m.TpSrc = binary.BigEndian.Uint16(b[36:])
+	m.TpDst = binary.BigEndian.Uint16(b[38:])
 }
 
 // String renders only the non-wildcarded fields.

@@ -14,9 +14,9 @@ type Hello struct{ MsgXID }
 func (*Hello) MsgType() Type { return TypeHello }
 
 // AppendTo implements Message.
-func (m *Hello) AppendTo(b []byte) []byte { return appendMessage(b, m) }
-func (*Hello) appendBody(b []byte) []byte { return b }
-func (*Hello) decodeBody(r *rbuf) error   { r.rest(); return nil }
+func (m *Hello) AppendTo(b []byte) []byte      { return appendMessage(b, m) }
+func (*Hello) appendBody(b []byte) []byte      { return b }
+func (*Hello) decodeBody([]byte, *store) error { return nil }
 
 // Error type codes (ofp_error_type).
 const (
@@ -61,11 +61,14 @@ func (m *ErrorMsg) appendBody(b []byte) []byte {
 	return append(b, m.Data...)
 }
 
-func (m *ErrorMsg) decodeBody(r *rbuf) error {
-	m.ErrType = r.u16()
-	m.Code = r.u16()
-	m.Data = r.bytes()
-	return r.err
+func (m *ErrorMsg) decodeBody(b []byte, _ *store) error {
+	if len(b) < 4 {
+		return short(b, 4)
+	}
+	m.ErrType = binary.BigEndian.Uint16(b)
+	m.Code = binary.BigEndian.Uint16(b[2:])
+	m.Data = tail(b[4:])
+	return nil
 }
 
 // Error lets an ErrorMsg be used as a Go error.
@@ -85,8 +88,8 @@ func (*EchoRequest) MsgType() Type { return TypeEchoRequest }
 // AppendTo implements Message.
 func (m *EchoRequest) AppendTo(b []byte) []byte   { return appendMessage(b, m) }
 func (m *EchoRequest) appendBody(b []byte) []byte { return append(b, m.Data...) }
-func (m *EchoRequest) decodeBody(r *rbuf) error {
-	m.Data = r.bytes()
+func (m *EchoRequest) decodeBody(b []byte, _ *store) error {
+	m.Data = tail(b)
 	return nil
 }
 
@@ -102,8 +105,8 @@ func (*EchoReply) MsgType() Type { return TypeEchoReply }
 // AppendTo implements Message.
 func (m *EchoReply) AppendTo(b []byte) []byte   { return appendMessage(b, m) }
 func (m *EchoReply) appendBody(b []byte) []byte { return append(b, m.Data...) }
-func (m *EchoReply) decodeBody(r *rbuf) error {
-	m.Data = r.bytes()
+func (m *EchoReply) decodeBody(b []byte, _ *store) error {
+	m.Data = tail(b)
 	return nil
 }
 
@@ -125,10 +128,13 @@ func (m *Vendor) appendBody(b []byte) []byte {
 	return append(b, m.Data...)
 }
 
-func (m *Vendor) decodeBody(r *rbuf) error {
-	m.VendorID = r.u32()
-	m.Data = r.bytes()
-	return r.err
+func (m *Vendor) decodeBody(b []byte, _ *store) error {
+	if len(b) < 4 {
+		return short(b, 4)
+	}
+	m.VendorID = binary.BigEndian.Uint32(b)
+	m.Data = tail(b[4:])
+	return nil
 }
 
 // FeaturesRequest asks the datapath for its identity and port list.
@@ -138,9 +144,9 @@ type FeaturesRequest struct{ MsgXID }
 func (*FeaturesRequest) MsgType() Type { return TypeFeaturesRequest }
 
 // AppendTo implements Message.
-func (m *FeaturesRequest) AppendTo(b []byte) []byte { return appendMessage(b, m) }
-func (*FeaturesRequest) appendBody(b []byte) []byte { return b }
-func (*FeaturesRequest) decodeBody(r *rbuf) error   { r.rest(); return nil }
+func (m *FeaturesRequest) AppendTo(b []byte) []byte      { return appendMessage(b, m) }
+func (*FeaturesRequest) appendBody(b []byte) []byte      { return b }
+func (*FeaturesRequest) decodeBody([]byte, *store) error { return nil }
 
 // Port config/state bits (subset).
 const (
@@ -176,16 +182,22 @@ func (p *PhyPort) appendTo(b []byte) []byte {
 	return binary.BigEndian.AppendUint32(b, p.Peer)
 }
 
-func (p *PhyPort) decode(r *rbuf) {
-	p.PortNo = r.u16()
-	copy(p.HWAddr[:], r.take(6))
-	p.Name = r.str(16)
-	p.Config = r.u32()
-	p.State = r.u32()
-	p.Curr = r.u32()
-	p.Advertised = r.u32()
-	p.Supported = r.u32()
-	p.Peer = r.u32()
+// decode reads p from the first PhyPortLen bytes of b, which the caller has
+// checked are there. A name equal to the one p holds is kept, so a
+// Decoder's reused port-status for the same port allocates nothing.
+func (p *PhyPort) decode(b []byte) {
+	_ = b[PhyPortLen-1]
+	p.PortNo = binary.BigEndian.Uint16(b)
+	p.HWAddr = pkt.MAC(b[2:8])
+	if name := b[8 : 8+nulLen(b[8:24])]; p.Name != string(name) {
+		p.Name = string(name)
+	}
+	p.Config = binary.BigEndian.Uint32(b[24:])
+	p.State = binary.BigEndian.Uint32(b[28:])
+	p.Curr = binary.BigEndian.Uint32(b[32:])
+	p.Advertised = binary.BigEndian.Uint32(b[36:])
+	p.Supported = binary.BigEndian.Uint32(b[40:])
+	p.Peer = binary.BigEndian.Uint32(b[44:])
 }
 
 // Capability bits (ofp_capabilities, subset).
@@ -224,25 +236,24 @@ func (m *FeaturesReply) appendBody(b []byte) []byte {
 	return b
 }
 
-func (m *FeaturesReply) decodeBody(r *rbuf) error {
-	m.DatapathID = r.u64()
-	m.NBuffers = r.u32()
-	m.NTables = r.u8()
-	r.skip(3)
-	m.Capabilities = r.u32()
-	m.Actions = r.u32()
-	if r.err != nil {
-		return r.err
+func (m *FeaturesReply) decodeBody(b []byte, _ *store) error {
+	if len(b) < 24 {
+		return short(b, 24)
 	}
-	if r.remaining()%PhyPortLen != 0 {
-		return fmt.Errorf("features ports: %d trailing bytes", r.remaining()%PhyPortLen)
+	if n := (len(b) - 24) % PhyPortLen; n != 0 {
+		return fmt.Errorf("features ports: %d trailing bytes", n)
 	}
-	for r.remaining() >= PhyPortLen {
+	m.DatapathID = binary.BigEndian.Uint64(b)
+	m.NBuffers = binary.BigEndian.Uint32(b[8:])
+	m.NTables = b[12]
+	m.Capabilities = binary.BigEndian.Uint32(b[16:])
+	m.Actions = binary.BigEndian.Uint32(b[20:])
+	for b = b[24:]; len(b) > 0; b = b[PhyPortLen:] {
 		var p PhyPort
-		p.decode(r)
+		p.decode(b)
 		m.Ports = append(m.Ports, p)
 	}
-	return r.err
+	return nil
 }
 
 // GetConfigRequest asks for the switch configuration.
@@ -252,9 +263,9 @@ type GetConfigRequest struct{ MsgXID }
 func (*GetConfigRequest) MsgType() Type { return TypeGetConfigRequest }
 
 // AppendTo implements Message.
-func (m *GetConfigRequest) AppendTo(b []byte) []byte { return appendMessage(b, m) }
-func (*GetConfigRequest) appendBody(b []byte) []byte { return b }
-func (*GetConfigRequest) decodeBody(r *rbuf) error   { r.rest(); return nil }
+func (m *GetConfigRequest) AppendTo(b []byte) []byte      { return appendMessage(b, m) }
+func (*GetConfigRequest) appendBody(b []byte) []byte      { return b }
+func (*GetConfigRequest) decodeBody([]byte, *store) error { return nil }
 
 // GetConfigReply carries the switch configuration.
 type GetConfigReply struct {
@@ -274,10 +285,13 @@ func (m *GetConfigReply) appendBody(b []byte) []byte {
 	return binary.BigEndian.AppendUint16(b, m.MissSendLen)
 }
 
-func (m *GetConfigReply) decodeBody(r *rbuf) error {
-	m.Flags = r.u16()
-	m.MissSendLen = r.u16()
-	return r.err
+func (m *GetConfigReply) decodeBody(b []byte, _ *store) error {
+	if len(b) < 4 {
+		return short(b, 4)
+	}
+	m.Flags = binary.BigEndian.Uint16(b)
+	m.MissSendLen = binary.BigEndian.Uint16(b[2:])
+	return nil
 }
 
 // SetConfig sets the switch configuration.
@@ -298,10 +312,13 @@ func (m *SetConfig) appendBody(b []byte) []byte {
 	return binary.BigEndian.AppendUint16(b, m.MissSendLen)
 }
 
-func (m *SetConfig) decodeBody(r *rbuf) error {
-	m.Flags = r.u16()
-	m.MissSendLen = r.u16()
-	return r.err
+func (m *SetConfig) decodeBody(b []byte, _ *store) error {
+	if len(b) < 4 {
+		return short(b, 4)
+	}
+	m.Flags = binary.BigEndian.Uint16(b)
+	m.MissSendLen = binary.BigEndian.Uint16(b[2:])
+	return nil
 }
 
 // Packet-in reasons.
@@ -334,14 +351,16 @@ func (m *PacketIn) appendBody(b []byte) []byte {
 	return append(b, m.Data...)
 }
 
-func (m *PacketIn) decodeBody(r *rbuf) error {
-	m.BufferID = r.u32()
-	m.TotalLen = r.u16()
-	m.InPort = r.u16()
-	m.Reason = r.u8()
-	r.skip(1)
-	m.Data = r.bytes()
-	return r.err
+func (m *PacketIn) decodeBody(b []byte, _ *store) error {
+	if len(b) < 10 {
+		return short(b, 10)
+	}
+	m.BufferID = binary.BigEndian.Uint32(b)
+	m.TotalLen = binary.BigEndian.Uint16(b[4:])
+	m.InPort = binary.BigEndian.Uint16(b[6:])
+	m.Reason = b[8]
+	m.Data = tail(b[10:])
+	return nil
 }
 
 // PacketOut injects a packet into the datapath.
@@ -370,20 +389,23 @@ func (m *PacketOut) appendBody(b []byte) []byte {
 	return append(b, m.Data...)
 }
 
-func (m *PacketOut) decodeBody(r *rbuf) error {
-	m.BufferID = r.u32()
-	m.InPort = r.u16()
-	alen := int(r.u16())
-	if r.err != nil {
-		return r.err
+func (m *PacketOut) decodeBody(b []byte, st *store) error {
+	if len(b) < 8 {
+		return short(b, 8)
 	}
-	actions, err := decodeActions(r, alen)
+	alen := int(binary.BigEndian.Uint16(b[6:]))
+	if alen > len(b)-8 {
+		return fmt.Errorf("action list length %d of %d", alen, len(b)-8)
+	}
+	actions, err := st.decodeActions(b[8 : 8+alen])
 	if err != nil {
 		return err
 	}
+	m.BufferID = binary.BigEndian.Uint32(b)
+	m.InPort = binary.BigEndian.Uint16(b[4:])
 	m.Actions = actions
-	m.Data = r.bytes()
-	return r.err
+	m.Data = tail(b[8+alen:])
+	return nil
 }
 
 // Flow-removed reasons.
@@ -426,19 +448,20 @@ func (m *FlowRemoved) appendBody(b []byte) []byte {
 	return binary.BigEndian.AppendUint64(b, m.ByteCount)
 }
 
-func (m *FlowRemoved) decodeBody(r *rbuf) error {
-	m.Match.decode(r)
-	m.Cookie = r.u64()
-	m.Priority = r.u16()
-	m.Reason = r.u8()
-	r.skip(1)
-	m.DurationSec = r.u32()
-	m.DurationNsec = r.u32()
-	m.IdleTimeout = r.u16()
-	r.skip(2)
-	m.PacketCount = r.u64()
-	m.ByteCount = r.u64()
-	return r.err
+func (m *FlowRemoved) decodeBody(b []byte, _ *store) error {
+	if len(b) < MatchLen+40 {
+		return short(b, MatchLen+40)
+	}
+	m.Match.decode(b)
+	m.Cookie = binary.BigEndian.Uint64(b[40:])
+	m.Priority = binary.BigEndian.Uint16(b[48:])
+	m.Reason = b[50]
+	m.DurationSec = binary.BigEndian.Uint32(b[52:])
+	m.DurationNsec = binary.BigEndian.Uint32(b[56:])
+	m.IdleTimeout = binary.BigEndian.Uint16(b[60:])
+	m.PacketCount = binary.BigEndian.Uint64(b[64:])
+	m.ByteCount = binary.BigEndian.Uint64(b[72:])
+	return nil
 }
 
 // Port-status reasons.
@@ -466,11 +489,13 @@ func (m *PortStatus) appendBody(b []byte) []byte {
 	return m.Desc.appendTo(b)
 }
 
-func (m *PortStatus) decodeBody(r *rbuf) error {
-	m.Reason = r.u8()
-	r.skip(7)
-	m.Desc.decode(r)
-	return r.err
+func (m *PortStatus) decodeBody(b []byte, _ *store) error {
+	if len(b) < 8+PhyPortLen {
+		return short(b, 8+PhyPortLen)
+	}
+	m.Reason = b[0]
+	m.Desc.decode(b[8:])
+	return nil
 }
 
 // BarrierRequest asks the switch to finish all preceding messages first.
@@ -480,9 +505,9 @@ type BarrierRequest struct{ MsgXID }
 func (*BarrierRequest) MsgType() Type { return TypeBarrierRequest }
 
 // AppendTo implements Message.
-func (m *BarrierRequest) AppendTo(b []byte) []byte { return appendMessage(b, m) }
-func (*BarrierRequest) appendBody(b []byte) []byte { return b }
-func (*BarrierRequest) decodeBody(r *rbuf) error   { r.rest(); return nil }
+func (m *BarrierRequest) AppendTo(b []byte) []byte      { return appendMessage(b, m) }
+func (*BarrierRequest) appendBody(b []byte) []byte      { return b }
+func (*BarrierRequest) decodeBody([]byte, *store) error { return nil }
 
 // BarrierReply confirms a BarrierRequest.
 type BarrierReply struct{ MsgXID }
@@ -491,9 +516,9 @@ type BarrierReply struct{ MsgXID }
 func (*BarrierReply) MsgType() Type { return TypeBarrierReply }
 
 // AppendTo implements Message.
-func (m *BarrierReply) AppendTo(b []byte) []byte { return appendMessage(b, m) }
-func (*BarrierReply) appendBody(b []byte) []byte { return b }
-func (*BarrierReply) decodeBody(r *rbuf) error   { r.rest(); return nil }
+func (m *BarrierReply) AppendTo(b []byte) []byte      { return appendMessage(b, m) }
+func (*BarrierReply) appendBody(b []byte) []byte      { return b }
+func (*BarrierReply) decodeBody([]byte, *store) error { return nil }
 
 // FlowMod commands.
 const (
@@ -544,23 +569,26 @@ func (m *FlowMod) appendBody(b []byte) []byte {
 	return appendActions(b, m.Actions)
 }
 
-func (m *FlowMod) decodeBody(r *rbuf) error {
-	m.Match.decode(r)
-	m.Cookie = r.u64()
-	m.Command = r.u16()
-	m.IdleTimeout = r.u16()
-	m.HardTimeout = r.u16()
-	m.Priority = r.u16()
-	m.BufferID = r.u32()
-	m.OutPort = r.u16()
-	m.Flags = r.u16()
-	if r.err != nil {
-		return r.err
+// flowModLen is the size of a flow-mod body before its actions.
+const flowModLen = MatchLen + 24
+
+func (m *FlowMod) decodeBody(b []byte, st *store) error {
+	if len(b) < flowModLen {
+		return short(b, flowModLen)
 	}
-	actions, err := decodeActions(r, r.remaining())
+	actions, err := st.decodeActions(b[flowModLen:])
 	if err != nil {
 		return err
 	}
+	m.Match.decode(b)
+	m.Cookie = binary.BigEndian.Uint64(b[40:])
+	m.Command = binary.BigEndian.Uint16(b[48:])
+	m.IdleTimeout = binary.BigEndian.Uint16(b[50:])
+	m.HardTimeout = binary.BigEndian.Uint16(b[52:])
+	m.Priority = binary.BigEndian.Uint16(b[54:])
+	m.BufferID = binary.BigEndian.Uint32(b[56:])
+	m.OutPort = binary.BigEndian.Uint16(b[60:])
+	m.Flags = binary.BigEndian.Uint16(b[62:])
 	m.Actions = actions
-	return r.err
+	return nil
 }

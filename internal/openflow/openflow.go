@@ -13,15 +13,15 @@
 // allocates a fresh slice per call. On the decode side, Decoder owns an
 // io.Reader: it reads whatever the transport has ready into a
 // per-connection buffer and cuts complete frames out of it, so a batch of
-// messages costs a few reads instead of two per message. Decode lends the
-// message it returns until the next Decode: byte fields alias the buffer and
-// action lists are the Decoder's reused storage, so a steady-state decode of
-// a flow-mod, packet-in or packet-out allocates nothing, and a consumer
-// copies what it keeps. Unmarshal decodes one framed message the same way,
-// but copies byte fields out of the frame and takes actions from fresh
-// storage, so its result owns everything and never aliases its input; a
-// consumer that keeps whole messages takes frames from Decoder.Next and
-// Unmarshals them.
+// messages costs a few reads instead of two per message. A message decodes
+// its fixed part at constant offsets after one length check, and walks only
+// its variable-length parts (action lists, port and stats records,
+// telemetry entries). Decode lends the message it returns until the next
+// Decode: byte fields alias the buffer and action lists are the Decoder's
+// reused storage, so a steady-state decode of a flow-mod, packet-in or
+// packet-out allocates nothing, and a consumer keeps a message by cloning it
+// (Clone). Unmarshal is that decode of one framed message followed by Clone,
+// so its result owns everything and never aliases its input.
 // MessageWriter/WriteBatch/PumpBatched coalesce many messages into a single
 // underlying write, the other half of batched control-channel I/O.
 //
@@ -31,10 +31,13 @@
 package openflow
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
 // Version is the OpenFlow wire version this package implements (1.0).
@@ -127,7 +130,9 @@ type Message interface {
 	SetXID(uint32)
 	AppendTo(buf []byte) []byte
 	appendBody(b []byte) []byte
-	decodeBody(r *rbuf) error
+	// decodeBody decodes the frame's body b into the message, taking action
+	// values from st; the byte fields it sets alias b.
+	decodeBody(b []byte, st *store) error
 }
 
 // MsgXID provides the transaction-ID part of every message.
@@ -262,30 +267,137 @@ func checkHeader(b []byte) (t Type, length int, xid uint32, err error) {
 	return Type(b[1]), length, binary.BigEndian.Uint32(b[4:]), nil
 }
 
+// scratch holds the Decoders Unmarshal decodes in; what one decodes is
+// cloned before it goes back.
+var scratch = sync.Pool{New: func() any { return new(Decoder) }}
+
 // Unmarshal decodes one complete framed message from b, which must contain
-// exactly one message. The result owns everything it refers to: it decodes
-// like Decoder.Decode, but copies its byte fields out of b and takes its
-// actions from fresh storage, so it never aliases b.
+// exactly one message. It is Decode's decode of the frame followed by Clone,
+// so the result owns everything it refers to and never aliases b.
 func Unmarshal(b []byte) (Message, error) {
-	t, length, xid, err := checkHeader(b)
+	d := scratch.Get().(*Decoder)
+	defer scratch.Put(d)
+	m, err := d.decode(b)
 	if err != nil {
 		return nil, err
 	}
-	return decode(newMessage(t), xid, &rbuf{b: b[HeaderLen:length], own: true})
+	return Clone(m), nil
 }
 
-// decode fills m, the empty message for its type, from the frame body r
-// reads.
-func decode(m Message, xid uint32, r *rbuf) (Message, error) {
-	m.SetXID(xid)
-	err := m.decodeBody(r)
-	if err == nil {
-		err = r.err
+// Clone returns a deep copy of m that shares no memory with it: how a
+// consumer keeps a message Decode lent it.
+func Clone(m Message) Message {
+	switch m := m.(type) {
+	case *ErrorMsg:
+		cp := *m
+		cp.Data = bytes.Clone(m.Data)
+		return &cp
+	case *EchoRequest:
+		return &EchoRequest{MsgXID: m.MsgXID, Data: bytes.Clone(m.Data)}
+	case *EchoReply:
+		return &EchoReply{MsgXID: m.MsgXID, Data: bytes.Clone(m.Data)}
+	case *Vendor:
+		cp := *m
+		cp.Data = bytes.Clone(m.Data)
+		return &cp
+	case *FeaturesReply:
+		cp := *m
+		cp.Ports = slices.Clone(m.Ports)
+		return &cp
+	case *PacketIn:
+		cp := *m
+		cp.Data = bytes.Clone(m.Data)
+		return &cp
+	case *PacketOut:
+		cp := *m
+		cp.Actions, cp.Data = CloneActions(m.Actions), bytes.Clone(m.Data)
+		return &cp
+	case *FlowMod:
+		cp := *m
+		cp.Actions = CloneActions(m.Actions)
+		return &cp
+	case *StatsRequest:
+		cp := *m
+		cp.Flow, cp.Port = copyOf(m.Flow), copyOf(m.Port)
+		return &cp
+	case *StatsReply:
+		cp := *m
+		cp.Desc, cp.Flows = copyOf(m.Desc), slices.Clone(m.Flows)
+		for i := range cp.Flows {
+			cp.Flows[i].Actions = CloneActions(m.Flows[i].Actions)
+		}
+		cp.Tables, cp.Ports, cp.Raw = slices.Clone(m.Tables), slices.Clone(m.Ports), bytes.Clone(m.Raw)
+		return &cp
+	case *TelemetryMod:
+		cp := *m
+		cp.Rules = slices.Clone(m.Rules)
+		return &cp
+	case *TelemetryExport:
+		cp := *m
+		cp.Entries = slices.Clone(m.Entries)
+		return &cp
+	case *Raw:
+		cp := *m
+		cp.Body = bytes.Clone(m.Body)
+		return &cp
+	// The rest refer to nothing: a copy of the value is a deep copy.
+	case *Hello:
+		return copyOf(m)
+	case *FeaturesRequest:
+		return copyOf(m)
+	case *GetConfigRequest:
+		return copyOf(m)
+	case *GetConfigReply:
+		return copyOf(m)
+	case *SetConfig:
+		return copyOf(m)
+	case *FlowRemoved:
+		return copyOf(m)
+	case *PortStatus:
+		return copyOf(m)
+	case *BarrierRequest:
+		return copyOf(m)
+	case *BarrierReply:
+		return copyOf(m)
+	case *TelemetryAck:
+		return copyOf(m)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v body: %v", ErrBadMessage, m.MsgType(), err)
+	panic(fmt.Sprintf("openflow: Clone of %T", m))
+}
+
+// copyOf returns a pointer to a copy of *p, or nil for nil.
+func copyOf[T any](p *T) *T {
+	if p == nil {
+		return nil
 	}
-	return m, nil
+	cp := *p
+	return &cp
+}
+
+// short is the error for a body b too short for the need bytes of its fixed
+// part.
+func short(b []byte, need int) error {
+	return fmt.Errorf("%d bytes, need %d", len(b), need)
+}
+
+// tail returns b as a decoded byte field: nil when it is empty, else b capped
+// so that appending to it cannot write past it.
+func tail(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
+}
+
+// str reads a NUL-padded fixed-size string field.
+func str(b []byte) string { return string(b[:nulLen(b)]) }
+
+// nulLen is the length of the string in the NUL-padded field b.
+func nulLen(b []byte) int {
+	if i := bytes.IndexByte(b, 0); i >= 0 {
+		return i
+	}
+	return len(b)
 }
 
 // decoderReadSize is the least a Decoder asks its reader for in one Read. A
@@ -309,11 +421,13 @@ const decoderReadSize = 512
 // What Decode returns is borrowed: it is valid until the next call to Decode
 // or Next, which may overwrite it. Its byte fields alias the Decoder's
 // buffer, its action lists and their values are the Decoder's reused
-// storage, and a FlowMod, PacketIn or PacketOut is itself one value the
-// Decoder decodes every message of that type into. The contract is the same
-// for every type. A consumer copies what it keeps (CloneActions, or
-// Unmarshal of the frame for a whole message). Decoder is not safe for
-// concurrent use.
+// storage, and a FlowMod, PacketIn, PacketOut, BarrierReply or PortStatus is
+// itself one value the Decoder decodes every message of that type into. The
+// contract is the same for every type. A consumer copies what it keeps:
+// Clone for a whole message, CloneActions for an action list. Each message
+// decodes its fixed part at constant offsets after one check of the body's
+// length, so a flow-mod's match and fields cost one bounds check, and each
+// fixed-size action one more. Decoder is not safe for concurrent use.
 type Decoder struct {
 	r          io.Reader
 	buf        []byte
@@ -321,11 +435,12 @@ type Decoder struct {
 	err        error  // the reader's error, returned once buffered frames run out
 	frame      []byte // the frame of the message Decode last returned
 
-	body      rbuf // the cursor over the frame Decode is decoding
-	st        store
-	flowMod   FlowMod
-	packetIn  PacketIn
-	packetOut PacketOut
+	st           store
+	flowMod      FlowMod
+	packetIn     PacketIn
+	packetOut    PacketOut
+	barrierReply BarrierReply
+	portStatus   PortStatus
 }
 
 // NewDecoder returns a Decoder that owns r.
@@ -343,40 +458,50 @@ func (d *Decoder) Decode() (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, _, xid, err := checkHeader(frame)
+	d.frame = frame
+	return d.decode(frame)
+}
+
+// decode decodes the framed message b into the Decoder's storage.
+func (d *Decoder) decode(b []byte) (Message, error) {
+	t, length, xid, err := checkHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	d.frame = frame
 	d.st.reset()
-	d.body = rbuf{b: frame[HeaderLen:], st: &d.st}
-	return decode(d.message(t), xid, &d.body)
+	m := d.message(t)
+	if err := m.decodeBody(b[HeaderLen:length], &d.st); err != nil {
+		return nil, fmt.Errorf("%w: %v body: %v", ErrBadMessage, t, err)
+	}
+	m.SetXID(xid)
+	return m, nil
 }
 
 // Frame returns the wire bytes of the message Decode last returned,
 // borrowed like the message. A proxy relays a message by copying them.
 func (d *Decoder) Frame() []byte { return d.frame }
 
-// message returns the empty message Decode fills for type t: the Decoder's
-// own value for the hot types, a new one for the rest.
+// message returns the message Decode fills for type t: the Decoder's own
+// value for the hot types, which their decodeBody overwrites field by field
+// (all but the XID), and a new one for the rest.
 func (d *Decoder) message(t Type) Message {
 	switch t {
 	case TypeFlowMod:
-		d.flowMod = FlowMod{}
 		return &d.flowMod
 	case TypePacketIn:
-		d.packetIn = PacketIn{}
 		return &d.packetIn
 	case TypePacketOut:
-		d.packetOut = PacketOut{}
 		return &d.packetOut
+	case TypeBarrierReply:
+		return &d.barrierReply
+	case TypePortStatus:
+		return &d.portStatus
 	}
 	return newMessage(t)
 }
 
 // Next returns the next frame undecoded, a slice of the Decoder's buffer
-// valid until the next call to Next or Decode. A consumer that keeps the
-// messages it reads decodes each frame with Unmarshal.
+// valid until the next call to Next or Decode.
 func (d *Decoder) Next() ([]byte, error) {
 	d.frame = nil
 	for {
@@ -444,113 +569,7 @@ func (m *Raw) MsgType() Type { return m.T }
 // AppendTo implements Message.
 func (m *Raw) AppendTo(b []byte) []byte   { return appendMessage(b, m) }
 func (m *Raw) appendBody(b []byte) []byte { return append(b, m.Body...) }
-func (m *Raw) decodeBody(r *rbuf) error {
-	m.Body = r.bytes()
+func (m *Raw) decodeBody(b []byte, _ *store) error {
+	m.Body = tail(b)
 	return nil
-}
-
-// rbuf is a cursor-based big-endian decoder with a sticky error over one
-// frame's body.
-type rbuf struct {
-	b   []byte
-	off int
-	err error
-	// st is where decoded action lists take their values from; an owning
-	// decode (own) starts without one and copies byte fields out of b.
-	st  *store
-	own bool
-}
-
-func (r *rbuf) fail(n int) bool {
-	if r.err != nil {
-		return true
-	}
-	if r.off+n > len(r.b) {
-		r.err = fmt.Errorf("truncated at offset %d (need %d of %d)", r.off, n, len(r.b))
-		return true
-	}
-	return false
-}
-
-func (r *rbuf) u8() uint8 {
-	if r.fail(1) {
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *rbuf) u16() uint16 {
-	if r.fail(2) {
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *rbuf) u32() uint32 {
-	if r.fail(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *rbuf) u64() uint64 {
-	if r.fail(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *rbuf) take(n int) []byte {
-	if n < 0 || r.fail(n) {
-		return nil
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
-func (r *rbuf) skip(n int) { r.take(n) }
-
-func (r *rbuf) rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	v := r.b[r.off:]
-	r.off = len(r.b)
-	return v
-}
-
-// bytes returns the rest of the body, or nil when nothing is left: a copy
-// for an owning decode, else the frame's bytes, capped so that appending to
-// them cannot write past them.
-func (r *rbuf) bytes() []byte {
-	b := r.rest()
-	switch {
-	case len(b) == 0:
-		return nil
-	case r.own:
-		return append([]byte(nil), b...)
-	}
-	return b[:len(b):len(b)]
-}
-
-func (r *rbuf) remaining() int { return len(r.b) - r.off }
-
-// str reads a fixed-size NUL-padded string field.
-func (r *rbuf) str(size int) string {
-	raw := r.take(size)
-	for i, c := range raw {
-		if c == 0 {
-			return string(raw[:i])
-		}
-	}
-	return string(raw)
 }

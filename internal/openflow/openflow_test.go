@@ -227,11 +227,11 @@ func TestActionMultipathWire(t *testing.T) {
 
 	bad := append([]byte(nil), wire...)
 	bad[5] = 2 // claims 2 buckets, body has 1
-	if _, err := decodeActions(&rbuf{b: bad}, len(bad)); err == nil {
+	if _, err := new(store).decodeActions(bad); err == nil {
 		t.Fatal("bucket-count mismatch accepted")
 	}
 	empty := []byte{0, 12, 0, 8, 0, 0, 0, 0}
-	if _, err := decodeActions(&rbuf{b: empty}, len(empty)); err == nil {
+	if _, err := new(store).decodeActions(empty); err == nil {
 		t.Fatal("empty bucket list accepted")
 	}
 }

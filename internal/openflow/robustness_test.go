@@ -148,9 +148,9 @@ func TestDecoderStream(t *testing.T) {
 // TestDecoderBorrowsUnmarshalOwns pins the decode contract. A message Decode
 // returns is borrowed: until the next Decode it equals what Unmarshal makes
 // of the same frame and re-encodes to that frame, and its byte fields alias
-// the Decoder's buffer; a FlowMod, PacketIn or PacketOut is the same value
-// every time. Unmarshal's result owns everything: overwriting the input
-// leaves it intact.
+// the Decoder's buffer; a FlowMod, PacketIn, PacketOut, BarrierReply or
+// PortStatus is the same value every time. Unmarshal's result owns
+// everything: overwriting the input leaves it intact.
 func TestDecoderBorrowsUnmarshalOwns(t *testing.T) {
 	filler := Marshal(&EchoRequest{Data: bytes.Repeat([]byte{0xBB}, 100)})
 	for _, m := range seedMessages() {
@@ -173,7 +173,7 @@ func TestDecoderBorrowsUnmarshalOwns(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch m.MsgType() {
-		case TypeFlowMod, TypePacketIn, TypePacketOut:
+		case TypeFlowMod, TypePacketIn, TypePacketOut, TypeBarrierReply, TypePortStatus:
 			if again != got {
 				t.Fatalf("%v: a second message of the type was not decoded into the first's value", m.MsgType())
 			}

@@ -71,26 +71,27 @@ func (m *StatsRequest) appendBody(b []byte) []byte {
 	return b
 }
 
-func (m *StatsRequest) decodeBody(r *rbuf) error {
-	m.StatsType = r.u16()
-	m.Flags = r.u16()
-	switch m.StatsType {
-	case StatsFlow, StatsAggregate:
-		var fr FlowStatsRequest
-		fr.Match.decode(r)
-		fr.TableID = r.u8()
-		r.skip(1)
-		fr.OutPort = r.u16()
-		m.Flow = &fr
-	case StatsPort:
-		var pr PortStatsRequest
-		pr.PortNo = r.u16()
-		r.skip(6)
-		m.Port = &pr
-	default:
-		r.rest()
+func (m *StatsRequest) decodeBody(b []byte, _ *store) error {
+	if len(b) < 4 {
+		return short(b, 4)
 	}
-	return r.err
+	m.StatsType = binary.BigEndian.Uint16(b)
+	m.Flags = binary.BigEndian.Uint16(b[2:])
+	switch b = b[4:]; m.StatsType {
+	case StatsFlow, StatsAggregate:
+		if len(b) < MatchLen+4 {
+			return short(b, MatchLen+4)
+		}
+		fr := &FlowStatsRequest{TableID: b[MatchLen], OutPort: binary.BigEndian.Uint16(b[MatchLen+2:])}
+		fr.Match.decode(b)
+		m.Flow = fr
+	case StatsPort:
+		if len(b) < 8 {
+			return short(b, 8)
+		}
+		m.Port = &PortStatsRequest{PortNo: binary.BigEndian.Uint16(b)}
+	}
+	return nil
 }
 
 // DescStats is the switch description (ofp_desc_stats).
@@ -243,84 +244,81 @@ func appendFlowStats(b []byte, f *FlowStats) []byte {
 	return b
 }
 
-func (m *StatsReply) decodeBody(r *rbuf) error {
-	m.StatsType = r.u16()
-	m.Flags = r.u16()
-	switch m.StatsType {
+func (m *StatsReply) decodeBody(b []byte, st *store) error {
+	if len(b) < 4 {
+		return short(b, 4)
+	}
+	m.StatsType = binary.BigEndian.Uint16(b)
+	m.Flags = binary.BigEndian.Uint16(b[2:])
+	switch b = b[4:]; m.StatsType {
 	case StatsDesc:
-		var d DescStats
-		d.Manufacturer = r.str(256)
-		d.Hardware = r.str(256)
-		d.Software = r.str(256)
-		d.SerialNumber = r.str(32)
-		d.Datapath = r.str(256)
-		m.Desc = &d
+		if len(b) < 1056 {
+			return short(b, 1056)
+		}
+		m.Desc = &DescStats{Manufacturer: str(b[:256]), Hardware: str(b[256:512]),
+			Software: str(b[512:768]), SerialNumber: str(b[768:800]), Datapath: str(b[800:1056])}
 	case StatsFlow:
-		for r.remaining() > 0 {
-			f, err := decodeFlowStats(r)
+		for len(b) > 0 {
+			var f FlowStats
+			n, err := f.decode(b, st)
 			if err != nil {
 				return err
 			}
-			m.Flows = append(m.Flows, *f)
+			m.Flows = append(m.Flows, f)
+			b = b[n:]
 		}
 	case StatsTable:
-		for r.remaining() >= 64 {
-			var t TableStats
-			t.TableID = r.u8()
-			r.skip(3)
-			t.Name = r.str(32)
-			t.Wildcards = r.u32()
-			t.MaxEntries = r.u32()
-			t.ActiveCount = r.u32()
-			t.LookupCount = r.u64()
-			t.MatchedCount = r.u64()
-			m.Tables = append(m.Tables, t)
+		for ; len(b) >= 64; b = b[64:] {
+			m.Tables = append(m.Tables, TableStats{
+				TableID:      b[0],
+				Name:         str(b[4:36]),
+				Wildcards:    binary.BigEndian.Uint32(b[36:]),
+				MaxEntries:   binary.BigEndian.Uint32(b[40:]),
+				ActiveCount:  binary.BigEndian.Uint32(b[44:]),
+				LookupCount:  binary.BigEndian.Uint64(b[48:]),
+				MatchedCount: binary.BigEndian.Uint64(b[56:]),
+			})
 		}
 	case StatsPort:
-		for r.remaining() >= 104 {
-			var p PortStats
-			p.PortNo = r.u16()
-			r.skip(6)
-			dst := []*uint64{&p.RxPackets, &p.TxPackets, &p.RxBytes, &p.TxBytes,
+		for ; len(b) >= 104; b = b[104:] {
+			p := PortStats{PortNo: binary.BigEndian.Uint16(b)}
+			for i, d := range [...]*uint64{&p.RxPackets, &p.TxPackets, &p.RxBytes, &p.TxBytes,
 				&p.RxDropped, &p.TxDropped, &p.RxErrors, &p.TxErrors,
-				&p.RxFrameErr, &p.RxOverErr, &p.RxCRCErr, &p.Collisions}
-			for _, d := range dst {
-				*d = r.u64()
+				&p.RxFrameErr, &p.RxOverErr, &p.RxCRCErr, &p.Collisions} {
+				*d = binary.BigEndian.Uint64(b[8+8*i:])
 			}
 			m.Ports = append(m.Ports, p)
 		}
 	default:
-		m.Raw = r.bytes()
+		m.Raw = tail(b)
 	}
-	return r.err
+	return nil
 }
 
-func decodeFlowStats(r *rbuf) (*FlowStats, error) {
-	start := r.off
-	length := int(r.u16())
-	if r.err != nil {
-		return nil, r.err
+// decode reads f from the flow-stats entry that starts b and returns the
+// entry's length.
+func (f *FlowStats) decode(b []byte, st *store) (int, error) {
+	if len(b) < 2 {
+		return 0, short(b, 2)
 	}
-	if length < 88 || start+length > len(r.b) {
-		return nil, fmt.Errorf("flow stats entry length %d", length)
+	length := int(binary.BigEndian.Uint16(b))
+	if length < 88 || length > len(b) {
+		return 0, fmt.Errorf("flow stats entry length %d", length)
 	}
-	var f FlowStats
-	f.TableID = r.u8()
-	r.skip(1)
-	f.Match.decode(r)
-	f.DurationSec = r.u32()
-	f.DurationNsec = r.u32()
-	f.Priority = r.u16()
-	f.IdleTimeout = r.u16()
-	f.HardTimeout = r.u16()
-	r.skip(6)
-	f.Cookie = r.u64()
-	f.PacketCount = r.u64()
-	f.ByteCount = r.u64()
-	actions, err := decodeActions(r, start+length-r.off)
+	actions, err := st.decodeActions(b[88:length])
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
+	f.TableID = b[2]
+	f.Match.decode(b[4:])
+	f.DurationSec = binary.BigEndian.Uint32(b[44:])
+	f.DurationNsec = binary.BigEndian.Uint32(b[48:])
+	f.Priority = binary.BigEndian.Uint16(b[52:])
+	f.IdleTimeout = binary.BigEndian.Uint16(b[54:])
+	f.HardTimeout = binary.BigEndian.Uint16(b[56:])
+	f.Cookie = binary.BigEndian.Uint64(b[64:])
+	f.PacketCount = binary.BigEndian.Uint64(b[72:])
+	f.ByteCount = binary.BigEndian.Uint64(b[80:])
 	f.Actions = actions
-	return &f, r.err
+	return length, nil
 }

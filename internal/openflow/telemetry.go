@@ -84,28 +84,24 @@ func (m *TelemetryMod) appendBody(b []byte) []byte {
 	return b
 }
 
-func (m *TelemetryMod) decodeBody(r *rbuf) error {
-	m.Epoch = r.u64()
-	m.IntervalMS = r.u32()
-	n := int(r.u16())
-	if r.err != nil {
-		return nil
+func (m *TelemetryMod) decodeBody(b []byte, _ *store) error {
+	if len(b) < 14 {
+		return short(b, 14)
 	}
-	if n*monitorRuleWireLen > r.remaining() {
-		return fmt.Errorf("rule count %d exceeds body (%d bytes left)", n, r.remaining())
+	m.Epoch = binary.BigEndian.Uint64(b)
+	m.IntervalMS = binary.BigEndian.Uint32(b[8:])
+	n := int(binary.BigEndian.Uint16(b[12:]))
+	if b = b[14:]; n*monitorRuleWireLen > len(b) {
+		return fmt.Errorf("rule count %d exceeds body (%d bytes left)", n, len(b))
 	}
-	m.Rules = nil
 	if n == 0 {
 		return nil
 	}
 	m.Rules = make([]MonitorRule, n)
 	for i := range m.Rules {
-		ru := &m.Rules[i]
-		ru.ID = r.u32()
-		copy(ru.Src[:], r.take(4))
-		ru.SrcBits = r.u8()
-		copy(ru.Dst[:], r.take(4))
-		ru.DstBits = r.u8()
+		ru := b[monitorRuleWireLen*i:]
+		m.Rules[i] = MonitorRule{ID: binary.BigEndian.Uint32(ru), Src: [4]byte(ru[4:8]), SrcBits: ru[8],
+			Dst: [4]byte(ru[9:13]), DstBits: ru[13]}
 	}
 	return nil
 }
@@ -157,35 +153,35 @@ func (m *TelemetryExport) appendBody(b []byte) []byte {
 	return b
 }
 
-func (m *TelemetryExport) decodeBody(r *rbuf) error {
-	m.Epoch = r.u64()
-	m.Seq = r.u32()
-	m.Flags = r.u8()
-	n := int(r.u16())
-	if r.err != nil {
-		return nil
+func (m *TelemetryExport) decodeBody(b []byte, _ *store) error {
+	if len(b) < 15 {
+		return short(b, 15)
 	}
+	m.Epoch = binary.BigEndian.Uint64(b)
+	m.Seq = binary.BigEndian.Uint32(b[8:])
+	m.Flags = b[12]
+	n := int(binary.BigEndian.Uint16(b[13:]))
 	// Each entry is at least three one-byte varints.
-	if n*3 > r.remaining() {
-		return fmt.Errorf("entry count %d exceeds body (%d bytes left)", n, r.remaining())
+	if b = b[15:]; n*3 > len(b) {
+		return fmt.Errorf("entry count %d exceeds body (%d bytes left)", n, len(b))
 	}
-	m.Entries = nil
 	if n == 0 {
 		return nil
 	}
 	m.Entries = make([]TelemetryEntry, n)
+	var v [3]uint64 // id, packets, bytes
 	for i := range m.Entries {
-		e := &m.Entries[i]
-		id := r.uvarint()
-		if id > 0xffffffff {
-			if r.err == nil {
-				r.err = fmt.Errorf("entry %d: flow id %d overflows uint32", i, id)
+		for j := range v {
+			x, k := binary.Uvarint(b)
+			if k <= 0 {
+				return fmt.Errorf("entry %d: bad varint", i)
 			}
-			return nil
+			v[j], b = x, b[k:]
 		}
-		e.ID = uint32(id)
-		e.Packets = r.uvarint()
-		e.Bytes = r.uvarint()
+		if v[0] > 0xffffffff {
+			return fmt.Errorf("entry %d: flow id %d overflows uint32", i, v[0])
+		}
+		m.Entries[i] = TelemetryEntry{ID: uint32(v[0]), Packets: v[1], Bytes: v[2]}
 	}
 	return nil
 }
@@ -211,22 +207,11 @@ func (m *TelemetryAck) appendBody(b []byte) []byte {
 	return binary.BigEndian.AppendUint32(b, m.Seq)
 }
 
-func (m *TelemetryAck) decodeBody(r *rbuf) error {
-	m.Epoch = r.u64()
-	m.Seq = r.u32()
+func (m *TelemetryAck) decodeBody(b []byte, _ *store) error {
+	if len(b) < 12 {
+		return short(b, 12)
+	}
+	m.Epoch = binary.BigEndian.Uint64(b)
+	m.Seq = binary.BigEndian.Uint32(b[8:])
 	return nil
-}
-
-// uvarint reads one unsigned LEB128 varint.
-func (r *rbuf) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.err = fmt.Errorf("bad varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
 }

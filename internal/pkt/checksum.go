@@ -6,8 +6,29 @@ import (
 	"net/netip"
 )
 
-// Checksum computes the RFC 1071 internet checksum of b.
-func Checksum(b []byte) uint16 { return checksum(b, 0) }
+// Checksum computes the RFC 1071 internet checksum of b. A 20-byte IPv4
+// header, which every hop verifies and every host send fills in, is summed
+// by checksum20.
+func Checksum(b []byte) uint16 {
+	if len(b) == IPv4HeaderLen {
+		return checksum20((*[IPv4HeaderLen]byte)(b))
+	}
+	return checksum(b, 0)
+}
+
+// checksum20 is checksum(h, 0) for a 20-byte header: its five big-endian
+// 32-bit words sum without overflow in 64 bits, and each fold keeps the
+// residue mod 2^16-1 as checksum's do, so the result is the same bits.
+func checksum20(h *[IPv4HeaderLen]byte) uint16 {
+	sum := uint64(binary.BigEndian.Uint32(h[0:])) + uint64(binary.BigEndian.Uint32(h[4:])) +
+		uint64(binary.BigEndian.Uint32(h[8:])) + uint64(binary.BigEndian.Uint32(h[12:])) +
+		uint64(binary.BigEndian.Uint32(h[16:]))
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
+	return ^uint16(sum)
+}
 
 // checksum is the one checksum loop of the package: the complement of the
 // one's-complement sum of initial and the big-endian 16-bit words of b, an

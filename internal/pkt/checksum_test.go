@@ -51,6 +51,34 @@ func TestChecksumKernelMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestChecksum20MatchesLoop pins the 20-byte header path against the
+// general loop: random headers, all-ones headers (carries out of every
+// word), and the sums at the ±0 boundary — all zero (+0, checksum 0xffff)
+// and nonzero multiples of 0xffff (-0, checksum 0).
+func TestChecksum20MatchesLoop(t *testing.T) {
+	check := func(h []byte) {
+		t.Helper()
+		if got, want := Checksum(h), checksum(h, 0); got != want || got != naiveChecksum(h, 0) {
+			t.Fatalf("header %x: 20-byte path %#04x, loop %#04x, naive %#04x", h, got, want, naiveChecksum(h, 0))
+		}
+	}
+	r := rand.New(rand.NewSource(20))
+	h := make([]byte, IPv4HeaderLen)
+	for i := 0; i < 100000; i++ {
+		r.Read(h)
+		check(h)
+	}
+	check(bytes.Repeat([]byte{0xff}, IPv4HeaderLen))
+	check(make([]byte, IPv4HeaderLen))
+	for _, words := range [][]uint16{{0xffff}, {0xfffe, 1}, {0xffff, 0xffff}, {0x8000, 0x7fff, 0xffff, 0xffff}} {
+		clear(h)
+		for i, w := range words {
+			binary.BigEndian.PutUint16(h[2*i:], w)
+		}
+		check(h)
+	}
+}
+
 // TestSinglePassEncodeMatchesNestedMarshal: building a frame layer after
 // layer in one buffer gives the bytes of the nested Marshal calls.
 func TestSinglePassEncodeMatchesNestedMarshal(t *testing.T) {
