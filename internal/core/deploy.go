@@ -86,11 +86,6 @@ type Options struct {
 	TE bool
 	// TEInterval paces optimization rounds (0 = 1s).
 	TEInterval time.Duration
-	// TEConfig tunes the optimizer (zero fields take te defaults).
-	TEConfig te.Config
-	// TELinkCapacityBPS is the modeled capacity of every link in bytes/sec
-	// for utilization math (0 = 1 MiB/s).
-	TELinkCapacityBPS float64
 }
 
 // Deployment is a fully wired automatic-configuration system under test: the
@@ -183,7 +178,7 @@ func NewDeployment(opts Options) (*Deployment, error) {
 		telStop:  make(chan struct{}),
 	}
 	if opts.TE {
-		d.teEngine = te.New(opts.TEConfig)
+		d.teEngine = te.New(te.Config{})
 		d.teAssigned = make(map[[2]int][]int)
 	}
 	if err := d.build(); err != nil {

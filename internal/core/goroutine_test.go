@@ -10,12 +10,14 @@ import (
 )
 
 // goroutinesPerSwitch bounds what a converged deployment keeps running per
-// switch: the readers and writers of its control sessions through FlowVisor
-// to each controller, the controllers' keepalives, its cables' delivery
-// loops, its OSPF timer loop and the switch's own loops. A timer is a runtime
+// switch: the reader and the writer of each openflow.Conn of its control
+// sessions through FlowVisor to each controller, the controllers'
+// keepalives, its cables' delivery loops, its OSPF timer loop and the
+// switch's own loops. This ring reads 20.6 per switch. A timer is a runtime
 // timer, never a goroutine of its own; timers that each kept a goroutine put
-// this ring at about 28 per switch.
-const goroutinesPerSwitch = 22
+// it at about 28 per switch, and a per-session goroutine that watched for
+// Stop at 21.6.
+const goroutinesPerSwitch = 21
 
 // TestConvergedRingGoroutineBudget: a converged Ring(8) on the scaled clock
 // holds at most goroutinesPerSwitch goroutines per switch.

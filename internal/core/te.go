@@ -23,8 +23,8 @@ import (
 )
 
 const (
-	teDefaultInterval    = time.Second
-	teDefaultCapacityBPS = 1 << 20 // modeled link capacity: 1 MiB/s
+	teDefaultInterval = time.Second
+	teCapacityBPS     = 1 << 20 // modeled link capacity: 1 MiB/s
 	// teMaxCandidates caps the equal-cost walks enumerated per pair; fat
 	// trees explode combinatorially and a handful of alternates is enough
 	// spread for the optimizer.
@@ -33,13 +33,6 @@ const (
 
 // TEEnabled reports whether the traffic-engineering loop runs.
 func (d *Deployment) TEEnabled() bool { return d.opts.TE }
-
-func (d *Deployment) teCapacity() float64 {
-	if d.opts.TELinkCapacityBPS > 0 {
-		return d.opts.TELinkCapacityBPS
-	}
-	return teDefaultCapacityBPS
-}
 
 // teLoop re-optimizes until the deployment closes. It shares the telemetry
 // manager's stop signal: TE without telemetry cannot exist.
@@ -76,13 +69,12 @@ func (d *Deployment) refreshTE() {
 		}
 	}
 
-	capBPS := d.teCapacity()
 	st := te.State{
 		Links:           make(map[telemetry.LinkKey]te.Link, len(snap.Links)),
-		DefaultCapacity: capBPS,
+		DefaultCapacity: teCapacityBPS,
 	}
 	for _, ls := range snap.Links {
-		st.Links[ls.Link] = te.Link{Rate: ls.RateBPS, Capacity: capBPS}
+		st.Links[ls.Link] = te.Link{Rate: ls.RateBPS, Capacity: teCapacityBPS}
 	}
 	rate := make(map[telemetry.FlowID]float64, len(snap.Flows))
 	for _, fs := range snap.Flows {

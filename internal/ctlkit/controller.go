@@ -16,7 +16,6 @@ import (
 const (
 	DefaultEchoInterval   = 5 * time.Second
 	DefaultRequestTimeout = 10 * time.Second
-	writeQueueDepth       = 1024
 )
 
 // Callbacks are the controller application's event surface. All callbacks
@@ -166,13 +165,9 @@ func (c *Controller) NumSwitches() int {
 func (c *Controller) handleConn(conn net.Conn) {
 	sc := &SwitchConn{
 		ctl:     c,
-		conn:    conn,
-		dec:     openflow.NewDecoder(conn),
-		out:     make(chan openflow.Message, writeQueueDepth),
+		conn:    openflow.NewConn(conn),
 		pending: make(map[uint32]chan openflow.Message),
-		closed:  make(chan struct{}),
 	}
-	go sc.writeLoop()
 	defer sc.Close()
 
 	if err := sc.handshake(); err != nil {
@@ -214,18 +209,14 @@ func (c *Controller) handleConn(conn net.Conn) {
 // SwitchConn is one connected datapath.
 type SwitchConn struct {
 	ctl      *Controller
-	conn     net.Conn
-	dec      *openflow.Decoder // owns conn's reads; reads ahead, so handshake and readLoop share it
+	conn     *openflow.Conn // handshake and readLoop share its Decoder
 	dpid     uint64
 	features openflow.FeaturesReply
 
-	out     chan openflow.Message
 	xid     atomic.Uint32
 	pendMu  sync.Mutex
 	pending map[uint32]chan openflow.Message
 
-	closeOnce   sync.Once
-	closed      chan struct{}
 	keepaliveWG sync.WaitGroup
 }
 
@@ -239,24 +230,10 @@ func (sc *SwitchConn) Features() openflow.FeaturesReply { return sc.features }
 func (sc *SwitchConn) Controller() *Controller { return sc.ctl }
 
 // Close tears the connection down.
-func (sc *SwitchConn) Close() {
-	sc.closeOnce.Do(func() {
-		close(sc.closed)
-		sc.conn.Close()
-	})
-}
+func (sc *SwitchConn) Close() { sc.conn.Close() }
 
 // Done is closed when the connection is torn down.
-func (sc *SwitchConn) Done() <-chan struct{} { return sc.closed }
-
-// writeLoop batches queued messages into single writes; flow-mod bursts from
-// the RF-controller coalesce here instead of costing one syscall-equivalent
-// write each.
-func (sc *SwitchConn) writeLoop() {
-	if err := openflow.PumpBatched(sc.conn, sc.out, sc.closed); err != nil {
-		sc.Close()
-	}
-}
+func (sc *SwitchConn) Done() <-chan struct{} { return sc.conn.Done() }
 
 // nextXID returns a fresh nonzero transaction ID.
 func (sc *SwitchConn) nextXID() uint32 {
@@ -267,17 +244,21 @@ func (sc *SwitchConn) nextXID() uint32 {
 	}
 }
 
-// Send enqueues a message, assigning a transaction ID if it has none.
+// Send enqueues a message, assigning a transaction ID if it has none. A
+// full queue makes it wait; flow-mod bursts from the RF-controller coalesce
+// in the connection's writer into a few writes.
 func (sc *SwitchConn) Send(m openflow.Message) error {
 	if m.XID() == 0 {
 		m.SetXID(sc.nextXID())
 	}
-	select {
-	case sc.out <- m:
-		return nil
-	case <-sc.closed:
-		return fmt.Errorf("ctlkit: switch %016x disconnected", sc.dpid)
+	if sc.conn.Send(m) != nil {
+		return sc.disconnected()
 	}
+	return nil
+}
+
+func (sc *SwitchConn) disconnected() error {
+	return fmt.Errorf("ctlkit: switch %016x disconnected", sc.dpid)
 }
 
 // ErrSendQueueFull reports a TrySend against a full outbound queue.
@@ -293,14 +274,15 @@ func (sc *SwitchConn) TrySend(m openflow.Message) error {
 	if m.XID() == 0 {
 		m.SetXID(sc.nextXID())
 	}
-	select {
-	case sc.out <- m:
+	err := sc.conn.TrySend(m)
+	switch {
+	case err == nil:
 		return nil
-	case <-sc.closed:
-		return fmt.Errorf("ctlkit: switch %016x disconnected", sc.dpid)
-	default:
+	case errors.Is(err, openflow.ErrQueueFull):
 		sc.ctl.sendQueueDrops.Add(1)
 		return fmt.Errorf("%w: %016x", ErrSendQueueFull, sc.dpid)
+	default:
+		return sc.disconnected()
 	}
 }
 
@@ -329,8 +311,8 @@ func (sc *SwitchConn) Request(m openflow.Message) (openflow.Message, error) {
 		return rep, nil
 	case <-sc.ctl.clk.After(sc.ctl.requestTimeout):
 		return nil, fmt.Errorf("ctlkit: request %v to %016x timed out", m.MsgType(), sc.dpid)
-	case <-sc.closed:
-		return nil, fmt.Errorf("ctlkit: switch %016x disconnected", sc.dpid)
+	case <-sc.conn.Done():
+		return nil, sc.disconnected()
 	}
 }
 
@@ -348,8 +330,9 @@ func (sc *SwitchConn) Barrier() error {
 
 // handshake: send HELLO + FEATURES_REQUEST, wait for FEATURES_REPLY
 // (tolerating the switch's HELLO and interleaved messages). Writes go
-// through the writer goroutine so a peer that also writes first — as every
-// OpenFlow switch does — cannot deadlock a synchronous transport.
+// through the connection's writer goroutine so a peer that also writes
+// first — as every OpenFlow switch does — cannot deadlock a synchronous
+// transport.
 func (sc *SwitchConn) handshake() error {
 	if err := sc.Send(&openflow.Hello{}); err != nil {
 		return err
@@ -388,7 +371,7 @@ func (sc *SwitchConn) handshake() error {
 // read returns the next message, owned: the handshake keeps what it reads,
 // so each message the Decoder lends is cloned.
 func (sc *SwitchConn) read() (openflow.Message, error) {
-	m, err := sc.dec.Decode()
+	m, err := sc.conn.Decode()
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +384,7 @@ func (sc *SwitchConn) read() (openflow.Message, error) {
 // bytes, because waiters and callbacks keep those.
 func (sc *SwitchConn) readLoop() {
 	for {
-		m, err := sc.dec.Decode()
+		m, err := sc.conn.Decode()
 		if err != nil {
 			sc.Close()
 			return
@@ -477,7 +460,7 @@ func (sc *SwitchConn) keepaliveLoop(interval time.Duration) {
 				continue
 			}
 			misses = 0
-		case <-sc.closed:
+		case <-sc.conn.Done():
 			return
 		}
 	}
@@ -485,22 +468,6 @@ func (sc *SwitchConn) keepaliveLoop(interval time.Duration) {
 
 // ErrNotConnected reports a helper called for an unconnected dpid.
 var ErrNotConnected = errors.New("ctlkit: switch not connected")
-
-// FlowModAdd is a convenience for installing a flow on a dpid.
-func (c *Controller) FlowModAdd(dpid uint64, fm *openflow.FlowMod) error {
-	sc, ok := c.Switch(dpid)
-	if !ok {
-		return fmt.Errorf("%w: %016x", ErrNotConnected, dpid)
-	}
-	fm.Command = openflow.FlowModAdd
-	if fm.BufferID == 0 {
-		fm.BufferID = openflow.NoBuffer
-	}
-	if fm.OutPort == 0 {
-		fm.OutPort = openflow.PortNone
-	}
-	return sc.Send(fm)
-}
 
 // PacketOut injects a frame at a dpid.
 func (c *Controller) PacketOut(dpid uint64, inPort uint16, actions []openflow.Action, data []byte) error {

@@ -2,6 +2,7 @@ package ctlkit
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"sync/atomic"
 	"testing"
@@ -224,7 +225,10 @@ func TestPacketInCallbackAndPacketOut(t *testing.T) {
 	}
 }
 
-func TestFlowModAddHelper(t *testing.T) {
+// TestFlowModThroughSend: a flow-mod sent on a switch's connection is
+// installed by the barrier that follows it; a helper aimed at a dpid that is
+// not connected fails with ErrNotConnected.
+func TestFlowModThroughSend(t *testing.T) {
 	ctl := New("test", nil, Callbacks{})
 	l := NewMemListener("ctl")
 	defer l.Close()
@@ -232,20 +236,21 @@ func TestFlowModAddHelper(t *testing.T) {
 	defer ctl.Stop()
 	sw, _ := startSwitch(t, 10, 2, l)
 	waitFor(t, "switch up", func() bool { return ctl.NumSwitches() == 1 })
-	fm := &openflow.FlowMod{Match: openflow.MatchAll(), Priority: 4,
+	fm := &openflow.FlowMod{Match: openflow.MatchAll(), Command: openflow.FlowModAdd, Priority: 4,
+		BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}}}
-	if err := ctl.FlowModAdd(10, fm); err != nil {
+	sc, _ := ctl.Switch(10)
+	if err := sc.Send(fm); err != nil {
 		t.Fatal(err)
 	}
-	sc, _ := ctl.Switch(10)
 	if err := sc.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	if sw.NumFlows() != 1 {
 		t.Fatalf("flows = %d", sw.NumFlows())
 	}
-	if err := ctl.FlowModAdd(0xDEAD, fm); err == nil {
-		t.Fatal("flow-mod to unknown dpid succeeded")
+	if err := ctl.PacketOut(0xDEAD, openflow.PortNone, nil, []byte{1}); !errors.Is(err, ErrNotConnected) {
+		t.Fatalf("packet-out to unknown dpid: %v, want ErrNotConnected", err)
 	}
 }
 

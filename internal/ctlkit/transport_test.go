@@ -255,8 +255,8 @@ func TestPacketInDispatchAllocBudget(t *testing.T) {
 	}
 	defer conn.Close()
 	go io.Copy(io.Discard, conn) // the controller's hello and features request
-	hello := openflow.Marshal(&openflow.Hello{})
-	if _, err := conn.Write(append(hello, openflow.Marshal(&openflow.FeaturesReply{DatapathID: dpid})...)); err != nil {
+	hello := (&openflow.Hello{}).AppendTo(nil)
+	if _, err := conn.Write(append(hello, (&openflow.FeaturesReply{DatapathID: dpid}).AppendTo(nil)...)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "switch up", func() bool { _, ok := ctl.Switch(dpid); return ok })

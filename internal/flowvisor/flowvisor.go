@@ -30,8 +30,6 @@ import (
 	"routeflow/internal/pkt"
 )
 
-const writeQueueDepth = 1024
-
 // fenceEvery is how many messages a slice may relay to the switch without a
 // barrier before the proxy queues a barrier of its own behind them (see
 // session.relay).
@@ -167,28 +165,20 @@ func (fv *FlowVisor) Stop() {
 	fv.wg.Wait()
 }
 
-// session proxies one switch to all slices.
+// session proxies one switch to all slices: one Conn to the switch and one
+// to each slice's controller. A Send fails only once its Conn has closed,
+// which ends the session, so what it was sending is moot and its error is
+// dropped.
 type session struct {
-	fv     *FlowVisor
-	swConn net.Conn
-	swOut  chan openflow.Message
-
-	ctls []*sliceConn
+	fv   *FlowVisor
+	sw   *openflow.Conn
+	ctls []*openflow.Conn // indexed like fv.slices
 
 	xidMu    sync.Mutex
 	nextXID  uint32
 	seq      uint64 // allocation order of pending entries
 	pending  map[uint32]pendEntry
 	unfenced []int // per slice: messages relayed since its last barrier
-
-	closeOnce sync.Once
-	closed    chan struct{}
-}
-
-type sliceConn struct {
-	idx  int
-	conn net.Conn
-	out  chan openflow.Message
 }
 
 type pendEntry struct {
@@ -201,23 +191,20 @@ type pendEntry struct {
 func (fv *FlowVisor) runSession(swConn net.Conn) {
 	s := &session{
 		fv:       fv,
-		swConn:   swConn,
-		swOut:    make(chan openflow.Message, writeQueueDepth),
+		sw:       openflow.NewConn(swConn),
 		pending:  make(map[uint32]pendEntry),
 		unfenced: make([]int, len(fv.slices)),
-		closed:   make(chan struct{}),
 	}
 	defer s.close()
 
 	// Dial every slice controller; a slice that cannot be reached aborts the
 	// session (the deployment is misconfigured without both controllers).
-	for i, sl := range fv.slices {
+	for _, sl := range fv.slices {
 		conn, err := sl.Dial()
 		if err != nil {
 			return
 		}
-		s.ctls = append(s.ctls, &sliceConn{idx: i, conn: conn,
-			out: make(chan openflow.Message, writeQueueDepth)})
+		s.ctls = append(s.ctls, openflow.NewConn(conn))
 	}
 
 	fv.mu.Lock()
@@ -234,26 +221,13 @@ func (fv *FlowVisor) runSession(swConn net.Conn) {
 	}()
 
 	var wg sync.WaitGroup
-	// Writers.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.writeLoop(s.swConn, s.swOut)
-	}()
-	for _, sc := range s.ctls {
-		wg.Add(1)
-		go func(sc *sliceConn) {
-			defer wg.Done()
-			s.writeLoop(sc.conn, sc.out)
-		}(sc)
-	}
 	// Controller readers.
-	for _, sc := range s.ctls {
+	for i := range s.ctls {
 		wg.Add(1)
-		go func(sc *sliceConn) {
+		go func() {
 			defer wg.Done()
-			s.controllerReadLoop(sc)
-		}(sc)
+			s.controllerReadLoop(i)
+		}()
 	}
 	// Switch reader (this goroutine).
 	s.switchReadLoop()
@@ -261,35 +235,17 @@ func (fv *FlowVisor) runSession(swConn net.Conn) {
 	wg.Wait()
 }
 
+// close closes every Conn of the session, which ends all its readers.
 func (s *session) close() {
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		s.swConn.Close()
-		for _, sc := range s.ctls {
-			sc.conn.Close()
-		}
-	})
-}
-
-// writeLoop batches queued messages into single writes (see
-// openflow.PumpBatched). Relayed messages are *Raw copies of their frames
-// (see copyFrame) and re-encode byte for byte, so relaying costs no
-// re-marshal.
-func (s *session) writeLoop(conn net.Conn, ch <-chan openflow.Message) {
-	if err := openflow.PumpBatched(conn, ch, s.closed); err != nil {
-		s.close()
+	s.sw.Close()
+	for _, c := range s.ctls {
+		c.Close()
 	}
 }
 
-func (s *session) enqueue(ch chan<- openflow.Message, m openflow.Message) {
-	select {
-	case ch <- m:
-	case <-s.closed:
-	}
-}
-
-// copyFrame returns a proxy-owned copy of a frame the Decoder lent, as the
-// *Raw the writer re-encodes byte for byte. Callers patch its XID.
+// copyFrame returns a proxy-owned copy of a frame a Conn lent, as the *Raw
+// the destination Conn's writer re-encodes byte for byte, so relaying costs
+// no re-encoding. Callers patch its XID.
 func copyFrame(frame []byte) *openflow.Raw {
 	raw := &openflow.Raw{T: openflow.Type(frame[1]),
 		Body: append([]byte(nil), frame[openflow.HeaderLen:]...)}
@@ -318,9 +274,9 @@ func (s *session) relay(slice int, frame []byte) {
 		own.SetXID(s.mapXID(pendEntry{slice: slice, own: true}))
 	}
 	s.xidMu.Unlock()
-	s.enqueue(s.swOut, m)
+	_ = s.sw.Send(m)
 	if own != nil {
-		s.enqueue(s.swOut, own)
+		_ = s.sw.Send(own)
 	}
 }
 
@@ -366,11 +322,11 @@ func (s *session) resolveXID(m openflow.Message) (pendEntry, bool) {
 	return pe, true
 }
 
-func (s *session) controllerReadLoop(sc *sliceConn) {
-	slice := s.fv.slices[sc.idx]
-	dec := openflow.NewDecoder(sc.conn)
+func (s *session) controllerReadLoop(idx int) {
+	slice := s.fv.slices[idx]
+	c := s.ctls[idx]
 	for {
-		m, err := dec.Decode()
+		m, err := c.Decode()
 		if err != nil {
 			s.close()
 			return
@@ -382,59 +338,58 @@ func (s *session) controllerReadLoop(sc *sliceConn) {
 			// Keepalives terminate at the proxy, like real FlowVisor.
 			rep := &openflow.EchoReply{Data: append([]byte(nil), msg.Data...)}
 			rep.SetXID(msg.XID())
-			s.enqueue(sc.out, rep)
+			_ = c.Send(rep)
 			continue
 		}
 		if slice.AllowWrite != nil && !slice.AllowWrite(m) {
-			s.fv.counters[sc.idx].denied.Add(1)
+			s.fv.counters[idx].denied.Add(1)
 			em := &openflow.ErrorMsg{
 				ErrType: openflow.ErrTypeBadRequest,
 				Code:    openflow.ErrCodeBadRequestEperm,
-				Data:    append([]byte(nil), truncate(dec.Frame(), 64)...),
+				Data:    append([]byte(nil), truncate(c.Frame(), 64)...),
 			}
 			em.SetXID(m.XID())
-			s.enqueue(sc.out, em)
+			_ = c.Send(em)
 			continue
 		}
-		s.fv.counters[sc.idx].toSwitch.Add(1)
-		s.relay(sc.idx, dec.Frame())
+		s.fv.counters[idx].toSwitch.Add(1)
+		s.relay(idx, c.Frame())
 	}
 }
 
 func (s *session) switchReadLoop() {
 	helloSent := make([]bool, len(s.ctls))
-	dec := openflow.NewDecoder(s.swConn)
 	for {
-		m, err := dec.Decode()
+		m, err := s.sw.Decode()
 		if err != nil {
 			return
 		}
 		switch msg := m.(type) {
 		case *openflow.Hello:
 			// Relay the switch's hello once to every slice.
-			for i, sc := range s.ctls {
+			for i, c := range s.ctls {
 				if !helloSent[i] {
 					helloSent[i] = true
 					h := &openflow.Hello{}
 					h.SetXID(msg.XID())
-					s.enqueue(sc.out, h)
+					_ = c.Send(h)
 				}
 			}
 		case *openflow.EchoRequest:
 			rep := &openflow.EchoReply{Data: append([]byte(nil), msg.Data...)}
 			rep.SetXID(msg.XID())
-			s.enqueue(s.swOut, rep)
+			_ = s.sw.Send(rep)
 		case *openflow.PacketIn:
-			s.routePacketIn(msg, dec.Frame())
+			s.routePacketIn(msg, s.sw.Frame())
 		case *openflow.PortStatus, *openflow.FlowRemoved, *openflow.TelemetryExport:
 			// Asynchronous switch events (including unsolicited telemetry
 			// exports) fan out to every slice; each controller's aggregator
 			// filters by epoch, so foreign streams are ignored downstream.
 			// The writers only read the copy, so the slices share it.
-			raw := copyFrame(dec.Frame())
-			for i, sc := range s.ctls {
+			raw := copyFrame(s.sw.Frame())
+			for i, c := range s.ctls {
 				s.fv.counters[i].toController.Add(1)
-				s.enqueue(sc.out, raw)
+				_ = c.Send(raw)
 			}
 		default:
 			// Replies: route by transaction ID.
@@ -442,10 +397,10 @@ func (s *session) switchReadLoop() {
 			if !ok || pe.own {
 				continue // unsolicited reply or the proxy's own barrier; drop
 			}
-			raw := copyFrame(dec.Frame())
+			raw := copyFrame(s.sw.Frame())
 			raw.SetXID(pe.orig)
 			s.fv.counters[pe.slice].toController.Add(1)
-			s.enqueue(s.ctls[pe.slice].out, raw)
+			_ = s.ctls[pe.slice].Send(raw)
 		}
 	}
 }
@@ -457,7 +412,7 @@ func (s *session) routePacketIn(pi *openflow.PacketIn, frame []byte) {
 		if sl.OwnsPacketIn == nil || sl.OwnsPacketIn(pi) {
 			s.fv.counters[i].packetIns.Add(1)
 			s.fv.counters[i].toController.Add(1)
-			s.enqueue(s.ctls[i].out, copyFrame(frame))
+			_ = s.ctls[i].Send(copyFrame(frame))
 			return
 		}
 	}

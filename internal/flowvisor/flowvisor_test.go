@@ -206,10 +206,10 @@ func TestWritePolicyEnforced(t *testing.T) {
 	}
 
 	// The rf slice may.
-	if err := st.rf.FlowModAdd(0xD1, fm); err != nil {
+	rc, _ := st.rf.Switch(0xD1)
+	if err := rc.Send(fm); err != nil {
 		t.Fatal(err)
 	}
-	rc, _ := st.rf.Switch(0xD1)
 	if err := rc.Barrier(); err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestRelayIsByteIdenticalButForXIDs(t *testing.T) {
 	write(rf, batch(ctlBatch...))
 	proxyXID := map[uint32]uint32{} // controller xid -> proxy xid
 	for i, m := range toSwitch {
-		sent := openflow.Marshal(m)
+		sent := m.AppendTo(nil)
 		got := nextFrame(t, swIn, fmt.Sprintf("relayed %v %d", m.MsgType(), i))
 		xid := binary.BigEndian.Uint32(got[4:])
 		if !bytes.Equal(withXID(got, m.XID()), sent) {
@@ -544,7 +544,7 @@ func TestRelayIsByteIdenticalButForXIDs(t *testing.T) {
 	}
 	for _, e := range echoes {
 		rep := nextFrame(t, rfIn, "echo reply")
-		want := openflow.Marshal(&openflow.EchoReply{MsgXID: e.MsgXID, Data: e.Data})
+		want := (&openflow.EchoReply{MsgXID: e.MsgXID, Data: e.Data}).AppendTo(nil)
 		if !bytes.Equal(rep, want) {
 			t.Fatalf("echo reply\n got %x\nwant %x", rep, want)
 		}
@@ -596,13 +596,13 @@ func TestRelayIsByteIdenticalButForXIDs(t *testing.T) {
 		{rfIn, stats, statsXID, "rf: stats reply"},
 		{rfIn, bar, barrierXID, "rf: barrier reply"},
 	} {
-		want := withXID(openflow.Marshal(w.m), w.xid)
+		want := withXID(w.m.AppendTo(nil), w.xid)
 		if got := nextFrame(t, w.in, w.what); !bytes.Equal(got, want) {
 			t.Fatalf("%s:\n got %x\nwant %x", w.what, got, want)
 		}
 	}
 	for _, e := range swEchoes {
-		want := openflow.Marshal(&openflow.EchoReply{MsgXID: e.MsgXID, Data: e.Data})
+		want := (&openflow.EchoReply{MsgXID: e.MsgXID, Data: e.Data}).AppendTo(nil)
 		if got := nextFrame(t, swIn, "switch echo reply"); !bytes.Equal(got, want) {
 			t.Fatalf("switch echo reply\n got %x\nwant %x", got, want)
 		}

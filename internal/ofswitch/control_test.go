@@ -159,11 +159,11 @@ func TestControlQueueDropsCounted(t *testing.T) {
 	for i := range burst {
 		burst[i] = frame
 	}
-	for left := outQueueDepth + overflow; left > 0; left -= len(burst) {
+	for left := openflow.SendQueueDepth + overflow; left > 0; left -= len(burst) {
 		cs.sw.batchIn(1, burst[:min(left, len(burst))]) // empty table: every frame punts
 	}
 	if got := cs.sw.ControlQueueDrops(); got != overflow {
 		t.Fatalf("ControlQueueDrops = %d after %d punts into a %d-deep queue, want %d",
-			got, outQueueDepth+overflow, outQueueDepth, overflow)
+			got, openflow.SendQueueDepth+overflow, openflow.SendQueueDepth, overflow)
 	}
 }

@@ -55,13 +55,15 @@ type Switch struct {
 	bufOrder []uint32 // FIFO of live buffer IDs for eviction
 	nextBuf  uint32
 
+	// conn is the current control session; nil between sessions. Stop
+	// and Reboot close it.
 	connMu  sync.Mutex
-	conn    io.ReadWriteCloser
-	out     chan openflow.Message
+	conn    *openflow.Conn
 	running bool
 
 	// ctlDrops counts control messages dropped because the outbound queue
-	// was full.
+	// was full: a stalled controller costs packet-in drops (as on a real
+	// switch) instead of blocking the dataplane.
 	ctlDrops atomic.Uint64
 
 	// ctlStage is the egress staging of the goroutine that runs
@@ -83,11 +85,6 @@ type Switch struct {
 
 	wg sync.WaitGroup
 }
-
-// outQueueDepth bounds outbound control messages; a stalled controller
-// causes packet-in drops (as on a real switch) instead of blocking the
-// dataplane.
-const outQueueDepth = 1024
 
 type swPort struct {
 	no uint16
@@ -295,46 +292,34 @@ func (s *Switch) supervise(dial func() (io.ReadWriteCloser, error)) {
 }
 
 // runSession drives one controller connection from HELLO to disconnect.
-func (s *Switch) runSession(conn io.ReadWriteCloser) {
-	out := make(chan openflow.Message, outQueueDepth)
+// The session ends when the connection fails or Stop or Reboot closes it;
+// it is published under connMu, so a Stop that runs first is seen here.
+func (s *Switch) runSession(rwc io.ReadWriteCloser) {
 	s.connMu.Lock()
+	select {
+	case <-s.stop:
+		s.connMu.Unlock()
+		rwc.Close()
+		return
+	default:
+	}
+	conn := openflow.NewConn(rwc)
 	s.conn = conn
-	s.out = out
 	s.connMu.Unlock()
 
-	sessEnd := make(chan struct{})
-	var endOnce sync.Once
-	endSession := func() { endOnce.Do(func() { close(sessEnd) }) }
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // a global Stop must also cut this session's connection
-		defer wg.Done()
-		select {
-		case <-s.stop:
-		case <-sessEnd:
-		}
-		conn.Close()
-	}()
-	go func() {
-		defer wg.Done()
-		_ = openflow.PumpBatched(conn, out, sessEnd)
-		endSession()
-	}()
 	if err := s.send(&openflow.Hello{}); err == nil {
-		dec := openflow.NewDecoder(conn)
 		for {
-			m, err := dec.Decode()
+			m, err := conn.Decode()
 			if err != nil {
 				break
 			}
 			s.handleControl(m)
 		}
 	}
-	endSession()
-	wg.Wait()
+	conn.Close()
 	s.connMu.Lock()
 	if s.conn == conn {
-		s.conn, s.out = nil, nil
+		s.conn = nil
 	}
 	s.connMu.Unlock()
 	// Exports in flight on the dead session are lost; re-baseline on the
@@ -380,20 +365,20 @@ func (s *Switch) Stop() {
 	s.wg.Wait()
 }
 
+// send queues m on the current session without waiting; a full queue drops
+// it and counts the drop in ctlDrops.
 func (s *Switch) send(m openflow.Message) error {
 	s.connMu.Lock()
-	out := s.out
+	conn := s.conn
 	s.connMu.Unlock()
-	if out == nil {
+	if conn == nil {
 		return errors.New("ofswitch: not connected")
 	}
-	select {
-	case out <- m:
-		return nil
-	default:
+	err := conn.TrySend(m)
+	if errors.Is(err, openflow.ErrQueueFull) {
 		s.ctlDrops.Add(1)
-		return errors.New("ofswitch: controller queue full")
 	}
+	return err
 }
 
 // expireLoop checks the table for expired entries once an expireInterval
@@ -490,7 +475,7 @@ func (s *Switch) handleControl(m openflow.Message) {
 }
 
 func (s *Switch) sendError(req openflow.Message, errType, code uint16, orig openflow.Message) {
-	data := openflow.Marshal(orig)
+	data := orig.AppendTo(nil)
 	if len(data) > 64 {
 		data = data[:64]
 	}
@@ -553,7 +538,7 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 		}
 		if errMsg := s.table.add(e, m.Flags&openflow.FlowModFlagCheckOverlap != 0); errMsg != nil {
 			errMsg.SetXID(m.XID())
-			errMsg.Data = openflow.Marshal(m)[:64]
+			errMsg.Data = m.AppendTo(nil)[:64]
 			_ = s.send(errMsg)
 			return
 		}
@@ -791,13 +776,11 @@ func (s *Switch) takeBuffer(id uint32) (bufferedPacket, bool) {
 // egress copies and the frame is the caller's again afterwards. Rewrite
 // actions may patch frame in place.
 func (s *Switch) execute(inPort uint16, frame []byte, actions []openflow.Action) {
-	if hasMultipath(actions) {
-		// Packet-outs and buffer releases can carry a multipath action
-		// verbatim from the controller; resolve it against the frame's own
-		// key so the bucket choice agrees with what the flow table would do.
-		if key, err := openflow.ExtractKey(inPort, frame); err == nil {
-			actions = resolveMultipath(actions, &key)
-		}
+	// Packet-outs and buffer releases can carry a multipath action verbatim
+	// from the controller; resolve it against the frame's own key so the
+	// bucket choice agrees with what the flow table would do.
+	if key, err := openflow.ExtractKey(inPort, frame); err == nil {
+		actions = openflow.ResolveMultipath(actions, &key)
 	}
 	p := planActions(actions)
 	s.apply(&s.ctlStage, inPort, &netemu.Burst{Frames: [][]byte{frame}}, 0, 1, &p)

@@ -367,10 +367,9 @@ func (t *flowTable) classify(key *openflow.Match, n, nBytes uint64, nowNanos int
 	for i := range t.bands {
 		for _, e := range t.bands[i].entries {
 			if e.match.Covers(key) {
-				actions := e.actions
-				if hasMultipath(actions) {
-					actions = resolveMultipath(actions, key)
-				}
+				// The cache line holds the group's resolved bucket, so
+				// the hit path never sees a multipath action.
+				actions := openflow.ResolveMultipath(e.actions, key)
 				c.matched.Add(n)
 				e.hitN(n, nBytes, nowNanos)
 				var mc *telCounter
@@ -388,49 +387,6 @@ func (t *flowTable) classify(key *openflow.Match, n, nBytes uint64, nowNanos int
 	}
 	t.mu.RUnlock()
 	return nil, false
-}
-
-// hasMultipath reports whether the action list carries a multipath action.
-// The scan runs only on slow paths (classify, packet-out); the cached hit
-// path never sees one because resolution happens before publication.
-func hasMultipath(actions []openflow.Action) bool {
-	for _, a := range actions {
-		if _, ok := a.(*openflow.ActionMultipath); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// resolveMultipath replaces every multipath action with the concrete
-// rewrite+output triple of the bucket selected by the microflow key's hash.
-// Resolution happens once per microflow at cache fill, so the published
-// cache line holds only standard OF 1.0 actions: the zero-alloc hit path
-// and planActions never see a select group, the bucket choice
-// is stable per flow (same key, same hash, same bucket — a flow never
-// reorders across equal-cost paths), and distinct microflows spread across
-// the buckets. The key hash differs hop to hop (in-port and rewritten MACs
-// feed it), so cascaded switches do not polarize onto one path.
-func resolveMultipath(actions []openflow.Action, key *openflow.Match) []openflow.Action {
-	h := key.KeyHash()
-	out := make([]openflow.Action, 0, len(actions)+2)
-	for _, a := range actions {
-		mp, ok := a.(*openflow.ActionMultipath)
-		if !ok {
-			out = append(out, a)
-			continue
-		}
-		if len(mp.Buckets) == 0 {
-			continue // degenerate group: no viable path, drop the action
-		}
-		bk := mp.Bucket(h)
-		out = append(out,
-			&openflow.ActionSetDlSrc{Addr: bk.DlSrc},
-			&openflow.ActionSetDlDst{Addr: bk.DlDst},
-			&openflow.ActionOutput{Port: bk.Port},
-		)
-	}
-	return out
 }
 
 // cacheHitCount sums the per-shard cache-hit counters (tests).

@@ -223,6 +223,43 @@ func (a *ActionMultipath) Bucket(hash uint64) MultipathBucket {
 	return a.Buckets[hash%uint64(len(a.Buckets))]
 }
 
+// ResolveMultipath returns actions with each multipath action replaced by
+// the rewrites and output of the bucket Bucket(key.KeyHash()) selects, and
+// each multipath action with no buckets dropped. It returns actions itself
+// when there is no multipath action, and a new list otherwise. The switch
+// resolves once per microflow, when it fills its cache, so a flow keeps one
+// bucket and never reorders across equal-cost paths while distinct
+// microflows spread over the buckets. The key hash differs hop to hop (the
+// in-port and rewritten MACs feed it), so cascaded switches do not polarize
+// onto one path. Whatever follows a frame through the tables resolves the
+// same way.
+func ResolveMultipath(actions []Action, key *Match) []Action {
+	i := slices.IndexFunc(actions, func(a Action) bool {
+		_, ok := a.(*ActionMultipath)
+		return ok
+	})
+	if i < 0 {
+		return actions
+	}
+	h := key.KeyHash()
+	out := make([]Action, i, len(actions)+2)
+	copy(out, actions[:i])
+	for _, a := range actions[i:] {
+		mp, ok := a.(*ActionMultipath)
+		if !ok {
+			out = append(out, a)
+			continue
+		}
+		if len(mp.Buckets) == 0 {
+			continue
+		}
+		bk := mp.Bucket(h)
+		out = append(out, &ActionSetDlSrc{Addr: bk.DlSrc}, &ActionSetDlDst{Addr: bk.DlDst},
+			&ActionOutput{Port: bk.Port})
+	}
+	return out
+}
+
 func (a *ActionMultipath) appendTo(b []byte) []byte {
 	// Header (type, len, nbuckets, pad) then 16 bytes per bucket
 	// (port, dl_src, dl_dst, pad) — 8-byte aligned throughout.

@@ -1,7 +1,6 @@
 package openflow
 
 import (
-	"io"
 	"net/netip"
 	"testing"
 
@@ -42,17 +41,6 @@ func TestAppendToFlowModAllocBudget(t *testing.T) {
 	}
 }
 
-// TestMarshalFlowModAllocBudget: the compatibility wrapper may allocate the
-// result slice — and nothing else.
-func TestMarshalFlowModAllocBudget(t *testing.T) {
-	fm := allocBudgetFlowMod()
-	if got := testing.AllocsPerRun(200, func() {
-		_ = Marshal(fm)
-	}); got > 1 {
-		t.Fatalf("Marshal(FlowMod) = %.1f allocs/op, budget 1", got)
-	}
-}
-
 // TestExtractKeyAllocBudget: dataplane classification of a full-size UDP
 // frame does not allocate (all packet layers decode into stack values).
 func TestExtractKeyAllocBudget(t *testing.T) {
@@ -70,25 +58,6 @@ func TestExtractKeyAllocBudget(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("ExtractKey = %.1f allocs/op, budget 0", got)
-	}
-}
-
-// TestMessageWriterSteadyStateAllocBudget: appending a burst to a warmed
-// MessageWriter and flushing it in one write allocates nothing.
-func TestMessageWriterSteadyStateAllocBudget(t *testing.T) {
-	fm := allocBudgetFlowMod()
-	mw := NewMessageWriter(io.Discard)
-	burst := func() {
-		for i := 0; i < 64; i++ {
-			mw.Append(fm)
-		}
-		if err := mw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	burst() // grow the batch buffer to working-set size
-	if got := testing.AllocsPerRun(100, burst); got != 0 {
-		t.Fatalf("MessageWriter burst = %.1f allocs/op, budget 0", got)
 	}
 }
 
@@ -127,7 +96,7 @@ func TestDecodeAllocBudget(t *testing.T) {
 		"PortStatus": &PortStatus{Reason: PortReasonModify,
 			Desc: PhyPort{PortNo: 3, HWAddr: pkt.LocalMAC(3), Name: "s1-eth3", State: PortStateDown}},
 	} {
-		dec := NewDecoder(&repeatReader{frame: Marshal(m)})
+		dec := NewDecoder(&repeatReader{frame: m.AppendTo(nil)})
 		decode := func() {
 			if got, err := dec.Decode(); err != nil || got.MsgType() != m.MsgType() {
 				t.Fatalf("%s: decoded %v, %v", name, got, err)
@@ -162,7 +131,7 @@ func TestMatchCoversAllocBudget(t *testing.T) {
 // FlowVisor and the switch read it, and owned by Unmarshal, which is that
 // decode plus Clone.
 func BenchmarkDecodeFlowMod(b *testing.B) {
-	frame := Marshal(allocBudgetFlowMod())
+	frame := allocBudgetFlowMod().AppendTo(nil)
 	b.Run("Decode", func(b *testing.B) {
 		dec := NewDecoder(&repeatReader{frame: frame})
 		b.ReportAllocs()

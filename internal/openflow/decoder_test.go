@@ -105,8 +105,8 @@ func TestDecoderChunking(t *testing.T) {
 // TestDecoderFrameLargerThanBuffer puts a frame larger than the Decoder's
 // buffer between small ones, arriving whole and a byte at a time.
 func TestDecoderFrameLargerThanBuffer(t *testing.T) {
-	small := Marshal(&BarrierRequest{})
-	big := Marshal(&EchoRequest{Data: bytes.Repeat([]byte{7}, 5*decoderReadSize)})
+	small := (&BarrierRequest{}).AppendTo(nil)
+	big := (&EchoRequest{Data: bytes.Repeat([]byte{7}, 5*decoderReadSize)}).AppendTo(nil)
 	stream := append(append(append([]byte(nil), small...), big...), small...)
 	if len(big) <= len(NewDecoder(nil).buf) {
 		t.Fatalf("frame of %d bytes fits the decoder's buffer", len(big))
@@ -119,8 +119,8 @@ func TestDecoderFrameLargerThanBuffer(t *testing.T) {
 // TestDecoderEOF pins the end-of-stream contract: io.EOF unwrapped between
 // frames, an error wrapping io.ErrUnexpectedEOF (and not io.EOF) inside one.
 func TestDecoderEOF(t *testing.T) {
-	hello := Marshal(&Hello{})
-	echo := Marshal(&EchoRequest{Data: []byte("0123456789")})
+	hello := (&Hello{}).AppendTo(nil)
+	echo := (&EchoRequest{Data: []byte("0123456789")}).AppendTo(nil)
 	for _, tc := range []struct {
 		name   string
 		stream []byte
@@ -166,7 +166,7 @@ func TestDecoderEOF(t *testing.T) {
 // length field below the header size is a bad message, not a read.
 func TestDecoderReadErrorsAndBadLength(t *testing.T) {
 	wire := errors.New("wire down")
-	dec := NewDecoder(io.MultiReader(bytes.NewReader(Marshal(&Hello{})), iotest.ErrReader(wire)))
+	dec := NewDecoder(io.MultiReader(bytes.NewReader((&Hello{}).AppendTo(nil)), iotest.ErrReader(wire)))
 	if _, err := dec.Decode(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,29 +180,27 @@ func TestDecoderReadErrorsAndBadLength(t *testing.T) {
 }
 
 // TestDecoderReadsBatchInFewReads pins what the buffered Decoder is for: one
-// PumpBatched batch of 256 flow-mods over net.Pipe, where every Read is a
-// rendezvous with the writing goroutine, is consumed in at most
-// ceil(bytes/decoderReadSize)+1 Read calls instead of two per message.
+// batch of 256 flow-mods written in one Write, as a Conn's writer does, over
+// net.Pipe, where every Read is a rendezvous with the writing goroutine, is
+// consumed in at most ceil(bytes/decoderReadSize)+1 Read calls instead of two
+// per message.
 func TestDecoderReadsBatchInFewReads(t *testing.T) {
 	const n = 256
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	ch := make(chan Message, n)
-	total := 0
+	var batch []byte
 	for i := 1; i <= n; i++ {
 		fm := &FlowMod{Match: MatchAll(), Command: FlowModAdd, BufferID: NoBuffer,
 			OutPort: PortNone, Actions: []Action{&ActionOutput{Port: uint16(i)}}}
 		fm.SetXID(uint32(i))
-		total += len(Marshal(fm))
-		ch <- fm
+		batch = fm.AppendTo(batch)
 	}
+	total := len(batch)
 	if total > DefaultFlushThreshold {
 		t.Fatalf("%d bytes of flow-mods do not fit one batch", total)
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go PumpBatched(client, ch, stop) //nolint:errcheck
+	go client.Write(batch) //nolint:errcheck
 
 	cr := &countingReader{r: server}
 	dec := NewDecoder(cr)

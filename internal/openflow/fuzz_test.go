@@ -21,7 +21,7 @@ func FuzzUnmarshal(f *testing.F) {
 	// Seed corpus: one well-formed frame of every modeled message plus the
 	// malformed shapes the table tests cover.
 	for _, m := range seedMessages() {
-		f.Add(Marshal(m))
+		f.Add(m.AppendTo(nil))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{Version, 0, 0, 4})                           // length below header
@@ -34,7 +34,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			return // rejected is fine; panicking is the bug
 		}
-		wire := Marshal(m)
+		wire := m.AppendTo(nil)
 		m2, err := Unmarshal(wire)
 		if err != nil {
 			t.Fatalf("re-decode of canonical form failed: %v\nwire: %x", err, wire)
@@ -43,8 +43,8 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("type/xid changed across round trip: %v/%d vs %v/%d",
 				m.MsgType(), m.XID(), m2.MsgType(), m2.XID())
 		}
-		if !bytes.Equal(Marshal(m2), wire) {
-			t.Fatalf("canonical form is not stable:\n first %x\nsecond %x", wire, Marshal(m2))
+		if !bytes.Equal(m2.AppendTo(nil), wire) {
+			t.Fatalf("canonical form is not stable:\n first %x\nsecond %x", wire, m2.AppendTo(nil))
 		}
 	})
 }
@@ -65,9 +65,9 @@ func FuzzDecoderStream(f *testing.F) {
 	f.Add(all, []byte{0})
 	f.Add(all, []byte{7, 255, 1, 99})
 	f.Add(all[:len(all)-3], []byte{200})
-	f.Add(append(Marshal(&EchoRequest{Data: make([]byte, 3000)}), all...), []byte{255, 3})
-	f.Add(append(Marshal(&Hello{}), Version, 0, 0, 4, 0, 0, 0, 0), []byte{5}) // length below header
-	f.Add(append(Marshal(&Hello{}), validFrame(TypeFlowMod, 1, make([]byte, 45))...), []byte{10})
+	f.Add(append((&EchoRequest{Data: make([]byte, 3000)}).AppendTo(nil), all...), []byte{255, 3})
+	f.Add(append((&Hello{}).AppendTo(nil), Version, 0, 0, 4, 0, 0, 0, 0), []byte{5}) // length below header
+	f.Add(append((&Hello{}).AppendTo(nil), validFrame(TypeFlowMod, 1, make([]byte, 45))...), []byte{10})
 
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
 		if len(cuts) == 0 {
@@ -91,8 +91,8 @@ func FuzzDecoderStream(f *testing.F) {
 			if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("frame %d: Decode gave %v, %v; Unmarshal gave %v, %v", i, got, err, want, wantErr)
 			}
-			if err == nil && !bytes.Equal(got.AppendTo(nil), Marshal(want)) {
-				t.Fatalf("frame %d: borrowed %v encodes to %x, Unmarshal's to %x", i, got.MsgType(), got.AppendTo(nil), Marshal(want))
+			if err == nil && !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
+				t.Fatalf("frame %d: borrowed %v encodes to %x, Unmarshal's to %x", i, got.MsgType(), got.AppendTo(nil), want.AppendTo(nil))
 			}
 			rest = rest[length:]
 		}
@@ -203,7 +203,7 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 	// (the length field cut with it, so the body decoder sees the cut);
 	// then action lists the reference rejects or reads only in part.
 	for _, m := range seedMessages() {
-		wire := Marshal(m)
+		wire := m.AppendTo(nil)
 		for _, n := range []int{HeaderLen + 1, HeaderLen + 9, len(wire) / 2, len(wire) - 9, len(wire) - 4, len(wire) - 1, len(wire)} {
 			if n >= HeaderLen && n <= len(wire) {
 				cut := append([]byte(nil), wire[:n]...)
@@ -213,7 +213,7 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 		}
 	}
 	flowMod := func(actions ...byte) []byte {
-		return validFrame(TypeFlowMod, 1, append(Marshal(&FlowMod{Match: MatchAll()})[HeaderLen:], actions...))
+		return validFrame(TypeFlowMod, 1, append((&FlowMod{Match: MatchAll()}).AppendTo(nil)[HeaderLen:], actions...))
 	}
 	f.Add(flowMod(0, 4, 0, 8, 1, 2, 3, 4))                                                      // set-dl-src in 8 bytes
 	f.Add(flowMod(0, 11, 0, 8, 0, 1, 0, 0))                                                     // enqueue in 8 bytes

@@ -8,12 +8,12 @@
 // Messages are plain structs. The encoder is append-style: every message
 // implements AppendTo(buf) []byte, which appends the complete framed wire
 // encoding to buf (growing it as append does) and returns the extended
-// slice. Encoding into a reused buffer is allocation-free — this is the hot
-// path the control channel uses. Marshal is the compatibility wrapper that
-// allocates a fresh slice per call. On the decode side, Decoder owns an
-// io.Reader: it reads whatever the transport has ready into a
-// per-connection buffer and cuts complete frames out of it, so a batch of
-// messages costs a few reads instead of two per message. A message decodes
+// slice; AppendTo(nil) gives a message its own bytes. Encoding into a
+// reused buffer is allocation-free — this is the hot path the control
+// channel uses. On the decode side, Decoder owns an io.Reader: it reads
+// whatever the transport has ready into a per-connection buffer and cuts
+// complete frames out of it, so a batch of messages costs a few reads
+// instead of two per message. A message decodes
 // its fixed part at constant offsets after one length check, and walks only
 // its variable-length parts (action lists, port and stats records,
 // telemetry entries). Decode lends the message it returns until the next
@@ -22,8 +22,13 @@
 // packet-out allocates nothing, and a consumer keeps a message by cloning it
 // (Clone). Unmarshal is that decode of one framed message followed by Clone,
 // so its result owns everything and never aliases its input.
-// MessageWriter/WriteBatch/PumpBatched coalesce many messages into a single
-// underlying write, the other half of batched control-channel I/O.
+//
+// Conn is one end of a control channel, the one type the switch, the
+// FlowVisor proxy and the controllers all speak through. It owns its
+// transport, reads through its Decoder, and queues what it sends on a
+// bounded queue (Send waits for room, TrySend never waits) that one writer
+// goroutine drains in batches, each written in one Write and ended early at
+// a barrier.
 //
 // Unknown message types decode to *Raw so a proxy (the FlowVisor substrate)
 // can forward what it does not understand, byte for byte and without
@@ -162,17 +167,6 @@ func appendMessage(buf []byte, m Message) []byte {
 	}
 	binary.BigEndian.PutUint16(buf[start+2:], uint16(n))
 	return buf
-}
-
-// marshalSizeHint is the initial capacity Marshal allocates; it covers every
-// message the deployment sends on its hot paths (a flow-mod with a few
-// actions is 80-120 bytes) in a single allocation.
-const marshalSizeHint = 128
-
-// Marshal frames m into freshly allocated wire bytes. Hot paths should
-// prefer m.AppendTo with a reused buffer, which does not allocate.
-func Marshal(m Message) []byte {
-	return m.AppendTo(make([]byte, 0, marshalSizeHint))
 }
 
 // zeroPad is the source for appending runs of zero padding (and NUL string
@@ -410,7 +404,7 @@ const decoderReadSize = 512
 // takes whatever the transport has ready, up to the free space in the
 // Decoder's per-connection buffer, and Decode then cuts complete frames out
 // of that buffer; it reads again only when the next frame is incomplete. A
-// batch written in one Write (see PumpBatched) is therefore consumed in a
+// batch written in one Write (see Conn) is therefore consumed in a
 // few large reads rather than two reads per message, and on a buffered
 // transport (ctlkit's in-memory stream, a socket) each of those reads takes
 // whatever has arrived without waiting for the writer.

@@ -14,7 +14,7 @@ import (
 // roundTrip marshals m, unmarshals the bytes and compares deeply.
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
-	b := Marshal(m)
+	b := m.AppendTo(nil)
 	got, err := Unmarshal(b)
 	if err != nil {
 		t.Fatalf("%v: unmarshal: %v", m.MsgType(), err)
@@ -35,8 +35,8 @@ func TestHelloRoundTrip(t *testing.T) {
 	if got.XID() != 7 {
 		t.Fatalf("xid = %d", got.XID())
 	}
-	if len(Marshal(m)) != HeaderLen {
-		t.Fatalf("hello length = %d", len(Marshal(m)))
+	if len(m.AppendTo(nil)) != HeaderLen {
+		t.Fatalf("hello length = %d", len(m.AppendTo(nil)))
 	}
 }
 
@@ -80,7 +80,7 @@ func TestFeaturesRoundTrip(t *testing.T) {
 
 func TestFeaturesReplyRejectsTrailingBytes(t *testing.T) {
 	m := &FeaturesReply{DatapathID: 1}
-	b := Marshal(m)
+	b := m.AppendTo(nil)
 	b = append(b, 0xAA) // one stray byte after the ports array
 	b[2] = byte(len(b) >> 8)
 	b[3] = byte(len(b))
@@ -179,7 +179,7 @@ func TestAllActionsRoundTrip(t *testing.T) {
 		OutPort: PortNone, Actions: actions}
 	// The vendor action's payload is zero-padded to an 8-byte multiple on
 	// the wire, so compare piecewise rather than with the strict helper.
-	decoded, err := Unmarshal(Marshal(m))
+	decoded, err := Unmarshal(m.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +236,47 @@ func TestActionMultipathWire(t *testing.T) {
 	}
 }
 
+// TestResolveMultipath: an action list without a group comes back as it is;
+// an empty group is dropped; a group becomes the rewrites and output of
+// Bucket(key.KeyHash()), in the group's place.
+func TestResolveMultipath(t *testing.T) {
+	key, err := ExtractKey(1, (&pkt.Frame{Dst: pkt.LocalMAC(2), Src: pkt.LocalMAC(1),
+		Type: pkt.EtherTypeARP, Payload: make([]byte, pkt.ARPLen)}).Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := &ActionMultipath{}
+	for p := uint16(2); p <= 5; p++ {
+		group.Buckets = append(group.Buckets, MultipathBucket{
+			DlSrc: pkt.LocalMAC(0x50 + uint64(p)), DlDst: pkt.LocalMAC(0xD0 + uint64(p)), Port: p})
+	}
+	bk := group.Bucket(key.KeyHash())
+	vlan := &ActionSetVlanVid{VlanVid: 7}
+	out := &ActionOutput{Port: 9}
+	for _, tc := range []struct {
+		name    string
+		actions []Action
+		want    []Action
+	}{
+		{"no group", []Action{vlan, out}, []Action{vlan, out}},
+		{"empty group", []Action{vlan, &ActionMultipath{}, out}, []Action{vlan, out}},
+		{"group", []Action{vlan, group, out}, []Action{vlan,
+			&ActionSetDlSrc{Addr: bk.DlSrc}, &ActionSetDlDst{Addr: bk.DlDst}, &ActionOutput{Port: bk.Port}, out}},
+	} {
+		got := ResolveMultipath(tc.actions, &key)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.name == "no group" && &got[0] != &tc.actions[0] {
+			t.Errorf("%s: the list was copied, want it returned as it is", tc.name)
+		}
+	}
+}
+
 func TestActionListRejectsBadLength(t *testing.T) {
 	m := &FlowMod{Match: MatchAll(), Command: FlowModAdd, BufferID: NoBuffer,
 		OutPort: PortNone, Actions: []Action{&ActionOutput{Port: 1}}}
-	b := Marshal(m)
+	b := m.AppendTo(nil)
 	// Corrupt the action length field (offset: header 8 + match 40 + 24 + 2).
 	b[HeaderLen+MatchLen+24+2] = 0
 	b[HeaderLen+MatchLen+24+3] = 5 // not a multiple of 8
@@ -330,7 +367,7 @@ func TestRawPassThrough(t *testing.T) {
 	if raw.MsgType() != TypeQueueGetConfigReq || raw.XID() != 99 {
 		t.Fatalf("raw = %+v", raw)
 	}
-	if !bytes.Equal(Marshal(raw), wire) {
+	if !bytes.Equal(raw.AppendTo(nil), wire) {
 		t.Fatal("raw re-encode differs")
 	}
 }
@@ -339,12 +376,12 @@ func TestUnmarshalRejects(t *testing.T) {
 	if _, err := Unmarshal([]byte{1, 0}); err == nil {
 		t.Fatal("short buffer accepted")
 	}
-	m := Marshal(&Hello{})
+	m := (&Hello{}).AppendTo(nil)
 	m[0] = 4 // OpenFlow 1.3 version
 	if _, err := Unmarshal(m); err == nil {
 		t.Fatal("wrong version accepted")
 	}
-	m = Marshal(&Hello{})
+	m = (&Hello{}).AppendTo(nil)
 	m[3] = 200 // length > buffer
 	if _, err := Unmarshal(m); err == nil {
 		t.Fatal("overlong length accepted")
@@ -517,7 +554,7 @@ func TestMatchRoundTripQuick(t *testing.T) {
 			DlVlanPcp: pcp, DlType: dlType, NwTos: tos, NwProto: proto,
 			NwSrc: nwSrc, NwDst: nwDst, TpSrc: tpSrc, TpDst: tpDst}
 		fm := &FlowMod{Match: m, Command: FlowModAdd, BufferID: NoBuffer, OutPort: PortNone}
-		got, err := Unmarshal(Marshal(fm))
+		got, err := Unmarshal(fm.AppendTo(nil))
 		if err != nil {
 			return false
 		}
@@ -536,7 +573,7 @@ func TestPacketInRoundTripQuick(t *testing.T) {
 		}
 		m := &PacketIn{BufferID: buffer, TotalLen: total, InPort: inPort,
 			Reason: reason % 2, Data: data}
-		got, err := Unmarshal(Marshal(m))
+		got, err := Unmarshal(m.AppendTo(nil))
 		if err != nil {
 			return false
 		}

@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"net"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // frame hand-builds a wire frame with the given header fields and body,
@@ -28,9 +26,9 @@ func validFrame(t Type, xid uint32, body []byte) []byte {
 // TestUnmarshalMalformed is the table of truncated/oversized/corrupt frames;
 // each must fail with an error — never panic, never succeed.
 func TestUnmarshalMalformed(t *testing.T) {
-	goodFlowMod := Marshal(&FlowMod{Match: MatchAll(), Command: FlowModAdd,
+	goodFlowMod := (&FlowMod{Match: MatchAll(), Command: FlowModAdd,
 		BufferID: NoBuffer, OutPort: PortNone,
-		Actions: []Action{&ActionOutput{Port: 1}}})
+		Actions: []Action{&ActionOutput{Port: 1}}}).AppendTo(nil)
 
 	corrupt := func(b []byte, off int, v byte) []byte {
 		c := append([]byte(nil), b...)
@@ -91,9 +89,9 @@ func TestUnmarshalMalformed(t *testing.T) {
 	}
 }
 
-// TestAppendToMatchesMarshal pins the append-style contract: AppendTo onto a
-// non-empty prefix appends exactly the Marshal bytes.
-func TestAppendToMatchesMarshal(t *testing.T) {
+// TestAppendToKeepsPrefix pins the append-style contract: AppendTo onto a
+// non-empty prefix appends exactly the bytes AppendTo(nil) returns.
+func TestAppendToKeepsPrefix(t *testing.T) {
 	msgs := []Message{
 		&Hello{},
 		&EchoRequest{Data: []byte("x")},
@@ -115,8 +113,8 @@ func TestAppendToMatchesMarshal(t *testing.T) {
 		if !bytes.Equal(out[:len(prefix)], prefix) {
 			t.Fatalf("%v: AppendTo clobbered the prefix", m.MsgType())
 		}
-		if !bytes.Equal(out[len(prefix):], Marshal(m)) {
-			t.Fatalf("%v: AppendTo differs from Marshal", m.MsgType())
+		if !bytes.Equal(out[len(prefix):], m.AppendTo(nil)) {
+			t.Fatalf("%v: AppendTo onto a prefix differs from AppendTo(nil)", m.MsgType())
 		}
 	}
 }
@@ -152,9 +150,9 @@ func TestDecoderStream(t *testing.T) {
 // PortStatus is the same value every time. Unmarshal's result owns
 // everything: overwriting the input leaves it intact.
 func TestDecoderBorrowsUnmarshalOwns(t *testing.T) {
-	filler := Marshal(&EchoRequest{Data: bytes.Repeat([]byte{0xBB}, 100)})
+	filler := (&EchoRequest{Data: bytes.Repeat([]byte{0xBB}, 100)}).AppendTo(nil)
 	for _, m := range seedMessages() {
-		first := Marshal(m)
+		first := m.AppendTo(nil)
 		stream := append(append([]byte(nil), first...), first...)
 		for len(stream) < 4*decoderReadSize {
 			stream = append(stream, filler...)
@@ -182,7 +180,7 @@ func TestDecoderBorrowsUnmarshalOwns(t *testing.T) {
 			t.Fatal("PacketIn.Data does not alias the frame")
 		}
 
-		wire := Marshal(m)
+		wire := m.AppendTo(nil)
 		owned, err := Unmarshal(wire)
 		if err != nil {
 			t.Fatal(err)
@@ -197,206 +195,9 @@ func TestDecoderBorrowsUnmarshalOwns(t *testing.T) {
 }
 
 func TestDecoderTruncatedBody(t *testing.T) {
-	b := Marshal(&EchoRequest{Data: []byte("0123456789")})
+	b := (&EchoRequest{Data: []byte("0123456789")}).AppendTo(nil)
 	dec := NewDecoder(bytes.NewReader(b[:12]))
 	if _, err := dec.Decode(); err == nil {
 		t.Fatal("truncated body accepted")
 	}
-}
-
-func TestWriteBatchSingleWrite(t *testing.T) {
-	var msgs []Message
-	for i := 1; i <= 20; i++ {
-		fm := &FlowMod{Match: MatchAll(), Command: FlowModAdd, BufferID: NoBuffer,
-			OutPort: PortNone, Actions: []Action{&ActionOutput{Port: uint16(i)}}}
-		fm.SetXID(uint32(i))
-		msgs = append(msgs, fm)
-	}
-	w := &countingWriter{}
-	if err := WriteBatch(w, msgs); err != nil {
-		t.Fatal(err)
-	}
-	if w.writes != 1 {
-		t.Fatalf("batch took %d writes, want 1", w.writes)
-	}
-	// The concatenated stream must decode back to the same messages.
-	dec := NewDecoder(bytes.NewReader(w.buf.Bytes()))
-	for i, want := range msgs {
-		got, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("message %d differs after batch round trip", i)
-		}
-	}
-	if _, err := dec.Decode(); err != io.EOF {
-		t.Fatalf("trailing bytes after batch: %v", err)
-	}
-}
-
-func TestMessageWriterStickyError(t *testing.T) {
-	w := &failingWriter{}
-	mw := NewMessageWriter(w)
-	mw.Append(&Hello{})
-	if err := mw.Flush(); err == nil {
-		t.Fatal("flush to failing writer succeeded")
-	}
-	mw.Append(&Hello{})
-	if err := mw.Flush(); err == nil {
-		t.Fatal("error not sticky")
-	}
-	if w.writes != 1 {
-		t.Fatalf("writer called %d times after error, want 1", w.writes)
-	}
-}
-
-func TestMessageWriterEmptyFlush(t *testing.T) {
-	w := &countingWriter{}
-	mw := NewMessageWriter(w)
-	if err := mw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.writes != 0 {
-		t.Fatal("empty flush wrote")
-	}
-}
-
-// TestPumpBatchedCoalesces drives the shared write loop with a pre-filled
-// queue and checks the burst reaches the wire in far fewer writes than
-// messages while preserving order.
-func TestPumpBatchedCoalesces(t *testing.T) {
-	const n = 64
-	ch := make(chan Message, n)
-	for i := 1; i <= n; i++ {
-		fm := &FlowMod{Match: MatchAll(), Command: FlowModAdd, BufferID: NoBuffer,
-			OutPort: PortNone, Actions: []Action{&ActionOutput{Port: uint16(i)}}}
-		fm.SetXID(uint32(i))
-		ch <- fm
-	}
-	stop := make(chan struct{})
-	w := &countingWriter{}
-	done := make(chan error, 1)
-	go func() { done <- PumpBatched(w, ch, stop) }()
-
-	// The queue was full before the pump started, so the first receive
-	// drains everything into one batch (the flow-mod burst is ~5KiB, well
-	// under the flush threshold).
-	deadline := 0
-	for len(ch) > 0 && deadline < 1000 {
-		deadline++
-		netSleep()
-	}
-	close(stop)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if w.writes >= n/4 {
-		t.Fatalf("burst of %d messages took %d writes; batching is not coalescing", n, w.writes)
-	}
-	dec := NewDecoder(bytes.NewReader(w.buf.Bytes()))
-	for i := 1; i <= n; i++ {
-		m, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-		if m.XID() != uint32(i) {
-			t.Fatalf("message %d out of order: xid %d", i, m.XID())
-		}
-	}
-}
-
-// TestPumpBatchedFlushesAtBarrier checks a barrier ends its batch rather
-// than coalescing messages queued behind it into the same write.
-func TestPumpBatchedFlushesAtBarrier(t *testing.T) {
-	ch := make(chan Message, 8)
-	fm := &FlowMod{Match: MatchAll(), Command: FlowModAdd, BufferID: NoBuffer, OutPort: PortNone}
-	fm.SetXID(1)
-	br := &BarrierRequest{}
-	br.SetXID(2)
-	after := &Hello{}
-	after.SetXID(3)
-	ch <- fm
-	ch <- br
-	ch <- after
-
-	stop := make(chan struct{})
-	w := &countingWriter{}
-	done := make(chan error, 1)
-	go func() { done <- PumpBatched(w, ch, stop) }()
-	deadline := 0
-	for len(ch) > 0 && deadline < 1000 {
-		deadline++
-		netSleep()
-	}
-	close(stop)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if w.writes < 2 {
-		t.Fatalf("barrier did not delimit the batch: %d writes", w.writes)
-	}
-	dec := NewDecoder(bytes.NewReader(w.buf.Bytes()))
-	for want := uint32(1); want <= 3; want++ {
-		m, err := dec.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.XID() != want {
-			t.Fatalf("xid %d, want %d", m.XID(), want)
-		}
-	}
-}
-
-// TestBatchedLoopsInterop runs the real thing end to end: a PumpBatched
-// writer on one side of a pipe, a Decoder on the other.
-func TestBatchedLoopsInterop(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	const n = 100
-	ch := make(chan Message, n)
-	stop := make(chan struct{})
-	defer close(stop)
-	go PumpBatched(client, ch, stop) //nolint:errcheck
-
-	go func() {
-		for i := 1; i <= n; i++ {
-			m := &EchoRequest{Data: []byte{byte(i)}}
-			m.SetXID(uint32(i))
-			ch <- m
-		}
-	}()
-
-	dec := NewDecoder(server)
-	for i := 1; i <= n; i++ {
-		m, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-		if m.XID() != uint32(i) {
-			t.Fatalf("message %d: xid %d", i, m.XID())
-		}
-	}
-}
-
-// netSleep is the polling interval of the drain-wait loops.
-func netSleep() { time.Sleep(time.Millisecond) }
-
-type countingWriter struct {
-	buf    bytes.Buffer
-	writes int
-}
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	return w.buf.Write(p)
-}
-
-type failingWriter struct{ writes int }
-
-func (w *failingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	return 0, errors.New("wire down")
 }

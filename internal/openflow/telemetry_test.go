@@ -59,7 +59,7 @@ func TestTelemetryGoldenWire(t *testing.T) {
 		10, 1, 0, 0, 24, // src 10.1.0.0/24
 		10, 2, 0, 0, 24, // dst 10.2.0.0/24
 	}
-	if got := Marshal(mod); !bytes.Equal(got, wantMod) {
+	if got := mod.AppendTo(nil); !bytes.Equal(got, wantMod) {
 		t.Errorf("TelemetryMod wire:\n got %x\nwant %x", got, wantMod)
 	}
 
@@ -76,7 +76,7 @@ func TestTelemetryGoldenWire(t *testing.T) {
 		0x01,       // packets 1
 		0xdc, 0x0b, // bytes 1500 as uvarint
 	}
-	if got := Marshal(ex); !bytes.Equal(got, wantEx) {
+	if got := ex.AppendTo(nil); !bytes.Equal(got, wantEx) {
 		t.Errorf("TelemetryExport wire:\n got %x\nwant %x", got, wantEx)
 	}
 
@@ -87,7 +87,7 @@ func TestTelemetryGoldenWire(t *testing.T) {
 		0, 0, 0, 0, 0, 0, 0, 2,
 		0, 0, 0, 5,
 	}
-	if got := Marshal(ack); !bytes.Equal(got, wantAck) {
+	if got := ack.AppendTo(nil); !bytes.Equal(got, wantAck) {
 		t.Errorf("TelemetryAck wire:\n got %x\nwant %x", got, wantAck)
 	}
 }

@@ -91,45 +91,12 @@ func firstOutput(actions []openflow.Action) (uint16, bool) {
 	return 0, false
 }
 
-// resolveMultipath replaces each ECMP group with the bucket the key's hash
-// selects, mirroring the switch's classify-time resolution, so the walk
-// follows the same concrete path a real frame with this key would take.
-func resolveMultipath(actions []openflow.Action, key *openflow.Match) []openflow.Action {
-	resolved := false
-	for _, a := range actions {
-		if _, ok := a.(*openflow.ActionMultipath); ok {
-			resolved = true
-		}
-	}
-	if !resolved {
-		return actions
-	}
-	h := key.KeyHash()
-	out := make([]openflow.Action, 0, len(actions)+2)
-	for _, a := range actions {
-		mp, ok := a.(*openflow.ActionMultipath)
-		if !ok {
-			out = append(out, a)
-			continue
-		}
-		if len(mp.Buckets) == 0 {
-			continue // empty group drops
-		}
-		bk := mp.Bucket(h)
-		out = append(out,
-			&openflow.ActionSetDlSrc{Addr: bk.DlSrc},
-			&openflow.ActionSetDlDst{Addr: bk.DlDst},
-			&openflow.ActionOutput{Port: bk.Port})
-	}
-	return out
-}
-
 // matchActions resolves key against a priority-ordered flow-table snapshot,
 // returning the matched entry's actions with ECMP groups resolved.
 func matchActions(flows []ofswitch.FlowInfo, key *openflow.Match) ([]openflow.Action, bool) {
 	for i := range flows {
 		if flows[i].Match.Covers(key) {
-			return resolveMultipath(flows[i].Actions, key), true
+			return openflow.ResolveMultipath(flows[i].Actions, key), true
 		}
 	}
 	return nil, false

@@ -60,7 +60,7 @@ func TestRoutedPuntOutlivesTheLentPacketIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	conn.Write(append(openflow.Marshal(&openflow.Hello{}), openflow.Marshal(&openflow.FeaturesReply{DatapathID: dpid})...))
+	conn.Write(append((&openflow.Hello{}).AppendTo(nil), (&openflow.FeaturesReply{DatapathID: dpid}).AppendTo(nil)...))
 	waitUntil(t, "switch up", func() bool { _, ok := ctl.Switch(dpid); return ok })
 
 	// More echo replies than the stream to the switch and one write batch

@@ -1,10 +1,6 @@
 package routeflow
 
-import (
-	"time"
-
-	"routeflow/internal/te"
-)
+import "routeflow/internal/te"
 
 // Traffic-engineering types (online re-optimization over telemetry).
 //
@@ -17,10 +13,6 @@ import (
 // telemetry program re-baselines under a bumped epoch so counters stay
 // exactly-once across the path change.
 type (
-	// TEConfig tunes the optimizer: hot threshold, relief watermark
-	// (hysteresis), per-pair move cooldown, oscillator freezing and the
-	// per-round move cap. The zero value takes the package defaults.
-	TEConfig = te.Config
 	// TEMove is one decided migration: the pair re-pinned from one walk to
 	// another.
 	TEMove = te.Move
@@ -29,19 +21,3 @@ type (
 // WithTrafficEngineering enables the online TE loop with default tuning.
 // Implies WithTelemetry — the optimizer's input is the telemetry view.
 func WithTrafficEngineering() Option { return func(o *Options) { o.TE = true } }
-
-// WithTEConfig enables TE with explicit optimizer tuning.
-func WithTEConfig(cfg TEConfig) Option {
-	return func(o *Options) { o.TE = true; o.TEConfig = cfg }
-}
-
-// WithTETimers enables TE and sets its cadence and link model: interval is
-// the optimization round period (0 keeps 1s), capacityBPS the modeled
-// capacity of every link in bytes/sec for utilization math (0 keeps 1 MiB/s).
-func WithTETimers(interval time.Duration, capacityBPS float64) Option {
-	return func(o *Options) {
-		o.TE = true
-		o.TEInterval = interval
-		o.TELinkCapacityBPS = capacityBPS
-	}
-}

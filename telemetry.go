@@ -1,10 +1,6 @@
 package routeflow
 
-import (
-	"time"
-
-	"routeflow/internal/telemetry"
-)
+import "routeflow/internal/telemetry"
 
 // Telemetry types (streaming per-flow and per-link statistics).
 //
@@ -47,14 +43,3 @@ func MakeLinkKey(a, b int) LinkKey { return telemetry.MakeLinkKey(a, b) }
 // The export path adds two atomic counter updates per burst and monitored
 // flow to forwarding and allocates nothing per packet.
 func WithTelemetry() Option { return func(o *Options) { o.Telemetry = true } }
-
-// WithTelemetryTimers enables telemetry and sets its cadence: interval is
-// the switch export period (protocol time; 0 keeps the 500ms default), span
-// the rolling-rate window length (0 keeps 5s).
-func WithTelemetryTimers(interval, span time.Duration) Option {
-	return func(o *Options) {
-		o.Telemetry = true
-		o.TelemetryInterval = interval
-		o.TelemetrySpan = span
-	}
-}
