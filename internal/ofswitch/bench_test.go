@@ -2,6 +2,7 @@ package ofswitch
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"runtime"
 	"sync/atomic"
@@ -184,4 +185,68 @@ func TestSwitchForwardAllocBudgetECMP(t *testing.T) {
 	if avg > 0 {
 		t.Fatalf("ECMP steady-state forward allocates %.2f allocs/op, budget is 0", avg)
 	}
+}
+
+// rfShapedFlowMods returns n FLOW_MOD adds of the shape rf installs (match
+// on IPv4 destination, and source for a pin; rewrite both MACs; output),
+// spread over rf's priority bands like churn-4k's rules: /24 routes, /30
+// links, (src, dst) pins and /32 hosts, in a shuffled order.
+func rfShapedFlowMods(n int) []*openflow.FlowMod {
+	r := rand.New(rand.NewSource(1))
+	fms := make([]*openflow.FlowMod, n)
+	for i := range fms {
+		m := openflow.MatchAll()
+		m.Wildcards &^= openflow.WildcardDlType
+		m.DlType = uint16(pkt.EtherTypeIPv4)
+		hi, lo := byte(i/4>>8), byte(i/4)
+		var prio uint16
+		switch i % 4 {
+		case 0:
+			prio = 124
+			m.SetNwDstPrefix(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 200 + hi, lo, 0}), 24))
+		case 1:
+			prio = 130
+			m.SetNwDstPrefix(netip.PrefixFrom(netip.AddrFrom4([4]byte{172, 16 + hi, lo, 4 * byte(r.Intn(64))}), 30))
+		case 2:
+			prio = 400
+			m.SetNwSrcPrefix(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 210 + hi, lo, 0}), 24))
+			m.SetNwDstPrefix(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 230 + hi, lo, 0}), 24))
+		case 3:
+			prio = 500
+			m.SetNwDstPrefix(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 250, hi, lo}), 32))
+		}
+		fms[i] = &openflow.FlowMod{
+			Match: m, Command: openflow.FlowModAdd, Priority: prio,
+			BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+			Actions: []openflow.Action{
+				&openflow.ActionSetDlSrc{Addr: pkt.LocalMAC(0xc0002)},
+				&openflow.ActionSetDlDst{Addr: pkt.LocalMAC(uint64(0xe0)<<24 | uint64(i))},
+				&openflow.ActionOutput{Port: 2},
+			},
+		}
+	}
+	r.Shuffle(n, func(i, j int) { fms[i], fms[j] = fms[j], fms[i] })
+	return fms
+}
+
+// BenchmarkInstall4096 prices the switch's side of a full install: 4096
+// rf-shaped FLOW_MOD adds through handleFlowMod into a fresh table, the work
+// the session goroutine does per rule once the message is decoded. The
+// fresh table is made with the timer stopped.
+func BenchmarkInstall4096(b *testing.B) {
+	fms := rfShapedFlowMods(4096)
+	sw := New(Config{DPID: 0xBE, Name: "bench"})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sw.table = newFlowTable()
+		b.StartTimer()
+		for _, fm := range fms {
+			sw.handleFlowMod(fm)
+		}
+	}
+	if n := sw.table.len(); n != len(fms) {
+		b.Fatalf("table holds %d flows, want %d", n, len(fms))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fms)), "ns/flowmod")
 }

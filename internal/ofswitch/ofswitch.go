@@ -531,12 +531,7 @@ func (s *Switch) portStateChanged(p *swPort, up bool) {
 func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 	switch m.Command {
 	case openflow.FlowModAdd:
-		e := &flowEntry{
-			match: m.Match, priority: m.Priority, cookie: m.Cookie,
-			idleTimeout: m.IdleTimeout, hardTimeout: m.HardTimeout,
-			flags: m.Flags, actions: openflow.CloneActions(m.Actions), created: s.clk.Now(),
-		}
-		if errMsg := s.table.add(e, m.Flags&openflow.FlowModFlagCheckOverlap != 0); errMsg != nil {
+		if errMsg := s.table.add(s.newEntry(m), m.Flags&openflow.FlowModFlagCheckOverlap != 0); errMsg != nil {
 			errMsg.SetXID(m.XID())
 			errMsg.Data = m.AppendTo(nil)[:64]
 			_ = s.send(errMsg)
@@ -544,15 +539,9 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 		}
 	case openflow.FlowModModify, openflow.FlowModModifyStrict:
 		strict := m.Command == openflow.FlowModModifyStrict
-		actions := openflow.CloneActions(m.Actions)
-		if n := s.table.modify(&m.Match, m.Priority, actions, strict); n == 0 {
+		if n := s.table.modify(&m.Match, m.Priority, openflow.CloneActions(m.Actions), strict); n == 0 {
 			// OF 1.0: a modify that matches nothing behaves like an add.
-			e := &flowEntry{
-				match: m.Match, priority: m.Priority, cookie: m.Cookie,
-				idleTimeout: m.IdleTimeout, hardTimeout: m.HardTimeout,
-				flags: m.Flags, actions: actions, created: s.clk.Now(),
-			}
-			_ = s.table.add(e, false)
+			_ = s.table.add(s.newEntry(m), false)
 		}
 	case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
 		strict := m.Command == openflow.FlowModDeleteStrict
@@ -569,6 +558,18 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 			s.execute(bp.inPort, bp.frame, m.Actions)
 		}
 	}
+}
+
+// newEntry returns an unpublished table entry for the borrowed flow-mod m,
+// with its own copy of m's actions.
+func (s *Switch) newEntry(m *openflow.FlowMod) *flowEntry {
+	e := &flowEntry{
+		match: m.Match, priority: m.Priority, cookie: m.Cookie,
+		idleTimeout: m.IdleTimeout, hardTimeout: m.HardTimeout,
+		flags: m.Flags, created: s.clk.Now(),
+	}
+	e.setActions(m.Actions)
+	return e
 }
 
 // handlePacketOut executes a borrowed packet-out. Its inline frame aliases

@@ -42,6 +42,48 @@ type flowEntry struct {
 	packets  atomic.Uint64
 	bytes    atomic.Uint64
 	seq      uint64 // insertion order tiebreak
+
+	// inline is where setActions copies an action list that fits, so that
+	// the entry, its []Action and the action values are one allocation.
+	inline inlineActions
+}
+
+// inlineActions is room for an rf-shaped action list inside its entry: at
+// most one each of Output, SetDlSrc and SetDlDst, in any order.
+type inlineActions struct {
+	list [3]openflow.Action
+	out  openflow.ActionOutput
+	src  openflow.ActionSetDlSrc
+	dst  openflow.ActionSetDlDst
+}
+
+// setActions makes e.actions e's own copy of the borrowed actions: inline
+// when the list fits, else openflow.CloneActions. It runs once, before e is
+// published, and is the only writer of e.inline: modify installs a fresh
+// clone instead, since a microflow cache line may still hold the old slice.
+func (e *flowEntry) setActions(actions []openflow.Action) {
+	in := &e.inline
+	if len(actions) == 0 || len(actions) > len(in.list) {
+		e.actions = openflow.CloneActions(actions)
+		return
+	}
+	for i, a := range actions {
+		var p openflow.Action
+		switch a := a.(type) {
+		case *openflow.ActionOutput:
+			in.out, p = *a, &in.out
+		case *openflow.ActionSetDlSrc:
+			in.src, p = *a, &in.src
+		case *openflow.ActionSetDlDst:
+			in.dst, p = *a, &in.dst
+		}
+		if p == nil || slices.Contains(in.list[:i], p) {
+			e.actions = openflow.CloneActions(actions)
+			return
+		}
+		in.list[i] = p
+	}
+	e.actions = in.list[:len(actions):len(actions)]
 }
 
 // hitN records n matched packets totalling nBytes, last seen at nowNanos.
@@ -178,9 +220,12 @@ const counterShards = 8
 // The entries are kept in bands, one per priority in use, and a mutation
 // costs what it changes: an add finds its band by a binary search over the
 // bands and appends to it; a strict add-replace, modify or delete is one
-// index probe, then a binary search for the slot inside the band; a loose
-// delete or an expiry filters the bands in place, allocating only for what
-// it removes.
+// probe of the strict index (open-addressed by a 64-bit hash of the
+// identity, so growing it moves 16-byte slots), then a binary search for
+// the slot inside the band; a loose delete or an expiry filters the bands in
+// place, allocating only for what it removes. An added entry holds an
+// rf-shaped action list inline (setActions), so it is the add's one
+// allocation.
 type flowTable struct {
 	mu sync.RWMutex
 	// bands holds the entries in (priority desc, seq asc) order, the order
@@ -191,7 +236,7 @@ type flowTable struct {
 	n     int // entries in all bands
 	// strict indexes entries by OpenFlow strict identity; it holds exactly
 	// the entries in bands.
-	strict map[strictKey]*flowEntry
+	strict strictIndex
 	seq    uint64
 	// timed counts the entries with an idle or hard timeout; timedAdded
 	// wakes the expiry loop when it leaves zero.
@@ -213,10 +258,96 @@ type flowTable struct {
 	mon atomic.Pointer[monitorSet]
 }
 
-// strictKey is OpenFlow "strict" identity: equal match and priority.
-type strictKey struct {
-	match    openflow.Match
-	priority uint16
+// strictIndex indexes entries by OpenFlow strict identity, equal match and
+// priority, in an open-addressed table of (strictHash, entry) slots probed
+// linearly from the hash's home slot. A probe reads an entry only when the
+// slot's hash is the one it looks for, and growing the table moves 16-byte
+// slots without touching the entries. A removal shifts the rest of its run
+// back into the hole, so there are no tombstones and a probe ends at the
+// first empty slot. Entries whose hashes collide sit in one run and are
+// told apart by their identity.
+type strictIndex struct {
+	slots []strictSlot // a power of two long, at most 3/4 full
+	n     int
+}
+
+type strictSlot struct {
+	hash uint64
+	e    *flowEntry
+}
+
+// strictHash is the strict index's key for identity (m, priority).
+func strictHash(m *openflow.Match, priority uint16) uint64 {
+	return m.KeyHash() ^ uint64(priority)*0x9e3779b97f4a7c15
+}
+
+// find returns the entry of identity (m, priority), whose hash is h, or nil.
+func (x *strictIndex) find(h uint64, m *openflow.Match, priority uint16) *flowEntry {
+	mask := len(x.slots) - 1
+	if mask < 0 {
+		return nil
+	}
+	for i := int(h) & mask; x.slots[i].e != nil; i = (i + 1) & mask {
+		if s := &x.slots[i]; s.hash == h && s.e.priority == priority && s.e.match == *m {
+			return s.e
+		}
+	}
+	return nil
+}
+
+// insert indexes e, whose identity is not indexed, under its hash h.
+func (x *strictIndex) insert(h uint64, e *flowEntry) {
+	if (x.n+1)*4 > len(x.slots)*3 {
+		old := x.slots
+		x.slots = make([]strictSlot, max(64, 2*len(old)))
+		for _, s := range old {
+			if s.e != nil {
+				x.put(s)
+			}
+		}
+	}
+	x.put(strictSlot{h, e})
+	x.n++
+}
+
+// put stores s in the first empty slot from its hash's home slot on.
+func (x *strictIndex) put(s strictSlot) {
+	mask := len(x.slots) - 1
+	i := int(s.hash) & mask
+	for x.slots[i].e != nil {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = s
+}
+
+// slot returns the index of e's slot; e is indexed under h.
+func (x *strictIndex) slot(h uint64, e *flowEntry) int {
+	mask := len(x.slots) - 1
+	i := int(h) & mask
+	for x.slots[i].e != e {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// replace puts e, of old's identity, in old's slot; h is their hash.
+func (x *strictIndex) replace(h uint64, old, e *flowEntry) {
+	x.slots[x.slot(h, old)].e = e
+}
+
+// remove drops e, indexed under h. Each later slot of the run whose probe
+// passes the hole moves back into it, and leaves its own slot as the hole.
+func (x *strictIndex) remove(h uint64, e *flowEntry) {
+	mask := len(x.slots) - 1
+	hole := x.slot(h, e)
+	for j := (hole + 1) & mask; x.slots[j].e != nil; j = (j + 1) & mask {
+		if home := int(x.slots[j].hash) & mask; (j-home)&mask >= (j-hole)&mask {
+			x.slots[hole] = x.slots[j]
+			hole = j
+		}
+	}
+	x.slots[hole] = strictSlot{}
+	x.n--
 }
 
 // newFlowTable sizes the microflow cache shards to the core count: one
@@ -227,7 +358,7 @@ func newFlowTable() *flowTable {
 	for n < runtime.GOMAXPROCS(0) && n < mfMaxShards {
 		n <<= 1
 	}
-	return &flowTable{strict: make(map[strictKey]*flowEntry), timedAdded: make(chan struct{}, 1),
+	return &flowTable{timedAdded: make(chan struct{}, 1),
 		shards: make([]mfShard, n), shardMask: uint32(n - 1)}
 }
 
@@ -426,10 +557,10 @@ func overlaps(a, b *flowEntry) bool {
 // add installs a flow per FlowModAdd semantics. It returns an *ErrorMsg
 // payload when the table must refuse (overlap check).
 func (t *flowTable) add(e *flowEntry, checkOverlap bool) *openflow.ErrorMsg {
+	h := strictHash(&e.match, e.priority)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := strictKey{e.match, e.priority}
-	old := t.strict[k]
+	old := t.strict.find(h, &e.match, e.priority)
 	bi, ok := t.bandLocked(e.priority)
 	if checkOverlap && ok {
 		// Entries of other priorities never overlap: scan e's band.
@@ -447,6 +578,7 @@ func (t *flowTable) add(e *flowEntry, checkOverlap bool) *openflow.ErrorMsg {
 		e.seq = old.seq
 		b, j := t.slotLocked(old)
 		b.entries[j] = e
+		t.strict.replace(h, old, e)
 		t.untrackLocked(old)
 	case !ok:
 		t.bands = slices.Insert(t.bands, bi, band{priority: e.priority})
@@ -456,8 +588,8 @@ func (t *flowTable) add(e *flowEntry, checkOverlap bool) *openflow.ErrorMsg {
 		e.seq = t.seq
 		t.bands[bi].entries = append(t.bands[bi].entries, e)
 		t.n++
+		t.strict.insert(h, e)
 	}
-	t.strict[k] = e
 	if e.timed() {
 		if t.timed++; t.timed == 1 {
 			select {
@@ -495,7 +627,7 @@ func (t *flowTable) modify(m *openflow.Match, priority uint16, actions []openflo
 	defer t.mu.Unlock()
 	n := 0
 	if strict {
-		if e := t.strict[strictKey{*m, priority}]; e != nil {
+		if e := t.strict.find(strictHash(m, priority), m, priority); e != nil {
 			e.actions = actions
 			n = 1
 		}
@@ -547,8 +679,8 @@ func (t *flowTable) deleteFlows(m *openflow.Match, priority uint16, outPort uint
 			return m.Covers(&e.match) && outputsTo(e, outPort)
 		})
 	}
-	k := strictKey{*m, priority}
-	e := t.strict[k]
+	h := strictHash(m, priority)
+	e := t.strict.find(h, m, priority)
 	if e == nil || !outputsTo(e, outPort) {
 		return nil
 	}
@@ -556,7 +688,7 @@ func (t *flowTable) deleteFlows(m *openflow.Match, priority uint16, outPort uint
 	b.entries = slices.Delete(b.entries, j, j+1)
 	t.n--
 	t.untrackLocked(e)
-	delete(t.strict, k)
+	t.strict.remove(h, e)
 	t.dropEmptyLocked()
 	t.invalidateLocked()
 	return []*flowEntry{e}
@@ -573,7 +705,7 @@ func (t *flowTable) removeLocked(drop func(*flowEntry) bool) []*flowEntry {
 			if drop(e) {
 				removed = append(removed, e)
 				t.untrackLocked(e)
-				delete(t.strict, strictKey{e.match, e.priority})
+				t.strict.remove(strictHash(&e.match, e.priority), e)
 			} else {
 				kept = append(kept, e)
 			}

@@ -1,6 +1,7 @@
 package ofswitch
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -217,9 +218,12 @@ func checkBands(t *testing.T, step int, tb *flowTable) map[uint16]bool {
 // mutation, expiry on a fake clock, and packet lookups against refTable, and
 // after every step compares the winner for each probe key, the length, the
 // snapshot order and counters, and each step's removed set or overlap
-// verdict, and checks the bands (checkBands). Priorities are drawn from a
-// window that moves every few hundred steps, so bands are created, emptied
-// and re-created; each seed must re-create at least one.
+// verdict, and checks the bands (checkBands) and the strict index
+// (checkStrict). Add-replace, MODIFY_STRICT and DELETE_STRICT mostly name an
+// installed identity, and an add-replace may be followed by a strict modify
+// or delete of the same identity. Priorities are drawn from a window that
+// moves every few hundred steps, so bands are created, emptied and
+// re-created; each seed must re-create at least one.
 func TestFlowTableMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -266,13 +270,25 @@ func TestFlowTableMatchesReference(t *testing.T) {
 						t.Fatalf("step %d: add %v prio %d check=%v refused=%v, reference disagrees",
 							step, &e.match, e.priority, checkOverlap, err != nil)
 					}
-				case op < 9: // duplicate add of an installed flow
+				case op < 9: // duplicate add of an installed flow, then maybe a strict op on it
 					if len(ref.entries) > 0 {
 						ex := ref.entries[g.r.Intn(len(ref.entries))]
-						e, re := newEntry(ex.match, ex.priority)
+						m, prio := ex.match, ex.priority
+						e, re := newEntry(m, prio)
 						checkOverlap := op == 8
 						if err := tb.add(e, checkOverlap); (err == nil) != ref.add(re, checkOverlap) {
 							t.Fatalf("step %d: duplicate add refused=%v, reference disagrees", step, err != nil)
+						}
+						switch g.r.Intn(3) {
+						case 0:
+							port := g.port()
+							got := tb.modify(&m, prio, []openflow.Action{&openflow.ActionOutput{Port: port}}, true)
+							if want := ref.modify(&m, prio, port, true); got != want {
+								t.Fatalf("step %d: MODIFY_STRICT after add-replace changed %d flows, reference %d", step, got, want)
+							}
+						case 1:
+							gotRemoved = ids(tb.deleteFlows(&m, prio, openflow.PortNone, true))
+							wantRemoved = ref.deleteFlows(&m, prio, openflow.PortNone, true)
 						}
 					}
 				case op < 12: // modify, strict on an installed flow or loose
@@ -323,6 +339,7 @@ func TestFlowTableMatchesReference(t *testing.T) {
 				for i := range probes {
 					lookup(step, &probes[i])
 				}
+				checkStrict(t, step, tb, ref)
 				now := checkBands(t, step, tb)
 				for p := range bands {
 					emptied[p] = emptied[p] || !now[p]
@@ -341,6 +358,159 @@ func TestFlowTableMatchesReference(t *testing.T) {
 	}
 }
 
+// checkStrict fails t unless tb's strict index holds exactly the reference's
+// identities, each under its hash and resolving to the entry the reference
+// mirrors.
+func checkStrict(t *testing.T, step int, tb *flowTable, ref *refTable) {
+	t.Helper()
+	if tb.strict.n != len(ref.entries) {
+		t.Fatalf("step %d: strict index holds %d entries, reference %d", step, tb.strict.n, len(ref.entries))
+	}
+	for _, re := range ref.entries {
+		e := tb.strict.find(strictHash(&re.match, re.priority), &re.match, re.priority)
+		if e == nil || e.cookie != re.id {
+			t.Fatalf("step %d: strict index lost flow %d (prio %d %v)", step, re.id, re.priority, &re.match)
+		}
+	}
+}
+
+// TestStrictIndexCollisions indexes several identities under one hash whose
+// home is the last slot, so their run wraps round, behind them two under
+// hashes homed inside that run and one homed just past it, and then
+// replaces and removes entries at the head, the middle and the end of the
+// run. After every step each indexed identity resolves to its entry,
+// removed ones to nothing, and every slot holds an indexed entry or nothing.
+func TestStrictIndexCollisions(t *testing.T) {
+	var x strictIndex
+	type idx struct {
+		h uint64
+		e *flowEntry
+	}
+	var live []idx
+	entry := func(port uint16, prio uint16) *flowEntry {
+		m := openflow.MatchAll()
+		m.Wildcards &^= openflow.WildcardInPort
+		m.InPort = port
+		return &flowEntry{match: m, priority: prio}
+	}
+	check := func(what string, gone ...idx) {
+		t.Helper()
+		for _, l := range live {
+			if got := x.find(l.h, &l.e.match, l.e.priority); got != l.e {
+				t.Fatalf("%s: identity (port %d, prio %d) resolves to %v, want its entry", what, l.e.match.InPort, l.e.priority, got)
+			}
+		}
+		for _, g := range gone {
+			if got := x.find(g.h, &g.e.match, g.e.priority); got != nil {
+				t.Fatalf("%s: removed identity (port %d, prio %d) still resolves", what, g.e.match.InPort, g.e.priority)
+			}
+		}
+		held := 0
+		for _, s := range x.slots {
+			if s.e != nil {
+				held++
+			}
+		}
+		if held != len(live) || x.n != len(live) {
+			t.Fatalf("%s: %d slots held, index counts %d, want %d", what, held, x.n, len(live))
+		}
+	}
+	drop := func(i int) idx {
+		l := live[i]
+		x.remove(l.h, l.e)
+		live = slices.Delete(live, i, i+1)
+		return l
+	}
+
+	const h = 63 // the last of the first 64 slots
+	for i, prio := range []uint16{100, 100, 200, 100} {
+		e := entry(uint16(1+i), prio)
+		x.insert(h, e)
+		live = append(live, idx{h, e})
+	}
+	// Homed at slots 0 and 1, where the wrapped run already sits, and at
+	// slot 5, just past the run: a removal must not shift that one back.
+	for i, hh := range []uint64{64, 1, 5} {
+		e := entry(uint16(10+i), 100)
+		x.insert(hh, e)
+		live = append(live, idx{hh, e})
+	}
+	check("insert")
+	if got := x.find(h, &live[0].e.match, 300); got != nil {
+		t.Fatal("an identity differing only in priority resolves")
+	}
+
+	// Replace in the middle of the run: same slot, new entry.
+	old := live[2].e
+	slot := x.slot(h, old)
+	repl := entry(old.match.InPort, old.priority)
+	x.replace(h, old, repl)
+	live[2].e = repl
+	check("replace middle")
+	if x.slot(h, repl) != slot {
+		t.Fatalf("replacement moved from slot %d to %d", slot, x.slot(h, repl))
+	}
+
+	gone := []idx{drop(0)} // the head of the run
+	check("remove head", gone...)
+	gone = append(gone, drop(1)) // the middle
+	check("remove middle", gone...)
+	gone = append(gone, drop(2)) // homed at 0, displaced
+	check("remove displaced", gone...)
+	e := entry(20, 100)
+	x.insert(h, e)
+	live = append(live, idx{h, e})
+	check("insert after removals", gone...)
+	for len(live) > 0 {
+		gone = append(gone, drop(len(live)-1)) // the end of the run first
+		check("drain", gone...)
+	}
+}
+
+// TestFlowModAddAllocBudget pins what an rf-shaped FLOW_MOD costs the switch
+// on a 4096-flow table: a decoded add (output plus both MAC rewrites)
+// followed by its DELETE_STRICT allocates the entry, which holds its actions
+// inline, and the removed list, and nothing more.
+func TestFlowModAddAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budget not meaningful under -race")
+	}
+	sw := New(Config{DPID: 0xBE, Name: "alloc"})
+	for _, fm := range rfShapedFlowMods(4096) {
+		sw.handleFlowMod(fm)
+	}
+	decoy := rfShapedFlowMods(1)[0]
+	decoy.Match.SetNwDstPrefix(netip.MustParsePrefix("172.30.0.0/30"))
+	decoy.Actions = []openflow.Action{decoy.Actions[2], decoy.Actions[0], decoy.Actions[1]}
+	del := *decoy
+	del.Command, del.Actions = openflow.FlowModDeleteStrict, nil
+	decoded := func(m openflow.Message) *openflow.FlowMod {
+		got, err := openflow.NewDecoder(bytes.NewReader(m.AppendTo(nil))).Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got.(*openflow.FlowMod)
+	}
+	add, rm := decoded(decoy), decoded(&del)
+	objects, size := allocsPerRun(200, func() {
+		sw.handleFlowMod(add)
+		sw.handleFlowMod(rm)
+	})
+	if objects > 2 || size > 256 {
+		t.Fatalf("rf-shaped add + DELETE_STRICT on 4096 flows = %.1f allocs, %.0f B; want ≤ 2 (the entry and the removed list) and ≤ 256 B",
+			objects, size)
+	}
+	if n := sw.NumFlows(); n != 4096 {
+		t.Fatalf("table holds %d flows, want 4096", n)
+	}
+	sw.handleFlowMod(add)
+	for _, fi := range sw.FlowTable() {
+		if fi.Match == decoy.Match && !openflow.ActionsEqual(fi.Actions, decoy.Actions) {
+			t.Fatalf("installed actions %v, want %v", fi.Actions, decoy.Actions)
+		}
+	}
+}
+
 // allocsPerRun is testing.AllocsPerRun reporting bytes as well as objects:
 // one allocation of a whole-table slice is one object.
 func allocsPerRun(runs int, f func()) (objects, bytes float64) {
@@ -356,10 +526,10 @@ func allocsPerRun(runs int, f func()) (objects, bytes float64) {
 }
 
 // TestFlowModStrictAllocBudget pins a strict flow-mod's cost on a full
-// table: an add and a DELETE_STRICT of a decoy among 4096 flows allocate a
-// few small objects (the removed list, the map's bookkeeping), not a copy of
-// the table's 32 KiB of pointers; an expiry that removes nothing allocates
-// nothing.
+// table: an add of a made entry and its DELETE_STRICT among 4096 flows
+// allocate the removed list and nothing else (the strict index neither grows
+// nor keeps tombstones), not a copy of the table's 32 KiB of pointers; an
+// expiry that removes nothing allocates nothing.
 func TestFlowModStrictAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc budget not meaningful under -race")
@@ -388,8 +558,8 @@ func TestFlowModStrictAllocBudget(t *testing.T) {
 			t.Fatalf("DELETE_STRICT removed %d flows, want 1", len(removed))
 		}
 	})
-	if objects > 4 || bytes > 512 {
-		t.Fatalf("add + DELETE_STRICT on 4096 flows = %.1f allocs, %.0f B; want ≤ 4 and ≤ 512 B", objects, bytes)
+	if objects > 1 || bytes > 8 {
+		t.Fatalf("add + DELETE_STRICT on 4096 flows = %.1f allocs, %.0f B; want ≤ 1 (the removed list) and ≤ 8 B", objects, bytes)
 	}
 	if n := tb.len(); n != 4096 {
 		t.Fatalf("table holds %d flows, want 4096", n)

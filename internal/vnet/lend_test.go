@@ -20,6 +20,8 @@ import (
 // the same buffer. The packet-out on the wire must still be the routed
 // frame. The controller's writer is held up by echo replies the switch has
 // not read yet, so the packet-out is encoded only after those packet-ins.
+// OSPF hellos the VM sends meanwhile are skipped; any other packet-out that
+// is not the routed frame fails the test.
 func TestRoutedPuntOutlivesTheLentPacketIn(t *testing.T) {
 	const dpid = 0x14
 	vm := newVM(t, dpid, 2, time.Millisecond)
@@ -89,6 +91,7 @@ func TestRoutedPuntOutlivesTheLentPacketIn(t *testing.T) {
 	routed := *transit
 	routed.TTL--
 	want := (&pkt.Frame{Dst: hostMAC, Src: vmMAC2, Type: pkt.EtherTypeIPv4, Payload: routed.Marshal()}).Marshal()
+	allSPFRouters := pkt.MAC{0x01, 0x00, 0x5e, 0x00, 0x00, 0x05}
 	dec := openflow.NewDecoder(conn)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
@@ -97,6 +100,9 @@ func TestRoutedPuntOutlivesTheLentPacketIn(t *testing.T) {
 			t.Fatalf("no packet-out: %v", err)
 		}
 		if po, ok := m.(*openflow.PacketOut); ok {
+			if len(po.Data) >= 6 && pkt.MAC(po.Data[:6]) == allSPFRouters {
+				continue
+			}
 			if !bytes.Equal(po.Data, want) {
 				t.Fatalf("packet-out carries\n%x\nwant the routed frame\n%x", po.Data, want)
 			}

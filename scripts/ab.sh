@@ -57,13 +57,14 @@ done
 
 # Where the linker put the hot symbols: the classifier (classify, Covers),
 # the cache-hit path (handleBatch, lookupN, the key extractor), the
+# switch's flow-mod apply (handleFlowMod, the table's add), the
 # flow-mod decode every install goes through twice, in FlowVisor and in the
 # switch (Decode, FlowMod's decodeBody, the action walk), and the
 # control-channel send every message takes at each of its hops (Conn's Send,
 # TrySend and writer loop). Moving one of them between 0 and 32 mod 64 alone
 # has read as a ±10 % change in churn-4k's CPU per packet, so a side-to-side
 # difference here is a confound to rule out first. A symbol only one side has is listed, not compared.
-hot='ofswitch\.\(\*Switch\)\.handleBatch$|ofswitch\.\(\*flowTable\)\.(lookupN|classify)$|openflow\.ExtractKey(Into)?$|openflow\.\(\*Match\)\.Covers$'
+hot='ofswitch\.\(\*Switch\)\.(handleBatch|handleFlowMod)$|ofswitch\.\(\*flowTable\)\.(lookupN|classify|add)$|openflow\.ExtractKey(Into)?$|openflow\.\(\*Match\)\.Covers$'
 hot+='|openflow\.\(\*Decoder\)\.[Dd]ecode$|openflow\.\(\*FlowMod\)\.decodeBody$|openflow\.(\(\*store\)\.)?decode(One)?Actions?$'
 hot+='|openflow\.\(\*Conn\)\.(Send|TrySend|writeLoop)$'
 placement() { # tree: one "symbol offset" line per hot symbol
