@@ -117,26 +117,10 @@ func (d *Deployment) refreshTE() {
 	}
 }
 
-// teAssignedPaths snapshots the optimizer's pair→path overrides for the
-// placement computation; nil when TE is off.
-func (d *Deployment) teAssignedPaths() map[[2]int][]int {
-	if !d.opts.TE {
-		return nil
-	}
-	d.teMu.Lock()
-	defer d.teMu.Unlock()
-	out := make(map[[2]int][]int, len(d.teAssigned))
-	for k, v := range d.teAssigned {
-		out[k] = append([]int(nil), v...)
-	}
-	return out
-}
-
-// TEAssignments returns the optimizer's current path overrides per directed
-// host pair (empty until a move is decided).
-func (d *Deployment) TEAssignments() map[[2]int][]int { return d.teAssignedPathsAlways() }
-
-func (d *Deployment) teAssignedPathsAlways() map[[2]int][]int {
+// TEAssignments returns a copy of the optimizer's current path overrides per
+// directed host pair (empty until a move is decided, and always empty with
+// TE off).
+func (d *Deployment) TEAssignments() map[[2]int][]int {
 	d.teMu.Lock()
 	defer d.teMu.Unlock()
 	out := make(map[[2]int][]int, len(d.teAssigned))

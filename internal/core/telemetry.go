@@ -6,9 +6,9 @@ package core
 // placement over the links that are administratively up, splits the program
 // by mastership, and hands each live replica its share. The program epoch
 // bumps whenever the computed program changes — placements moved, a link
-// died, a shard re-homed — which makes every affected switch re-baseline its
-// export stream under the new epoch, so views stay exactly-once across
-// failover (the chaos invariants hold the system to this).
+// died, a shard re-homed — which makes every affected switch re-export its
+// rules' absolute counters under the new epoch, so views stay exactly-once
+// across failover (the chaos invariants hold the system to this).
 
 import (
 	"fmt"
@@ -76,7 +76,7 @@ func (d *Deployment) refreshTelemetry() {
 	d.telPushMu.Lock()
 	defer d.telPushMu.Unlock()
 	linkUp := d.linkUpFunc()
-	pls := telemetry.ComputePlacementsAssigned(d.graph, pairs, linkUp, d.teAssignedPaths())
+	pls := telemetry.ComputePlacementsAssigned(d.graph, pairs, linkUp, d.TEAssignments())
 
 	// Path pins, split by mastership of each transit switch: every placed
 	// pair is held to its charged path by an explicit flow entry per hop

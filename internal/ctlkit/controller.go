@@ -32,8 +32,8 @@ type Callbacks struct {
 	FlowRemoved func(sw *SwitchConn, fr *openflow.FlowRemoved)
 	Error       func(sw *SwitchConn, em *openflow.ErrorMsg)
 	// Telemetry receives the switch's streaming counter exports
-	// (TELEMETRY_EXPORT). The handler is expected to answer with a
-	// TelemetryAck so the switch can advance its delta baseline.
+	// (TELEMETRY_EXPORT), each entry a monitor rule's absolute counters.
+	// Nothing is sent back: the handler applies them idempotently.
 	Telemetry func(sw *SwitchConn, ex *openflow.TelemetryExport)
 }
 

@@ -84,6 +84,11 @@ type Stats struct {
 	Sends    uint64 // total RPC attempts issued by the reconciler
 	Failures uint64 // attempts that returned an error
 	Resyncs  uint64 // full re-syncs triggered by server epoch changes
+	// Redeclared counts acknowledged items a changed Declare reopened.
+	Redeclared uint64
+	// Reapplied counts acknowledged link and host items an acknowledged
+	// switch-up reopened (see reapplyOnLocked).
+	Reapplied uint64
 }
 
 // Store holds desired state versus acknowledged state. Writers (the
@@ -96,6 +101,8 @@ type Store struct {
 	sends    uint64
 	failures uint64
 	resyncs  uint64
+	// redeclared and reapplied are Stats.Redeclared and Stats.Reapplied.
+	redeclared, reapplied uint64
 	// signal wakes the reconciler when new work appears (capacity 1).
 	signal chan struct{}
 }
@@ -139,6 +146,9 @@ func (s *Store) Declare(k Key, up, down *rpcconf.Message) {
 	if !e.deleting && e.up != nil && sameConfig(e.up, up) {
 		e.down = down
 		return // level-triggered idempotence: nothing changed
+	}
+	if e.acked {
+		s.redeclared++
 	}
 	s.gen++
 	e.up, e.down = up, down
@@ -233,7 +243,8 @@ func (s *Store) PendingItems() []string {
 func (s *Store) Statistics() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Sends: s.sends, Failures: s.failures, Resyncs: s.resyncs}
+	st := Stats{Sends: s.sends, Failures: s.failures, Resyncs: s.resyncs,
+		Redeclared: s.redeclared, Reapplied: s.reapplied}
 	for _, e := range s.entries {
 		if e.deleting {
 			st.Deleting++
@@ -369,6 +380,7 @@ func (s *Store) reapplyOnLocked(dpid uint64) {
 		if (k.Kind == KindLink && (k.ADPID == dpid || k.BDPID == dpid)) ||
 			(k.Kind == KindHost && k.DPID == dpid) {
 			e.acked = false
+			s.reapplied++
 		}
 	}
 }

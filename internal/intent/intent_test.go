@@ -263,6 +263,67 @@ func TestSwitchUpReappliesItsLinksAndHosts(t *testing.T) {
 	eventually(t, sent(3, 2), "link of the re-declared switch 2 not re-sent")
 }
 
+// ackAll plays a server that acknowledges everything: it claims the due
+// items and completes each, in apply order, until nothing is due.
+func ackAll(s *Store) {
+	for {
+		batch, _ := s.due(time.Time{})
+		if len(batch) == 0 {
+			return
+		}
+		for _, w := range batch {
+			s.complete(w, nil, 1, time.Time{})
+		}
+	}
+}
+
+// TestChangedDeclareCountsRedeclared: Stats.Redeclared counts acknowledged
+// items a changed Declare reopened, and nothing else.
+func TestChangedDeclareCountsRedeclared(t *testing.T) {
+	s := NewStore()
+	s.Declare(SwitchKey(1), rpcconf.SwitchUp(1, 4), rpcconf.SwitchDown(1))
+	ackAll(s)
+	s.Declare(SwitchKey(1), rpcconf.SwitchUp(1, 4), rpcconf.SwitchDown(1)) // unchanged
+	if st := s.Statistics(); st.Redeclared != 0 || st.Acked != 1 {
+		t.Fatalf("unchanged Declare: %+v", st)
+	}
+	s.Declare(SwitchKey(1), rpcconf.SwitchUp(1, 5), rpcconf.SwitchDown(1))
+	s.Declare(SwitchKey(1), rpcconf.SwitchUp(1, 6), rpcconf.SwitchDown(1)) // not acked: not reopened
+	if st := s.Statistics(); st.Redeclared != 1 || st.Acked != 0 || st.Reapplied != 0 {
+		t.Fatalf("changed Declare: %+v, want Redeclared 1", st)
+	}
+	ackAll(s)
+	if st := s.Statistics(); st.Redeclared != 1 || st.Acked != 1 {
+		t.Fatalf("after the re-send: %+v", st)
+	}
+}
+
+// TestSwitchUpCountsReapplied: Stats.Reapplied counts the acknowledged link
+// and host items of a switch an acknowledged switch-up reopened.
+func TestSwitchUpCountsReapplied(t *testing.T) {
+	s := NewStore()
+	gw := netip.MustParsePrefix("10.1.0.1/24")
+	a := netip.MustParsePrefix("172.16.0.1/30")
+	b := netip.MustParsePrefix("172.16.0.2/30")
+	for dpid := uint64(1); dpid <= 2; dpid++ {
+		s.Declare(SwitchKey(dpid), rpcconf.SwitchUp(dpid, 3), rpcconf.SwitchDown(dpid))
+		s.Declare(HostKey(dpid, 3), rpcconf.HostUp(dpid, 3, gw), rpcconf.HostDown(dpid, 3))
+	}
+	s.Declare(LinkKey(1, 1, 2, 1), rpcconf.LinkUp(1, 1, 2, 1, a, b), rpcconf.LinkDown(1, 1, 2, 1))
+	ackAll(s)
+	if st := s.Statistics(); st.Reapplied != 0 || st.Acked != 5 {
+		t.Fatalf("cold start: %+v", st)
+	}
+	s.Remove(SwitchKey(1))
+	ackAll(s)
+	s.Declare(SwitchKey(1), rpcconf.SwitchUp(1, 3), rpcconf.SwitchDown(1))
+	ackAll(s)
+	// Switch 1's host and the link reopened; switch 2's host did not.
+	if st := s.Statistics(); st.Reapplied != 2 || st.Redeclared != 0 || st.Acked != 5 {
+		t.Fatalf("switch 1 re-created: %+v, want Reapplied 2", st)
+	}
+}
+
 func TestFlapStormConvergesToFinalState(t *testing.T) {
 	clk := clock.NewFake()
 	store := NewStore()

@@ -196,7 +196,7 @@ func (h *Host) sendARP(dst pkt.MAC, a *pkt.ARP) {
 // written once, into the buffer the cable delivers. It returns nil when the
 // endpoint refuses the frame (link down, loss).
 func (h *Host) ipv4Frame(mac pkt.MAC, ip *pkt.IPv4, payloadLen int) *Buffer {
-	if !h.ep.admit(pkt.EthernetHeaderLen + pkt.IPv4HeaderLen + payloadLen) {
+	if !h.ep.admit() {
 		return nil
 	}
 	f := pkt.Frame{Dst: mac, Src: h.mac, Type: pkt.EtherTypeIPv4}

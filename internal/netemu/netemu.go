@@ -41,20 +41,9 @@ const DefaultInboxDepth = 512
 // later frames get their latency deadlines re-checked.
 const MaxBurst = 64
 
-// TraceEvent describes one frame movement for debugging and tests.
-type TraceEvent struct {
-	From, To string
-	Len      int
-	Dropped  bool // queue overflow, loss or link down
-}
-
-// Tracer receives a copy of every frame event. It must not block.
-type Tracer func(TraceEvent)
-
 // Network owns cables and endpoint delivery goroutines.
 type Network struct {
-	clk    clock.Clock
-	tracer atomic.Value // Tracer
+	clk clock.Clock
 
 	mu     sync.Mutex
 	eps    []*Endpoint
@@ -69,20 +58,9 @@ func NewNetwork(clk clock.Clock) *Network {
 	return &Network{clk: clk}
 }
 
-// SetTracer installs a frame tracer (nil clears it).
-func (n *Network) SetTracer(t Tracer) {
-	n.tracer.Store(t)
-}
-
-func (n *Network) trace(ev TraceEvent) {
-	if t, _ := n.tracer.Load().(Tracer); t != nil {
-		t(ev)
-	}
-}
-
 // CableOpts configures one cable.
 type CableOpts struct {
-	NameA, NameB string        // endpoint labels (for tracing)
+	NameA, NameB string        // endpoint labels (Name, String)
 	MACA, MACB   pkt.MAC       // endpoint hardware addresses
 	Latency      time.Duration // one-way delay, applied per frame
 	LossRate     float64       // probability per frame, [0,1)
@@ -370,7 +348,7 @@ func (e *Endpoint) SendBurst(frames [][]byte, bufs []*Buffer) int {
 // itself when the caller gave one, otherwise a pooled buffer with a copy of
 // frame. nil means refused, and a moved buffer recycled.
 func (e *Endpoint) fill(frame []byte, moved *Buffer) *Buffer {
-	if !e.admit(len(frame)) {
+	if !e.admit() {
 		if moved != nil {
 			framePool.Put(moved)
 		}
@@ -384,14 +362,13 @@ func (e *Endpoint) fill(frame []byte, moved *Buffer) *Buffer {
 	return fb
 }
 
-// admit makes the decisions of a send that need no buffer yet, for a frame
-// of n bytes: link state, then the loss draw. A refusal is counted and
-// traced. Host builds its frames straight into a pooled buffer between
-// admit and enqueue, which saves it the copy Send makes.
-func (e *Endpoint) admit(n int) bool {
+// admit makes the decisions of a send that need no buffer yet: link state,
+// then the loss draw. A refusal is counted. Host builds its frames straight
+// into a pooled buffer between admit and enqueue, which saves it the copy
+// Send makes.
+func (e *Endpoint) admit() bool {
 	if !e.link.up.Load() || (e.loss > 0 && e.lossDrop()) {
 		e.drops.Add(1)
-		e.net.trace(TraceEvent{From: e.name, To: e.peer.name, Len: n, Dropped: true})
 		return false
 	}
 	return true
@@ -417,14 +394,6 @@ func (e *Endpoint) enqueue(fbs []*Buffer) int {
 		fb.due = due
 		bytes += uint64(len(fb.b))
 	}
-	tracer, _ := e.net.tracer.Load().(Tracer)
-	var lens []int
-	if tracer != nil {
-		lens = make([]int, len(fbs))
-		for i, fb := range fbs {
-			lens[i] = len(fb.b)
-		}
-	}
 	n := e.peer.push(fbs)
 	for _, fb := range fbs[n:] {
 		bytes -= uint64(len(fb.b))
@@ -436,9 +405,6 @@ func (e *Endpoint) enqueue(fbs []*Buffer) int {
 	}
 	if n < len(fbs) {
 		e.drops.Add(uint64(len(fbs) - n))
-	}
-	for i, l := range lens {
-		tracer(TraceEvent{From: e.name, To: e.peer.name, Len: l, Dropped: i >= n})
 	}
 	return n
 }

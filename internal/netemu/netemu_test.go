@@ -177,23 +177,6 @@ func TestInboxOverflowDrops(t *testing.T) {
 	}
 }
 
-func TestTracerSeesTraffic(t *testing.T) {
-	n, a, b := newPair(t)
-	var events atomic.Int32
-	n.SetTracer(func(ev TraceEvent) {
-		if ev.From == "a" && ev.To == "b" {
-			events.Add(1)
-		}
-	})
-	rx := make(chan struct{}, 1)
-	b.SetReceiver(func([]byte) { rx <- struct{}{} })
-	a.Send([]byte("x"))
-	<-rx
-	if events.Load() == 0 {
-		t.Fatal("tracer saw nothing")
-	}
-}
-
 func TestEndpointString(t *testing.T) {
 	_, a, _ := newPair(t)
 	if a.String() == "" || a.Name() != "a" {

@@ -322,9 +322,9 @@ func (s *Switch) runSession(rwc io.ReadWriteCloser) {
 		s.conn = nil
 	}
 	s.connMu.Unlock()
-	// Exports in flight on the dead session are lost; re-baseline on the
-	// next one.
-	s.telSessionDown()
+	// Exports queued on the dead session may be lost; re-export every rule
+	// on the next one.
+	s.telForget()
 }
 
 // Reboot models a switch crash and cold restart: the flow table and the
@@ -339,10 +339,7 @@ func (s *Switch) Reboot() {
 	// Monitor rules and their counters die with the crash; the controller
 	// replays its TELEMETRY_MOD on reconnect and re-baselines from zero.
 	s.table.setMonitors(nil)
-	s.tel.mu.Lock()
-	s.tel.rules = nil
-	s.tel.pending = nil
-	s.tel.mu.Unlock()
+	s.telForget()
 	s.bufMu.Lock()
 	s.buffers = make(map[uint32]bufferedPacket)
 	s.bufOrder = nil
@@ -462,8 +459,6 @@ func (s *Switch) handleControl(m openflow.Message) {
 		_ = s.send(rep)
 	case *openflow.TelemetryMod:
 		s.handleTelemetryMod(msg)
-	case *openflow.TelemetryAck:
-		s.handleTelemetryAck(msg)
 	case *openflow.Vendor:
 		s.sendError(msg, openflow.ErrTypeBadRequest, openflow.ErrCodeBadRequestBadType, msg)
 	case *openflow.Raw:

@@ -13,7 +13,8 @@ import (
 // Telemetry on the switch: the controller installs monitor rules with
 // TELEMETRY_MOD (each rule a src/dst IPv4 prefix pair with a flow ID), the
 // dataplane charges one dedicated counter pair per rule, and an exporter
-// loop streams counter deltas back as TELEMETRY_EXPORT batches.
+// loop streams the rules' absolute counters back as TELEMETRY_EXPORT
+// batches.
 //
 // Charging rides the two-tier pipeline: a microflow's monitor counter is
 // resolved once, at cache fill (classify holds the read lock anyway; the
@@ -23,23 +24,20 @@ import (
 // path — the forwarding path stays lock-free and allocation-free no matter
 // how many flows are monitored.
 //
-// The export protocol is stop-and-wait per rule with a full-resync escape
-// hatch: a rule's delta is in flight until the controller acknowledges the
-// export's (epoch, seq), at which point the switch folds the delta into its
-// acknowledged baseline. A rule whose export goes unacknowledged (lost ack,
-// controller stall) times out back to the unsynced state and re-baselines
-// with an absolute FULL export, which the controller merges by maximum —
-// deltas are therefore applied at most once, and any loss is repaired by an
-// idempotent absolute, never by re-adding. Session death and epoch change
-// (controller failover) unsync every rule the same way.
+// Every export entry is a rule's absolute counters, which the controller
+// applies idempotently (it charges the gain over the level it has applied),
+// so the stream needs no acknowledgement and no retransmission state: a lost
+// export is covered by the next one, and a repeated one charges nothing. Per
+// rule the switch keeps only the level it last queued on this session and
+// epoch, and exports a rule whose counters differ from it or that it never
+// queued; an idle rule costs nothing after its first export. Session loss and
+// a new epoch (controller failover) forget every level, so the next tick
+// re-exports every rule once. A send the control queue refuses records
+// nothing, so the next tick retries it.
 
 // DefaultTelemetryInterval is the export cadence before the controller sets
 // one (protocol time).
 const DefaultTelemetryInterval = 500 * time.Millisecond
-
-// telAckTimeoutTicks is how many export intervals an unacknowledged export
-// may stay in flight before its rules fall back to a FULL re-baseline.
-const telAckTimeoutTicks = 3
 
 // telMaxEntriesPerExport chunks one tick's entries across messages so a
 // frame stays far below the 64 KiB OpenFlow ceiling (worst-case entry is 25
@@ -167,44 +165,26 @@ func (t *flowTable) monitorCounters() []MonitorCounterInfo {
 }
 
 // MonitorCounters returns the switch's installed monitor rules with their
-// absolute counters (what the telemetry stream's acknowledged view
-// converges to).
+// absolute counters (what the controller's telemetry view converges to).
 func (s *Switch) MonitorCounters() []MonitorCounterInfo {
 	return s.table.monitorCounters()
 }
 
-// telRuleState is the exporter's per-rule bookkeeping.
-type telRuleState struct {
-	spec        openflow.MonitorRule
-	basePackets uint64 // counters the controller has acknowledged
-	baseBytes   uint64
-	synced      bool // false → next export carries absolutes (FULL)
-	inflight    bool // an unacknowledged export covers this rule
-}
-
-// telPending is one unacknowledged export chunk: the absolute counter
-// snapshot it reported, advanced into the baselines when its ack arrives.
-type telPending struct {
-	sentAt time.Time
-	snaps  []telSnap
-}
-
-type telSnap struct {
-	id             uint32
-	packets, bytes uint64
-}
+// telLevel is the absolute counter pair of a rule as last queued.
+type telLevel struct{ packets, bytes uint64 }
 
 // telState is the switch's exporter state, touched by the control loop
-// (TELEMETRY_MOD/ACK) and the export tick.
+// (TELEMETRY_MOD), the session's end and the export tick.
 type telState struct {
 	mu       sync.Mutex
 	epoch    uint64
 	interval time.Duration
-	seq      uint32
-	rules    map[uint32]*telRuleState
-	pending  map[uint32]*telPending // seq → chunk
+	// queued holds, per installed rule, the level last queued on this
+	// session and epoch. It is keyed by the whole rule, so a rule whose
+	// prefixes change under the same ID counts as never queued.
+	queued map[openflow.MonitorRule]telLevel
 	// poke wakes the export loop out of its armed timer: a program push must
-	// take effect (first FULL, new interval) now, not after the stale timer
+	// take effect (first export, new interval) now, not after the stale timer
 	// — which may be the 500ms default while the new cadence is 20ms.
 	poke chan struct{}
 }
@@ -217,13 +197,6 @@ func (ts *telState) wake() {
 	}
 }
 
-// programmed reports whether any monitor rule is installed.
-func (ts *telState) programmed() bool {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.rules) > 0
-}
-
 func (ts *telState) currentInterval() time.Duration {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -233,21 +206,11 @@ func (ts *telState) currentInterval() time.Duration {
 	return ts.interval
 }
 
-// unsyncLocked drops every rule back to the FULL re-baseline state; called
-// on session loss and ack timeout.
-func (ts *telState) unsyncLocked() {
-	for _, r := range ts.rules {
-		r.synced = false
-		r.inflight = false
-	}
-	ts.pending = nil
-}
-
-// telSessionDown marks the control session lost: everything in flight is
-// forgotten and the next connected tick re-baselines with FULL exports.
-func (s *Switch) telSessionDown() {
+// telForget drops every queued level, so the next tick re-exports every rule:
+// the session they were queued on is gone, or the switch rebooted.
+func (s *Switch) telForget() {
 	s.tel.mu.Lock()
-	s.tel.unsyncLocked()
+	s.tel.queued = nil
 	s.tel.mu.Unlock()
 }
 
@@ -261,49 +224,19 @@ func (s *Switch) handleTelemetryMod(m *openflow.TelemetryMod) {
 		ts.interval = time.Duration(m.IntervalMS) * time.Millisecond
 	}
 	if m.Epoch != ts.epoch {
-		// A new controller instance owns the stream: restart the protocol so
-		// its aggregator is re-baselined by absolutes, never fed deltas it
-		// has no baseline for.
+		// A new controller instance owns the stream: its aggregator has seen
+		// none of the levels queued so far.
 		ts.epoch = m.Epoch
-		ts.seq = 0
-		ts.rules = nil
-		ts.pending = nil
+		ts.queued = nil
 	}
-	prev := ts.rules
-	ts.rules = make(map[uint32]*telRuleState, len(m.Rules))
+	prev := ts.queued
+	ts.queued = make(map[openflow.MonitorRule]telLevel, len(m.Rules))
 	for _, spec := range m.Rules {
-		if old, ok := prev[spec.ID]; ok && old.spec == spec {
-			ts.rules[spec.ID] = old // identical rule: stream state survives
-			continue
+		if lv, ok := prev[spec]; ok {
+			ts.queued[spec] = lv // identical rule: nothing to re-export
 		}
-		ts.rules[spec.ID] = &telRuleState{spec: spec}
 	}
-	// Pending chunks may reference dropped rules; their acks just no-op.
 	ts.wake()
-}
-
-// handleTelemetryAck folds an acknowledged export into the baselines.
-func (s *Switch) handleTelemetryAck(m *openflow.TelemetryAck) {
-	ts := &s.tel
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if m.Epoch != ts.epoch {
-		return
-	}
-	p := ts.pending[m.Seq]
-	if p == nil {
-		return
-	}
-	delete(ts.pending, m.Seq)
-	for _, snap := range p.snaps {
-		r := ts.rules[snap.id]
-		if r == nil {
-			continue
-		}
-		r.basePackets, r.baseBytes = snap.packets, snap.bytes
-		r.synced = true
-		r.inflight = false
-	}
 }
 
 // telemetryLoop drives the export cadence until Stop. With no monitor rules
@@ -313,7 +246,7 @@ func (s *Switch) telemetryLoop() {
 	for {
 		var t clock.Timer
 		var fire <-chan time.Time
-		if s.tel.programmed() {
+		if s.table.mon.Load() != nil {
 			t = s.clk.NewTimer(s.tel.currentInterval())
 			fire = t.C()
 		}
@@ -322,8 +255,8 @@ func (s *Switch) telemetryLoop() {
 			stopTimer(t)
 			return
 		case <-s.tel.poke:
-			// A fresh program: export its first FULLs immediately and re-arm
-			// with its interval.
+			// A fresh program: export its rules immediately and re-arm with
+			// its interval.
 			stopTimer(t)
 			s.telemetryTick()
 		case <-fire:
@@ -339,83 +272,35 @@ func stopTimer(t clock.Timer) {
 	}
 }
 
-// telemetryTick builds and sends this interval's exports: FULL absolutes
-// for unsynced rules, deltas for synced ones, nothing for idle ones.
+// telemetryTick exports the absolute counters of every rule whose level
+// differs from the one last queued, in chunks of telMaxEntriesPerExport, and
+// records a chunk's levels once the control queue has taken it.
 func (s *Switch) telemetryTick() {
-	abs := s.table.monitorCounters()
 	ts := &s.tel
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if len(ts.rules) == 0 {
-		return
-	}
-	now := s.clk.Now()
-	timeout := time.Duration(telAckTimeoutTicks) * ts.currentIntervalLocked()
-	for seq, p := range ts.pending {
-		if now.Sub(p.sentAt) >= timeout {
-			delete(ts.pending, seq)
-			for _, snap := range p.snaps {
-				if r := ts.rules[snap.id]; r != nil {
-					r.synced = false
-					r.inflight = false
-				}
-			}
-		}
-	}
-	var full, delta []openflow.TelemetryEntry
-	var fullSnaps, deltaSnaps []telSnap
+	abs := s.table.monitorCounters()
+	changed := abs[:0]
 	for _, mc := range abs {
-		r := ts.rules[mc.Rule.ID]
-		if r == nil || r.inflight {
-			continue
-		}
-		snap := telSnap{id: mc.Rule.ID, packets: mc.Packets, bytes: mc.Bytes}
-		if !r.synced {
-			full = append(full, openflow.TelemetryEntry{ID: mc.Rule.ID,
-				Packets: mc.Packets, Bytes: mc.Bytes})
-			fullSnaps = append(fullSnaps, snap)
-		} else if mc.Packets != r.basePackets || mc.Bytes != r.baseBytes {
-			delta = append(delta, openflow.TelemetryEntry{ID: mc.Rule.ID,
-				Packets: mc.Packets - r.basePackets, Bytes: mc.Bytes - r.baseBytes})
-			deltaSnaps = append(deltaSnaps, snap)
+		if lv, ok := ts.queued[mc.Rule]; !ok || lv != (telLevel{mc.Packets, mc.Bytes}) {
+			changed = append(changed, mc)
 		}
 	}
-	s.sendExportsLocked(now, openflow.TelemetryFull, full, fullSnaps)
-	s.sendExportsLocked(now, 0, delta, deltaSnaps)
-}
-
-func (ts *telState) currentIntervalLocked() time.Duration {
-	if ts.interval <= 0 {
-		return DefaultTelemetryInterval
-	}
-	return ts.interval
-}
-
-// sendExportsLocked chunks entries into export messages; each successfully
-// queued chunk becomes a pending record and marks its rules in flight.
-func (s *Switch) sendExportsLocked(now time.Time, flags uint8, entries []openflow.TelemetryEntry, snaps []telSnap) {
-	ts := &s.tel
-	for len(entries) > 0 {
-		n := len(entries)
-		if n > telMaxEntriesPerExport {
-			n = telMaxEntriesPerExport
+	for len(changed) > 0 {
+		chunk := changed[:min(len(changed), telMaxEntriesPerExport)]
+		ex := &openflow.TelemetryExport{Epoch: ts.epoch, Entries: make([]openflow.TelemetryEntry, len(chunk))}
+		for i, mc := range chunk {
+			ex.Entries[i] = openflow.TelemetryEntry{ID: mc.Rule.ID, Packets: mc.Packets, Bytes: mc.Bytes}
 		}
-		ts.seq++
-		ex := &openflow.TelemetryExport{Epoch: ts.epoch, Seq: ts.seq,
-			Flags: flags, Entries: entries[:n]}
 		if s.send(ex) != nil {
-			ts.seq--
-			return // not connected or queue full; retried whole next tick
+			return // not connected or queue full: these rules stay unqueued
 		}
-		if ts.pending == nil {
-			ts.pending = make(map[uint32]*telPending)
+		if ts.queued == nil {
+			ts.queued = make(map[openflow.MonitorRule]telLevel)
 		}
-		ts.pending[ts.seq] = &telPending{sentAt: now, snaps: snaps[:n]}
-		for _, snap := range snaps[:n] {
-			if r := ts.rules[snap.id]; r != nil {
-				r.inflight = true
-			}
+		for _, mc := range chunk {
+			ts.queued[mc.Rule] = telLevel{mc.Packets, mc.Bytes}
 		}
-		entries, snaps = entries[n:], snaps[n:]
+		changed = changed[len(chunk):]
 	}
 }

@@ -107,7 +107,8 @@ func FuzzDecoderStream(f *testing.F) {
 }
 
 // seedMessages returns one well-formed message of every modeled type (and a
-// Raw), each with its own transaction ID.
+// Raw, and a second export whose absolute counters take wide varints), each
+// with its own transaction ID.
 func seedMessages() []Message {
 	seeds := []Message{
 		&Hello{},
@@ -160,9 +161,9 @@ func seedMessages() []Message {
 		&Raw{T: TypeQueueGetConfigReq, Body: []byte{0, 5, 0, 0}},
 		&TelemetryMod{Epoch: 7, IntervalMS: 250, Rules: []MonitorRule{
 			{ID: 1, Src: [4]byte{10, 1, 0, 0}, SrcBits: 24, Dst: [4]byte{10, 2, 0, 0}, DstBits: 24}}},
-		&TelemetryExport{Epoch: 7, Seq: 3, Flags: TelemetryFull,
-			Entries: []TelemetryEntry{{ID: 1, Packets: 12, Bytes: 18000}}},
-		&TelemetryAck{Epoch: 7, Seq: 3},
+		&TelemetryExport{Epoch: 7, Entries: []TelemetryEntry{{ID: 1, Packets: 12, Bytes: 18000}}},
+		&TelemetryExport{Epoch: 8, Entries: []TelemetryEntry{
+			{ID: 1 << 20, Packets: 1 << 40, Bytes: 1 << 50}, {ID: 2, Packets: 0, Bytes: 0}}},
 	}
 	for i, m := range seeds {
 		m.SetXID(uint32(i + 1))
@@ -215,13 +216,13 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 	flowMod := func(actions ...byte) []byte {
 		return validFrame(TypeFlowMod, 1, append((&FlowMod{Match: MatchAll()}).AppendTo(nil)[HeaderLen:], actions...))
 	}
-	f.Add(flowMod(0, 4, 0, 8, 1, 2, 3, 4))                                                      // set-dl-src in 8 bytes
-	f.Add(flowMod(0, 11, 0, 8, 0, 1, 0, 0))                                                     // enqueue in 8 bytes
-	f.Add(flowMod(0, 0, 0, 16, 0, 1, 0, 0, 9, 9, 9, 9, 9, 9, 9, 9))                             // output in 16 bytes
-	f.Add(flowMod(0, 12, 0, 24, 0, 2, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6))                            // multipath: 2 buckets, room for 1
-	f.Add(flowMod(0xff, 0xff, 0, 8, 0, 0, 0x23, 0x20))                                          // vendor action, no data
-	f.Add(flowMod(0, 0, 0, 8, 0, 1, 0, 0, 0, 0))                                                // 2 trailing bytes
-	f.Add(validFrame(TypeTelemetryExport, 1, append(make([]byte, 13), 0, 1, 0x80, 0x80, 0x80))) // unterminated varint
+	f.Add(flowMod(0, 4, 0, 8, 1, 2, 3, 4))                                                     // set-dl-src in 8 bytes
+	f.Add(flowMod(0, 11, 0, 8, 0, 1, 0, 0))                                                    // enqueue in 8 bytes
+	f.Add(flowMod(0, 0, 0, 16, 0, 1, 0, 0, 9, 9, 9, 9, 9, 9, 9, 9))                            // output in 16 bytes
+	f.Add(flowMod(0, 12, 0, 24, 0, 2, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6))                           // multipath: 2 buckets, room for 1
+	f.Add(flowMod(0xff, 0xff, 0, 8, 0, 0, 0x23, 0x20))                                         // vendor action, no data
+	f.Add(flowMod(0, 0, 0, 8, 0, 1, 0, 0, 0, 0))                                               // 2 trailing bytes
+	f.Add(validFrame(TypeTelemetryExport, 1, append(make([]byte, 8), 0, 1, 0x80, 0x80, 0x80))) // unterminated varint
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := refUnmarshal(data)

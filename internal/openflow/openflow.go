@@ -97,7 +97,6 @@ var typeNames = map[Type]string{
 	TypeBarrierRequest: "BARRIER_REQUEST", TypeBarrierReply: "BARRIER_REPLY",
 	TypeQueueGetConfigReq: "QUEUE_GET_CONFIG_REQUEST", TypeQueueGetConfigRepl: "QUEUE_GET_CONFIG_REPLY",
 	TypeTelemetryMod: "TELEMETRY_MOD", TypeTelemetryExport: "TELEMETRY_EXPORT",
-	TypeTelemetryAck: "TELEMETRY_ACK",
 }
 
 // String names the message type.
@@ -238,8 +237,6 @@ func newMessage(t Type) Message {
 		return &TelemetryMod{}
 	case TypeTelemetryExport:
 		return &TelemetryExport{}
-	case TypeTelemetryAck:
-		return &TelemetryAck{}
 	default:
 		return &Raw{T: t}
 	}
@@ -352,8 +349,6 @@ func Clone(m Message) Message {
 	case *BarrierRequest:
 		return copyOf(m)
 	case *BarrierReply:
-		return copyOf(m)
-	case *TelemetryAck:
 		return copyOf(m)
 	}
 	panic(fmt.Sprintf("openflow: Clone of %T", m))

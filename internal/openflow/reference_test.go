@@ -130,9 +130,6 @@ func refDecodeBody(m Message, r *refBuf) error {
 		return refTelemetryMod(m, r)
 	case *TelemetryExport:
 		return refTelemetryExport(m, r)
-	case *TelemetryAck:
-		m.Epoch = r.u64()
-		m.Seq = r.u32()
 	case *Raw:
 		m.Body = r.bytes()
 	default:
@@ -303,8 +300,6 @@ func refTelemetryMod(m *TelemetryMod, r *refBuf) error {
 
 func refTelemetryExport(m *TelemetryExport, r *refBuf) error {
 	m.Epoch = r.u64()
-	m.Seq = r.u32()
-	m.Flags = r.u8()
 	n := int(r.u16())
 	if r.err != nil {
 		return nil

@@ -8,25 +8,16 @@ import (
 // Telemetry message types. These extend the OpenFlow 1.0 type space past the
 // standard 0..21 range with the streaming-telemetry protocol the RouteFlow
 // controller and the emulated switches speak on the existing control channel:
-// the controller installs monitor rules with a TELEMETRY_MOD, the switch
-// streams counter deltas in TELEMETRY_EXPORT batches, and the controller
-// confirms each batch with a TELEMETRY_ACK so the switch can advance its
-// delta baseline. A FlowVisor in the path forwards all three (unknown types
-// decode to *Raw and re-encode byte for byte), and the substrate broadcasts
-// exports to its slices like any other asynchronous switch event.
+// the controller installs monitor rules with a TELEMETRY_MOD, and the switch
+// streams each rule's cumulative counters in TELEMETRY_EXPORT batches. An
+// export carries absolute values, so the controller applies one idempotently
+// and nothing flows back: a lost export is covered by the next, and a
+// repeated one charges nothing. A FlowVisor in the path forwards both, and
+// the substrate broadcasts exports to its slices like any other asynchronous
+// switch event.
 const (
 	TypeTelemetryMod    Type = 22
 	TypeTelemetryExport Type = 23
-	TypeTelemetryAck    Type = 24
-)
-
-// TelemetryExport flags.
-const (
-	// TelemetryFull marks an export whose entries carry absolute counter
-	// values rather than deltas: the switch sends it to (re)establish the
-	// controller's baseline — after a new TelemetryMod epoch, a reconnect,
-	// or a controller failover — and the receiver must replace, not add.
-	TelemetryFull uint8 = 1 << 0
 )
 
 // MonitorRule is one flow-monitoring assignment carried by TelemetryMod: the
@@ -53,8 +44,8 @@ const monitorRuleWireLen = 14
 // rule set. It is idempotent and level-triggered: the switch keeps counters
 // for rules whose (ID, prefixes) survive the replacement and starts fresh
 // ones for new rules. Epoch identifies the controller instance that issued
-// the rules; when it changes the switch re-baselines every rule with a full
-// export so a failed-over controller never double-counts. IntervalMS sets
+// the rules; when it changes the switch re-exports every rule once, so a
+// failed-over controller's aggregator sees each rule's level. IntervalMS sets
 // the export cadence (0 keeps the switch's current interval).
 type TelemetryMod struct {
 	MsgXID
@@ -106,9 +97,8 @@ func (m *TelemetryMod) decodeBody(b []byte, _ *store) error {
 	return nil
 }
 
-// TelemetryEntry is one monitored flow's counters inside a TelemetryExport:
-// deltas since the last acknowledged export, or absolute values when the
-// export carries TelemetryFull.
+// TelemetryEntry is one monitored flow's absolute counters inside a
+// TelemetryExport.
 type TelemetryEntry struct {
 	ID      uint32
 	Packets uint64
@@ -116,22 +106,15 @@ type TelemetryEntry struct {
 }
 
 // TelemetryExport (switch → controller) is one batch of per-flow counter
-// readings. Entries are varint-encoded so a steady state of small deltas
-// costs a few bytes per flow. Seq numbers exports within an epoch; the
-// controller acknowledges (Epoch, Seq) and the switch then folds the
-// exported deltas into its acknowledged baseline. Unacknowledged deltas are
-// simply re-sent grown — the counters are cumulative, so the protocol is
-// loss-tolerant without retransmission state.
+// readings, each the rule's cumulative count since the switch installed it.
+// Entries are varint-encoded. The switch exports a rule only when its
+// counters moved since the last export it queued on this session and epoch,
+// so an idle rule costs nothing.
 type TelemetryExport struct {
 	MsgXID
 	Epoch   uint64
-	Seq     uint32
-	Flags   uint8
 	Entries []TelemetryEntry
 }
-
-// Full reports whether the entries carry absolute counter values.
-func (m *TelemetryExport) Full() bool { return m.Flags&TelemetryFull != 0 }
 
 // MsgType implements Message.
 func (m *TelemetryExport) MsgType() Type { return TypeTelemetryExport }
@@ -141,8 +124,6 @@ func (m *TelemetryExport) AppendTo(b []byte) []byte { return appendMessage(b, m)
 
 func (m *TelemetryExport) appendBody(b []byte) []byte {
 	b = binary.BigEndian.AppendUint64(b, m.Epoch)
-	b = binary.BigEndian.AppendUint32(b, m.Seq)
-	b = append(b, m.Flags)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Entries)))
 	for i := range m.Entries {
 		e := &m.Entries[i]
@@ -154,15 +135,13 @@ func (m *TelemetryExport) appendBody(b []byte) []byte {
 }
 
 func (m *TelemetryExport) decodeBody(b []byte, _ *store) error {
-	if len(b) < 15 {
-		return short(b, 15)
+	if len(b) < 10 {
+		return short(b, 10)
 	}
 	m.Epoch = binary.BigEndian.Uint64(b)
-	m.Seq = binary.BigEndian.Uint32(b[8:])
-	m.Flags = b[12]
-	n := int(binary.BigEndian.Uint16(b[13:]))
+	n := int(binary.BigEndian.Uint16(b[8:]))
 	// Each entry is at least three one-byte varints.
-	if b = b[15:]; n*3 > len(b) {
+	if b = b[10:]; n*3 > len(b) {
 		return fmt.Errorf("entry count %d exceeds body (%d bytes left)", n, len(b))
 	}
 	if n == 0 {
@@ -183,35 +162,5 @@ func (m *TelemetryExport) decodeBody(b []byte, _ *store) error {
 		}
 		m.Entries[i] = TelemetryEntry{ID: uint32(v[0]), Packets: v[1], Bytes: v[2]}
 	}
-	return nil
-}
-
-// TelemetryAck (controller → switch) acknowledges the export numbered Seq in
-// Epoch; the switch advances its delta baseline past it. Acks are cheap and
-// cumulative in effect — a lost ack only means the next export repeats a
-// delta the controller's max-merge absorbs.
-type TelemetryAck struct {
-	MsgXID
-	Epoch uint64
-	Seq   uint32
-}
-
-// MsgType implements Message.
-func (m *TelemetryAck) MsgType() Type { return TypeTelemetryAck }
-
-// AppendTo implements Message.
-func (m *TelemetryAck) AppendTo(b []byte) []byte { return appendMessage(b, m) }
-
-func (m *TelemetryAck) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, m.Epoch)
-	return binary.BigEndian.AppendUint32(b, m.Seq)
-}
-
-func (m *TelemetryAck) decodeBody(b []byte, _ *store) error {
-	if len(b) < 12 {
-		return short(b, 12)
-	}
-	m.Epoch = binary.BigEndian.Uint64(b)
-	m.Seq = binary.BigEndian.Uint32(b[8:])
 	return nil
 }

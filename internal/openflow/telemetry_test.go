@@ -28,18 +28,17 @@ func TestTelemetryModRoundTrip(t *testing.T) {
 
 func TestTelemetryExportRoundTrip(t *testing.T) {
 	m := &TelemetryExport{
-		Epoch: 7, Seq: 3, Flags: TelemetryFull,
+		Epoch: 7,
 		Entries: []TelemetryEntry{
 			{ID: 1, Packets: 12, Bytes: 18000},
 			{ID: 9, Packets: 1 << 40, Bytes: 1 << 50},
 		},
 	}
 	got := roundTrip(t, m).(*TelemetryExport)
-	if !got.Full() || got.Entries[1].Bytes != 1<<50 {
+	if got.Epoch != 7 || got.Entries[1].Bytes != 1<<50 {
 		t.Fatalf("decoded %+v", got)
 	}
-	roundTrip(t, &TelemetryExport{Epoch: 7, Seq: 4}) // empty heartbeat
-	roundTrip(t, &TelemetryAck{Epoch: 7, Seq: 3})
+	roundTrip(t, &TelemetryExport{Epoch: 7}) // no entries
 }
 
 // TestTelemetryGoldenWire pins the exact wire encoding of each telemetry
@@ -63,14 +62,12 @@ func TestTelemetryGoldenWire(t *testing.T) {
 		t.Errorf("TelemetryMod wire:\n got %x\nwant %x", got, wantMod)
 	}
 
-	ex := &TelemetryExport{Epoch: 2, Seq: 5, Flags: TelemetryFull,
+	ex := &TelemetryExport{Epoch: 2,
 		Entries: []TelemetryEntry{{ID: 300, Packets: 1, Bytes: 1500}}}
 	ex.SetXID(0x43)
 	wantEx := []byte{
-		Version, byte(TypeTelemetryExport), 0, 0x1c, 0, 0, 0, 0x43,
+		Version, byte(TypeTelemetryExport), 0, 0x17, 0, 0, 0, 0x43,
 		0, 0, 0, 0, 0, 0, 0, 2, // epoch
-		0, 0, 0, 5, // seq
-		1,    // flags: FULL
 		0, 1, // one entry
 		0xac, 0x02, // id 300 as uvarint
 		0x01,       // packets 1
@@ -80,16 +77,6 @@ func TestTelemetryGoldenWire(t *testing.T) {
 		t.Errorf("TelemetryExport wire:\n got %x\nwant %x", got, wantEx)
 	}
 
-	ack := &TelemetryAck{Epoch: 2, Seq: 5}
-	ack.SetXID(0x44)
-	wantAck := []byte{
-		Version, byte(TypeTelemetryAck), 0, 0x14, 0, 0, 0, 0x44,
-		0, 0, 0, 0, 0, 0, 0, 2,
-		0, 0, 0, 5,
-	}
-	if got := ack.AppendTo(nil); !bytes.Equal(got, wantAck) {
-		t.Errorf("TelemetryAck wire:\n got %x\nwant %x", got, wantAck)
-	}
 }
 
 func TestTelemetryDecodeRejectsOversizedCounts(t *testing.T) {
@@ -105,8 +92,6 @@ func TestTelemetryDecodeRejectsOversizedCounts(t *testing.T) {
 	}
 	ex := validFrame(TypeTelemetryExport, 1, []byte{
 		0, 0, 0, 0, 0, 0, 0, 1, // epoch
-		0, 0, 0, 0, // seq
-		0,          // flags
 		0xff, 0xff, // 65535 entries, no bytes
 	})
 	if _, err := Unmarshal(ex); err == nil {
@@ -114,7 +99,7 @@ func TestTelemetryDecodeRejectsOversizedCounts(t *testing.T) {
 	}
 }
 
-// TestTelemetryExportAppendAllocBudget: the delta-encode path — a switch
+// TestTelemetryExportAppendAllocBudget: the export-encode path — a switch
 // appending its periodic export into a reused batch buffer — must not
 // allocate once the buffer is warm. This is the telemetry analogue of the
 // flow-mod AppendTo gate.
@@ -123,10 +108,10 @@ func TestTelemetryExportAppendAllocBudget(t *testing.T) {
 	for i := range entries {
 		entries[i] = TelemetryEntry{ID: uint32(i), Packets: uint64(i) * 3, Bytes: uint64(i) * 4500}
 	}
-	ex := &TelemetryExport{Epoch: 1, Seq: 1, Entries: entries}
+	ex := &TelemetryExport{Epoch: 1, Entries: entries}
 	buf := ex.AppendTo(nil) // warm to working-set capacity
 	if got := testing.AllocsPerRun(200, func() {
-		ex.Seq++
+		ex.Entries[0].Packets++
 		buf = ex.AppendTo(buf[:0])
 	}); got > 0 {
 		t.Fatalf("AppendTo(TelemetryExport) = %.1f allocs/op, budget 0", got)

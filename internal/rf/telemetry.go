@@ -2,9 +2,9 @@ package rf
 
 // The platform's half of the streaming-telemetry pipeline: it carries the
 // monitoring program (which switch observes which flows, at what epoch) down
-// to the switches as TELEMETRY_MOD, feeds the switches' TELEMETRY_EXPORT
-// streams into a telemetry.Aggregator, and answers each export with the ack
-// that lets the switch advance its delta baseline. Each switch's share of the
+// to the switches as TELEMETRY_MOD and feeds the switches' TELEMETRY_EXPORT
+// streams, each entry a rule's absolute counters, into a
+// telemetry.Aggregator; nothing is sent back. Each switch's share of the
 // program is one of compile's inputs (desired.go): refresh pushes a changed
 // TELEMETRY_MOD, and sync re-pushes it on every connect, repair and
 // adoption, so the program is level-triggered end to end.
@@ -21,8 +21,8 @@ import (
 // monitor switch this platform masters, and the compiled per-switch rules.
 type TelemetryProgram struct {
 	// Epoch fences export streams. Every program push carries it to the
-	// switches; a switch seeing a new epoch resets its stream state and
-	// re-baselines with a FULL export. Epoch 0 means "no program" — the
+	// switches; a switch seeing a new epoch forgets what it exported and
+	// re-exports every rule. Epoch 0 means "no program" — the
 	// platform sends nothing and ignores exports.
 	Epoch uint64
 	// Interval is the switches' export period (0 = switch default).
@@ -45,7 +45,7 @@ type TelemetryProgram struct {
 // and the refresh pushes each TELEMETRY_MOD that changed. The aggregator
 // survives program changes: flows whose monitor switch is unchanged keep
 // their views and totals, and the epoch advances in place so the
-// re-baselining FULLs charge only gains.
+// re-exports that follow charge only gains.
 func (p *Platform) SetTelemetry(prog TelemetryProgram) {
 	p.telMu.Lock()
 	if p.telAgg == nil {
@@ -62,18 +62,13 @@ func (p *Platform) SetTelemetry(prog TelemetryProgram) {
 	p.refreshAllLocked()
 }
 
-// onTelemetry consumes one export and answers with the ack that advances the
-// switch's delta baseline. A dropped ack is safe: the switch times the rule
-// out of sync and re-baselines with an idempotent FULL.
+// onTelemetry feeds one export to the aggregator.
 func (p *Platform) onTelemetry(sc *ctlkit.SwitchConn, ex *openflow.TelemetryExport) {
 	p.telMu.Lock()
 	agg := p.telAgg
 	p.telMu.Unlock()
-	if agg == nil {
-		return
-	}
-	if ack := agg.HandleExport(sc.DPID(), ex); ack != nil {
-		_ = sc.TrySend(ack)
+	if agg != nil {
+		agg.HandleExport(sc.DPID(), ex)
 	}
 }
 

@@ -111,8 +111,8 @@ func Curated() []Spec {
 			// The dialer reconnects, discovery re-learns it, the reconciler
 			// rebuilds its VM and flows.
 			// Telemetry rides along: the reboot zeroes the monitor's absolute
-			// counters, so the stream must re-baseline (FULL below the applied
-			// level) without the view ever double counting or running backward.
+			// counters, so the view must re-baseline (an export below the
+			// applied level) without ever double counting or running backward.
 			Name:        "ring5-switch-crash",
 			Description: "transit switch reboots; VM and flows are rebuilt",
 			Topology:    topo.Ring(5), HostNodes: []int{0, 3}, Seed: 4,
@@ -198,7 +198,7 @@ func Curated() []Spec {
 			// converged state, then absorb a link failure on top.
 			// Telemetry rides along: the killed replica's aggregator views die
 			// with it, so the survivor must re-own the orphaned flows and
-			// rebuild views from FULL re-baselines — counted exactly once.
+			// rebuild views from the switches' re-exports — counted exactly once.
 			Name:        "ring6-master-kill-midconverge",
 			Description: "replica killed mid-convergence; survivor adopts its switches and converges",
 			Topology:    topo.Ring(6), HostNodes: []int{0, 3}, Seed: 31,

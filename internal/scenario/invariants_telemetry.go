@@ -99,7 +99,7 @@ func (r *runner) telemetryPlacementGap() string {
 // against ground truth. For every placed flow it pins the monitor switch's
 // absolute counter at check start, then requires the aggregated view to
 // (a) never exceed the switch's current absolute — a view above ground truth
-// means a delta was applied twice, the failure mode resyncs and master
+// means a gain was charged twice, the failure mode re-exports and master
 // failovers would hit — and (b) catch up to the pinned level within the
 // budget — counters may not be lost either. Both halves hold even while
 // streams keep generating traffic, because the pin is a fixed target.

@@ -44,7 +44,7 @@ type flowView struct {
 	pl      Placement
 	monitor uint64 // DPID of the observing switch
 	applied struct{ packets, bytes uint64 }
-	synced  bool // false until the first FULL establishes a baseline
+	synced  bool // false until the first export establishes a baseline
 	win     *window
 }
 
@@ -54,13 +54,13 @@ type linkView struct {
 }
 
 // Aggregator turns one controller instance's TELEMETRY_EXPORT stream into
-// per-flow and per-link views. It applies the stream's exactly-once
-// discipline: a delta export is added once (the switch's stop-and-wait
-// guarantees it is never re-sent as a delta), and a FULL export sets the
-// applied absolute idempotently — the first FULL of a view only baselines
-// it, so a failed-over controller inherits counts without charging history
-// into the current rate window (the no-double-count property the chaos
-// invariants check).
+// per-flow and per-link views. Every export entry is the monitor switch's
+// absolute counter level, applied idempotently: a level above the applied
+// one charges the gain, an equal one charges nothing (a repeated export), and
+// a lower one (the switch rebooted) re-baselines without charging. The first
+// export of a view only baselines it, so a failed-over controller inherits
+// counts without charging history into the current rate window (the
+// no-double-count property the chaos invariants check).
 //
 // One Aggregator serves one epoch: exports from any other epoch are
 // ignored, so a replica that lost ownership can never pollute the new
@@ -95,10 +95,10 @@ func (a *Aggregator) Epoch() uint64 {
 }
 
 // SetEpoch moves the aggregator to a new monitoring-program epoch without
-// discarding accumulated views. Switches re-baseline on an epoch change by
-// sending FULL exports, and a FULL against a synced view charges only the
-// gain over the applied level — so advancing the epoch in place is lossless
-// and double-count free, whereas recreating the aggregator would zero every
+// discarding accumulated views. Switches re-export every rule on an epoch
+// change, and an export against a synced view charges only the gain over
+// the applied level — so advancing the epoch in place is lossless and
+// double-count free, whereas recreating the aggregator would zero every
 // total on a mere re-placement.
 func (a *Aggregator) SetEpoch(e uint64) {
 	a.mu.Lock()
@@ -130,16 +130,15 @@ func (a *Aggregator) SetFlows(pls []Placement, monitorDPID func(node int) uint64
 	a.flows = next
 }
 
-// HandleExport applies one export from the switch with the given DPID and
-// returns the ack to send back, or nil when the export is not for this
-// aggregator (wrong epoch). Entries for flows this aggregator does not own
-// at that switch are skipped — the level-triggered TELEMETRY_MOD push is
-// already retiring those rules.
-func (a *Aggregator) HandleExport(dpid uint64, ex *openflow.TelemetryExport) *openflow.TelemetryAck {
+// HandleExport applies one export from the switch with the given DPID. An
+// export from another epoch is ignored, and so are entries for flows this
+// aggregator does not own at that switch — the level-triggered TELEMETRY_MOD
+// push is already retiring those rules.
+func (a *Aggregator) HandleExport(dpid uint64, ex *openflow.TelemetryExport) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if ex.Epoch != a.epoch {
-		a.mu.Unlock()
-		return nil
+		return
 	}
 	now := a.clk.Now()
 	for _, e := range ex.Entries {
@@ -148,27 +147,18 @@ func (a *Aggregator) HandleExport(dpid uint64, ex *openflow.TelemetryExport) *op
 			continue
 		}
 		var gainPkts, gainBytes uint64
-		if ex.Full() {
-			if fv.synced {
-				if e.Packets > fv.applied.packets {
-					gainPkts = e.Packets - fv.applied.packets
-				}
-				if e.Bytes > fv.applied.bytes {
-					gainBytes = e.Bytes - fv.applied.bytes
-				}
+		if fv.synced {
+			if e.Packets > fv.applied.packets {
+				gainPkts = e.Packets - fv.applied.packets
 			}
-			// A first FULL (or one below the applied level — the switch
-			// rebooted) re-baselines without charging the windows.
-			fv.applied.packets, fv.applied.bytes = e.Packets, e.Bytes
-			fv.synced = true
-		} else {
-			if !fv.synced {
-				continue // no baseline to apply a delta against
+			if e.Bytes > fv.applied.bytes {
+				gainBytes = e.Bytes - fv.applied.bytes
 			}
-			gainPkts, gainBytes = e.Packets, e.Bytes
-			fv.applied.packets += gainPkts
-			fv.applied.bytes += gainBytes
 		}
+		// A first export (or one below the applied level — the switch
+		// rebooted) re-baselines without charging the windows.
+		fv.applied.packets, fv.applied.bytes = e.Packets, e.Bytes
+		fv.synced = true
 		if gainPkts == 0 && gainBytes == 0 {
 			continue
 		}
@@ -184,8 +174,6 @@ func (a *Aggregator) HandleExport(dpid uint64, ex *openflow.TelemetryExport) *op
 			lv.win.add(now, gainPkts, gainBytes)
 		}
 	}
-	a.mu.Unlock()
-	return &openflow.TelemetryAck{Epoch: ex.Epoch, Seq: ex.Seq}
 }
 
 // Snapshot returns the current views in deterministic order.

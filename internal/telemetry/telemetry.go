@@ -64,22 +64,18 @@ func PathLinks(path []int) []LinkKey {
 	return out
 }
 
-// ComputePlacements assigns every flow (directed node pair) a monitor
-// switch on its live shortest path, balancing observation load: flows are
-// placed in ID order, each on the least-loaded switch of its path (ties to
-// the lowest node ID). linkUp reports whether a topology link is currently
+// ComputePlacementsAssigned assigns every flow (directed node pair) a
+// monitor switch on its path, balancing observation load: flows are placed
+// in ID order, each on the least-loaded switch of its path (ties to the
+// lowest node ID). linkUp reports whether a topology link is currently
 // usable; nil means all links are up. The result is deterministic for a
-// given topology, pair list and link state.
-func ComputePlacements(g *topo.Graph, pairs [][2]int, linkUp func(topo.Link) bool) []Placement {
-	return ComputePlacementsAssigned(g, pairs, linkUp, nil)
-}
-
-// ComputePlacementsAssigned is ComputePlacements with traffic-engineering
-// path overrides: assigned maps a directed pair to the node walk the TE
-// optimizer pinned it to. An override is honored only while every hop is a
-// live link of the topology; a missing or dead override falls back to the
-// live shortest path, so the view keeps charging a path that can actually
-// carry the traffic.
+// given topology, pair list, link state and assignment.
+//
+// assigned holds traffic-engineering path overrides: it maps a directed pair
+// to the node walk the TE optimizer pinned it to (nil or empty: none). An
+// override is honored only while every hop is a live link of the topology;
+// a missing or dead override falls back to the live shortest path, so the
+// view keeps charging a path that can actually carry the traffic.
 func ComputePlacementsAssigned(g *topo.Graph, pairs [][2]int, linkUp func(topo.Link) bool, assigned map[[2]int][]int) []Placement {
 	out := make([]Placement, 0, len(pairs))
 	load := make(map[int]int)

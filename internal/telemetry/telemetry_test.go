@@ -28,7 +28,7 @@ func allPairs(nodes []int) [][2]int {
 // path-eligible switches.
 func checkBalance(t *testing.T, g *topo.Graph, pairs [][2]int) {
 	t.Helper()
-	pls := ComputePlacements(g, pairs, nil)
+	pls := ComputePlacementsAssigned(g, pairs, nil, nil)
 	if len(pls) != len(pairs) {
 		t.Fatalf("%d placements for %d pairs", len(pls), len(pairs))
 	}
@@ -76,13 +76,18 @@ func TestPlacementBalanceFatTree4(t *testing.T) {
 	checkBalance(t, topo.FatTree(4), allPairs(topo.FatTreeEdges(4)))
 }
 
+// TestPlacementDeterministic: one input, one placement; an empty override
+// map (what a deployment without TE passes) places like nil.
 func TestPlacementDeterministic(t *testing.T) {
 	g := topo.Grid(3, 3)
 	pairs := allPairs([]int{0, 4, 8, 2, 6})
-	a := ComputePlacements(g, pairs, nil)
-	b := ComputePlacements(g, pairs, nil)
+	a := ComputePlacementsAssigned(g, pairs, nil, nil)
+	b := ComputePlacementsAssigned(g, pairs, nil, nil)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatal("placement is not deterministic")
+	}
+	if c := ComputePlacementsAssigned(g, pairs, nil, map[[2]int][]int{}); fmt.Sprint(c) != fmt.Sprint(a) {
+		t.Fatalf("empty override map placed differently from nil:\n%v\n%v", c, a)
 	}
 }
 
@@ -90,12 +95,12 @@ func TestPlacementDeterministic(t *testing.T) {
 // and an unreachable pair is reported unplaced instead of guessed.
 func TestPlacementRoutesAroundDeadLinks(t *testing.T) {
 	g := topo.Line(3) // 0 - 1 - 2
-	pls := ComputePlacements(g, [][2]int{{0, 2}}, nil)
+	pls := ComputePlacementsAssigned(g, [][2]int{{0, 2}}, nil, nil)
 	if len(pls[0].Path) != 3 {
 		t.Fatalf("line path = %v", pls[0].Path)
 	}
 	down := func(l topo.Link) bool { return !(l.A == 0 && l.B == 1) && !(l.A == 1 && l.B == 0) }
-	pls = ComputePlacements(g, [][2]int{{0, 2}, {1, 2}}, down)
+	pls = ComputePlacementsAssigned(g, [][2]int{{0, 2}, {1, 2}}, down, nil)
 	if pls[0].Path != nil || pls[0].Monitor != -1 {
 		t.Fatalf("partitioned pair got placed: %+v", pls[0])
 	}
@@ -104,64 +109,62 @@ func TestPlacementRoutesAroundDeadLinks(t *testing.T) {
 	}
 }
 
-func mkExport(epoch uint64, seq uint32, full bool, entries ...openflow.TelemetryEntry) *openflow.TelemetryExport {
-	var flags uint8
-	if full {
-		flags = openflow.TelemetryFull
-	}
-	return &openflow.TelemetryExport{Epoch: epoch, Seq: seq, Flags: flags, Entries: entries}
+func mkExport(epoch uint64, entries ...openflow.TelemetryEntry) *openflow.TelemetryExport {
+	return &openflow.TelemetryExport{Epoch: epoch, Entries: entries}
 }
 
 func testAggregator(t *testing.T) *Aggregator {
 	t.Helper()
-	a := NewAggregator(clock.System(), 9, 5*time.Second)
+	a := NewAggregator(clock.NewFake(), 9, 4*time.Second)
 	a.SetFlows([]Placement{
 		{ID: 1, SrcNode: 0, DstNode: 2, Path: []int{0, 1, 2}, Monitor: 1},
 	}, func(node int) uint64 { return uint64(node + 1) })
 	return a
 }
 
-// TestAggregatorExactlyOnce exercises the stream discipline: baseline FULL
-// charges nothing, deltas add, an idempotent FULL repair neither loses nor
-// double-counts, and a below-baseline FULL (switch reboot) re-anchors.
+// TestAggregatorExactlyOnce feeds one flow's absolute levels to the
+// aggregator and checks, after each export, the view's level and the total
+// charged to the flow's rate window and to both links of its path: every
+// packet the switch counted after the first sighting is charged once, and
+// none is charged twice.
 func TestAggregatorExactlyOnce(t *testing.T) {
 	a := testAggregator(t)
-	// Baseline with pre-existing counts: inherited, not charged.
-	ack := a.HandleExport(2, mkExport(9, 1, true, openflow.TelemetryEntry{ID: 1, Packets: 100, Bytes: 1000}))
-	if ack == nil || ack.Seq != 1 || ack.Epoch != 9 {
-		t.Fatalf("ack = %+v", ack)
+	steps := []struct {
+		what    string
+		level   uint64 // the switch's absolute packet count in the export
+		view    uint64 // the view's packet count after it
+		charged uint64 // packets charged in all after it
+	}{
+		{"a first sighting baselines without charging", 100, 100, 0},
+		{"a gain charges", 105, 105, 5},
+		{"a replayed export charges nothing", 105, 105, 5},
+		// The export at level 108 is lost.
+		{"the next export covers a skipped one", 110, 110, 10},
+		{"a lower level re-baselines without charging", 3, 3, 10},
+		{"gains charge again from the new baseline", 7, 7, 14},
 	}
-	if f := a.Snapshot().Flows[0]; f.Packets != 100 || f.RatePPS != 0 {
-		t.Fatalf("baseline charged the window: %+v", f)
-	}
-	// Delta applies once.
-	a.HandleExport(2, mkExport(9, 2, false, openflow.TelemetryEntry{ID: 1, Packets: 5, Bytes: 50}))
-	if f := a.Snapshot().Flows[0]; f.Packets != 105 {
-		t.Fatalf("after delta: %+v", f)
-	}
-	// FULL repair at the same absolute level: no change, no double count.
-	a.HandleExport(2, mkExport(9, 3, true, openflow.TelemetryEntry{ID: 1, Packets: 105, Bytes: 1050}))
-	if f := a.Snapshot().Flows[0]; f.Packets != 105 {
-		t.Fatalf("idempotent FULL moved the view: %+v", f)
-	}
-	// FULL above the applied level (missed deltas): charges only the gain.
-	a.HandleExport(2, mkExport(9, 4, true, openflow.TelemetryEntry{ID: 1, Packets: 110, Bytes: 1100}))
-	if f := a.Snapshot().Flows[0]; f.Packets != 110 {
-		t.Fatalf("repair FULL: %+v", f)
-	}
-	// Below-baseline FULL = rebooted switch: view follows the absolute.
-	a.HandleExport(2, mkExport(9, 5, true, openflow.TelemetryEntry{ID: 1, Packets: 3, Bytes: 30}))
-	if f := a.Snapshot().Flows[0]; f.Packets != 3 {
-		t.Fatalf("reboot FULL: %+v", f)
-	}
-	// Links along the path carried every charged gain: 5 + 5 = 10.
-	snap := a.Snapshot()
-	if len(snap.Links) != 2 {
-		t.Fatalf("links = %+v", snap.Links)
-	}
-	for _, ls := range snap.Links {
-		if ls.Packets != 10 {
-			t.Fatalf("link %v charged %d pkts, want 10", ls.Link, ls.Packets)
+	for _, st := range steps {
+		a.HandleExport(2, mkExport(9, openflow.TelemetryEntry{ID: 1, Packets: st.level, Bytes: 10 * st.level}))
+		snap := a.Snapshot()
+		f := snap.Flows[0]
+		if f.Packets != st.view || f.Bytes != 10*st.view {
+			t.Fatalf("%s: view %d pkts / %d bytes, want %d / %d", st.what, f.Packets, f.Bytes, st.view, 10*st.view)
+		}
+		// The window spans 4 s and the clock stands still: rate = charge / 4.
+		if want := float64(st.charged) / 4; f.RatePPS != want || f.RateBPS != 10*want {
+			t.Fatalf("%s: window rate %v pps / %v bps, want %v / %v", st.what, f.RatePPS, f.RateBPS, want, 10*want)
+		}
+		if st.charged == 0 && len(snap.Links) != 0 {
+			t.Fatalf("%s: links charged %+v", st.what, snap.Links)
+		}
+		if st.charged > 0 && len(snap.Links) != 2 {
+			t.Fatalf("%s: links = %+v, want the path's two", st.what, snap.Links)
+		}
+		for _, ls := range snap.Links {
+			if ls.Packets != st.charged || ls.Bytes != 10*st.charged {
+				t.Fatalf("%s: link %v charged %d pkts / %d bytes, want %d / %d",
+					st.what, ls.Link, ls.Packets, ls.Bytes, st.charged, 10*st.charged)
+			}
 		}
 	}
 }
@@ -170,20 +173,13 @@ func TestAggregatorExactlyOnce(t *testing.T) {
 // flow — none may touch the views.
 func TestAggregatorIgnoresForeignStreams(t *testing.T) {
 	a := testAggregator(t)
-	a.HandleExport(2, mkExport(9, 1, true, openflow.TelemetryEntry{ID: 1, Packets: 7, Bytes: 70}))
-	if ack := a.HandleExport(2, mkExport(8, 2, false, openflow.TelemetryEntry{ID: 1, Packets: 99, Bytes: 1})); ack != nil {
-		t.Fatal("foreign epoch acked")
-	}
+	a.HandleExport(2, mkExport(9, openflow.TelemetryEntry{ID: 1, Packets: 7, Bytes: 70}))
+	// Another epoch.
+	a.HandleExport(2, mkExport(8, openflow.TelemetryEntry{ID: 1, Packets: 99, Bytes: 1}))
 	// Same flow reported by a switch that is not its monitor.
-	a.HandleExport(3, mkExport(9, 2, false, openflow.TelemetryEntry{ID: 1, Packets: 99, Bytes: 1}))
+	a.HandleExport(3, mkExport(9, openflow.TelemetryEntry{ID: 1, Packets: 99, Bytes: 1}))
 	// Unknown flow ID.
-	a.HandleExport(2, mkExport(9, 3, false, openflow.TelemetryEntry{ID: 42, Packets: 99, Bytes: 1}))
-	// A delta before any baseline is unusable and skipped.
-	a2 := testAggregator(t)
-	a2.HandleExport(2, mkExport(9, 1, false, openflow.TelemetryEntry{ID: 1, Packets: 99, Bytes: 1}))
-	if f := a2.Snapshot().Flows[0]; f.Packets != 0 {
-		t.Fatalf("unbaselined delta applied: %+v", f)
-	}
+	a.HandleExport(2, mkExport(9, openflow.TelemetryEntry{ID: 42, Packets: 99, Bytes: 1}))
 	if f := a.Snapshot().Flows[0]; f.Packets != 7 {
 		t.Fatalf("foreign stream leaked into the view: %+v", f)
 	}
@@ -193,7 +189,7 @@ func TestAggregatorIgnoresForeignStreams(t *testing.T) {
 // stayed put and resets one whose monitor moved.
 func TestAggregatorSetFlowsKeepsViews(t *testing.T) {
 	a := testAggregator(t)
-	a.HandleExport(2, mkExport(9, 1, true, openflow.TelemetryEntry{ID: 1, Packets: 50, Bytes: 500}))
+	a.HandleExport(2, mkExport(9, openflow.TelemetryEntry{ID: 1, Packets: 50, Bytes: 500}))
 	a.SetFlows([]Placement{
 		{ID: 1, SrcNode: 0, DstNode: 2, Path: []int{0, 1, 2}, Monitor: 1},
 	}, func(node int) uint64 { return uint64(node + 1) })
@@ -245,8 +241,8 @@ func TestMergeDisjointSnapshots(t *testing.T) {
 // TestAggregatorSetEpochMidWindow pins the epoch-advance contract the TE
 // loop depends on: bumping the epoch mid rate-window (as every optimizer
 // migration does) keeps totals monotone and the window lossless. The old
-// epoch's in-flight export is rejected after the bump, the switch's FULL
-// re-baseline under the new epoch charges only the genuine gain, and the
+// epoch's in-flight export is rejected after the bump, the switch's
+// re-export under the new epoch charges only the genuine gain, and the
 // rolling window still holds the pre-bump samples — no reset, no double
 // count, no rate dip fabricated by the control plane.
 func TestAggregatorSetEpochMidWindow(t *testing.T) {
@@ -256,9 +252,9 @@ func TestAggregatorSetEpochMidWindow(t *testing.T) {
 		{ID: 1, SrcNode: 0, DstNode: 2, Path: []int{0, 1, 2}, Monitor: 1},
 	}, func(node int) uint64 { return uint64(node + 1) })
 
-	// Baseline, then a charged delta in the first half of the window.
-	a.HandleExport(2, mkExport(9, 1, true, openflow.TelemetryEntry{ID: 1, Packets: 100, Bytes: 1000}))
-	a.HandleExport(2, mkExport(9, 2, false, openflow.TelemetryEntry{ID: 1, Packets: 40, Bytes: 400}))
+	// Baseline, then a charged gain in the first half of the window.
+	a.HandleExport(2, mkExport(9, openflow.TelemetryEntry{ID: 1, Packets: 100, Bytes: 1000}))
+	a.HandleExport(2, mkExport(9, openflow.TelemetryEntry{ID: 1, Packets: 140, Bytes: 1400}))
 	if f := a.Snapshot().Flows[0]; f.Packets != 140 || f.RatePPS != 10 {
 		t.Fatalf("pre-bump view: %+v", f)
 	}
@@ -268,17 +264,15 @@ func TestAggregatorSetEpochMidWindow(t *testing.T) {
 	a.SetEpoch(10)
 
 	// A straggler export from the old epoch must be refused, not applied.
-	if ack := a.HandleExport(2, mkExport(9, 3, false, openflow.TelemetryEntry{ID: 1, Packets: 99, Bytes: 990})); ack != nil {
-		t.Fatal("stale-epoch export acked after SetEpoch")
-	}
+	a.HandleExport(2, mkExport(9, openflow.TelemetryEntry{ID: 1, Packets: 199, Bytes: 1990}))
 	if f := a.Snapshot().Flows[0]; f.Packets != 140 {
 		t.Fatalf("stale-epoch export charged: %+v", f)
 	}
 
-	// The switch re-baselines with a FULL under the new epoch. Its absolute
-	// includes 20 packets forwarded since the last ack; only that gain may
-	// charge, and the total must stay monotone through the transition.
-	a.HandleExport(2, mkExport(10, 1, true, openflow.TelemetryEntry{ID: 1, Packets: 160, Bytes: 1600}))
+	// The switch re-exports under the new epoch. Its absolute includes 20
+	// packets forwarded since its last export; only that gain may charge,
+	// and the total must stay monotone through the transition.
+	a.HandleExport(2, mkExport(10, openflow.TelemetryEntry{ID: 1, Packets: 160, Bytes: 1600}))
 	f := a.Snapshot().Flows[0]
 	if f.Packets != 160 || f.Bytes != 1600 {
 		t.Fatalf("post-bump total not monotone/lossless: %+v", f)
