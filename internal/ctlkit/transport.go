@@ -91,8 +91,9 @@ func (l *MemListener) Close() error {
 func (l *MemListener) Addr() string { return "mem://" + l.name }
 
 // memStreamBytes bounds the bytes one direction of a memConn holds unread.
-// Every control-channel writer is an openflow.Conn's, which writes a batch
-// once it passes DefaultFlushThreshold, so with twice that a
+// Every control-channel writer is an openflow.Conn's, which cuts what it
+// takes from its queue into writes that end with the frame passing
+// DefaultFlushThreshold, however much was queued, so with twice that a
 // whole batch fits beside the unread tail of the previous one and a writer
 // whose peer keeps up never waits. A writer blocks only when the reader has
 // fallen a full bound behind: the same backpressure as a synchronous pipe,

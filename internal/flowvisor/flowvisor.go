@@ -14,13 +14,14 @@
 // program flows gets an EPERM error back, per FlowVisor semantics).
 //
 // The proxy decides on the borrowed message its Decoder returns and relays
-// the frame's bytes: a copy with only the transaction ID changed, never a
-// re-encoding.
+// the frame's bytes: the destination Conn copies the lent frame onto its
+// queue with only the transaction ID changed, never a re-encoding.
 package flowvisor
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -174,9 +175,11 @@ type session struct {
 	sw   *openflow.Conn
 	ctls []*openflow.Conn // indexed like fv.slices
 
-	xidMu    sync.Mutex
-	nextXID  uint32
-	seq      uint64 // allocation order of pending entries
+	xidMu   sync.Mutex
+	nextXID uint32
+	seq     uint64 // allocation order of pending entries
+	// pending maps proxy transaction IDs back to their requests. It is made
+	// with room for a whole fence window, so filling one does not grow it.
 	pending  map[uint32]pendEntry
 	unfenced []int // per slice: messages relayed since its last barrier
 }
@@ -188,13 +191,19 @@ type pendEntry struct {
 	own   bool   // the proxy's own barrier, whose reply no slice awaits
 }
 
-func (fv *FlowVisor) runSession(swConn net.Conn) {
-	s := &session{
+// newSession returns a session on the switch connection sw, with no slice
+// connections yet.
+func newSession(fv *FlowVisor, sw io.ReadWriteCloser) *session {
+	return &session{
 		fv:       fv,
-		sw:       openflow.NewConn(swConn),
-		pending:  make(map[uint32]pendEntry),
+		sw:       openflow.NewConn(sw),
+		pending:  make(map[uint32]pendEntry, fenceEvery),
 		unfenced: make([]int, len(fv.slices)),
 	}
+}
+
+func (fv *FlowVisor) runSession(swConn net.Conn) {
+	s := newSession(fv, swConn)
 	defer s.close()
 
 	// Dial every slice controller; a slice that cannot be reached aborts the
@@ -243,40 +252,30 @@ func (s *session) close() {
 	}
 }
 
-// copyFrame returns a proxy-owned copy of a frame a Conn lent, as the *Raw
-// the destination Conn's writer re-encodes byte for byte, so relaying costs
-// no re-encoding. Callers patch its XID.
-func copyFrame(frame []byte) *openflow.Raw {
-	raw := &openflow.Raw{T: openflow.Type(frame[1]),
-		Body: append([]byte(nil), frame[openflow.HeaderLen:]...)}
-	raw.SetXID(binary.BigEndian.Uint32(frame[4:]))
-	return raw
-}
-
-// relay gives a copy of frame a proxy transaction ID mapped back to (slice,
-// its own ID) and queues it to the switch. A message the switch answers
-// only on failure (flow-mod, packet-out) keeps its mapping until a barrier
-// reply fences it (see resolveXID). So that a controller that never sends
-// barriers cannot grow the map for the life of the session, every
-// fenceEvery messages without one the proxy queues a barrier of its own
-// behind them. Only the slice's reader calls relay, so a slice's entries are
-// allocated in the order its messages reach the switch.
+// relay queues frame to the switch under a proxy transaction ID mapped back
+// to (slice, its own ID). A message the switch answers only on failure
+// (flow-mod, packet-out) keeps its mapping until a barrier reply fences it
+// (see resolveXID). So that a controller that never sends barriers cannot
+// grow the map for the life of the session, every fenceEvery messages
+// without one the proxy queues a barrier of its own behind them. Only the
+// slice's reader calls relay, so a slice's entries are allocated in the
+// order its messages reach the switch.
 func (s *session) relay(slice int, frame []byte) {
-	m := copyFrame(frame)
-	var own *openflow.BarrierRequest
+	var own uint32 // the proxy's barrier's ID, if it queues one
 	s.xidMu.Lock()
-	m.SetXID(s.mapXID(pendEntry{slice: slice, orig: m.XID()}))
-	if m.T == openflow.TypeBarrierRequest {
+	xid := s.mapXID(pendEntry{slice: slice, orig: binary.BigEndian.Uint32(frame[4:])})
+	if openflow.Type(frame[1]) == openflow.TypeBarrierRequest {
 		s.unfenced[slice] = 0
 	} else if s.unfenced[slice]++; s.unfenced[slice] == fenceEvery {
 		s.unfenced[slice] = 0
-		own = &openflow.BarrierRequest{}
-		own.SetXID(s.mapXID(pendEntry{slice: slice, own: true}))
+		own = s.mapXID(pendEntry{slice: slice, own: true})
 	}
 	s.xidMu.Unlock()
-	_ = s.sw.Send(m)
-	if own != nil {
-		_ = s.sw.Send(own)
+	_ = s.sw.SendFrame(frame, xid)
+	if own != 0 {
+		br := &openflow.BarrierRequest{}
+		br.SetXID(own)
+		_ = s.sw.Send(br)
 	}
 }
 
@@ -336,7 +335,7 @@ func (s *session) controllerReadLoop(idx int) {
 			continue // consumed by the proxy; the switch already said hello
 		case *openflow.EchoRequest:
 			// Keepalives terminate at the proxy, like real FlowVisor.
-			rep := &openflow.EchoReply{Data: append([]byte(nil), msg.Data...)}
+			rep := &openflow.EchoReply{Data: msg.Data}
 			rep.SetXID(msg.XID())
 			_ = c.Send(rep)
 			continue
@@ -346,7 +345,7 @@ func (s *session) controllerReadLoop(idx int) {
 			em := &openflow.ErrorMsg{
 				ErrType: openflow.ErrTypeBadRequest,
 				Code:    openflow.ErrCodeBadRequestEperm,
-				Data:    append([]byte(nil), truncate(c.Frame(), 64)...),
+				Data:    truncate(c.Frame(), 64),
 			}
 			em.SetXID(m.XID())
 			_ = c.Send(em)
@@ -376,7 +375,7 @@ func (s *session) switchReadLoop() {
 				}
 			}
 		case *openflow.EchoRequest:
-			rep := &openflow.EchoReply{Data: append([]byte(nil), msg.Data...)}
+			rep := &openflow.EchoReply{Data: msg.Data}
 			rep.SetXID(msg.XID())
 			_ = s.sw.Send(rep)
 		case *openflow.PacketIn:
@@ -385,11 +384,9 @@ func (s *session) switchReadLoop() {
 			// Asynchronous switch events (including unsolicited telemetry
 			// exports) fan out to every slice; each controller's aggregator
 			// filters by epoch, so foreign streams are ignored downstream.
-			// The writers only read the copy, so the slices share it.
-			raw := copyFrame(s.sw.Frame())
 			for i, c := range s.ctls {
 				s.fv.counters[i].toController.Add(1)
-				_ = c.Send(raw)
+				_ = c.SendFrame(s.sw.Frame(), m.XID())
 			}
 		default:
 			// Replies: route by transaction ID.
@@ -397,10 +394,8 @@ func (s *session) switchReadLoop() {
 			if !ok || pe.own {
 				continue // unsolicited reply or the proxy's own barrier; drop
 			}
-			raw := copyFrame(s.sw.Frame())
-			raw.SetXID(pe.orig)
 			s.fv.counters[pe.slice].toController.Add(1)
-			_ = s.ctls[pe.slice].Send(raw)
+			_ = s.ctls[pe.slice].SendFrame(s.sw.Frame(), pe.orig)
 		}
 	}
 }
@@ -412,7 +407,7 @@ func (s *session) routePacketIn(pi *openflow.PacketIn, frame []byte) {
 		if sl.OwnsPacketIn == nil || sl.OwnsPacketIn(pi) {
 			s.fv.counters[i].packetIns.Add(1)
 			s.fv.counters[i].toController.Add(1)
-			_ = s.ctls[i].Send(copyFrame(frame))
+			_ = s.ctls[i].SendFrame(frame, pi.XID())
 			return
 		}
 	}

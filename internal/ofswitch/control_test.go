@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,7 +62,7 @@ func TestControllerMultipathMatchesTable(t *testing.T) {
 		}
 		release.sw.handleFlowMod(&openflow.FlowMod{Match: key, Command: openflow.FlowModAdd,
 			Priority: 1, BufferID: release.sw.nextBuf, OutPort: openflow.PortNone,
-			Actions: []openflow.Action{group}})
+			Actions: []openflow.Action{group}}, release.sw.clk.Now())
 	}
 
 	for _, cs := range []*captureSwitch{table, packetOut, release} {
@@ -165,5 +168,62 @@ func TestControlQueueDropsCounted(t *testing.T) {
 	if got := cs.sw.ControlQueueDrops(); got != overflow {
 		t.Fatalf("ControlQueueDrops = %d after %d punts into a %d-deep queue, want %d",
 			got, openflow.SendQueueDepth+overflow, openflow.SendQueueDepth, overflow)
+	}
+}
+
+// countConn is a control connection whose controller reads everything at
+// once: it counts the bytes written. Reads wait for Close.
+type countConn struct {
+	n      atomic.Int64
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *countConn) Read([]byte) (int, error) {
+	<-c.closed
+	return 0, io.EOF
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.n.Add(int64(len(p)))
+	return len(p), nil
+}
+
+func (c *countConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestPuntAllocBudget: a table miss with the buffer pool full costs two
+// objects, the buffered copy of the frame and the packet-in, plus a share of
+// the pool's bookkeeping. The packet-in's
+// data aliases the frame, because sending encodes it before the frame is
+// reused; copying it, as the switch did while the writer encoded after
+// send returned, cost a third.
+func TestPuntAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc budget not meaningful under -race")
+	}
+	sw := New(Config{DPID: 0xBE, Name: "punt"})
+	ctl := &countConn{closed: make(chan struct{})}
+	sw.conn = openflow.NewConn(ctl)
+	defer sw.conn.Close()
+	frame := benchFrameFor(1, 0)
+	sent := int64(len((&openflow.PacketIn{Data: frame}).AppendTo(nil)))
+	var want int64
+	punt := func() {
+		sw.punt(1, frame)
+		for want += sent; ctl.n.Load() < want; {
+			runtime.Gosched()
+		}
+	}
+	for range 2 * DefaultNumBuffers { // fill the pool: each punt now recycles a buffer
+		punt()
+	}
+	if objects, _ := allocsPerRun(1000, punt); math.Round(objects) > 2 {
+		t.Fatalf("a punt = %.3f allocs, want 2 (the buffered frame and the packet-in)", objects)
+	}
+	if sw.ControlQueueDrops() != 0 {
+		t.Fatalf("%d packet-ins dropped", sw.ControlQueueDrops())
 	}
 }

@@ -308,12 +308,18 @@ func (s *Switch) runSession(rwc io.ReadWriteCloser) {
 	s.connMu.Unlock()
 
 	if err := s.send(&openflow.Hello{}); err == nil {
+		var now time.Time
+		reads := conn.Reads()
 		for {
 			m, err := conn.Decode()
 			if err != nil {
 				break
 			}
-			s.handleControl(m)
+			// The messages one transport read brought share one clock stamp.
+			if r := conn.Reads(); r != reads {
+				reads, now = r, s.clk.Now()
+			}
+			s.handleControl(m, now)
 		}
 	}
 	conn.Close()
@@ -422,16 +428,16 @@ func (s *Switch) sendFlowRemoved(e *flowEntry, reason uint8, now time.Time) {
 	})
 }
 
-// handleControl handles one message from the controller. m is borrowed from
-// the session's Decoder and is overwritten by the next message, so what
-// outlives this call is copied: a flow entry's actions, a packet-out's frame
-// and an echo reply's data. Replies queued for the writer hold only copies.
-func (s *Switch) handleControl(m openflow.Message) {
+// handleControl handles one message from the controller, which arrived at
+// now. m is borrowed from the session's Decoder and is overwritten by the
+// next message, so what outlives this call is copied: a flow entry's actions
+// and a packet-out's frame. A reply may alias m, since sending encodes it.
+func (s *Switch) handleControl(m openflow.Message, now time.Time) {
 	switch msg := m.(type) {
 	case *openflow.Hello:
 		// Nothing to do: version negotiation succeeded by construction.
 	case *openflow.EchoRequest:
-		rep := &openflow.EchoReply{Data: append([]byte(nil), msg.Data...)}
+		rep := &openflow.EchoReply{Data: msg.Data}
 		rep.SetXID(msg.XID())
 		_ = s.send(rep)
 	case *openflow.FeaturesRequest:
@@ -447,7 +453,7 @@ func (s *Switch) handleControl(m openflow.Message) {
 			s.missSendLen.Store(uint32(msg.MissSendLen))
 		}
 	case *openflow.FlowMod:
-		s.handleFlowMod(msg)
+		s.handleFlowMod(msg, now)
 	case *openflow.PacketOut:
 		s.handlePacketOut(msg)
 	case *openflow.StatsRequest:
@@ -521,12 +527,12 @@ func (s *Switch) portStateChanged(p *swPort, up bool) {
 	_ = s.send(ps)
 }
 
-// handleFlowMod applies a borrowed flow-mod. A table entry keeps its own
-// copy of the actions.
-func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
+// handleFlowMod applies a borrowed flow-mod that arrived at now. A table
+// entry keeps its own copy of the actions.
+func (s *Switch) handleFlowMod(m *openflow.FlowMod, now time.Time) {
 	switch m.Command {
 	case openflow.FlowModAdd:
-		if errMsg := s.table.add(s.newEntry(m), m.Flags&openflow.FlowModFlagCheckOverlap != 0); errMsg != nil {
+		if errMsg := s.table.add(s.newEntry(m, now), m.Flags&openflow.FlowModFlagCheckOverlap != 0); errMsg != nil {
 			errMsg.SetXID(m.XID())
 			errMsg.Data = m.AppendTo(nil)[:64]
 			_ = s.send(errMsg)
@@ -536,11 +542,10 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 		strict := m.Command == openflow.FlowModModifyStrict
 		if n := s.table.modify(&m.Match, m.Priority, openflow.CloneActions(m.Actions), strict); n == 0 {
 			// OF 1.0: a modify that matches nothing behaves like an add.
-			_ = s.table.add(s.newEntry(m), false)
+			_ = s.table.add(s.newEntry(m, now), false)
 		}
 	case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
 		strict := m.Command == openflow.FlowModDeleteStrict
-		now := s.clk.Now()
 		for _, e := range s.table.deleteFlows(&m.Match, m.Priority, m.OutPort, strict) {
 			if e.flags&openflow.FlowModFlagSendFlowRem != 0 {
 				s.sendFlowRemoved(e, openflow.FlowRemovedDelete, now)
@@ -556,12 +561,12 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod) {
 }
 
 // newEntry returns an unpublished table entry for the borrowed flow-mod m,
-// with its own copy of m's actions.
-func (s *Switch) newEntry(m *openflow.FlowMod) *flowEntry {
+// created at now, with its own copy of m's actions.
+func (s *Switch) newEntry(m *openflow.FlowMod, now time.Time) *flowEntry {
 	e := &flowEntry{
 		match: m.Match, priority: m.Priority, cookie: m.Cookie,
 		idleTimeout: m.IdleTimeout, hardTimeout: m.HardTimeout,
-		flags: m.Flags, created: s.clk.Now(),
+		flags: m.Flags, created: now,
 	}
 	e.setActions(m.Actions)
 	return e
@@ -751,7 +756,7 @@ func (s *Switch) punt(inPort uint16, frame []byte) {
 		TotalLen: uint16(len(frame)),
 		InPort:   inPort,
 		Reason:   openflow.PacketInReasonNoMatch,
-		Data:     append([]byte(nil), data...),
+		Data:     data,
 	})
 }
 
@@ -808,7 +813,7 @@ func (s *Switch) output(st *staging, inPort uint16, out []byte, actions []openfl
 				TotalLen: uint16(len(out)),
 				InPort:   inPort,
 				Reason:   openflow.PacketInReasonAction,
-				Data:     append([]byte(nil), data...),
+				Data:     data,
 			})
 		case openflow.PortTable:
 			// Re-inject through the flow table (packet-out only) as a burst

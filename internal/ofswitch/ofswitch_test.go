@@ -472,6 +472,31 @@ func TestIdleSwitchArmsNoTimer(t *testing.T) {
 	}
 }
 
+// TestFlowCreatedAtItsReadsClock: the session stamps the messages of one
+// transport read with one clock reading, so a flow added in a later read,
+// after the clock moved, is created at the later time.
+func TestFlowCreatedAtItsReadsClock(t *testing.T) {
+	clk := clock.NewFake()
+	h := newHarness(t, clk)
+	add := func(priority uint16) {
+		h.send(&openflow.FlowMod{Match: openflow.MatchAll(), Command: openflow.FlowModAdd,
+			Priority: priority, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone,
+			Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}}})
+		h.send(&openflow.BarrierRequest{})
+		h.expect(openflow.TypeBarrierReply)
+	}
+	add(5)
+	clk.Advance(3 * time.Second)
+	add(6)
+	ages := map[uint16]time.Duration{}
+	for _, fi := range h.sw.FlowTable() {
+		ages[fi.Priority] = fi.Age
+	}
+	if ages[5] != 3*time.Second || ages[6] != 0 {
+		t.Fatalf("flow ages %v, want priority 5 at 3s and priority 6 at 0", ages)
+	}
+}
+
 func TestOverlapCheck(t *testing.T) {
 	h := newHarness(t, nil)
 	a := openflow.MatchAll()

@@ -477,7 +477,7 @@ func TestFlowModAddAllocBudget(t *testing.T) {
 	}
 	sw := New(Config{DPID: 0xBE, Name: "alloc"})
 	for _, fm := range rfShapedFlowMods(4096) {
-		sw.handleFlowMod(fm)
+		sw.handleFlowMod(fm, sw.clk.Now())
 	}
 	decoy := rfShapedFlowMods(1)[0]
 	decoy.Match.SetNwDstPrefix(netip.MustParsePrefix("172.30.0.0/30"))
@@ -493,8 +493,8 @@ func TestFlowModAddAllocBudget(t *testing.T) {
 	}
 	add, rm := decoded(decoy), decoded(&del)
 	objects, size := allocsPerRun(200, func() {
-		sw.handleFlowMod(add)
-		sw.handleFlowMod(rm)
+		sw.handleFlowMod(add, sw.clk.Now())
+		sw.handleFlowMod(rm, sw.clk.Now())
 	})
 	if objects > 2 || size > 256 {
 		t.Fatalf("rf-shaped add + DELETE_STRICT on 4096 flows = %.1f allocs, %.0f B; want ≤ 2 (the entry and the removed list) and ≤ 256 B",
@@ -503,7 +503,7 @@ func TestFlowModAddAllocBudget(t *testing.T) {
 	if n := sw.NumFlows(); n != 4096 {
 		t.Fatalf("table holds %d flows, want 4096", n)
 	}
-	sw.handleFlowMod(add)
+	sw.handleFlowMod(add, sw.clk.Now())
 	for _, fi := range sw.FlowTable() {
 		if fi.Match == decoy.Match && !openflow.ActionsEqual(fi.Actions, decoy.Actions) {
 			t.Fatalf("installed actions %v, want %v", fi.Actions, decoy.Actions)

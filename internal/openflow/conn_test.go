@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -238,44 +239,6 @@ func TestConnCloseUnblocksSend(t *testing.T) {
 	c.Close() // a second Close is harmless
 }
 
-// TestConnConcurrentSendersAndClose: senders on several goroutines, with
-// Send and TrySend, race two Closes; every call returns, and each error is
-// one the contract names.
-func TestConnConcurrentSendersAndClose(t *testing.T) {
-	sink := &sinkConn{closed: make(chan struct{})}
-	c := NewConn(sink)
-	var wg sync.WaitGroup
-	for g := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range 500 {
-				var err error
-				if (g+i)%2 == 0 {
-					err = c.Send(flowModXID(uint32(i + 1)))
-				} else {
-					err = c.TrySend(flowModXID(uint32(i + 1)))
-				}
-				if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrQueueFull) {
-					t.Errorf("sender %d: %v", g, err)
-					return
-				}
-			}
-		}()
-	}
-	for range 2 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Close()
-		}()
-	}
-	wg.Wait()
-	if err := c.Send(&Hello{}); err != nil && !errors.Is(err, ErrClosed) {
-		t.Fatalf("Send after Close: %v", err)
-	}
-}
-
 // sinkConn counts the bytes written to it; Reads wait for Close.
 type sinkConn struct {
 	n      atomic.Int64
@@ -354,4 +317,202 @@ func TestBatchedLoopsInterop(t *testing.T) {
 			t.Fatalf("message %d: xid %d, frame %x", i, m.XID(), rx.Frame())
 		}
 	}
+}
+
+// TestConnSendEncodesAtSend: Send encodes before it returns, so a sender may
+// change or reuse its message, and the bytes it aliases, at once; the wire
+// carries what the message was at Send.
+func TestConnSendEncodesAtSend(t *testing.T) {
+	g := newGateConn()
+	c := NewConn(g)
+	defer c.Close()
+	stallWriter(t, c, g)
+	fm := flowModXID(1)
+	data := []byte("keepalive")
+	echo := &EchoRequest{Data: data}
+	echo.SetXID(2)
+	var want []byte
+	for _, m := range []Message{fm, echo} {
+		want = m.AppendTo(want)
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Reuse both at once: new XIDs and fields, the action rewritten in
+	// place, the echo's bytes overwritten.
+	fm.SetXID(3)
+	fm.Priority = 9
+	fm.Actions[0].(*ActionOutput).Port = 99
+	echo.SetXID(4)
+	copy(data, "XXXXXXXXX")
+	for _, m := range []Message{fm, echo} {
+		want = m.AppendTo(want)
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.release <- nil
+	if got := g.batch(t); !bytes.Equal(got, want) {
+		t.Fatalf("wire carries\n %x\nwant what each message was at its Send\n %x", got, want)
+	}
+}
+
+// TestConnSendFrameChangesOnlyXID: SendFrame queues the frame with its
+// transaction ID replaced and leaves the caller's frame as it was; a frame
+// whose length field is not its length is refused.
+func TestConnSendFrameChangesOnlyXID(t *testing.T) {
+	g := newGateConn()
+	c := NewConn(g)
+	defer c.Close()
+	stallWriter(t, c, g)
+	frame := flowModXID(7).AppendTo(nil)
+	orig := bytes.Clone(frame)
+	if err := c.SendFrame(frame, 0xA1B2C3D4); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame, orig) {
+		t.Fatalf("SendFrame changed the caller's frame:\n %x\nwas %x", frame, orig)
+	}
+	for _, bad := range [][]byte{orig[:HeaderLen-1], orig[:len(orig)-1], append(bytes.Clone(orig), 0)} {
+		if err := c.SendFrame(bad, 1); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("SendFrame of a %d-byte frame claiming %d: %v, want ErrBadMessage", len(bad), len(orig), err)
+		}
+	}
+	g.release <- nil
+	got := g.batch(t)
+	if len(got) != len(orig) {
+		t.Fatalf("wire carries %d bytes, want the one %d-byte frame", len(got), len(orig))
+	}
+	for i := range got {
+		if (i < 4 || i >= 8) && got[i] != orig[i] {
+			t.Fatalf("byte %d of the relayed frame is %#x, was %#x", i, got[i], orig[i])
+		}
+	}
+	if x := binary.BigEndian.Uint32(got[4:]); x != 0xA1B2C3D4 {
+		t.Fatalf("relayed xid %#x, want 0xa1b2c3d4", x)
+	}
+}
+
+// recConn records every byte written to it; Reads wait for Close.
+type recConn struct {
+	mu     sync.Mutex
+	b      []byte
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (r *recConn) Read([]byte) (int, error) {
+	<-r.closed
+	return 0, io.EOF
+}
+
+func (r *recConn) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.b = append(r.b, p...)
+	return len(p), nil
+}
+
+func (r *recConn) Close() error {
+	r.once.Do(func() { close(r.closed) })
+	return nil
+}
+
+func (r *recConn) bytes() []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return bytes.Clone(r.b)
+}
+
+// TestConnConcurrentSendersAndClose: eight goroutines feed one Conn with
+// Send, TrySend and SendFrame, each reusing one message and one frame, while
+// two Closes race them. Every call returns an error the contract names,
+// every frame on the wire decodes whole and carries what its sender meant,
+// and each sender's frames arrive in the order it sent them.
+func TestConnConcurrentSendersAndClose(t *testing.T) {
+	rec := &recConn{closed: make(chan struct{})}
+	c := NewConn(rec)
+	const senders, each = 8, 2000
+	var wg sync.WaitGroup
+	for g := range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fm := flowModXID(0)
+			var frame []byte
+			for i := range each {
+				xid := uint32(g)<<24 | uint32(i)
+				port := uint16(xid ^ xid>>24)
+				var err error
+				switch i % 3 {
+				case 0:
+					fm.SetXID(xid)
+					fm.Actions[0].(*ActionOutput).Port = port
+					err = c.Send(fm)
+				case 1:
+					fm.SetXID(xid)
+					fm.Actions[0].(*ActionOutput).Port = port
+					err = c.TrySend(fm)
+				default:
+					fm.SetXID(0)
+					fm.Actions[0].(*ActionOutput).Port = port
+					frame = fm.AppendTo(frame[:0])
+					err = c.SendFrame(frame, xid)
+				}
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil && !errors.Is(err, ErrQueueFull) {
+					t.Errorf("sender %d: %v", g, err)
+					return
+				}
+			}
+		}()
+	}
+	for len(rec.bytes()) == 0 {
+		runtime.Gosched()
+	}
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Close()
+		}()
+	}
+	wg.Wait()
+	if err := c.Send(&Hello{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Send after Close: %v, want ErrClosed", err)
+	}
+
+	wire := rec.bytes()
+	dec := NewDecoder(bytes.NewReader(wire))
+	last := make([]int, senders)
+	for i := range last {
+		last[i] = -1
+	}
+	n := 0
+	for {
+		m, err := dec.Decode()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("frame %d of the wire: %v", n, err)
+		}
+		fm, ok := m.(*FlowMod)
+		if !ok || len(fm.Actions) != 1 {
+			t.Fatalf("frame %d: %v, want a one-action flow-mod", n, m)
+		}
+		xid := fm.XID()
+		g, i := int(xid>>24), int(xid&0xffffff)
+		if g >= senders || i <= last[g] {
+			t.Fatalf("frame %d: xid %#x after sender %d's message %d: out of order", n, xid, g, last[g])
+		}
+		if port := fm.Actions[0].(*ActionOutput).Port; port != uint16(xid^xid>>24) {
+			t.Fatalf("frame %d: xid %#x carries port %d, another message's bytes", n, xid, port)
+		}
+		last[g] = i
+		n++
+	}
+	t.Logf("%d frames on the wire before Close", n)
 }

@@ -216,4 +216,7 @@ func TestDecoderReadsBatchInFewReads(t *testing.T) {
 	if limit := (total+decoderReadSize-1)/decoderReadSize + 1; cr.reads > limit {
 		t.Fatalf("%d flow-mods (%d bytes) took %d reads, want at most %d", n, total, cr.reads, limit)
 	}
+	if got := dec.Reads(); got != uint64(cr.reads) {
+		t.Fatalf("Decoder.Reads() = %d, its reader saw %d", got, cr.reads)
+	}
 }

@@ -25,14 +25,15 @@
 //
 // Conn is one end of a control channel, the one type the switch, the
 // FlowVisor proxy and the controllers all speak through. It owns its
-// transport, reads through its Decoder, and queues what it sends on a
-// bounded queue (Send waits for room, TrySend never waits) that one writer
-// goroutine drains in batches, each written in one Write and ended early at
-// a barrier.
+// transport, reads through its Decoder, and encodes what it sends onto a
+// bounded queue of frames before the send returns (Send waits for room,
+// TrySend never waits, SendFrame relays a lent frame with a new XID). One
+// writer goroutine takes the whole queue at once and writes it in batches,
+// each ended early at a barrier.
 //
-// Unknown message types decode to *Raw so a proxy (the FlowVisor substrate)
-// can forward what it does not understand, byte for byte and without
-// re-encoding.
+// Unknown message types decode to *Raw, which re-encodes byte for byte. A
+// proxy (the FlowVisor substrate) forwards any message, understood or not,
+// as its frame through Conn.SendFrame, without re-encoding it.
 package openflow
 
 import (
@@ -423,6 +424,7 @@ type Decoder struct {
 	start, end int    // buf[start:end] is read but not yet decoded
 	err        error  // the reader's error, returned once buffered frames run out
 	frame      []byte // the frame of the message Decode last returned
+	reads      uint64 // Reads of r so far
 
 	st           store
 	flowMod      FlowMod
@@ -467,8 +469,14 @@ func (d *Decoder) decode(b []byte) (Message, error) {
 }
 
 // Frame returns the wire bytes of the message Decode last returned,
-// borrowed like the message. A proxy relays a message by copying them.
+// borrowed like the message. A proxy relays a message by handing them to
+// Conn.SendFrame, which copies them.
 func (d *Decoder) Frame() []byte { return d.frame }
+
+// Reads returns how many times the Decoder has called its reader's Read. A
+// consumer that sees it unchanged across a Decode knows the message came
+// from bytes an earlier read brought, in the same batch.
+func (d *Decoder) Reads() uint64 { return d.reads }
 
 // message returns the message Decode fills for type t: the Decoder's own
 // value for the hot types, which their decodeBody overwrites field by field
@@ -527,6 +535,7 @@ func (d *Decoder) fill(need int) error {
 			d.start, d.buf = 0, buf
 		}
 		n, err := d.r.Read(d.buf[d.end:])
+		d.reads++
 		d.end += n
 		d.err = err
 		if n > 0 || err == nil {

@@ -61,13 +61,15 @@ done
 # flow-mod decode every install goes through twice, in FlowVisor and in the
 # switch (Decode, FlowMod's decodeBody, the action walk), and the
 # control-channel send every message takes at each of its hops (Conn's Send,
-# TrySend and writer loop), and the cable every frame crosses (Endpoint's
-# enqueue, SendBurst and deliverLoop). Moving one of them between 0 and 32
+# TrySend and SendFrame, the queue's reserve and queued around each encode,
+# and the writer loop), FlowVisor's relay of each flow-mod, and the cable
+# every frame crosses (Endpoint's enqueue, SendBurst and deliverLoop).
+# Moving one of them between 0 and 32
 # mod 64 alone has read as a ±10 % change in churn-4k's CPU per packet, so a side-to-side
 # difference here is a confound to rule out first. A symbol only one side has is listed, not compared.
 hot='ofswitch\.\(\*Switch\)\.(handleBatch|handleFlowMod)$|ofswitch\.\(\*flowTable\)\.(lookupN|classify|add)$|openflow\.ExtractKey(Into)?$|openflow\.\(\*Match\)\.Covers$'
 hot+='|openflow\.\(\*Decoder\)\.[Dd]ecode$|openflow\.\(\*FlowMod\)\.decodeBody$|openflow\.(\(\*store\)\.)?decode(One)?Actions?$'
-hot+='|openflow\.\(\*Conn\)\.(Send|TrySend|writeLoop)$'
+hot+='|openflow\.\(\*Conn\)\.(Send|TrySend|SendFrame|reserve|queued|writeLoop)$|flowvisor\.\(\*session\)\.relay$'
 hot+='|netemu\.\(\*Endpoint\)\.(enqueue|SendBurst|deliverLoop)$'
 placement() { # tree: one "symbol offset" line per hot symbol
 	go tool nm -sort name "$1/.bench_build/rfbench" | grep -E "$hot" |
